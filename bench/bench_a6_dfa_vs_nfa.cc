@@ -1,6 +1,6 @@
 // A6 — lazy-DFA matching engine vs the NFA reference, frozen shared
-// automata vs the lazy DFA, and value-dictionary detection vs per-row
-// detection.
+// automata vs the lazy DFA, and value-dictionary detection vs the per-row
+// reference detector.
 //
 // The NFA simulation (nfa.cc) allocates/sorts/epsilon-closes a state set per
 // input character; the lazy DFA (dfa.h) compresses the byte alphabet into
@@ -11,13 +11,14 @@
 // (automaton_cache.h) compiles each distinct pattern exactly once, so
 // repeated detect/repair runs amortize all compilation. The column value
 // dictionary (relation.h) lets detection match each *distinct* value once
-// instead of once per row.
+// instead of once per row, as `ReferenceDetectErrors` does.
 //
 // Content: match throughput (values/sec) for NFA vs lazy DFA vs frozen DFA
 // on the synthetic code/phone/zip generators (DFA expected >= 5x NFA,
 // frozen expected >= lazy), matcher-compilation amortization with a shared
-// cache, wall-clock detection on a duplicate-heavy column with dictionaries
-// on vs off, and repeated detection with a shared automaton cache.
+// cache, wall-clock constant-rule detection on a duplicate-heavy column,
+// production vs the row-at-a-time reference, and repeated detection with a
+// shared automaton cache vs a private cache per call.
 // Performance: the same comparisons as google-benchmark timings (JSON via
 // --benchmark_out=FILE --benchmark_out_format=json; tools/bench.sh writes
 // BENCH_A6.json). ANMAT_BENCH_QUICK=1 shrinks workloads (CI smoke).
@@ -32,7 +33,9 @@
 
 #include "bench_util.h"
 #include "datagen/datasets.h"
+#include "datagen/geo.h"
 #include "detect/detector.h"
+#include "detect/reference_detector.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
 #include "pattern/frozen_dfa.h"
@@ -112,6 +115,23 @@ anmat::Pfd ZipVariablePfd() {
       anmat::ParseConstrainedPattern("(\\D{3})!\\D{2}").value()));
   row.rhs.push_back(anmat::TableauCell::Wildcard());
   t.AddRow(row);
+  return anmat::Pfd::Simple("Zip", "zip", "city", t);
+}
+
+/// One constant row per zip region: "(<prefix>)!\D{2}" determines the
+/// region's city.
+anmat::Pfd ZipConstantPfd() {
+  anmat::Tableau t;
+  for (const anmat::ZipRegion& region : anmat::ZipRegions()) {
+    anmat::TableauRow row;
+    row.lhs.push_back(anmat::TableauCell::Of(
+        anmat::ParseConstrainedPattern("(" + region.prefix + ")!\\D{2}")
+            .value()));
+    row.rhs.push_back(
+        anmat::TableauCell::Of(anmat::ConstrainedPattern::Unconstrained(
+            anmat::LiteralPattern(region.city))));
+    t.AddRow(row);
+  }
   return anmat::Pfd::Simple("Zip", "zip", "city", t);
 }
 
@@ -228,32 +248,34 @@ void ReproduceContent() {
                "cached matcher construction amortizes compilation");
   }
 
-  // ---- detection on a duplicate-heavy column, dictionary on vs off ----
+  // ---- detection on a duplicate-heavy column, dictionary vs per row ----
   const anmat::Relation rel =
       DuplicateHeavyRelation(Sized(200000, 20000), 1000, 71);
-  const anmat::Pfd pfd = ZipVariablePfd();
-  anmat::DetectorOptions dict_on;
-  dict_on.use_value_dictionary = true;
-  anmat::DetectorOptions dict_off = dict_on;
-  dict_off.use_value_dictionary = false;
+  const std::vector<anmat::Pfd> constant_rules = {ZipConstantPfd()};
 
   auto start = std::chrono::steady_clock::now();
-  const auto on = anmat::DetectErrors(rel, pfd, dict_on).value();
+  const auto on = anmat::DetectErrors(rel, constant_rules).value();
   const double on_secs = SecondsSince(start);
   start = std::chrono::steady_clock::now();
-  const auto off = anmat::DetectErrors(rel, pfd, dict_off).value();
+  const auto off = anmat::ReferenceDetectErrors(rel, constant_rules).value();
   const double off_secs = SecondsSince(start);
 
   anmat::TextTable dtable({"mode", "violations", "seconds", "rows/s"});
-  dtable.AddRow({"dictionary on", std::to_string(on.violations.size()),
+  dtable.AddRow({"dictionary (DetectErrors)",
+                 std::to_string(on.violations.size()),
                  std::to_string(on_secs),
                  std::to_string(size_t(rel.num_rows() / on_secs))});
-  dtable.AddRow({"dictionary off", std::to_string(off.violations.size()),
+  dtable.AddRow({"per row (reference)", std::to_string(off.violations.size()),
                  std::to_string(off_secs),
                  std::to_string(size_t(rel.num_rows() / off_secs))});
   std::cout << dtable.Render();
-  CheckOrDie(on.violations.size() == off.violations.size(),
-             "dictionary on/off find the same violations");
+  bool same = on.violations.size() == off.violations.size();
+  for (size_t i = 0; same && i < on.violations.size(); ++i) {
+    same = on.violations[i].cells == off.violations[i].cells &&
+           on.violations[i].explanation == off.violations[i].explanation;
+  }
+  CheckOrDie(same, "dictionary and per-row detection find the same "
+                   "violations");
   CheckOrDie(!on.violations.empty(), "the workload produced violations");
   CheckOrDie(on_secs < off_secs,
              "dictionary detection is faster on a duplicate-heavy column");
@@ -261,10 +283,11 @@ void ReproduceContent() {
 
   // ---- repeated detection with a shared automaton cache ----
   // The repair fixpoint loop and every engine stage re-detect over the
-  // same rules; with the engine-wide cache they stop recompiling automata
-  // and (serially) stop re-resolving tableau rows.
+  // same rules; with the engine-wide cache they stop recompiling automata.
+  // Without one, each call compiles into a private cache of its own.
   {
     const size_t kRuns = 5;
+    const anmat::Pfd pfd = ZipVariablePfd();
     anmat::DetectorOptions uncached;
     auto start = std::chrono::steady_clock::now();
     size_t uncached_violations = 0;
@@ -285,9 +308,9 @@ void ReproduceContent() {
     const double cached_secs = SecondsSince(start);
 
     CheckOrDie(cached_violations == uncached_violations,
-               "cached and uncached detection find the same violations");
+               "shared and per-call caches find the same violations");
     std::cout << "repeated detection (" << kRuns
-              << " runs): uncached " << uncached_secs << "s, cached "
+              << " runs): per-call cache " << uncached_secs << "s, shared "
               << cached_secs << "s, speedup "
               << uncached_secs / cached_secs << "x, cache "
               << cached.automata->misses() << " compiles / "
@@ -368,31 +391,35 @@ void BM_MatcherCompileCached(benchmark::State& state) {
 BENCHMARK(BM_MatcherCompileLazy);
 BENCHMARK(BM_MatcherCompileCached);
 
-void RunDetectBench(benchmark::State& state, bool use_dictionary,
+void RunDetectBench(benchmark::State& state, bool reference,
                     bool use_automaton_cache = false) {
   const anmat::Relation rel = DuplicateHeavyRelation(
       static_cast<size_t>(state.range(0)), 1000, 72);
-  const anmat::Pfd pfd = ZipVariablePfd();
+  const std::vector<anmat::Pfd> rules = {ZipConstantPfd()};
   anmat::DetectorOptions opts;
-  opts.use_value_dictionary = use_dictionary;
   if (use_automaton_cache) {
     opts.automata = std::make_shared<anmat::AutomatonCache>();
   }
   for (auto _ : state) {
-    auto result = anmat::DetectErrors(rel, pfd, opts);
+    auto result = reference ? anmat::ReferenceDetectErrors(rel, rules)
+                            : anmat::DetectErrors(rel, rules, opts);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_DetectDictOn(benchmark::State& state) { RunDetectBench(state, true); }
-void BM_DetectDictOff(benchmark::State& state) { RunDetectBench(state, false); }
+void BM_DetectDictionary(benchmark::State& state) {
+  RunDetectBench(state, false);
+}
+void BM_DetectReferencePerRow(benchmark::State& state) {
+  RunDetectBench(state, true);
+}
 void BM_DetectCachedAutomata(benchmark::State& state) {
-  RunDetectBench(state, true, /*use_automaton_cache=*/true);
+  RunDetectBench(state, false, /*use_automaton_cache=*/true);
 }
 
-BENCHMARK(BM_DetectDictOn)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_DetectDictOff)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_DetectDictionary)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_DetectReferencePerRow)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_DetectCachedAutomata)->Arg(10000)->Arg(100000);
 
 }  // namespace

@@ -63,7 +63,6 @@ ExecutionOptions Engine::Exec() {
 std::vector<ColumnProfile> Engine::Profile(const Relation& relation,
                                            ProfilerOptions options) {
   options.execution = Exec();
-  options.automata = automata_;
   return ProfileRelation(relation, options);
 }
 

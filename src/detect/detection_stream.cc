@@ -12,6 +12,7 @@
 
 namespace anmat {
 
+using detect_internal::AppendKeyFragment;
 using detect_internal::CellScan;
 using detect_internal::ResolvedRow;
 using detect_internal::SeedCell;
@@ -30,21 +31,6 @@ struct ColumnIds {
   /// batch's arena-backed cells, stable while the batch lives).
   std::vector<std::string_view> new_values;
 };
-
-/// A record-key fragment in RecordKey's exact byte format (the canonical
-/// extraction's parts '\x1f'-joined, '\x1e'-terminated); false when the
-/// value has no canonical extraction.
-bool ComputeKeyFragment(const ConstrainedMatcher& matcher,
-                        std::string_view value, std::string* frag) {
-  Extraction extraction;
-  if (!matcher.ExtractCanonical(value, &extraction)) return false;
-  for (const std::string& part : extraction) {
-    frag->append(part);
-    frag->push_back('\x1f');
-  }
-  frag->push_back('\x1e');
-  return true;
-}
 
 /// Batch-side LHS evaluation of one resolved tableau row: per-row match
 /// verdicts and grouping keys, each memoized per *distinct* value — through
@@ -81,23 +67,9 @@ class BatchLhsScan {
       const int64_t id = cell_ids_[i]->ids[r];
       bool ok;
       if (id >= 0) {
-        CellScan& scan = scans_[i];
-        if (scan.preset_match != nullptr &&
-            static_cast<size_t>(id) < scan.preset_match->size()) {
-          // Already-absorbed values are classified by the column's
-          // multi-pattern dispatcher (the watermark equals the dictionary
-          // size at the last append, and stream ids always precede it).
-          ok = (*scan.preset_match)[id] != 0;
-        } else {
-          if (scan.match.size() <= static_cast<size_t>(id)) {
-            scan.match.resize(scan.dict->num_values(), -1);
-          }
-          if (scan.match[id] < 0) {
-            scan.match[id] =
-                matcher->Matches(batch_.cell(r, row_.lhs_cols[i])) ? 1 : 0;
-          }
-          ok = scan.match[id] != 0;
-        }
+        // Already-absorbed values read the stream's memo (and the column
+        // dispatcher's verdicts, which cover every absorbed value).
+        ok = scans_[i].Matches(*matcher, static_cast<uint32_t>(id));
       } else {
         int8_t& verdict = new_match_[i][-id - 1];
         if (verdict < 0) {
@@ -127,23 +99,16 @@ class BatchLhsScan {
       }
       const int64_t id = cell_ids_[i]->ids[r];
       if (id >= 0) {
-        CellScan& scan = scans_[i];
-        if (scan.frag_state.size() <= static_cast<size_t>(id)) {
-          scan.frag_state.resize(scan.dict->num_values(), -1);
-          scan.frag.resize(scan.dict->num_values());
-        }
-        if (scan.frag_state[id] < 0) {
-          scan.frag_state[id] =
-              ComputeKeyFragment(*matcher, cell, &scan.frag[id]) ? 1 : 0;
-        }
-        if (scan.frag_state[id] == 0) return false;
-        key->append(scan.frag[id]);
+        const std::string* frag =
+            scans_[i].Fragment(*matcher, static_cast<uint32_t>(id));
+        if (frag == nullptr) return false;
+        key->append(*frag);
       } else {
         int8_t& state = new_frag_state_[i][-id - 1];
         std::string& frag = new_frag_[i][-id - 1];
         if (state < 0) {
-          state = ComputeKeyFragment(
-                      *matcher, cell_ids_[i]->new_values[-id - 1], &frag)
+          state = AppendKeyFragment(*matcher,
+                                    cell_ids_[i]->new_values[-id - 1], &frag)
                       ? 1
                       : 0;
         }
@@ -181,14 +146,9 @@ Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
         "DetectionStream does not support max_violations: the cap's "
         "\"first N found\" semantics contradict cumulative batch results");
   }
-  if (!options.use_value_dictionary) {
-    return Status::InvalidArgument(
-        "DetectionStream requires use_value_dictionary: its cross-batch "
-        "match/extraction memos are keyed by dictionary value id (that is "
-        "what makes a batch cost O(new distinct values) pattern work)");
-  }
+  DetectorOptions with_cache = detect_internal::WithAutomata(options);
   std::unique_ptr<DetectionStream> stream(
-      new DetectionStream(schema, std::move(pfds), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
+      new DetectionStream(schema, std::move(pfds), std::move(with_cache)));  // lint: new-ok (private ctor, owned by the unique_ptr)
   ANMAT_RETURN_NOT_OK(stream->Init());
   return stream;
 }
@@ -234,19 +194,15 @@ Status DetectionStream::Init() {
           dicts_[col] = std::make_unique<ColumnDictionary>();
         }
         state.scans[i].dict = dicts_[col].get();
-        state.scans[i].col = col;
       }
 
       // An incremental index over each seed column narrows the per-batch
-      // candidate scan of constant rows to the new rows in its postings.
-      if (options_.use_pattern_index && (state.constant || state.variable)) {
-        const size_t seed = SeedCell(state.resolved);
-        if (seed < lhs_cols.size()) {
-          const size_t col = lhs_cols[seed];
-          if (indexes_[col] == nullptr) {
-            indexes_[col] = std::make_unique<PatternIndex>(
-                relation_, col, dicts_[col].get(), options_.automata.get());
-          }
+      // candidate scan to the new rows in its postings.
+      if (state.constant || state.variable) {
+        const size_t col = lhs_cols[SeedCell(state.resolved)];
+        if (indexes_[col] == nullptr) {
+          indexes_[col] = std::make_unique<PatternIndex>(
+              relation_, col, dicts_[col].get(), options_.automata.get());
         }
       }
       rows_.push_back(std::move(state));
@@ -257,98 +213,70 @@ Status DetectionStream::Init() {
   // cells into union automata so each batch classifies a *new distinct
   // value* against all of them in one combined scan per prefix group. The
   // verdict vectors feed the cell memos through `CellScan::preset_match`;
-  // a column whose unions cannot freeze keeps the per-pattern lazy path.
-  if (options_.use_multi_dispatch && options_.automata != nullptr) {
-    dispatchers_.resize(schema.num_columns());
-    classified_values_.assign(schema.num_columns(), 0);
-    std::vector<std::vector<uint32_t>> slots(rows_.size());
-    for (size_t s = 0; s < rows_.size(); ++s) {
-      const ResolvedRow& row = rows_[s].resolved;
-      slots[s].assign(row.lhs_cols.size(), 0);
-      for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-        if (row.lhs_matchers[i] == nullptr) continue;
-        const size_t col = row.lhs_cols[i];
-        if (dispatchers_[col] == nullptr) {
-          dispatchers_[col] = std::make_unique<ColumnDispatcher>();
-        }
-        slots[s][i] = dispatchers_[col]->AddPattern(
-            row.row->lhs[i].pattern().EmbeddedPattern());
+  // a column whose unions cannot freeze keeps the per-pattern path.
+  dispatchers_.resize(schema.num_columns());
+  classified_values_.assign(schema.num_columns(), 0);
+  std::vector<std::vector<uint32_t>> slots(rows_.size());
+  for (size_t s = 0; s < rows_.size(); ++s) {
+    const ResolvedRow& row = rows_[s].resolved;
+    slots[s].assign(row.lhs_cols.size(), 0);
+    for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
+      if (row.lhs_matchers[i] == nullptr) continue;
+      const size_t col = row.lhs_cols[i];
+      if (dispatchers_[col] == nullptr) {
+        dispatchers_[col] = std::make_unique<ColumnDispatcher>();
       }
+      slots[s][i] = dispatchers_[col]->AddPattern(
+          row.row->lhs[i].pattern().EmbeddedPattern());
     }
-    for (std::unique_ptr<ColumnDispatcher>& cd : dispatchers_) {
-      if (cd != nullptr && !cd->Compile(options_.automata.get())) {
-        cd.reset();  // unfreezable union: per-pattern fallback
-      }
+  }
+  for (std::unique_ptr<ColumnDispatcher>& cd : dispatchers_) {
+    if (cd != nullptr && !cd->Compile(options_.automata.get())) {
+      cd.reset();  // unfreezable union: per-pattern fallback
     }
-    for (size_t s = 0; s < rows_.size(); ++s) {
-      RowState& state = rows_[s];
-      for (size_t i = 0; i < state.resolved.lhs_cols.size(); ++i) {
-        if (state.resolved.lhs_matchers[i] == nullptr) continue;
-        const ColumnDispatcher* cd =
-            dispatchers_[state.resolved.lhs_cols[i]].get();
-        // Verdict-vector addresses are stable: the outer vector is fixed
-        // at Compile, only the inner vectors grow per batch. Uncovered
-        // slots (leading unbounded class repeat, or a union past the
-        // freeze budget) keep the lazy per-pattern memo.
-        if (cd != nullptr && cd->covers(slots[s][i])) {
-          state.scans[i].preset_match = cd->verdicts(slots[s][i]);
-        }
+  }
+  for (size_t s = 0; s < rows_.size(); ++s) {
+    RowState& state = rows_[s];
+    for (size_t i = 0; i < state.resolved.lhs_cols.size(); ++i) {
+      if (state.resolved.lhs_matchers[i] == nullptr) continue;
+      const ColumnDispatcher* cd =
+          dispatchers_[state.resolved.lhs_cols[i]].get();
+      // Verdict-vector addresses are stable: the outer vector is fixed
+      // at Compile, only the inner vectors grow per batch. Uncovered
+      // slots (leading unbounded class repeat, or a union past the
+      // freeze budget) keep the lazy per-pattern memo.
+      if (cd != nullptr && cd->covers(slots[s][i])) {
+        state.scans[i].preset_match = cd->verdicts(slots[s][i]);
       }
     }
   }
   return Status::OK();
 }
 
-void DetectionStream::AbsorbRows(RowState& state, RowId first_row,
-                                 RowId end_row) {
+void DetectionStream::AbsorbRows(RowState& state, RowId first_row) {
   ResolvedRow& row = state.resolved;
   const size_t seed = SeedCell(row);
 
   // New-row candidates: the seed column's incremental index returns the
   // posting tail (only rows >= first_row), which is sub-linear in the batch
-  // for selective patterns; without an index the batch is scanned directly.
-  // Either way `MatchesLhs` is the exact test, memoized per distinct value,
-  // so only newly seen values pay automaton work.
-  std::vector<RowId> seeded;
-  const PatternIndex* index =
-      seed < row.lhs_cols.size() ? indexes_[row.lhs_cols[seed]].get()
-                                 : nullptr;
-  if (index != nullptr) {
-    seeded = index->CandidateSuperset(
-        row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
-  }
-
-  const auto each_candidate = [&](const auto& fn) {
-    if (index != nullptr) {
-      for (RowId r : seeded) fn(r);
-    } else {
-      for (RowId r = first_row; r < end_row; ++r) fn(r);
-    }
-  };
-
-  if (state.constant) {
-    each_candidate([&](RowId r) {
-      if (!detect_internal::MatchesLhs(relation_, row, state.scans, r)) {
-        return;
-      }
-      ++state.candidates;
+  // for selective patterns. `MatchesLhs` is the exact test, memoized per
+  // distinct value, so only newly seen values pay automaton work.
+  const std::vector<RowId> seeded =
+      indexes_[row.lhs_cols[seed]]->CandidateSuperset(
+          row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
+  std::string key;
+  key.reserve(32 * row.lhs_cols.size());
+  for (RowId r : seeded) {
+    if (!detect_internal::MatchesLhs(row, state.scans, r)) continue;
+    ++state.candidates;
+    if (state.constant) {
       detect_internal::EmitConstantViolation(relation_, state.pfd_index,
                                              state.row_index, row, r,
                                              &state.violations);
-    });
-  } else {
-    std::string key;
-    key.reserve(32 * row.lhs_cols.size());
-    each_candidate([&](RowId r) {
-      if (!detect_internal::MatchesLhs(relation_, row, state.scans, r)) {
-        return;
-      }
-      ++state.candidates;
-      if (detect_internal::RecordKey(relation_, row, state.scans, r, &key)) {
-        ++state.matched;
-        state.groups[key].push_back(r);
-      }
-    });
+    } else if (detect_internal::RecordKey(relation_, row, state.scans, r,
+                                          &key)) {
+      state.groups[key].push_back(r);
+    }
   }
 }
 
@@ -768,7 +696,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           continue;
         }
         if (!matcher->Matches(cell)) return false;
-        if (!ComputeKeyFragment(*matcher, cell, key)) return false;
+        if (!AppendKeyFragment(*matcher, cell, key)) return false;
       }
       return true;
     };
@@ -869,16 +797,12 @@ Result<DetectionResult> DetectionStream::AppendBatch(const Relation& batch) {
   ParallelFor(options_.execution, rows_.size(), [&](size_t i) {
     RowState& state = rows_[i];
     if (!state.constant && !state.variable) return;
-    AbsorbRows(state, first_row, end_row);
+    AbsorbRows(state, first_row);
     DetectionResult& slot = slots[i];
     slot.stats.candidate_rows = state.candidates;
     if (state.constant) {
       slot.violations = state.violations;  // cumulative; copy, keep ours
     } else {
-      if (!options_.use_blocking) {
-        slot.stats.pairs_checked +=
-            state.matched * (state.matched - 1) / 2;
-      }
       detect_internal::ResolveGroups(relation_, state.pfd_index,
                                      state.row_index, state.resolved,
                                      state.groups, /*max_violations=*/0,

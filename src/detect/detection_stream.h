@@ -115,11 +115,10 @@ struct StreamConflict {
 class DetectionStream {
  public:
   /// Opens a stream for `pfds` over relations with `schema`. Fails if some
-  /// PFD does not validate against the schema, if
+  /// PFD does not validate against the schema, or if
   /// `options.max_violations` is set (the cap's "first N found" semantics
-  /// contradict cumulative results), or if `options.use_value_dictionary`
-  /// is cleared (the cross-batch memos are keyed by dictionary value id —
-  /// they are what makes a batch cost O(new distinct values)).
+  /// contradict cumulative results). A null `options.automata` gets a
+  /// cache private to the stream.
   static Result<std::unique_ptr<DetectionStream>> Open(
       const Schema& schema, std::vector<Pfd> pfds,
       const DetectorOptions& options = {});
@@ -205,9 +204,6 @@ class DetectionStream {
     /// Variable rows: cumulative key → rows groups (append-only; the group
     /// resolution is re-run per batch because majorities can flip).
     std::map<std::string, std::vector<RowId>> groups;
-    /// Variable rows: cumulative count of rows with an extractable key
-    /// (for the `use_blocking == false` pairs_checked accounting).
-    size_t matched = 0;
     /// Variable rows, clean-on-ingest: incremental per-group RHS splits of
     /// the *absorbed* rows, folded lazily as groups grow (absorbed rows are
     /// append-only and never retroactively edited, so both the cleaned and
@@ -229,8 +225,8 @@ class DetectionStream {
     std::map<std::string, GroupRhsCache> rhs_cache;
   };
 
-  /// Folds the batch rows [first_row, end_row) into `state`.
-  void AbsorbRows(RowState& state, RowId first_row, RowId end_row);
+  /// Folds the rows appended from `first_row` on into `state`.
+  void AbsorbRows(RowState& state, RowId first_row);
 
   /// Computes the confident constant- and (when enabled) variable-rule
   /// repairs for `batch` and records them (clean-on-ingest), surfacing
@@ -252,16 +248,16 @@ class DetectionStream {
   /// columns no pattern cell touches). `Relation::dictionary` would rebuild
   /// from scratch after every append; these only absorb the new rows.
   std::vector<std::unique_ptr<ColumnDictionary>> dicts_;
-  /// Stream-owned incremental pattern indexes over the seed columns (only
-  /// when `options_.use_pattern_index`): per batch they absorb the new rows'
-  /// postings and seed each constant row's new candidates sub-linearly.
+  /// Stream-owned incremental pattern indexes over the seed columns: per
+  /// batch they absorb the new rows' postings and seed each tableau row's
+  /// new candidates sub-linearly.
   std::vector<std::unique_ptr<PatternIndex>> indexes_;
   /// Multi-pattern dispatchers, one slot per column (null for columns with
-  /// no pattern cell, or when dispatch is off / the column's unions are
-  /// unfreezable). Each batch classifies only the column's *new* distinct
-  /// values — ids in `[classified_values_[c], num_values)` — in one combined
-  /// scan per prefix group, with the column's `PatternIndex` as pre-filter;
-  /// the verdict vectors feed every covered cell memo via
+  /// no pattern cell, or whose unions are unfreezable). Each batch
+  /// classifies only the column's *new* distinct values — ids in
+  /// `[classified_values_[c], num_values)` — in one combined scan per
+  /// prefix group, with the column's `PatternIndex` as pre-filter; the
+  /// verdict vectors feed every covered cell memo via
   /// `CellScan::preset_match`.
   std::vector<std::unique_ptr<ColumnDispatcher>> dispatchers_;
   /// Per column: how many distinct values the dispatcher has classified

@@ -1,11 +1,11 @@
 #include "detect/detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <memory>
 #include <set>
 
-#include "detect/blocking.h"
 #include "detect/detector_internal.h"
 #include "dispatch/dispatch_plan.h"
 #include "pattern/matcher.h"
@@ -65,31 +65,26 @@ void SortViolations(std::vector<Violation>* violations) {
             });
 }
 
-bool MatchesLhs(const Relation& relation, const ResolvedRow& row,
-                std::vector<CellScan>& scans, RowId r) {
+bool AppendKeyFragment(const ConstrainedMatcher& matcher,
+                       std::string_view value, std::string* key) {
+  Extraction extraction;
+  if (!matcher.ExtractCanonical(value, &extraction)) return false;
+  for (const std::string& part : extraction) {
+    key->append(part);
+    key->push_back('\x1f');
+  }
+  key->push_back('\x1e');
+  return true;
+}
+
+bool MatchesLhs(const ResolvedRow& row, std::vector<CellScan>& scans, RowId r,
+                size_t skip_cell) {
   for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    if (row.lhs_matchers[i] == nullptr) continue;
+    if (i == skip_cell || row.lhs_matchers[i] == nullptr) continue;
     CellScan& scan = scans[i];
-    bool ok;
-    if (scan.enabled()) {
-      const ColumnDictionary& dict = scan.Dict();
-      const uint32_t id = dict.value_id(r);
-      if (scan.preset_match != nullptr && id < scan.preset_match->size()) {
-        ok = (*scan.preset_match)[id] != 0;
-      } else {
-        if (scan.match.size() < dict.num_values()) {
-          scan.match.resize(dict.num_values(), -1);
-        }
-        if (scan.match[id] < 0) {
-          scan.match[id] =
-              row.lhs_matchers[i]->Matches(dict.value(id)) ? 1 : 0;
-        }
-        ok = scan.match[id] != 0;
-      }
-    } else {
-      ok = row.lhs_matchers[i]->Matches(relation.cell(r, row.lhs_cols[i]));
+    if (!scan.Matches(*row.lhs_matchers[i], scan.dict->value_id(r))) {
+      return false;
     }
-    if (!ok) return false;
   }
   return true;
 }
@@ -97,48 +92,17 @@ bool MatchesLhs(const Relation& relation, const ResolvedRow& row,
 bool RecordKey(const Relation& relation, const ResolvedRow& row,
                std::vector<CellScan>& scans, RowId r, std::string* key) {
   key->clear();
-  Extraction extraction;
   for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    const std::string_view cell = relation.cell(r, row.lhs_cols[i]);
     if (row.lhs_matchers[i] == nullptr) {
-      key->append(cell);
+      key->append(relation.cell(r, row.lhs_cols[i]));
       key->push_back('\x1f');
       continue;
     }
     CellScan& scan = scans[i];
-    if (scan.enabled()) {
-      const ColumnDictionary& dict = scan.Dict();
-      if (scan.frag_state.size() < dict.num_values()) {
-        scan.frag_state.resize(dict.num_values(), -1);
-        scan.frag.resize(dict.num_values());
-      }
-      const uint32_t id = dict.value_id(r);
-      if (scan.frag_state[id] < 0) {
-        if (row.lhs_matchers[i]->ExtractCanonical(dict.value(id),
-                                                  &extraction)) {
-          std::string& frag = scan.frag[id];
-          for (const std::string& part : extraction) {
-            frag.append(part);
-            frag.push_back('\x1f');
-          }
-          frag.push_back('\x1e');
-          scan.frag_state[id] = 1;
-        } else {
-          scan.frag_state[id] = 0;
-        }
-      }
-      if (scan.frag_state[id] == 0) return false;
-      key->append(scan.frag[id]);
-      continue;
-    }
-    if (!row.lhs_matchers[i]->ExtractCanonical(cell, &extraction)) {
-      return false;
-    }
-    for (const std::string& part : extraction) {
-      key->append(part);
-      key->push_back('\x1f');
-    }
-    key->push_back('\x1e');
+    const std::string* frag =
+        scan.Fragment(*row.lhs_matchers[i], scan.dict->value_id(r));
+    if (frag == nullptr) return false;
+    key->append(*frag);
   }
   return true;
 }
@@ -340,21 +304,12 @@ struct RunContext {
   }
 };
 
-/// All rows of the relation, as a reusable id list.
-std::vector<RowId> AllRows(const Relation& relation) {
-  std::vector<RowId> rows(relation.num_rows());
-  for (RowId r = 0; r < relation.num_rows(); ++r) rows[r] = r;
-  return rows;
-}
-
 std::vector<CellScan> MakeScans(RunContext& ctx, const ResolvedRow& row,
                                 size_t item) {
   std::vector<CellScan> scans(row.lhs_cols.size());
-  if (!ctx.options->use_value_dictionary) return scans;
   for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
     if (row.lhs_matchers[i] == nullptr) continue;
-    scans[i].relation = ctx.relation;
-    scans[i].col = row.lhs_cols[i];
+    scans[i].dict = &ctx.relation->dictionary(row.lhs_cols[i]);
     if (ctx.dispatch != nullptr) {
       const DispatchCell& dc = ctx.dispatch->cells[item][i];
       if (dc.dispatcher != nullptr && dc.dispatcher->compiled() &&
@@ -367,92 +322,35 @@ std::vector<CellScan> MakeScans(RunContext& ctx, const ResolvedRow& row,
   return scans;
 }
 
-/// Candidate rows matching every (non-wildcard) LHS cell of the row. Uses
-/// the pattern index for the first pattern cell and verifies the remaining
-/// cells directly (intersection).
+/// Candidate rows matching every (non-wildcard) LHS cell of the row: seeded
+/// from the first pattern cell — the dispatcher's verdicts when its slot is
+/// covered, else the column's pattern index — and verified on the remaining
+/// cells (intersection).
 std::vector<RowId> CandidateRows(RunContext& ctx, const ResolvedRow& row,
                                  std::vector<CellScan>& scans) {
-  // Seed candidates from the first non-wildcard LHS cell.
   std::vector<RowId> candidates;
   const size_t seed_cell = detect_internal::SeedCell(row);
-  if (seed_cell == row.lhs_cols.size()) {
-    candidates = AllRows(*ctx.relation);  // all-wildcard LHS (rejected by
-                                          // Tableau::Validate, but be safe)
-  } else if (scans[seed_cell].preset_match != nullptr) {
+  const CellScan& seed = scans[seed_cell];
+  if (seed.preset_ids != nullptr) {
     // Dispatch verdicts: fan the matching distinct values out over their
-    // postings — the exact match set, identical to every path below. The
-    // match-id list (when present) visits only the matches; the fallback
-    // sweep reads the same verdicts for every id.
-    const ColumnDictionary& dict = scans[seed_cell].Dict();
-    if (scans[seed_cell].preset_ids != nullptr) {
-      for (const uint32_t id : *scans[seed_cell].preset_ids) {
-        const std::vector<RowId>& rows = dict.rows(id);
-        candidates.insert(candidates.end(), rows.begin(), rows.end());
-      }
-    } else {
-      const std::vector<int8_t>& preset = *scans[seed_cell].preset_match;
-      for (uint32_t id = 0; id < dict.num_values(); ++id) {
-        if (id < preset.size() && preset[id]) {
-          const std::vector<RowId>& rows = dict.rows(id);
-          candidates.insert(candidates.end(), rows.begin(), rows.end());
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-  } else if (ctx.options->use_pattern_index) {
-    candidates = ctx.IndexFor(row.lhs_cols[seed_cell])
-                     .Lookup(row.row->lhs[seed_cell].pattern());
-  } else if (scans[seed_cell].enabled()) {
-    // Dictionary scan: match each distinct value once, fan out postings,
-    // restore row order. Identical result set to the row-at-a-time scan.
-    const ColumnDictionary& dict = scans[seed_cell].Dict();
-    const ConstrainedMatcher& matcher = *row.lhs_matchers[seed_cell];
-    for (uint32_t id = 0; id < dict.num_values(); ++id) {
-      if (matcher.Matches(dict.value(id))) {
-        const std::vector<RowId>& rows = dict.rows(id);
-        candidates.insert(candidates.end(), rows.begin(), rows.end());
-      }
+    // postings — the exact match set, identical to the index lookup.
+    for (const uint32_t id : *seed.preset_ids) {
+      const std::vector<RowId>& rows = seed.dict->rows(id);
+      candidates.insert(candidates.end(), rows.begin(), rows.end());
     }
     std::sort(candidates.begin(), candidates.end());
   } else {
-    const ConstrainedMatcher& matcher = *row.lhs_matchers[seed_cell];
-    for (RowId r = 0; r < ctx.relation->num_rows(); ++r) {
-      if (matcher.Matches(ctx.relation->cell(r, row.lhs_cols[seed_cell]))) {
-        candidates.push_back(r);
-      }
-    }
+    candidates = ctx.IndexFor(row.lhs_cols[seed_cell])
+                     .Lookup(row.row->lhs[seed_cell].pattern());
   }
 
-  // Verify the remaining LHS cells (per distinct value when memoized).
+  // Verify the remaining LHS cells (per distinct value, memoized).
   std::vector<RowId> verified;
   verified.reserve(candidates.size());
   for (RowId r : candidates) {
-    bool ok = true;
-    for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-      if (i == seed_cell || row.lhs_matchers[i] == nullptr) continue;
-      CellScan& scan = scans[i];
-      if (scan.enabled()) {
-        const ColumnDictionary& dict = scan.Dict();
-        const uint32_t id = dict.value_id(r);
-        if (scan.preset_match != nullptr && id < scan.preset_match->size()) {
-          ok = (*scan.preset_match)[id] != 0;
-        } else {
-          if (scan.match.size() < dict.num_values()) {
-            scan.match.resize(dict.num_values(), -1);
-          }
-          if (scan.match[id] < 0) {
-            scan.match[id] =
-                row.lhs_matchers[i]->Matches(dict.value(id)) ? 1 : 0;
-          }
-          ok = scan.match[id] != 0;
-        }
-      } else {
-        ok = row.lhs_matchers[i]->Matches(
-            ctx.relation->cell(r, row.lhs_cols[i]));
-      }
-      if (!ok) break;
+    if (detect_internal::MatchesLhs(row, scans, r, seed_cell)) {
+      verified.push_back(r);
     }
-    if (ok) verified.push_back(r);
   }
   return verified;
 }
@@ -482,20 +380,10 @@ void DetectVariableRow(RunContext& ctx, size_t pfd_index, size_t row_index,
   // The reused key buffer is sized once for the row; map insertion copies
   // it, so pre-sizing kills the grow-reallocs on every append below.
   key.reserve(32 * row.lhs_cols.size());
-  size_t matched = 0;
   for (RowId r : candidates) {
     if (detect_internal::RecordKey(*ctx.relation, row, scans, r, &key)) {
-      ++matched;
       groups[key].push_back(r);
     }
-  }
-  if (!ctx.options->use_blocking) {
-    // The paper's quadratic reference enumerates every matched candidate
-    // pair and compares canonical keys; the comparison count is exactly
-    // C(matched, 2), accounted here without replaying the loop (the
-    // violation *set* matches the blocked variant either way — tested in
-    // detector_test / property_test).
-    ctx.result->stats.pairs_checked += matched * (matched - 1) / 2;
   }
   detect_internal::ResolveGroups(*ctx.relation, pfd_index, row_index, row,
                                  groups, ctx.options->max_violations,
@@ -568,45 +456,34 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   const bool parallel = options.execution.EffectiveThreads() > 1 &&
                         items.size() > 1 && options.max_violations == 0;
   AutomatonCache* const automata = options.automata.get();
+  assert(automata != nullptr && "entry points install a cache (WithAutomata)");
 
   // Resolve the tableau rows once per `row_set` lifetime (per call when the
   // caller passed none): the repair fixpoint loop hands the same set back
-  // for every pass, so matchers are not rebuilt per pass. A serial run
-  // always walks the shared set; a parallel run shares it only when every
-  // matcher is frozen-backed (`shareable`) — lazy matchers memoize under
-  // the const interface and must stay single-owner, so that path resolves
-  // per task below, exactly the pre-cache behavior. Without a cache a
-  // parallel run can never share rows, so resolving a set upfront would
-  // only duplicate the per-task compilation — skip it.
+  // for every pass, so matchers are not rebuilt per pass.
   ResolvedRowSet local_rows;
   ResolvedRowSet& rows = row_set != nullptr ? *row_set : local_rows;
-  if (!rows.resolved && (!parallel || automata != nullptr)) {
+  if (!rows.resolved) {
     rows.rows.reserve(items.size());
-    bool shareable = true;
     for (const WorkItem& item : items) {
       const PfdPlan& plan = plans[item.plan];
-      ResolvedRow resolved =
+      rows.rows.push_back(
           ResolveRow(plan.pfd->tableau().row(item.row), plan.lhs_cols,
                      plan.rhs_cols, plan.pfd->lhs_attrs(),
-                     plan.pfd->rhs_attrs(), automata);
-      shareable = shareable && resolved.concurrent_safe();
-      rows.rows.push_back(std::move(resolved));
+                     plan.pfd->rhs_attrs(), automata));
     }
-    rows.shareable = shareable;
     rows.resolved = true;
   }
 
   // Multi-pattern dispatch: compile every LHS column's patterns into a few
-  // prefix-grouped union automata (shared through the engine cache) and
-  // classify each distinct value with one scan per group, instead of one
-  // automaton walk per (pattern, value). Needs resolved rows (the cell
-  // patterns), the engine cache, and dictionary mode (verdicts are per
-  // distinct value). Values must be re-classified every run — the repair
+  // prefix-grouped union automata (shared through the cache) and classify
+  // each distinct value with one scan per group, instead of one automaton
+  // walk per (pattern, value). Slots the unions do not cover keep the
+  // per-pattern path. Values must be re-classified every run — the repair
   // fixpoint mutates cells between passes — but the automata themselves
-  // compile once per engine lifetime.
+  // compile once per cache lifetime.
   std::unique_ptr<DetectDispatch> dispatch;
-  if (options.use_multi_dispatch && automata != nullptr &&
-      options.use_value_dictionary && rows.resolved && !items.empty()) {
+  if (!items.empty()) {
     dispatch = std::make_unique<DetectDispatch>();
     dispatch->cells.resize(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
@@ -636,11 +513,9 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
         const size_t col = usable[i].first;
         ColumnDispatcher* cd = usable[i].second;
         std::unique_ptr<PatternIndex> prefilter;
-        if (options.use_pattern_index && cd->num_groups() > 1) {
-          prefilter = std::make_unique<PatternIndex>(relation, col, automata);
-        }
         DispatchPrefilter candidates;
-        if (prefilter != nullptr) {
+        if (cd->num_groups() > 1) {
+          prefilter = std::make_unique<PatternIndex>(relation, col, automata);
           candidates = [index = prefilter.get()](
                            const std::vector<const Pattern*>& members,
                            uint32_t first_id) {
@@ -671,58 +546,44 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
 
   // Pre-build the seed-cell indexes the tasks will share (in parallel, one
   // per distinct column; PatternIndex::Lookup on a const index is
-  // thread-safe). Resolving just to find the seed column is cheap relative
-  // to detection and keeps the work list simple.
+  // thread-safe). Dispatch-covered columns seed from preset verdicts and
+  // never probe an index — skip their build.
+  std::set<size_t> seed_cols;
+  for (const ResolvedRow& row : rows.rows) {
+    const size_t col = row.lhs_cols[SeedCell(row)];
+    if (dispatch == nullptr || !dispatch->Covers(col)) seed_cols.insert(col);
+  }
+  const std::vector<size_t> cols(seed_cols.begin(), seed_cols.end());
+  std::vector<std::unique_ptr<PatternIndex>> built(cols.size());
+  ParallelFor(options.execution, cols.size(), [&](size_t i) {
+    built[i] = std::make_unique<PatternIndex>(relation, cols[i], automata);
+  });
   std::map<size_t, std::unique_ptr<PatternIndex>> shared_indexes;
-  if (options.use_pattern_index) {
-    std::set<size_t> seed_cols;
-    for (const WorkItem& item : items) {
-      const PfdPlan& plan = plans[item.plan];
-      const TableauRow& trow = plan.pfd->tableau().row(item.row);
-      for (size_t i = 0; i < trow.lhs.size(); ++i) {
-        if (!trow.lhs[i].is_wildcard()) {
-          // Dispatch-covered columns seed from preset verdicts and never
-          // probe an index — skip the build.
-          const size_t col = plan.lhs_cols[i];
-          if (dispatch == nullptr || !dispatch->Covers(col)) {
-            seed_cols.insert(col);
-          }
-          break;
-        }
-      }
-    }
-    std::vector<size_t> cols(seed_cols.begin(), seed_cols.end());
-    std::vector<std::unique_ptr<PatternIndex>> built(cols.size());
-    ParallelFor(options.execution, cols.size(), [&](size_t i) {
-      built[i] = std::make_unique<PatternIndex>(relation, cols[i], automata);
-    });
-    for (size_t i = 0; i < cols.size(); ++i) {
-      shared_indexes.emplace(cols[i], std::move(built[i]));
-    }
+  for (size_t i = 0; i < cols.size(); ++i) {
+    shared_indexes.emplace(cols[i], std::move(built[i]));
   }
 
   // One task per work item, each with its own result slot; slots are merged
   // in item order, so the outcome is byte-identical to the serial loop.
-  // Frozen-backed rows are probed in place by every task; otherwise each
-  // task resolves a private copy (lazy matchers are single-owner).
-  const bool share_rows = rows.resolved && rows.shareable;
+  // Frozen-backed rows are probed in place; a row holding a lazy fallback
+  // matcher is re-resolved privately by its task (lazy matchers memoize
+  // under the const interface and stay single-owner). Private rows still
+  // read the shared dispatch verdicts: those depend only on the (item,
+  // cell) patterns, identical in every resolution of the same work item.
   std::vector<DetectionResult> slots(items.size());
   ParallelFor(options.execution, items.size(), [&](size_t i) {
     RunContext ctx{&relation,       &options, &slots[i],
                    {},              &shared_indexes, dispatch.get()};
-    if (share_rows) {
+    if (rows.rows[i].concurrent_safe()) {
       DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
-    } else {
-      // Private resolved rows still read the shared dispatch verdicts:
-      // they depend only on the (item, cell) patterns, which are
-      // identical in every resolution of the same work item.
-      const PfdPlan& plan = plans[items[i].plan];
-      ResolvedRow resolved =
-          ResolveRow(plan.pfd->tableau().row(items[i].row), plan.lhs_cols,
-                     plan.rhs_cols, plan.pfd->lhs_attrs(),
-                     plan.pfd->rhs_attrs(), automata);
-      DetectResolvedRow(ctx, resolved, items[i].plan, items[i].row, i);
+      return;
     }
+    const PfdPlan& plan = plans[items[i].plan];
+    const ResolvedRow resolved =
+        ResolveRow(plan.pfd->tableau().row(items[i].row), plan.lhs_cols,
+                   plan.rhs_cols, plan.pfd->lhs_attrs(),
+                   plan.pfd->rhs_attrs(), automata);
+    DetectResolvedRow(ctx, resolved, items[i].plan, items[i].row, i);
   });
 
   for (DetectionResult& slot : slots) {
@@ -737,13 +598,21 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   return result;
 }
 
+DetectorOptions WithAutomata(const DetectorOptions& options) {
+  DetectorOptions out = options;
+  if (out.automata == nullptr) {
+    out.automata = std::make_shared<AutomatonCache>();
+  }
+  return out;
+}
+
 }  // namespace detect_internal
 
 Result<DetectionResult> DetectErrors(const Relation& relation,
                                      const std::vector<Pfd>& pfds,
                                      const DetectorOptions& options) {
-  return detect_internal::DetectErrorsReusingRows(relation, pfds, options,
-                                                  nullptr);
+  return detect_internal::DetectErrorsReusingRows(
+      relation, pfds, detect_internal::WithAutomata(options), nullptr);
 }
 
 Result<DetectionResult> DetectErrors(const Relation& relation, const Pfd& pfd,

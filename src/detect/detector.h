@@ -4,14 +4,17 @@
 /// \file detector.h
 /// Error detection with PFDs (§3 of the paper).
 ///
-/// Constant rows: scan the relation (or consult the per-column
-/// `PatternIndex`) for tuples with `t[A] ↦ tp[A]` and `t[B] ≠ tp[B]`; the
-/// suggested repair is `tp[B]` assuming the LHS is correct.
+/// Constant rows: the per-column `PatternIndex` (or, for columns whose
+/// patterns all fit a union automaton, the multi-pattern dispatcher's
+/// verdicts) yields the tuples with `t[A] ↦ tp[A]`; those with
+/// `t[B] ≠ tp[B]` are flagged, suggesting `tp[B]` on the assumption that the
+/// LHS is correct.
 ///
-/// Variable rows: the reference implementation enumerates tuple pairs
-/// (quadratic — kept for benchmarking the §3 claim); the default uses
-/// blocking on the canonical extraction key, flagging minority records of
-/// each block against the block majority.
+/// Variable rows: blocking on the canonical extraction key groups the
+/// matching tuples, and the minority records of each block are flagged
+/// against the block majority, so only pairs inside conflicting blocks
+/// count as checked. The paper's full-scan and quadratic-pair algorithms
+/// are the test oracle in detect/reference_detector.h.
 
 #include <memory>
 #include <vector>
@@ -26,24 +29,9 @@
 
 namespace anmat {
 
-/// \brief Strategy knobs, mainly for the A1/A2 benchmark ablations.
+/// \brief Detection options. There is one detection path; these only cap
+/// the output, parallelize the run and share compiled automata.
 struct DetectorOptions {
-  /// Use the per-column pattern index for constant rows (vs full scan).
-  bool use_pattern_index = true;
-  /// Use blocking for variable rows (vs quadratic pair enumeration).
-  bool use_blocking = true;
-  /// Match/extract each *distinct* column value once (via the relation's
-  /// column dictionaries) instead of once per row, reusing the result
-  /// across duplicate cells. The violation set is byte-identical either
-  /// way (tested in dfa_test.cc); off mainly for benchmarking.
-  bool use_value_dictionary = true;
-  /// Classify each distinct value against ALL of a column's LHS patterns
-  /// in one union-automaton scan per prefix group (src/dispatch/), instead
-  /// of one automaton walk per pattern. Effective only with `automata` set
-  /// and `use_value_dictionary` on; unfreezable unions fall back to the
-  /// per-pattern path per column. Violations and stats are byte-identical
-  /// either way (tested in dispatch_test.cc); off mainly for bench A9.
-  bool use_multi_dispatch = true;
   /// Cap on reported violations (0 = unlimited).
   size_t max_violations = 0;
   /// Parallel execution. With more than one thread, detection fans out one
@@ -53,12 +41,14 @@ struct DetectorOptions {
   /// forces the serial path (the cap's "first N found in processing order"
   /// semantics cannot be reproduced under fan-out).
   ExecutionOptions execution;
-  /// Shared compile-once automaton cache (pattern/automaton_cache.h).
-  /// When set, tableau matchers and index verifiers come out as shared
-  /// frozen automata: each distinct pattern is compiled once per cache
-  /// lifetime and probed lock-free by every task and pass. Null (default)
-  /// keeps the private lazy automata; results are byte-identical either
-  /// way. `anmat::Engine` installs its engine-wide cache here.
+  /// Shared compile-once automaton cache (pattern/automaton_cache.h):
+  /// tableau matchers, index verifiers and union automata come out of it
+  /// as shared frozen automata, each distinct pattern compiled once per
+  /// cache lifetime and probed lock-free by every task and pass. Null
+  /// (default) makes `DetectErrors`, `RepairErrors` (all passes) and
+  /// `DetectionStream::Open` create a private cache for the call or stream;
+  /// results are byte-identical either way. `anmat::Engine` installs its
+  /// engine-wide cache here.
   std::shared_ptr<AutomatonCache> automata;
 };
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "detect/violation.h"
@@ -34,9 +35,10 @@ namespace detect_internal {
 /// pre-compiled for matching. Matchers compiled through an
 /// `AutomatonCache` are backed by shared frozen automata
 /// (`concurrent_safe()`) and the row may then be probed by any number of
-/// threads; a row with lazy matchers (no cache, or freeze-cap fallback)
-/// must be used by one thread at a time — the engine resolves per task in
-/// that case, the stream resolves once and processes each row's state on a
+/// threads. A row holding a lazy matcher (the fallback for a pattern past
+/// the freeze cap, or the reference oracle's uncached matchers) must be
+/// used by one thread at a time: the one-shot detector re-resolves such a
+/// row inside its parallel task, the stream processes each row's state on a
 /// single task per batch.
 struct ResolvedRow {
   const TableauRow* row;
@@ -59,35 +61,42 @@ struct ResolvedRow {
   }
 };
 
+/// Resolves `row`, compiling its matchers through `automata` (null gives
+/// private uncached matchers — the reference oracle's mode).
 ResolvedRow ResolveRow(const TableauRow& row,
                        const std::vector<size_t>& lhs_cols,
                        const std::vector<size_t>& rhs_cols,
                        const std::vector<std::string>& lhs_attrs,
                        const std::vector<std::string>& rhs_attrs,
-                       AutomatonCache* automata = nullptr);
+                       AutomatonCache* automata);
 
 /// Resolved rows of a fixed (pfds, schema) pair, flattened in (PFD,
 /// tableau row) order — one entry per detection work item. A caller
 /// running `DetectErrors` repeatedly over the same rules (the repair
 /// fixpoint loop) passes one of these to `DetectErrorsReusingRows` so rows
-/// are resolved once, not once per pass: serial runs always reuse them,
-/// parallel runs reuse them when `shareable` (every matcher frozen-backed;
-/// lazy matchers memoize and cannot cross threads).
+/// are resolved once, not once per pass.
 struct ResolvedRowSet {
   std::vector<ResolvedRow> rows;
-  bool shareable = false;
   bool resolved = false;
 };
 
+/// `options` with a private `AutomatonCache` installed when it has none.
+/// Each public entry point (`DetectErrors`, `RepairErrors`,
+/// `DetectionStream::Open`) calls this once; everything below it relies on
+/// a non-null cache.
+DetectorOptions WithAutomata(const DetectorOptions& options);
+
 /// `DetectErrors` with an optional cross-run resolved-row cache (see
-/// `ResolvedRowSet`); `row_set` may be null. Defined in detector.cc.
+/// `ResolvedRowSet`); `row_set` may be null. `options.automata` must be
+/// set (see `WithAutomata`). Defined in detector.cc.
 Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
                                                 const std::vector<Pfd>& pfds,
                                                 const DetectorOptions& options,
                                                 ResolvedRowSet* row_set);
 
 /// The index of the seed cell (the first non-wildcard LHS cell), or
-/// lhs_cols.size() when every cell is a wildcard.
+/// lhs_cols.size() when every cell is a wildcard (a row `Pfd::Validate`
+/// rejects, so detection never sees one).
 size_t SeedCell(const ResolvedRow& row);
 
 /// The canonical violation order every detection result is reported in:
@@ -95,47 +104,74 @@ size_t SeedCell(const ResolvedRow& row);
 /// and streaming detectors — their byte-identical contract depends on it.
 void SortViolations(std::vector<Violation>* violations);
 
-/// Per-LHS-cell memo of per-distinct-value results (dictionary mode):
-/// every match / canonical-extraction decision is computed once per
-/// *distinct* value of the cell's column and reused across the rows
-/// holding it. Disabled (per-row work) when neither source is set; the
-/// one-shot detector sets `relation` so the dictionary is fetched on first
-/// use, the streaming detector presets `dict` with its incremental
-/// dictionary and keeps the memo alive across batches (tables grow with
-/// the dictionary; entries for already-seen values are never recomputed).
+/// Appends the record-key fragment of `value` under `matcher` to `key`:
+/// the canonical extraction's parts, each followed by '\x1f', then one
+/// '\x1e'. The separators keep extractions that concatenate alike apart
+/// ({"ab","c"} vs {"a","bc"}). Returns false, appending nothing, when the
+/// value has no canonical extraction. The one definition of a pattern
+/// cell's share of a grouping key, for the one-shot and streaming
+/// detectors alike.
+bool AppendKeyFragment(const ConstrainedMatcher& matcher,
+                       std::string_view value, std::string* key);
+
+/// Per-LHS-cell memo of per-distinct-value results over one column
+/// dictionary: every match / key-fragment decision is computed once per
+/// *distinct* value and reused across the rows holding it. The one-shot
+/// detector points `dict` at the relation's dictionary for one run; the
+/// streaming detector points it at its incremental dictionary and keeps
+/// the memo alive across batches (tables grow with the dictionary; entries
+/// for already-seen values are never recomputed).
 struct CellScan {
-  const Relation* relation = nullptr;      ///< lazy dictionary source, or
-  const ColumnDictionary* dict = nullptr;  ///< preset dictionary (stream)
-  size_t col = 0;
+  const ColumnDictionary* dict = nullptr;  ///< not owned; must be set
   /// Pre-computed 0/1 match verdicts per distinct value, filled by a
   /// multi-pattern dispatcher (dispatch/dispatch_plan.h); read in place of
   /// the lazy `match` memo for every id it covers. Not owned.
   const std::vector<int8_t>* preset_match = nullptr;
   /// The matching value ids of `preset_match`, ascending (the dispatcher's
-  /// `match_ids`); candidate seeding iterates these instead of sweeping
-  /// the whole dictionary. Optional — may be null with `preset_match` set.
+  /// `match_ids`); the one-shot detector seeds candidates from these. The
+  /// stream, which seeds from its index, leaves it null.
   const std::vector<uint32_t>* preset_ids = nullptr;
   std::vector<int8_t> match;       ///< -1 unknown, else Matches() verdict
   std::vector<int8_t> frag_state;  ///< -1 unknown, 0 no match, 1 cached
   std::vector<std::string> frag;   ///< cached record-key fragment
 
-  bool enabled() const { return relation != nullptr || dict != nullptr; }
-  const ColumnDictionary& Dict() {
-    if (dict == nullptr) dict = &relation->dictionary(col);
-    return *dict;
+  /// Whether dictionary value `id` matches `matcher` (the cell's matcher).
+  /// Inline: it runs once per candidate row and cell.
+  bool Matches(const ConstrainedMatcher& matcher, uint32_t id) {
+    if (preset_match != nullptr && id < preset_match->size()) {
+      return (*preset_match)[id] != 0;
+    }
+    if (id >= match.size()) match.resize(dict->num_values(), -1);
+    if (match[id] < 0) match[id] = matcher.Matches(dict->value(id)) ? 1 : 0;
+    return match[id] != 0;
+  }
+  /// Value `id`'s `AppendKeyFragment` bytes, or null when it has no
+  /// canonical extraction under `matcher`.
+  const std::string* Fragment(const ConstrainedMatcher& matcher, uint32_t id) {
+    if (id >= frag_state.size()) {
+      frag_state.resize(dict->num_values(), -1);
+      frag.resize(dict->num_values());
+    }
+    if (frag_state[id] < 0) {
+      frag_state[id] =
+          AppendKeyFragment(matcher, dict->value(id), &frag[id]) ? 1 : 0;
+    }
+    return frag_state[id] != 0 ? &frag[id] : nullptr;
   }
 };
 
-/// True if row `r` matches every non-wildcard LHS cell of `row`, memoizing
-/// per distinct value through `scans`. This is the exact candidacy test —
-/// identical to what index- or scan-seeded candidate generation verifies.
-bool MatchesLhs(const Relation& relation, const ResolvedRow& row,
-                std::vector<CellScan>& scans, RowId r);
+/// True if row `r` matches every non-wildcard LHS cell of `row` other than
+/// `skip_cell`, memoizing per distinct value through `scans`. This is the
+/// exact candidacy test — identical to what index- or dispatch-seeded
+/// candidate generation verifies.
+bool MatchesLhs(const ResolvedRow& row, std::vector<CellScan>& scans, RowId r,
+                size_t skip_cell = static_cast<size_t>(-1));
 
 /// The grouping key of a record under a (variable) tableau row: the
-/// concatenated canonical extractions of all LHS cells (whole value for
-/// wildcard cells). Returns false when some pattern cell does not match.
-/// Pattern-cell fragments are memoized per distinct value in `scans`.
+/// concatenated `AppendKeyFragment`s of all pattern cells, and the whole
+/// value '\x1f'-terminated for wildcard cells. Returns false when some
+/// pattern cell has no canonical extraction. Pattern-cell fragments are
+/// memoized per distinct value in `scans`.
 bool RecordKey(const Relation& relation, const ResolvedRow& row,
                std::vector<CellScan>& scans, RowId r, std::string* key);
 

@@ -92,7 +92,6 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   DiscoveryResult result;
   ProfilerOptions profiler_options = options.profiler;
   profiler_options.execution = options.execution;
-  profiler_options.automata = options.automata;
   result.profiles = ProfileRelation(relation, profiler_options);
 
   const std::vector<CandidateDependency> candidates =

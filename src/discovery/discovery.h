@@ -58,9 +58,8 @@ struct DiscoveryOptions {
   /// coverage computation compiles one matcher per tableau cell per
   /// candidate, so with the cache installed (by `anmat::Engine`, like
   /// `execution`) each distinct pattern is compiled exactly once across
-  /// all candidates — and shared with detection/repair afterwards.
-  /// Propagated into `profiler.automata`. Null keeps private lazy
-  /// automata; results are byte-identical either way.
+  /// all candidates — and shared with detection/repair afterwards. Null
+  /// keeps private lazy automata; results are byte-identical either way.
   std::shared_ptr<AutomatonCache> automata;
 
   ProfilerOptions profiler;

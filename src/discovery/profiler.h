@@ -15,7 +15,6 @@
 ///     paper's Figure 3 profiling view.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,6 @@
 #include "util/thread_pool.h"
 
 namespace anmat {
-
-class AutomatonCache;
 
 /// \brief A dominant pattern entry in a column profile — rendered in the
 /// Figure-3/4 views as "pattern::position, frequency".
@@ -71,12 +68,6 @@ struct ProfilerOptions {
   /// serial run. Overridden by `anmat::Engine` with its own configuration;
   /// `DiscoverPfds` propagates `DiscoveryOptions::execution` here.
   ExecutionOptions execution;
-
-  /// Shared compile-once automaton cache (pattern/automaton_cache.h),
-  /// installed by `anmat::Engine` like `execution`. Profiling itself works
-  /// on generalized signatures and compiles no automata today; the block
-  /// is threaded uniformly so every stage option carries the engine cache.
-  std::shared_ptr<AutomatonCache> automata;
 };
 
 /// \brief Profiles every column of `relation` (column-parallel when

@@ -23,13 +23,15 @@ Result<RepairResult> RepairErrors(Relation* relation,
   // Tableau rows depend on (pfds, schema) only, not on the mutating cell
   // data — resolve their matchers once and reuse the set for every pass
   // and the final verification, instead of recompiling per detection run.
+  // One cache serves every pass, so each pattern compiles once per repair.
+  const DetectorOptions detector = detect_internal::WithAutomata(
+      options.detector);
   detect_internal::ResolvedRowSet resolved_rows;
 
   for (size_t pass = 0; pass < options.max_passes; ++pass) {
     ANMAT_ASSIGN_OR_RETURN(
         DetectionResult detection,
-        detect_internal::DetectErrorsReusingRows(*relation, pfds,
-                                                 options.detector,
+        detect_internal::DetectErrorsReusingRows(*relation, pfds, detector,
                                                  &resolved_rows));
     result.passes = pass + 1;
     result.remaining_violations = detection.violations.size();
@@ -88,8 +90,7 @@ Result<RepairResult> RepairErrors(Relation* relation,
   // callers need not re-detect over the repaired relation.
   ANMAT_ASSIGN_OR_RETURN(
       result.final_detection,
-      detect_internal::DetectErrorsReusingRows(*relation, pfds,
-                                               options.detector,
+      detect_internal::DetectErrorsReusingRows(*relation, pfds, detector,
                                                &resolved_rows));
   result.remaining_violations = result.final_detection.violations.size();
   std::sort(result.conflicted_cells.begin(), result.conflicted_cells.end());

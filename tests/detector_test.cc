@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datasets.h"
+#include "detect/detector_internal.h"
+#include "detect/reference_detector.h"
 #include "pattern/pattern_parser.h"
+#include "reference_check.h"
 
 namespace anmat {
 namespace {
@@ -90,40 +93,137 @@ TEST(DetectorTest, CleanDataYieldsNoViolations) {
   EXPECT_TRUE(DetectErrors(rel, variable).value().violations.empty());
 }
 
-TEST(DetectorTest, IndexAndScanAgree) {
+TEST(DetectorTest, MatchesReferenceAtAnyThreadCount) {
+  // Production (pattern index, blocking, value dictionaries, dispatch) vs
+  // the full-scan / quadratic-pair oracle, constant and variable rules,
+  // with one and with two pattern cells on the LHS (the second cell is
+  // verified per candidate; injected errors make it fail on some rows).
   Dataset d = ZipCityStateDataset(300, 42, 0.05);
-  Pfd variable = Pfd::Simple("Z", "zip", "city",
-                             OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  DetectorOptions with_index;
-  with_index.use_pattern_index = true;
-  DetectorOptions without_index;
-  without_index.use_pattern_index = false;
-  auto a = DetectErrors(d.relation, {variable}, with_index).value();
-  auto b = DetectErrors(d.relation, {variable}, without_index).value();
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].suspect, b.violations[i].suspect);
+  Tableau two_cell_constant;
+  TableauRow constant_row;
+  constant_row.lhs.push_back(PatternCell("(9)!\\D{4}"));
+  constant_row.lhs.push_back(PatternCell("CA"));
+  constant_row.rhs.push_back(PatternCell("Los\\ Angeles"));
+  two_cell_constant.AddRow(constant_row);
+  Tableau two_cell_variable;
+  TableauRow variable_row;
+  variable_row.lhs.push_back(PatternCell("(\\D{3})!\\D{2}"));
+  variable_row.lhs.push_back(PatternCell("(\\LU)!\\LU"));
+  variable_row.rhs.push_back(TableauCell::Wildcard());
+  two_cell_variable.AddRow(variable_row);
+  const std::vector<Pfd> pfds = {
+      Pfd::Simple("Z", "zip", "city",
+                  OneRowTableau("(900)!\\D{2}", "Los\\ Angeles")),
+      Pfd::Simple("Z", "zip", "city",
+                  OneRowTableau("(\\D{3})!\\D{2}", nullptr)),
+      Pfd("Z", {"zip", "state"}, {"city"}, two_cell_constant),
+      Pfd("Z", {"zip", "state"}, {"city"}, two_cell_variable)};
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    DetectorOptions options;
+    options.execution.num_threads = threads;
+    ExpectDetectMatchesReference(d.relation, pfds, options,
+                                 std::to_string(threads) + " threads");
   }
 }
 
-TEST(DetectorTest, BlockingAndQuadraticAgree) {
+TEST(DetectorTest, ReferenceComparesEveryPairBlockingFewer) {
   Dataset d = ZipCityStateDataset(300, 43, 0.05);
   Pfd variable = Pfd::Simple("Z", "zip", "city",
                              OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  DetectorOptions blocked;
-  blocked.use_blocking = true;
-  DetectorOptions quadratic;
-  quadratic.use_blocking = false;
-  auto a = DetectErrors(d.relation, {variable}, blocked).value();
-  auto b = DetectErrors(d.relation, {variable}, quadratic).value();
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].suspect, b.violations[i].suspect);
-    EXPECT_EQ(a.violations[i].suggested_repair,
-              b.violations[i].suggested_repair);
+  auto blocked = DetectErrors(d.relation, variable).value();
+  auto reference = ReferenceDetectErrors(d.relation, {variable}).value();
+  ExpectSameAsReference(blocked, reference, "blocking");
+  ASSERT_FALSE(reference.violations.empty());
+  // Every candidate has a canonical extraction under this pattern, so the
+  // oracle compares all C(n, 2) candidate pairs; blocking pays only for
+  // the pairs inside conflicting blocks.
+  const size_t n = reference.stats.candidate_rows;
+  EXPECT_EQ(reference.stats.pairs_checked, n * (n - 1) / 2);
+  EXPECT_LT(blocked.stats.pairs_checked, reference.stats.pairs_checked);
+}
+
+TEST(DetectorTest, ReferenceHandComputedCase) {
+  // A constant row with a two-attribute RHS, and a variable row whose LHS
+  // pairs a pattern cell with a wildcard (classical-FD) cell.
+  RelationBuilder builder(
+      Schema::MakeText({"zip", "area", "city", "state"}).value());
+  ASSERT_TRUE(builder.AddRow({"90001", "west", "Los Angeles", "CA"}).ok());
+  ASSERT_TRUE(builder.AddRow({"90002", "west", "Los Angeles", "CA"}).ok());
+  ASSERT_TRUE(builder.AddRow({"90003", "west", "Chicago", "IL"}).ok());
+  ASSERT_TRUE(builder.AddRow({"90004", "east", "Boston", "MA"}).ok());
+  ASSERT_TRUE(builder.AddRow({"60601", "west", "Chicago", "IL"}).ok());
+  ASSERT_TRUE(builder.AddRow({"abc", "west", "X", "Y"}).ok());
+  const Relation rel = builder.Build();
+
+  Tableau constant_tableau;
+  TableauRow constant_row;
+  constant_row.lhs.push_back(PatternCell("(900)!\\D{2}"));
+  constant_row.rhs.push_back(PatternCell("Los\\ Angeles"));
+  constant_row.rhs.push_back(PatternCell("CA"));
+  constant_tableau.AddRow(constant_row);
+  Tableau variable_tableau;
+  TableauRow variable_row;
+  variable_row.lhs.push_back(PatternCell("(\\D{3})!\\D{2}"));
+  variable_row.lhs.push_back(TableauCell::Wildcard());
+  variable_row.rhs.push_back(TableauCell::Wildcard());
+  variable_row.rhs.push_back(TableauCell::Wildcard());
+  variable_tableau.AddRow(variable_row);
+  const std::vector<Pfd> pfds = {
+      Pfd("T", {"zip"}, {"city", "state"}, constant_tableau),
+      Pfd("T", {"zip", "area"}, {"city", "state"}, variable_tableau)};
+
+  const DetectionResult result = ReferenceDetectErrors(rel, pfds).value();
+  // Rule 0 matches rows 0-3; rows 2 and 3 mismatch both RHS constants.
+  // Rule 1 matches rows 0-4 (not "abc") and groups them by (zip prefix,
+  // area): {0, 1, 2} on ("900", "west") splits LA/CA x2 vs Chicago/IL, so
+  // row 2 is flagged against witness row 0; {3} and {4} are singletons.
+  const std::string constant_lhs = constant_row.lhs[0].ToString();
+  const std::vector<std::string> expected = {
+      "0|0|0|2:0,2:2,2:3,|2:2|Los Angeles|zip = \"90003\" matches " +
+          constant_lhs + " but city = \"Chicago\" != \"Los Angeles\"",
+      "0|0|0|3:0,3:2,3:3,|3:2|Los Angeles|zip = \"90004\" matches " +
+          constant_lhs + " but city = \"Boston\" != \"Los Angeles\"",
+      "1|1|0|2:0,2:1,2:2,2:3,0:0,0:1,0:2,0:3,|2:2|Los Angeles|rows 2 and 0 "
+      "agree on the constrained part of the LHS but disagree on city "
+      "(\"Chicago\" vs \"Los Angeles\")"};
+  ASSERT_EQ(result.violations.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(ViolationFingerprint(result.violations[i]), expected[i]) << i;
   }
-  // The quadratic variant must have examined at least as many pairs.
-  EXPECT_GE(b.stats.pairs_checked, a.stats.pairs_checked);
+  EXPECT_EQ(result.stats.rows_scanned, 12u);   // 6 rows x 2 rules
+  EXPECT_EQ(result.stats.candidate_rows, 9u);  // 4 + 5
+  EXPECT_EQ(result.stats.pairs_checked, 10u);  // C(5, 2)
+  EXPECT_EQ(result.stats.violations, 3u);
+
+  // Production agrees; blocking compares only the conflicting block.
+  const DetectionResult production = DetectErrors(rel, pfds).value();
+  ExpectSameAsReference(production, result, "hand-computed");
+  EXPECT_EQ(production.stats.pairs_checked, 3u);  // C(3, 2)
+}
+
+TEST(DetectorTest, KeyFragmentSeparatorPreventsConfusion) {
+  using detect_internal::AppendKeyFragment;
+  const ConstrainedMatcher two(
+      ParseConstrainedPattern("(\\LL+)!-(\\LL+)!").value());
+  std::string ab_c;
+  std::string a_bc;
+  ASSERT_TRUE(AppendKeyFragment(two, "ab-c", &ab_c));
+  ASSERT_TRUE(AppendKeyFragment(two, "a-bc", &a_bc));
+  EXPECT_EQ(ab_c, "ab\x1f" "c\x1f\x1e");
+  EXPECT_NE(ab_c, a_bc);  // {"ab","c"} vs {"a","bc"}
+
+  const ConstrainedMatcher one(ParseConstrainedPattern("(\\LL+)!").value());
+  const ConstrainedMatcher maybe_empty(
+      ParseConstrainedPattern("(\\LL*)!-(\\LL*)!").value());
+  std::string ab;
+  std::string ab_empty;
+  ASSERT_TRUE(AppendKeyFragment(one, "ab", &ab));
+  ASSERT_TRUE(AppendKeyFragment(maybe_empty, "ab-", &ab_empty));
+  EXPECT_NE(ab, ab_empty);  // {"ab"} vs {"ab",""}
+
+  std::string untouched = "kept";
+  EXPECT_FALSE(AppendKeyFragment(two, "abc", &untouched));
+  EXPECT_EQ(untouched, "kept");
 }
 
 TEST(DetectorTest, MaxViolationsCap) {

@@ -14,6 +14,7 @@
 #include "pattern/matcher.h"
 #include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
+#include "reference_check.h"
 #include "util/random.h"
 
 namespace anmat {
@@ -423,22 +424,12 @@ TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
   EXPECT_GT(matches[0], 0u);
 }
 
-// ----------------------------------------- dictionary on/off equivalence
+// ------------------------- dictionary detection vs row-at-a-time oracle
 
-std::string ViolationFingerprint(const Violation& v) {
-  std::string s;
-  s += std::to_string(static_cast<int>(v.kind)) + "|";
-  s += std::to_string(v.pfd_index) + "|" + std::to_string(v.tableau_row) + "|";
-  for (const CellRef& c : v.cells) {
-    s += std::to_string(c.row) + ":" + std::to_string(c.column) + ",";
-  }
-  s += "|" + std::to_string(v.suspect.row) + ":" +
-       std::to_string(v.suspect.column);
-  s += "|" + v.suggested_repair + "|" + v.explanation;
-  return s;
-}
-
-TEST(DetectorDictionaryTest, ByteIdenticalViolationsOnZipDataset) {
+TEST(DetectorDictionaryTest, ByteIdenticalToRowAtATimeReference) {
+  // Production matches and extracts once per distinct value (dictionary
+  // memos, index, dispatch); the oracle once per row with private lazy
+  // automata.
   const Dataset d = ZipCityStateDataset(4000, 91, 0.05);
   // A constant rule and a variable rule over the zip column.
   Tableau constant_tableau;
@@ -460,33 +451,12 @@ TEST(DetectorDictionaryTest, ByteIdenticalViolationsOnZipDataset) {
       Pfd::Simple("Zip", "zip", "city", variable_tableau);
 
   const std::vector<Pfd> pfds = {constant_pfd, variable_pfd};
-  for (bool use_index : {true, false}) {
-    for (bool use_blocking : {true, false}) {
-      DetectorOptions on;
-      on.use_value_dictionary = true;
-      on.use_pattern_index = use_index;
-      on.use_blocking = use_blocking;
-      DetectorOptions off = on;
-      off.use_value_dictionary = false;
-      const auto a = DetectErrors(d.relation, pfds, on);
-      const auto b = DetectErrors(d.relation, pfds, off);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      const auto& va = a.value().violations;
-      const auto& vb = b.value().violations;
-      ASSERT_EQ(va.size(), vb.size())
-          << "index=" << use_index << " blocking=" << use_blocking;
-      ASSERT_GT(va.size(), 0u) << "test must exercise real violations";
-      for (size_t i = 0; i < va.size(); ++i) {
-        ASSERT_EQ(ViolationFingerprint(va[i]), ViolationFingerprint(vb[i]))
-            << "violation " << i;
-      }
-      // Stats must agree too: the dictionary only changes *where* work
-      // happens, not what is checked.
-      EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
-      EXPECT_EQ(a.value().stats.pairs_checked, b.value().stats.pairs_checked);
-    }
-  }
+  const DetectionResult reference =
+      ReferenceDetectErrors(d.relation, pfds).value();
+  ASSERT_GT(reference.violations.size(), 0u)
+      << "test must exercise real violations";
+  ExpectSameAsReference(DetectErrors(d.relation, pfds).value(), reference,
+                        "zip dataset");
 }
 
 TEST(ColumnDictionaryTest, PostingsRoundTrip) {

@@ -19,6 +19,8 @@
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
 #include "pattern/pattern_parser.h"
+#include "reference_check.h"
+#include "repair/repair.h"
 #include "util/random.h"
 
 namespace anmat {
@@ -418,20 +420,7 @@ TEST(ColumnDispatcherTest, PrefilterKeepsVerdictsExact) {
   }
 }
 
-// ------------------------------------- detector / stream byte-identity
-
-std::string ViolationFingerprint(const Violation& v) {
-  std::string s;
-  s += std::to_string(static_cast<int>(v.kind)) + "|";
-  s += std::to_string(v.pfd_index) + "|" + std::to_string(v.tableau_row) + "|";
-  for (const CellRef& c : v.cells) {
-    s += std::to_string(c.row) + ":" + std::to_string(c.column) + ",";
-  }
-  s += "|" + std::to_string(v.suspect.row) + ":" +
-       std::to_string(v.suspect.column);
-  s += "|" + v.suggested_repair + "|" + v.explanation;
-  return s;
-}
+// ------------------------------- detector / stream vs the reference oracle
 
 Tableau OneRowTableau(TableauCell lhs, TableauCell rhs) {
   Tableau t;
@@ -464,42 +453,127 @@ std::vector<Pfd> ZipRulePerRegion() {
   return pfds;
 }
 
-TEST(DispatchDetectorTest, ByteIdenticalViolationsAtAnyThreadCount) {
+/// `ZipRulePerRegion` plus a constant rule whose LHS leads with an
+/// unbounded class repeat: dispatch excludes that slot up front, so the
+/// zip column is only partly covered.
+std::vector<Pfd> ZipRulesWithLeadingRepeat() {
+  std::vector<Pfd> pfds = ZipRulePerRegion();
+  pfds.push_back(Pfd::Simple(
+      "Zip-tail", "zip", "state",
+      OneRowTableau(
+          TableauCell::Of(ParseConstrainedPattern("\\A+(01)!").value()),
+          TableauCell::Of(ConstrainedPattern::Unconstrained(
+              LiteralPattern("CA"))))));
+  return pfds;
+}
+
+/// The dispatcher detection builds for the zip column of `pfds` (every
+/// rule's single LHS cell is on zip).
+ColumnDispatcher ZipDispatcher(const std::vector<Pfd>& pfds,
+                               AutomatonCache* cache) {
+  ColumnDispatcher cd;
+  for (const Pfd& pfd : pfds) {
+    cd.AddPattern(pfd.tableau().row(0).lhs[0].pattern().EmbeddedPattern());
+  }
+  EXPECT_TRUE(cd.Compile(cache));
+  return cd;
+}
+
+/// One dispatch shape of the zip column: the rules and the freeze cap of
+/// the cache they compile through.
+struct DispatchShape {
+  const char* name;
+  std::vector<Pfd> pfds;
+  size_t max_frozen_states;
+};
+
+/// Fully covered (one union), partly covered (a leading `\A+` slot left to
+/// the per-pattern path) and multi-group (a freeze cap the whole union
+/// exceeds, so it splits in two, each half classified through the
+/// pattern-index prefilter).
+std::vector<DispatchShape> DispatchShapes() {
+  return {{"fully covered", ZipRulePerRegion(), kDefaultMaxFrozenStates},
+          {"partly covered", ZipRulesWithLeadingRepeat(),
+           kDefaultMaxFrozenStates},
+          {"multi-group", ZipRulePerRegion(), 64}};
+}
+
+/// Options compiling through a fresh cache with `shape`'s freeze cap.
+DetectorOptions ShapeOptions(const DispatchShape& shape, size_t threads) {
+  DetectorOptions options;
+  options.automata = std::make_shared<AutomatonCache>(shape.max_frozen_states);
+  options.execution.num_threads = threads;
+  return options;
+}
+
+TEST(DispatchDetectorTest, ShapesCoverWhatTheyClaim) {
+  const std::vector<DispatchShape> shapes = DispatchShapes();
+  AutomatonCache full_cache(shapes[0].max_frozen_states);
+  const ColumnDispatcher full = ZipDispatcher(shapes[0].pfds, &full_cache);
+  EXPECT_TRUE(full.fully_covered());
+  EXPECT_EQ(full.num_groups(), 1u);
+  AutomatonCache part_cache(shapes[1].max_frozen_states);
+  const ColumnDispatcher part = ZipDispatcher(shapes[1].pfds, &part_cache);
+  EXPECT_FALSE(part.fully_covered());
+  EXPECT_EQ(part.num_groups(), 1u);
+  AutomatonCache multi_cache(shapes[2].max_frozen_states);
+  const ColumnDispatcher multi = ZipDispatcher(shapes[2].pfds, &multi_cache);
+  EXPECT_TRUE(multi.fully_covered());
+  EXPECT_GT(multi.num_groups(), 1u);
+}
+
+TEST(DispatchDetectorTest, MatchesReferenceAtAnyThreadCount) {
   const Dataset d = ZipCityStateDataset(3000, 77, 0.05);
-  const std::vector<Pfd> pfds = ZipRulePerRegion();
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const bool use_index : {true, false}) {
-      DetectorOptions on;
-      on.automata = std::make_shared<AutomatonCache>();
-      on.use_multi_dispatch = true;
-      on.use_pattern_index = use_index;
-      on.execution.num_threads = threads;
-      DetectorOptions off = on;
-      off.automata = std::make_shared<AutomatonCache>();
-      off.use_multi_dispatch = false;
-
-      const auto a = DetectErrors(d.relation, pfds, on);
-      const auto b = DetectErrors(d.relation, pfds, off);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      const auto& va = a.value().violations;
-      const auto& vb = b.value().violations;
-      ASSERT_GT(va.size(), 0u) << "test must exercise real violations";
-      ASSERT_EQ(va.size(), vb.size())
-          << "threads=" << threads << " index=" << use_index;
-      for (size_t i = 0; i < va.size(); ++i) {
-        ASSERT_EQ(ViolationFingerprint(va[i]), ViolationFingerprint(vb[i]))
-            << "violation " << i;
-      }
-      EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
-      EXPECT_EQ(a.value().stats.pairs_checked, b.value().stats.pairs_checked);
-
-      // The union tables were actually consulted on the dispatch run.
-      EXPECT_GT(on.automata->dispatch_stats().probes, 0u)
-          << "threads=" << threads << " index=" << use_index;
-      EXPECT_EQ(off.automata->dispatch_stats().probes, 0u);
+  for (const DispatchShape& shape : DispatchShapes()) {
+    const DetectionResult reference =
+        ReferenceDetectErrors(d.relation, shape.pfds).value();
+    ASSERT_GT(reference.violations.size(), 0u)
+        << "test must exercise real violations";
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const DetectorOptions options = ShapeOptions(shape, threads);
+      const auto result = DetectErrors(d.relation, shape.pfds, options);
+      ASSERT_TRUE(result.ok());
+      ExpectSameAsReference(result.value(), reference,
+                            std::string(shape.name) + ", " +
+                                std::to_string(threads) + " threads");
+      // The union tables were actually consulted.
+      EXPECT_GT(options.automata->dispatch_stats().probes, 0u)
+          << shape.name << ", " << threads << " threads";
     }
   }
+}
+
+TEST(DispatchDetectorTest, ForcedFallbackMatchesReference) {
+  // A three-state freeze cap leaves every pattern and union unfreezable:
+  // matchers fall back to private lazy automata, dispatch to the
+  // per-pattern path, and each parallel task re-resolves its row.
+  const Dataset d = ZipCityStateDataset(1500, 78, 0.05);
+  const std::vector<Pfd> pfds = ZipRulesWithLeadingRepeat();
+  DetectorOptions options;
+  options.automata = std::make_shared<AutomatonCache>(3);
+  options.execution.num_threads = 4;
+  ExpectDetectMatchesReference(d.relation, pfds, options, "forced fallback");
+  EXPECT_GT(options.automata->fallbacks(), 0u);
+  EXPECT_EQ(options.automata->dispatch_stats().probes, 0u);
+
+  // The repair loop reuses those rows across passes; it must match the
+  // default-cache run cell for cell.
+  Relation fallback_relation = d.relation;
+  RepairOptions fallback;
+  fallback.detector = options;
+  const RepairResult a =
+      RepairErrors(&fallback_relation, pfds, fallback).value();
+  Relation default_relation = d.relation;
+  const RepairResult b = RepairErrors(&default_relation, pfds).value();
+  ASSERT_EQ(a.repairs.size(), b.repairs.size());
+  ASSERT_GT(a.repairs.size(), 0u);
+  for (size_t i = 0; i < a.repairs.size(); ++i) {
+    EXPECT_EQ(a.repairs[i].cell, b.repairs[i].cell);
+    EXPECT_EQ(a.repairs[i].after, b.repairs[i].after);
+  }
+  ExpectSameAsReference(a.final_detection,
+                        ReferenceDetectErrors(fallback_relation, pfds).value(),
+                        "forced fallback, after repair");
 }
 
 TEST(DispatchDetectorTest, RepeatedRunsCompileUnionsOnce) {
@@ -518,101 +592,52 @@ TEST(DispatchDetectorTest, RepeatedRunsCompileUnionsOnce) {
   EXPECT_GE(stats.hits, 2 * stats.automata);
 }
 
-TEST(DispatchStreamTest, ByteIdenticalAcrossBatchesAndToOneShot) {
-  const Dataset d = ZipCityStateDataset(1200, 33, 0.05);
-  const std::vector<Pfd> pfds = ZipRulePerRegion();
-
-  DetectorOptions on;
-  on.automata = std::make_shared<AutomatonCache>();
-  on.use_multi_dispatch = true;
-  DetectorOptions off = on;
-  off.automata = std::make_shared<AutomatonCache>();
-  off.use_multi_dispatch = false;
-
-  auto stream_on = DetectionStream::Open(d.relation.schema(), pfds, on);
-  auto stream_off = DetectionStream::Open(d.relation.schema(), pfds, off);
-  ASSERT_TRUE(stream_on.ok()) << stream_on.status().message();
-  ASSERT_TRUE(stream_off.ok());
-
-  const size_t batch = 300;
-  DetectionResult last_on;
-  for (size_t first = 0; first < d.relation.num_rows(); first += batch) {
-    std::vector<std::vector<std::string>> rows;
-    const size_t end = std::min(first + batch, d.relation.num_rows());
-    for (size_t r = first; r < end; ++r) {
-      rows.push_back(d.relation.Row(r));
-    }
-    const auto a = stream_on.value()->AppendRows(rows);
-    const auto b = stream_off.value()->AppendRows(rows);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().violations.size(), b.value().violations.size());
-    for (size_t i = 0; i < a.value().violations.size(); ++i) {
-      ASSERT_EQ(ViolationFingerprint(a.value().violations[i]),
-                ViolationFingerprint(b.value().violations[i]));
-    }
-    EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
-    last_on = a.value();
+/// Feeds `relation` to `stream` in `batch`-row batches and checks the
+/// cumulative result after every batch against the oracle over the
+/// stream's relation (the dirty prefix, or the cleaned one when the stream
+/// cleans on ingest).
+void FeedAndCheckAgainstReference(DetectionStream& stream,
+                                  const Relation& relation, size_t batch,
+                                  const std::string& label) {
+  for (size_t first = 0; first < relation.num_rows(); first += batch) {
+    const size_t end = std::min(first + batch, relation.num_rows());
+    const auto result = stream.AppendBatch(
+        relation.Slice(static_cast<RowId>(first), static_cast<RowId>(end))
+            .value());
+    ASSERT_TRUE(result.ok());
+    ExpectSameAsReference(
+        result.value(),
+        ReferenceDetectErrors(stream.relation(), stream.pfds()).value(),
+        label + ", rows [0, " + std::to_string(end) + ")");
   }
-
-  const auto oneshot = DetectErrors(d.relation, pfds, off);
-  ASSERT_TRUE(oneshot.ok());
-  ASSERT_EQ(last_on.violations.size(), oneshot.value().violations.size());
-  for (size_t i = 0; i < last_on.violations.size(); ++i) {
-    ASSERT_EQ(ViolationFingerprint(last_on.violations[i]),
-              ViolationFingerprint(oneshot.value().violations[i]));
-  }
-  // The stream's per-batch combined scans consulted the shared tables.
-  EXPECT_GT(on.automata->dispatch_stats().probes, 0u);
-  EXPECT_EQ(off.automata->dispatch_stats().probes, 0u);
 }
 
-TEST(DispatchStreamTest, CleanOnIngestIdenticalWithDispatch) {
-  const Dataset d = ZipCityStateDataset(900, 57, 0.08);
-  const std::vector<Pfd> pfds = ZipRulePerRegion();
-
-  DetectorOptions on;
-  on.automata = std::make_shared<AutomatonCache>();
-  DetectorOptions off = on;
-  off.automata = std::make_shared<AutomatonCache>();
-  off.use_multi_dispatch = false;
-
-  auto stream_on = DetectionStream::Open(d.relation.schema(), pfds, on);
-  auto stream_off = DetectionStream::Open(d.relation.schema(), pfds, off);
-  ASSERT_TRUE(stream_on.ok());
-  ASSERT_TRUE(stream_off.ok());
-  stream_on.value()->set_clean_on_ingest(true);
-  stream_off.value()->set_clean_on_ingest(true);
-
-  const size_t batch = 150;
-  for (size_t first = 0; first < d.relation.num_rows(); first += batch) {
-    std::vector<std::vector<std::string>> rows;
-    const size_t end = std::min(first + batch, d.relation.num_rows());
-    for (size_t r = first; r < end; ++r) {
-      rows.push_back(d.relation.Row(r));
-    }
-    const auto a = stream_on.value()->AppendRows(rows);
-    const auto b = stream_off.value()->AppendRows(rows);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().violations.size(), b.value().violations.size());
-    for (size_t i = 0; i < a.value().violations.size(); ++i) {
-      ASSERT_EQ(ViolationFingerprint(a.value().violations[i]),
-                ViolationFingerprint(b.value().violations[i]));
-    }
-    // Repairs and conflicts must agree cell-for-cell too.
-    const auto& ra = stream_on.value()->batch_repairs();
-    const auto& rb = stream_off.value()->batch_repairs();
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].cell, rb[i].cell);
-      EXPECT_EQ(ra[i].after, rb[i].after);
-    }
-    EXPECT_EQ(stream_on.value()->conflicts().size(),
-              stream_off.value()->conflicts().size());
+TEST(DispatchStreamTest, MatchesReferenceAfterEveryBatch) {
+  const Dataset d = ZipCityStateDataset(1200, 33, 0.05);
+  for (const DispatchShape& shape : DispatchShapes()) {
+    const DetectorOptions options = ShapeOptions(shape, 2);
+    auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
+                                        options);
+    ASSERT_TRUE(stream.ok()) << stream.status().message();
+    FeedAndCheckAgainstReference(*stream.value(), d.relation, 300,
+                                 shape.name);
+    // The per-batch combined scans consulted the shared tables.
+    EXPECT_GT(options.automata->dispatch_stats().probes, 0u) << shape.name;
   }
-  // Both streams applied real repairs (the workload has errors).
-  EXPECT_GT(stream_on.value()->repairs().size(), 0u);
+}
+
+TEST(DispatchStreamTest, CleanOnIngestMatchesReferenceOverCleanedRows) {
+  const Dataset d = ZipCityStateDataset(900, 57, 0.08);
+  for (const DispatchShape& shape : DispatchShapes()) {
+    auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
+                                        ShapeOptions(shape, 2));
+    ASSERT_TRUE(stream.ok()) << stream.status().message();
+    stream.value()->set_clean_on_ingest(true);
+    FeedAndCheckAgainstReference(*stream.value(), d.relation, 150,
+                                 shape.name);
+    // The workload has errors, so real repairs were applied.
+    EXPECT_GT(stream.value()->repairs().size(), 0u) << shape.name;
+  }
 }
 
 }  // namespace

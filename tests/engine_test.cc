@@ -28,8 +28,10 @@
 #include "datagen/datasets.h"
 #include "detect/detection_stream.h"
 #include "detect/detector.h"
+#include "detect/reference_detector.h"
 #include "discovery/discovery.h"
 #include "pattern/pattern_parser.h"
+#include "reference_check.h"
 #include "repair/repair.h"
 #include "util/random.h"
 
@@ -172,22 +174,20 @@ TEST(EngineParallelTest, DetectByteIdenticalToSerial) {
   for (const Dataset& d : TestDatasets()) {
     const std::vector<Pfd> rules = DiscoverRules(d.relation);
     ASSERT_FALSE(rules.empty()) << d.name;
-    for (bool use_index : {true, false}) {
-      DetectorOptions options;
-      options.use_pattern_index = use_index;
-      Engine serial(ExecutionOptions{1, true, nullptr});
-      auto serial_result = serial.Detect(d.relation, rules, options);
-      ASSERT_TRUE(serial_result.ok());
-      EXPECT_FALSE(serial_result->violations.empty()) << d.name;
-      const std::string expected = Fingerprint(serial_result.value());
-      for (size_t threads : kThreadCounts) {
-        Engine engine(ExecutionOptions{threads, true, nullptr});
-        auto result = engine.Detect(d.relation, rules, options);
-        ASSERT_TRUE(result.ok());
-        EXPECT_EQ(Fingerprint(result.value()), expected)
-            << d.name << " with " << threads
-            << " threads, use_pattern_index=" << use_index;
-      }
+    const DetectionResult reference =
+        ReferenceDetectErrors(d.relation, rules).value();
+    Engine serial(ExecutionOptions{1, true, nullptr});
+    auto serial_result = serial.Detect(d.relation, rules);
+    ASSERT_TRUE(serial_result.ok());
+    EXPECT_FALSE(serial_result->violations.empty()) << d.name;
+    ExpectSameAsReference(serial_result.value(), reference, d.name);
+    const std::string expected = Fingerprint(serial_result.value());
+    for (size_t threads : kThreadCounts) {
+      Engine engine(ExecutionOptions{threads, true, nullptr});
+      auto result = engine.Detect(d.relation, rules);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(Fingerprint(result.value()), expected)
+          << d.name << " with " << threads << " threads";
     }
   }
 }
@@ -278,40 +278,34 @@ TEST(EngineParallelTest, ZeroMeansHardwareThreads) {
             Fingerprint(serial.Profile(d.relation)));
 }
 
-// -- Frozen/cached automata == lazy automata -------------------------------
+// -- Shared cached automata == uncached reference -------------------------
 
-// Acceptance: the cached path (frozen shared automata + resolved-row reuse)
-// must be byte-identical to the plain lazy path for detection AND repair,
-// at 1/2/4/8 threads.
-TEST(EngineAutomatonCacheTest, FrozenCachedPathByteIdenticalToLazy) {
+// Acceptance: detection through a caller-shared cache (frozen automata +
+// resolved-row reuse) is byte-identical to the uncached reference oracle,
+// and repair through it to a repair with its own private cache, at
+// 1/2/4/8 threads.
+TEST(EngineAutomatonCacheTest, SharedCachePathMatchesReference) {
   for (const Dataset& d : TestDatasets()) {
     const std::vector<Pfd> rules = DiscoverRules(d.relation);
     ASSERT_FALSE(rules.empty()) << d.name;
 
-    // Lazy serial references: no cache anywhere.
-    auto lazy_detection = DetectErrors(d.relation, rules);
-    ASSERT_TRUE(lazy_detection.ok());
-    const std::string expected_detection =
-        Fingerprint(lazy_detection.value());
-    Relation lazy_relation = d.relation;
-    RepairResult lazy_repair = RepairErrors(&lazy_relation, rules).value();
-    const std::string expected_repair = Fingerprint(lazy_repair);
-    const std::string expected_relation = Fingerprint(lazy_relation);
+    const DetectionResult reference =
+        ReferenceDetectErrors(d.relation, rules).value();
+    Relation private_relation = d.relation;
+    RepairResult private_repair =
+        RepairErrors(&private_relation, rules).value();
+    const std::string expected_repair = Fingerprint(private_repair);
+    const std::string expected_relation = Fingerprint(private_relation);
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      const std::string label =
+          d.name + " with " + std::to_string(threads) + " threads";
       DetectorOptions options;
       options.execution.num_threads = threads;
-      // Cache-less parallel detection (per-task private lazy matchers)
-      // must agree too — the pre-cache fan-out path stays exercised.
-      auto uncached = DetectErrors(d.relation, rules, options);
-      ASSERT_TRUE(uncached.ok());
-      EXPECT_EQ(Fingerprint(uncached.value()), expected_detection)
-          << d.name << " with " << threads << " threads (uncached)";
       options.automata = std::make_shared<AutomatonCache>();
       auto detection = DetectErrors(d.relation, rules, options);
       ASSERT_TRUE(detection.ok());
-      EXPECT_EQ(Fingerprint(detection.value()), expected_detection)
-          << d.name << " with " << threads << " threads (cached)";
+      ExpectSameAsReference(detection.value(), reference, label);
       EXPECT_GT(options.automata->hits() + options.automata->misses(), 0u);
 
       RepairOptions repair_options;
@@ -319,10 +313,8 @@ TEST(EngineAutomatonCacheTest, FrozenCachedPathByteIdenticalToLazy) {
       Relation relation = d.relation;
       auto repair = RepairErrors(&relation, rules, repair_options);
       ASSERT_TRUE(repair.ok());
-      EXPECT_EQ(Fingerprint(repair.value()), expected_repair)
-          << d.name << " with " << threads << " threads (cached)";
-      EXPECT_EQ(Fingerprint(relation), expected_relation)
-          << d.name << " with " << threads << " threads (cached)";
+      EXPECT_EQ(Fingerprint(repair.value()), expected_repair) << label;
+      EXPECT_EQ(Fingerprint(relation), expected_relation) << label;
     }
   }
 }
@@ -404,15 +396,6 @@ TEST(DetectionStreamTest, AppendBatchMatchesOneShotAcrossDatasets) {
   }
 }
 
-TEST(DetectionStreamTest, AppendBatchMatchesOneShotWithoutIndex) {
-  const Dataset d = ZipCityStateDataset(900, 202, 0.04);
-  const std::vector<Pfd> rules = DiscoverRules(d.relation);
-  ASSERT_FALSE(rules.empty());
-  DetectorOptions options;
-  options.use_pattern_index = false;
-  CheckStreamEquivalence(d.relation, rules, options, 203);
-}
-
 TEST(DetectionStreamTest, AppendBatchMatchesOneShotParallel) {
   const Dataset d = NameGenderDataset(700, 204, 0.05);
   const std::vector<Pfd> rules = DiscoverRules(d.relation);
@@ -473,16 +456,6 @@ TEST(DetectionStreamTest, RejectsMaxViolations) {
   Engine engine;
   DetectorOptions options;
   options.max_violations = 10;
-  auto stream = engine.OpenStream(d.relation.schema(), rules, options);
-  EXPECT_FALSE(stream.ok());
-}
-
-TEST(DetectionStreamTest, RejectsDisabledValueDictionary) {
-  const Dataset d = ZipCityStateDataset(100, 215, 0.0);
-  const std::vector<Pfd> rules = DiscoverRules(d.relation);
-  Engine engine;
-  DetectorOptions options;
-  options.use_value_dictionary = false;
   auto stream = engine.OpenStream(d.relation.schema(), rules, options);
   EXPECT_FALSE(stream.ok());
 }

@@ -16,6 +16,7 @@
 #include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
 #include "pfd/coverage.h"
+#include "reference_check.h"
 #include "store/rule_store.h"
 #include "util/random.h"
 
@@ -256,8 +257,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceProperty,
                          ::testing::Values(601, 602, 603, 604));
 
 // ---------------------------------------------------------------------------
-// P8: detector strategy equivalence — index/scan × blocking/quadratic all
-// produce the same suspect set on random dirty datasets.
+// P8: production detection equals the reference oracle (full scan +
+// quadratic pair enumeration) byte for byte on random dirty datasets.
 
 struct DetectorSweepParam {
   uint64_t seed;
@@ -267,7 +268,7 @@ struct DetectorSweepParam {
 class DetectorStrategyProperty
     : public ::testing::TestWithParam<DetectorSweepParam> {};
 
-TEST_P(DetectorStrategyProperty, AllStrategiesAgree) {
+TEST_P(DetectorStrategyProperty, ProductionMatchesReference) {
   const DetectorSweepParam param = GetParam();
   Dataset d = ZipCityStateDataset(250, param.seed, param.error_rate);
 
@@ -277,24 +278,22 @@ TEST_P(DetectorStrategyProperty, AllStrategiesAgree) {
       ParseConstrainedPattern("(\\D{3})!\\D{2}").value()));
   row.rhs.push_back(TableauCell::Wildcard());
   t.AddRow(row);
-  Pfd pfd = Pfd::Simple("Z", "zip", "city", t);
-
-  std::vector<std::vector<CellRef>> suspect_sets;
-  for (bool index : {false, true}) {
-    for (bool blocking : {false, true}) {
-      DetectorOptions opts;
-      opts.use_pattern_index = index;
-      opts.use_blocking = blocking;
-      auto result = DetectErrors(d.relation, pfd, opts).value();
-      std::vector<CellRef> suspects;
-      for (const Violation& v : result.violations) {
-        suspects.push_back(v.suspect);
-      }
-      suspect_sets.push_back(std::move(suspects));
-    }
-  }
-  for (size_t i = 1; i < suspect_sets.size(); ++i) {
-    EXPECT_EQ(suspect_sets[i], suspect_sets[0]) << "strategy " << i;
+  Tableau c;
+  TableauRow constant;
+  constant.lhs.push_back(TableauCell::Of(
+      ParseConstrainedPattern("(900)!\\D{2}").value()));
+  constant.rhs.push_back(TableauCell::Of(
+      ConstrainedPattern::Unconstrained(LiteralPattern("Los Angeles"))));
+  c.AddRow(constant);
+  const std::vector<Pfd> pfds = {Pfd::Simple("Z", "zip", "city", t),
+                                 Pfd::Simple("Z", "zip", "city", c)};
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    DetectorOptions options;
+    options.execution.num_threads = threads;
+    ExpectDetectMatchesReference(
+        d.relation, pfds, options,
+        "seed " + std::to_string(param.seed) + ", " +
+            std::to_string(threads) + " threads");
   }
 }
 
