@@ -169,19 +169,21 @@ Result<Relation> Project::LoadDataset(const std::string& name,
   ANMAT_ASSIGN_OR_RETURN(DatasetEntry entry, FindDataset(name));
   ANMAT_ASSIGN_OR_RETURN(Relation relation,
                          ReadCsvFile(entry.path, options));
-  if (!entry.fingerprint.empty()) {
-    const std::string current = SchemaFingerprint(relation.schema());
-    if (current != entry.fingerprint) {
-      return Status::InvalidArgument(
-          "dataset \"" + entry.name + "\" at " + entry.path +
-          " changed schema since it was attached (column fingerprint " +
-          current + ", catalog recorded " + entry.fingerprint +
-          "); its columns are now [" + relation.schema().ToString() +
-          "] — re-attach it with 'anmat discover --project <dir> --data " +
-          entry.path + "' if the change is intentional");
-    }
-  }
+  ANMAT_RETURN_NOT_OK(entry.CheckSchema(relation.schema()));
   return relation;
+}
+
+Status Project::DatasetEntry::CheckSchema(const Schema& schema) const {
+  if (fingerprint.empty()) return Status::OK();
+  const std::string current = SchemaFingerprint(schema);
+  if (current == fingerprint) return Status::OK();
+  return Status::InvalidArgument(
+      "dataset \"" + name + "\" at " + path +
+      " changed schema since it was attached (column fingerprint " + current +
+      ", catalog recorded " + fingerprint + "); its columns are now [" +
+      schema.ToString() +
+      "] — re-attach it with 'anmat discover --project <dir> --data " + path +
+      "' if the change is intentional");
 }
 
 uint64_t Project::AddDiscoveredRule(const DiscoveredPfd& discovered,

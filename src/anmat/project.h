@@ -83,6 +83,12 @@ class Project {
     /// unknown (file unreadable at attach time, or a catalog written by
     /// an earlier release) — then no check is made.
     std::string fingerprint;
+
+    /// OK when `schema` (the file's current header) matches the recorded
+    /// fingerprint, or when none was recorded; else InvalidArgument naming
+    /// the dataset, both fingerprints and the current columns. What
+    /// `LoadDataset` checks, for callers that read the CSV themselves.
+    Status CheckSchema(const Schema& schema) const;
   };
 
   /// Persisted discovery parameters (§4 "Parameter Setting").

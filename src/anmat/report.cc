@@ -411,4 +411,46 @@ JsonValue RuleSetToJson(const RuleSet& rules) {
   return root;
 }
 
+namespace {
+
+const char* RecoveryActionName(JournalRecoveryReport::Action action) {
+  switch (action) {
+    case JournalRecoveryReport::Action::kClean:
+      return "clean";
+    case JournalRecoveryReport::Action::kReplayed:
+      return "replayed";
+    case JournalRecoveryReport::Action::kDiscarded:
+      return "discarded";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+std::string RenderFsckView(const JournalRecoveryReport& report,
+                           const Project* project, const Status& error) {
+  std::string out = "journal: " + report.detail + "\n";
+  if (project == nullptr) {
+    return out + "project: CORRUPT — " + error.ToString() + "\n";
+  }
+  return out + "project: healthy (\"" + project->name() + "\", " +
+         std::to_string(project->datasets().size()) + " dataset(s), " +
+         std::to_string(project->rules().size()) + " rule(s))\n";
+}
+
+JsonValue FsckToJson(const JournalRecoveryReport& report,
+                     const Project* project, const Status& error) {
+  JsonValue root = JsonValue::Object();
+  root.Set("action", JsonValue::String(RecoveryActionName(report.action)));
+  root.Set("detail", JsonValue::String(report.detail));
+  root.Set("files_applied",
+           JsonValue::Int(static_cast<int64_t>(report.files_applied)));
+  root.Set("truncated_tail", JsonValue::Bool(report.truncated_tail));
+  root.Set("healthy", JsonValue::Bool(project != nullptr));
+  if (project == nullptr) {
+    root.Set("error", JsonValue::String(error.ToString()));
+  }
+  return root;
+}
+
 }  // namespace anmat

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "anmat/project.h"
 #include "anmat/session.h"
 #include "datagen/error_injector.h"
 #include "detect/detection_stream.h"
@@ -54,6 +55,12 @@ std::string RenderRepairView(const RepairResult& result);
 /// status, provenance and the rule text (`anmat rules list`).
 std::string RenderRuleSetView(const RuleSet& rules);
 
+/// \brief `anmat project fsck`: what journal recovery did and whether the
+/// project loads afterwards — `project` when it does, else null and
+/// `error` saying why.
+std::string RenderFsckView(const JournalRecoveryReport& report,
+                           const Project* project, const Status& error);
+
 /// \brief Convenience: all three views for a completed session.
 std::string RenderSessionReport(const Session& session);
 
@@ -87,6 +94,12 @@ JsonValue RepairToJson(const RepairResult& result,
 /// \brief The project rule store as JSON: one object per rule with id,
 /// status, provenance and rule text (`anmat rules list --format json`).
 JsonValue RuleSetToJson(const RuleSet& rules);
+
+/// \brief The fsck report as JSON (`anmat project fsck --format json`):
+/// action, detail, files_applied, truncated_tail, healthy, and the error
+/// when unhealthy. Arguments as for `RenderFsckView`.
+JsonValue FsckToJson(const JournalRecoveryReport& report,
+                     const Project* project, const Status& error);
 
 /// \brief The stable wire name of a stream conflict kind ("majority-flip",
 /// "retroactive-repair", "key-divergence").

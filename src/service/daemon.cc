@@ -373,9 +373,10 @@ JsonValue Daemon::StatsJson() {
   return result;
 }
 
-Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir) {
+Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir,
+                                           const JsonValue* init_params) {
   const std::string key = CanonicalDir(dir);
-  {
+  if (init_params == nullptr) {
     MutexLock lock(&hosts_mu_);
     auto it = hosts_.find(key);
     if (it != hosts_.end()) return it->second.get();
@@ -387,13 +388,24 @@ Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir) {
   {
     MutexLock lock(&hosts_mu_);
     auto it = hosts_.find(key);
-    if (it != hosts_.end()) return it->second.get();
+    if (it != hosts_.end()) {
+      if (init_params == nullptr) return it->second.get();
+      // Never replace a live host: executors may hold raw ProjectHost*
+      // into it. Reachable despite Init's own catalog check if the
+      // catalog file was deleted externally while the project is hosted.
+      return Status::AlreadyExists("project " + key +
+                                   " is already hosted by this daemon");
+    }
   }
+  Project::OpenOptions open_options;
+  open_options.lock_wait_ms = options_.lock_wait_ms;
+  ANMAT_ASSIGN_OR_RETURN(Project project,
+                         init_params != nullptr
+                             ? ProjectHost::InitProject(key, *init_params)
+                             : Project::Open(key, open_options));
   ProjectHost::Options host_options;
   host_options.engine_threads = options_.engine_threads;
-  host_options.lock_wait_ms = options_.lock_wait_ms;
-  ANMAT_ASSIGN_OR_RETURN(std::unique_ptr<ProjectHost> host,
-                         ProjectHost::Open(key, host_options));
+  auto host = std::make_unique<ProjectHost>(std::move(project), host_options);
   ProjectHost* raw = host.get();
   MutexLock lock(&hosts_mu_);
   hosts_[key] = std::move(host);
@@ -401,65 +413,28 @@ Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir) {
 }
 
 std::string Daemon::ExecuteVerb(const ServiceRequest& request) {
-  if (request.verb == "project.init") {
-    auto dir = request.params.GetString("dir");
-    if (!dir.ok()) {
-      return SerializeServiceError(
-          request.id,
-          Status::InvalidArgument("project.init needs a \"dir\" param"));
-    }
-    std::string name;
-    if (const JsonValue* n = request.params.Get("name");
-        n != nullptr && n->is_string()) {
-      name = n->as_string();
-    }
-    const std::string key = CanonicalDir(dir.value());
-    ProjectHost::Options host_options;
-    host_options.engine_threads = options_.engine_threads;
-    host_options.lock_wait_ms = options_.lock_wait_ms;
-    MutexLock open_lock(&open_mu_);
-    {
-      // Never replace a live host: executors may hold raw ProjectHost*
-      // into it. Reachable despite Init's own catalog check if the
-      // catalog file was deleted externally while the project is hosted.
-      MutexLock lock(&hosts_mu_);
-      if (hosts_.count(key) != 0) {
-        return SerializeServiceError(
-            request.id,
-            Status::AlreadyExists("project " + key +
-                                  " is already hosted by this daemon"));
-      }
-    }
-    auto host = ProjectHost::Init(key, std::move(name), host_options);
-    if (!host.ok()) return SerializeServiceError(request.id, host.status());
-    ProjectHost* raw = host->get();
-    {
-      MutexLock lock(&hosts_mu_);
-      hosts_.emplace(key, std::move(host).value());
-    }
-    auto info = raw->Dispatch("info", JsonValue::Object());
-    if (!info.ok()) return SerializeServiceError(request.id, info.status());
-    return SerializeServiceOk(request.id, std::move(info->result),
-                              info->text);
-  }
-
-  const char* dir_key = request.verb == "project.open" ? "dir" : "project";
-  auto dir = request.params.GetString(dir_key);
-  if (!dir.ok()) {
-    return SerializeServiceError(
-        request.id,
-        Status::InvalidArgument("verb \"" + request.verb + "\" needs a \"" +
-                                dir_key + "\" param (project directory)"));
-  }
-  auto host = GetOrOpenHost(dir.value());
-  if (!host.ok()) return SerializeServiceError(request.id, host.status());
-
-  const std::string verb =
-      request.verb == "project.open" ? "info" : request.verb;
-  auto result = (*host)->Dispatch(verb, request.params);
+  auto result = RunProjectVerb(request);
   if (!result.ok()) return SerializeServiceError(request.id, result.status());
   return SerializeServiceOk(request.id, std::move(result->result),
                             result->text);
+}
+
+Result<VerbResult> Daemon::RunProjectVerb(const ServiceRequest& request) {
+  // project.open and project.init name the directory "dir" and answer
+  // with the host's info block; every other verb names it "project".
+  const bool init = request.verb == "project.init";
+  const bool open = init || request.verb == "project.open";
+  const char* dir_key = open ? "dir" : "project";
+  auto dir = request.params.GetString(dir_key);
+  if (!dir.ok()) {
+    return Status::InvalidArgument("verb \"" + request.verb +
+                                   "\" needs a \"" + dir_key +
+                                   "\" param (project directory)");
+  }
+  ANMAT_ASSIGN_OR_RETURN(
+      ProjectHost * host,
+      GetOrOpenHost(dir.value(), init ? &request.params : nullptr));
+  return host->Dispatch(open ? "info" : request.verb, request.params);
 }
 
 }  // namespace anmat

@@ -51,8 +51,9 @@
 ///   shutdown      -> {"stopping": true}, then a graceful drain
 ///   project.open  -> params {"dir"}: opens (or reuses) the host, returns
 ///                    its info block
-///   project.init  -> params {"dir", "name"?}: initializes a fresh
-///                    project and hosts it
+///   project.init  -> params {"dir", "name"?, "coverage"?,
+///                    "violations"?}: initializes a fresh project
+///                    (`ProjectHost::InitProject`) and hosts it
 
 #include <atomic>
 #include <cstdint>
@@ -139,10 +140,14 @@ class Daemon {
   /// Executes a project verb on an executor thread and returns the
   /// serialized response payload.
   std::string ExecuteVerb(const ServiceRequest& request);
+  Result<VerbResult> RunProjectVerb(const ServiceRequest& request);
 
-  /// The host serving `dir`, opening it on first use. Opens of the same
-  /// directory are serialized so a project is never hosted twice.
-  Result<ProjectHost*> GetOrOpenHost(const std::string& dir);
+  /// The host serving `dir`, opening it on first use — or, given
+  /// `init_params`, initializing a fresh project there (AlreadyExists when
+  /// it is hosted). Opens of the same directory are serialized so a
+  /// project is never hosted twice.
+  Result<ProjectHost*> GetOrOpenHost(const std::string& dir,
+                                     const JsonValue* init_params);
 
   JsonValue StatsJson();
 

@@ -5,7 +5,6 @@
 
 #include "anmat/report.h"
 #include "csv/csv_writer.h"
-#include "store/project_journal.h"
 
 namespace anmat {
 namespace {
@@ -66,52 +65,241 @@ Result<std::vector<uint64_t>> ParamIds(const JsonValue& params) {
   return ids;
 }
 
-const char* RecoveryActionName(JournalRecoveryReport::Action action) {
-  switch (action) {
-    case JournalRecoveryReport::Action::kClean:
-      return "clean";
-    case JournalRecoveryReport::Action::kReplayed:
-      return "replayed";
-    case JournalRecoveryReport::Action::kDiscarded:
-      return "discarded";
-  }
-  return "unknown";
+/// Coverage and violation ratio from params, defaulting to `parameters`.
+Result<Project::Parameters> ParamParameters(const JsonValue& params,
+                                            Project::Parameters parameters) {
+  ANMAT_ASSIGN_OR_RETURN(
+      parameters.min_coverage,
+      ParamDouble(params, "coverage", parameters.min_coverage));
+  ANMAT_ASSIGN_OR_RETURN(
+      parameters.allowed_violation_ratio,
+      ParamDouble(params, "violations", parameters.allowed_violation_ratio));
+  return parameters;
+}
+
+/// Writes `relation` to params' "out" when given; returns the text line
+/// reporting it (empty when nothing was written).
+Result<std::string> WriteOut(const JsonValue& params,
+                             const Relation& relation,
+                             const std::string& what) {
+  ANMAT_ASSIGN_OR_RETURN(const std::string out_path,
+                         ParamString(params, "out", ""));
+  if (out_path.empty()) return std::string();
+  ANMAT_RETURN_NOT_OK(WriteCsvFile(relation, out_path));
+  return "wrote " + what + " table to " + out_path + "\n";
 }
 
 }  // namespace
 
+// -- Verb bodies over explicit inputs ---------------------------------------
+
+Result<VerbResult> RunDatasetVerb(Engine& engine, const std::string& verb,
+                                  Relation relation,
+                                  const std::vector<Pfd>& rules,
+                                  const JsonValue& params) {
+  VerbResult out;
+  if (verb == "profile") {
+    const std::vector<ColumnProfile> profiles = engine.Profile(relation);
+    out.result = ProfilesToJson(profiles);
+    out.text = RenderProfilingView(profiles);
+  } else if (verb == "detect") {
+    ANMAT_ASSIGN_OR_RETURN(DetectionResult detection,
+                           engine.Detect(relation, rules));
+    ANMAT_ASSIGN_OR_RETURN(const int64_t max, ParamInt(params, "max", -1));
+    out.text = RenderViolationsView(relation, rules, detection,
+                                    max >= 0 ? static_cast<size_t>(max) : 50);
+    // Cap the violations array but keep the full counts in the stats
+    // block, so the truncation is visible.
+    if (max >= 0 && detection.violations.size() > static_cast<size_t>(max)) {
+      detection.violations.resize(static_cast<size_t>(max));
+    }
+    out.result = DetectionToJson(relation, rules, detection);
+  } else if (verb == "repair") {
+    ANMAT_ASSIGN_OR_RETURN(RepairResult result,
+                           engine.Repair(&relation, rules));
+    out.result = RepairToJson(result, rules);
+    out.text = RenderRepairView(result);
+    ANMAT_ASSIGN_OR_RETURN(const std::string wrote,
+                           WriteOut(params, relation, "cleaned"));
+    out.text += wrote;
+  } else {
+    return Status::InvalidArgument("not a dataset verb: " + verb);
+  }
+  return out;
+}
+
+Result<VerbResult> StreamOpenVerb(Engine& engine, std::vector<Pfd> rules,
+                                  const JsonValue& params, uint64_t id,
+                                  StreamState* out) {
+  const JsonValue* columns = params.Get("columns");
+  if (columns == nullptr || !columns->is_array()) {
+    return Status::InvalidArgument(
+        "param \"columns\" must be an array of column names");
+  }
+  std::vector<std::string> names;
+  names.reserve(columns->size());
+  for (const JsonValue& c : columns->items()) {
+    if (!c.is_string()) {
+      return Status::InvalidArgument(
+          "param \"columns\" must be an array of column names");
+    }
+    names.push_back(c.as_string());
+  }
+  ANMAT_ASSIGN_OR_RETURN(const std::string clean,
+                         ParamString(params, "clean", "off"));
+  if (clean != "off" && clean != "constant" && clean != "all") {
+    return Status::InvalidArgument("param \"clean\": \"" + clean +
+                                   "\" (expected off, constant, or all)");
+  }
+
+  ANMAT_ASSIGN_OR_RETURN(Schema schema, Schema::MakeText(names));
+  ANMAT_ASSIGN_OR_RETURN(out->stream, engine.OpenStream(schema, rules));
+  if (clean != "off") {
+    out->stream->set_clean_on_ingest(true);
+    out->stream->set_clean_variable_rules(clean == "all");
+  }
+  out->pfds = std::move(rules);
+  out->clean = clean;
+
+  VerbResult result;
+  result.result = JsonValue::Object();
+  result.result.Set("stream", JsonValue::Int(static_cast<int64_t>(id)));
+  result.result.Set("clean", JsonValue::String(clean));
+  result.text = "opened stream " + std::to_string(id) + " (" +
+                std::to_string(names.size()) + " column(s), clean=" + clean +
+                ")\n";
+  return result;
+}
+
+Result<VerbResult> StreamAppendVerb(StreamState* stream,
+                                    const JsonValue& params) {
+  const JsonValue* rows = params.Get("rows");
+  if (rows == nullptr || !rows->is_array()) {
+    return Status::InvalidArgument(
+        "param \"rows\" must be an array of row arrays");
+  }
+  std::vector<std::vector<std::string>> batch;
+  batch.reserve(rows->size());
+  for (const JsonValue& row : rows->items()) {
+    if (!row.is_array()) {
+      return Status::InvalidArgument(
+          "param \"rows\" must be an array of row arrays");
+    }
+    std::vector<std::string> cells;
+    cells.reserve(row.size());
+    for (const JsonValue& cell : row.items()) {
+      if (!cell.is_string()) {
+        return Status::InvalidArgument("row cells must be strings");
+      }
+      cells.push_back(cell.as_string());
+    }
+    batch.push_back(std::move(cells));
+  }
+
+  ANMAT_ASSIGN_OR_RETURN(DetectionResult cumulative,
+                         stream->stream->AppendRows(batch));
+  stream->violations = cumulative.violations.size();
+  const DetectionStream& s = *stream->stream;
+
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(batch.size())));
+  out.result.Set("cumulative_violations", JsonValue::Int(static_cast<int64_t>(
+                                              stream->violations)));
+  out.result.Set("repairs", JsonValue::Int(static_cast<int64_t>(
+                                s.batch_repairs().size())));
+  out.result.Set("conflicts", JsonValue::Int(static_cast<int64_t>(
+                                  s.batch_conflicts().size())));
+  out.text = "batch " + std::to_string(s.num_batches()) + ": +" +
+             std::to_string(batch.size()) + " row(s), cumulative violations " +
+             std::to_string(stream->violations) + ", repairs " +
+             std::to_string(s.batch_repairs().size()) + ", conflicts " +
+             std::to_string(s.batch_conflicts().size()) + "\n";
+  return out;
+}
+
+Result<VerbResult> StreamCloseVerb(const StreamState& stream,
+                                   const JsonValue& params) {
+  const DetectionStream& s = *stream.stream;
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(
+                             s.relation().num_rows())));
+  out.result.Set("batches",
+                 JsonValue::Int(static_cast<int64_t>(s.num_batches())));
+  out.result.Set("clean", JsonValue::String(stream.clean));
+  out.result.Set("distinct_values", JsonValue::Int(static_cast<int64_t>(
+                                        s.distinct_values())));
+  out.result.Set("violations",
+                 JsonValue::Int(static_cast<int64_t>(stream.violations)));
+  JsonValue repairs = JsonValue::Array();
+  for (const AppliedRepair& r : s.repairs()) {
+    repairs.push_back(AppliedRepairToJson(r, stream.pfds));
+  }
+  out.result.Set("repairs", std::move(repairs));
+  JsonValue conflicts = JsonValue::Array();
+  for (const StreamConflict& c : s.conflicts()) {
+    conflicts.push_back(StreamConflictToJson(c));
+  }
+  out.result.Set("conflicts", std::move(conflicts));
+
+  out.text = "streamed " + std::to_string(s.relation().num_rows()) +
+             " row(s) in " + std::to_string(s.num_batches()) +
+             " batch(es): " + std::to_string(stream.violations) +
+             " violation(s)";
+  if (stream.clean != "off") {
+    out.text += ", " + std::to_string(s.repairs().size()) +
+                " repair(s) applied on ingest, " +
+                std::to_string(s.conflicts().size()) + " conflict(s)";
+  }
+  out.text += "\n";
+  for (const StreamConflict& c : s.conflicts()) {
+    out.text += std::string("conflict [") + StreamConflictKindName(c) +
+                "] row " + std::to_string(c.cell.row) + " column " +
+                std::to_string(c.cell.column) + ": kept \"" + c.current +
+                "\", one-shot repair would hold \"" + c.expected +
+                "\" (rule " + std::to_string(c.pfd_index) + ", batch " +
+                std::to_string(c.batch + 1) + ")\n";
+  }
+  ANMAT_ASSIGN_OR_RETURN(const std::string wrote,
+                         WriteOut(params, s.relation(), "accumulated"));
+  out.text += wrote;
+  return out;
+}
+
+// -- ProjectHost ------------------------------------------------------------
+
 ProjectHost::ProjectHost(Project project, const Options& options)
     : project_(std::move(project)),
-      dir_(project_.dir()),
       engine_(ExecutionOptions{options.engine_threads, true, nullptr}) {}
 
-Result<std::unique_ptr<ProjectHost>> ProjectHost::Open(
-    const std::string& dir, const Options& options) {
-  Project::OpenOptions open_options;
-  open_options.lock_wait_ms = options.lock_wait_ms;
-  ANMAT_ASSIGN_OR_RETURN(Project project, Project::Open(dir, open_options));
-  return std::unique_ptr<ProjectHost>(
-      new ProjectHost(std::move(project), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
-}
-
-Result<std::unique_ptr<ProjectHost>> ProjectHost::Init(
-    const std::string& dir, std::string name, const Options& options) {
-  ANMAT_ASSIGN_OR_RETURN(Project project,
-                         Project::Init(dir, std::move(name)));
+Result<Project> ProjectHost::InitProject(const std::string& dir,
+                                         const JsonValue& params) {
+  // Type-check every param before anything touches the disk.
+  ANMAT_ASSIGN_OR_RETURN(std::string name, ParamString(params, "name", ""));
+  ANMAT_ASSIGN_OR_RETURN(const Project::Parameters parameters,
+                         ParamParameters(params, Project::Parameters()));
+  ANMAT_ASSIGN_OR_RETURN(Project project, Project::Init(dir, std::move(name)));
+  project.set_parameters(parameters);
   ANMAT_RETURN_NOT_OK(project.Save());
-  return std::unique_ptr<ProjectHost>(
-      new ProjectHost(std::move(project), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
+  return project;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Dispatch(
-    const std::string& verb, const JsonValue& params) {
+bool ProjectHost::IsWriterVerb(const std::string& verb) {
+  return verb == "discover" || verb == "rules.confirm" ||
+         verb == "rules.reject" || verb == "rules.delete" ||
+         verb == "rules.annotate";
+}
+
+Result<VerbResult> ProjectHost::Dispatch(const std::string& verb,
+                                         const JsonValue& params) {
   if (verb == "info") return Info();
   if (verb == "fsck") return Fsck();
   if (verb == "dataset") return Dataset(params);
   if (verb == "discover") return Discover(params);
-  if (verb == "profile") return Profile(params);
-  if (verb == "detect") return Detect(params);
-  if (verb == "repair") return Repair(params);
+  if (verb == "profile" || verb == "detect" || verb == "repair") {
+    return OnDataset(verb, params);
+  }
   if (verb == "rules.list") return RulesList();
   if (verb == "rules.confirm") {
     return RulesSetStatus(params, RuleStatus::kConfirmed);
@@ -161,22 +349,35 @@ size_t ProjectHost::num_streams() {
   return streams_.size();
 }
 
-Result<Relation> ProjectHost::LoadData(const JsonValue& params) {
+Result<Project::DatasetEntry> ProjectHost::FindData(const JsonValue& params) {
   ANMAT_ASSIGN_OR_RETURN(const std::string value,
                          ParamString(params, "data", ""));
-  if (value.empty()) return project_.LoadDataset("");
-  // Same resolution as the CLI's --data: a catalog name first, then the
-  // path spelling that attached it (its stem).
-  auto entry = project_.FindDataset(value);
-  if (entry.ok()) return project_.LoadDataset(value);
+  Result<Project::DatasetEntry> entry = project_.FindDataset(value);
+  if (entry.ok() || value.empty()) return entry;
   const std::string stem = std::filesystem::path(value).stem().string();
-  if (!stem.empty() && stem != value && project_.FindDataset(stem).ok()) {
-    return project_.LoadDataset(stem);
+  if (!stem.empty() && stem != value) {
+    Result<Project::DatasetEntry> by_stem = project_.FindDataset(stem);
+    if (by_stem.ok()) return by_stem;
   }
-  return entry.status();
+  return entry;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Info() {
+Result<std::vector<Pfd>> ProjectHost::ConfirmedRules() {
+  std::vector<Pfd> rules = project_.ConfirmedPfds();
+  if (rules.empty()) {
+    return Status::InvalidArgument(
+        "project has no confirmed rules; run 'anmat rules confirm'");
+  }
+  return rules;
+}
+
+Status ProjectHost::Commit(Project next) {
+  ANMAT_RETURN_NOT_OK(next.Save());
+  project_ = std::move(next);
+  return Status::OK();
+}
+
+Result<VerbResult> ProjectHost::Info() {
   ReaderMutexLock gate(&gate_);
   VerbResult out;
   out.result = JsonValue::Object();
@@ -196,66 +397,38 @@ Result<ProjectHost::VerbResult> ProjectHost::Info() {
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Fsck() {
+Result<VerbResult> ProjectHost::Fsck() {
   // The host ran journal recovery when it opened and has held the project
   // lock ever since — no save can have torn in between — so fsck reports
-  // that recovery plus the live (healthy by construction) state. Matches
-  // the shape of `anmat project fsck --format json`.
+  // that recovery plus the live (healthy by construction) state.
   ReaderMutexLock gate(&gate_);
-  const JournalRecoveryReport& report = project_.recovery();
   VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("action",
-                 JsonValue::String(RecoveryActionName(report.action)));
-  out.result.Set("detail", JsonValue::String(report.detail));
-  out.result.Set("files_applied", JsonValue::Int(static_cast<int64_t>(
-                                      report.files_applied)));
-  out.result.Set("truncated_tail", JsonValue::Bool(report.truncated_tail));
-  out.result.Set("healthy", JsonValue::Bool(true));
-  out.text = "journal: " + report.detail + "\n" + "project: healthy (\"" +
-             project_.name() + "\", " +
-             std::to_string(project_.datasets().size()) + " dataset(s), " +
-             std::to_string(project_.rules().size()) + " rule(s))\n";
+  out.result = FsckToJson(project_.recovery(), &project_, Status::OK());
+  out.text = RenderFsckView(project_.recovery(), &project_, Status::OK());
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Dataset(
-    const JsonValue& params) {
-  // Resolves --data the same way LoadData does, but returns the catalog
-  // entry instead of the rows: a remote client (the CLI's stream mode)
-  // reads the CSV itself and feeds batches over the socket.
+Result<VerbResult> ProjectHost::Dataset(const JsonValue& params) {
+  // The catalog entry instead of the rows: a client (the CLI's stream
+  // mode) reads the CSV itself, checks it against the fingerprint, and
+  // feeds batches over the stream verbs.
   ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(const std::string value,
-                         ParamString(params, "data", ""));
-  Result<Project::DatasetEntry> entry = project_.FindDataset(value);
-  if (!entry.ok() && !value.empty()) {
-    const std::string stem = std::filesystem::path(value).stem().string();
-    if (!stem.empty() && stem != value) {
-      Result<Project::DatasetEntry> by_stem = project_.FindDataset(stem);
-      if (by_stem.ok()) entry = std::move(by_stem);
-    }
-  }
-  ANMAT_RETURN_NOT_OK(entry.status());
+  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry, FindData(params));
   VerbResult out;
   out.result = JsonValue::Object();
-  out.result.Set("name", JsonValue::String(entry->name));
-  out.result.Set("path", JsonValue::String(entry->path));
-  out.text = entry->name + ": " + entry->path + "\n";
+  out.result.Set("name", JsonValue::String(entry.name));
+  out.result.Set("path", JsonValue::String(entry.path));
+  out.result.Set("fingerprint", JsonValue::String(entry.fingerprint));
+  out.text = entry.name + ": " + entry.path + "\n";
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Discover(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
-
-  Project::Parameters parameters = project_.parameters();
-  ANMAT_ASSIGN_OR_RETURN(
-      parameters.min_coverage,
-      ParamDouble(params, "coverage", parameters.min_coverage));
-  ANMAT_ASSIGN_OR_RETURN(
-      parameters.allowed_violation_ratio,
-      ParamDouble(params, "violations", parameters.allowed_violation_ratio));
-  project_.set_parameters(parameters);
+  Project next = project_;
+  ANMAT_ASSIGN_OR_RETURN(const Project::Parameters parameters,
+                         ParamParameters(params, next.parameters()));
+  next.set_parameters(parameters);
 
   ANMAT_ASSIGN_OR_RETURN(const std::string data,
                          ParamString(params, "data", ""));
@@ -265,22 +438,20 @@ Result<ProjectHost::VerbResult> ProjectHost::Discover(
         dataset_name,
         ParamString(params, "name",
                     std::filesystem::path(data).stem().string()));
-    ANMAT_RETURN_NOT_OK(project_.AttachDataset(dataset_name, data));
+    ANMAT_RETURN_NOT_OK(next.AttachDataset(dataset_name, data));
   } else {
-    ANMAT_ASSIGN_OR_RETURN(Project::DatasetEntry entry,
-                           project_.FindDataset());
+    ANMAT_ASSIGN_OR_RETURN(Project::DatasetEntry entry, next.FindDataset());
     dataset_name = entry.name;
   }
-  ANMAT_ASSIGN_OR_RETURN(Relation relation,
-                         project_.LoadDataset(dataset_name));
+  ANMAT_ASSIGN_OR_RETURN(Relation relation, next.LoadDataset(dataset_name));
 
   ANMAT_ASSIGN_OR_RETURN(
       DiscoveryResult discovery,
-      engine_.Discover(relation, project_.discovery_options()));
+      engine_.Discover(relation, next.discovery_options()));
   for (const DiscoveredPfd& d : discovery.pfds) {
-    project_.AddDiscoveredRule(d, dataset_name);
+    next.AddDiscoveredRule(d, dataset_name);
   }
-  ANMAT_RETURN_NOT_OK(project_.Save());
+  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
 
   VerbResult out;
   out.result = RuleSetToJson(project_.rules());
@@ -292,64 +463,19 @@ Result<ProjectHost::VerbResult> ProjectHost::Discover(
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Profile(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::OnDataset(const std::string& verb,
+                                          const JsonValue& params) {
   ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<ColumnProfile> profiles = engine_.Profile(relation);
-  VerbResult out;
-  out.result = ProfilesToJson(profiles);
-  out.text = RenderProfilingView(profiles);
-  return out;
+  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry, FindData(params));
+  ANMAT_ASSIGN_OR_RETURN(Relation relation, project_.LoadDataset(entry.name));
+  std::vector<Pfd> rules;
+  if (verb != "profile") {
+    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules());
+  }
+  return RunDatasetVerb(engine_, verb, std::move(relation), rules, params);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Detect(const JsonValue& params) {
-  ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<Pfd> rules = project_.ConfirmedPfds();
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
-  ANMAT_ASSIGN_OR_RETURN(DetectionResult detection,
-                         engine_.Detect(relation, rules));
-  ANMAT_ASSIGN_OR_RETURN(const int64_t max, ParamInt(params, "max", -1));
-
-  VerbResult out;
-  out.text = RenderViolationsView(relation, rules, detection,
-                                  max >= 0 ? static_cast<size_t>(max) : 50);
-  // Like the CLI's --max under --format json: cap the violations array but
-  // keep the full counts in the stats block so the truncation is visible.
-  if (max >= 0 && detection.violations.size() > static_cast<size_t>(max)) {
-    detection.violations.resize(static_cast<size_t>(max));
-  }
-  out.result = DetectionToJson(relation, rules, detection);
-  return out;
-}
-
-Result<ProjectHost::VerbResult> ProjectHost::Repair(const JsonValue& params) {
-  ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<Pfd> rules = project_.ConfirmedPfds();
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
-  ANMAT_ASSIGN_OR_RETURN(RepairResult result,
-                         engine_.Repair(&relation, rules));
-  VerbResult out;
-  out.result = RepairToJson(result, rules);
-  out.text = RenderRepairView(result);
-  ANMAT_ASSIGN_OR_RETURN(const std::string out_path,
-                         ParamString(params, "out", ""));
-  if (!out_path.empty()) {
-    ANMAT_RETURN_NOT_OK(WriteCsvFile(relation, out_path));
-    out.text += "wrote cleaned table to " + out_path + "\n";
-  }
-  return out;
-}
-
-Result<ProjectHost::VerbResult> ProjectHost::RulesList() {
+Result<VerbResult> ProjectHost::RulesList() {
   ReaderMutexLock gate(&gate_);
   VerbResult out;
   out.result = RuleSetToJson(project_.rules());
@@ -357,15 +483,16 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesList() {
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesSetStatus(
-    const JsonValue& params, RuleStatus status) {
+Result<VerbResult> ProjectHost::RulesSetStatus(const JsonValue& params,
+                                               RuleStatus status) {
   WriterMutexLock gate(&gate_);
+  Project next = project_;
   std::vector<uint64_t> ids;
   const JsonValue* all = params.Get("all");
   if (all != nullptr && all->is_bool() && all->as_bool()) {
-    for (const RuleRecord& r : project_.rules().records()) {
-      // `confirm all` leaves rejected rules rejected (the CLI's semantics);
-      // only an explicit id overrides a rejection.
+    for (const RuleRecord& r : next.rules().records()) {
+      // `confirm all` leaves rejected rules rejected (Session::ConfirmAll's
+      // semantics); only an explicit id overrides a rejection.
       if (status == RuleStatus::kConfirmed &&
           r.status == RuleStatus::kRejected) {
         continue;
@@ -376,9 +503,9 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesSetStatus(
     ANMAT_ASSIGN_OR_RETURN(ids, ParamIds(params));
   }
   for (uint64_t id : ids) {
-    ANMAT_RETURN_NOT_OK(project_.SetRuleStatus(id, status));
+    ANMAT_RETURN_NOT_OK(next.SetRuleStatus(id, status));
   }
-  ANMAT_RETURN_NOT_OK(project_.Save());
+  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
 
   VerbResult out;
   out.result = JsonValue::Object();
@@ -392,15 +519,15 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesSetStatus(
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesDelete(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::RulesDelete(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
+  Project next = project_;
   ANMAT_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids, ParamIds(params));
   for (uint64_t id : ids) {
     // An unknown id rejects the whole command; nothing is persisted.
-    ANMAT_RETURN_NOT_OK(project_.DeleteRule(id));
+    ANMAT_RETURN_NOT_OK(next.DeleteRule(id));
   }
-  ANMAT_RETURN_NOT_OK(project_.Save());
+  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
 
   VerbResult out;
   out.result = JsonValue::Object();
@@ -413,8 +540,7 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesDelete(
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesAnnotate(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::RulesAnnotate(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "id", 0));
   if (id <= 0) {
@@ -422,9 +548,9 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesAnnotate(
   }
   ANMAT_ASSIGN_OR_RETURN(const std::string note,
                          ParamString(params, "note", ""));
-  ANMAT_RETURN_NOT_OK(
-      project_.AnnotateRule(static_cast<uint64_t>(id), note));
-  ANMAT_RETURN_NOT_OK(project_.Save());
+  Project next = project_;
+  ANMAT_RETURN_NOT_OK(next.AnnotateRule(static_cast<uint64_t>(id), note));
+  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
 
   VerbResult out;
   out.result = JsonValue::Object();
@@ -434,75 +560,32 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesAnnotate(
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamOpen(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::StreamOpen(const JsonValue& params) {
   std::vector<Pfd> rules;
   {
     ReaderMutexLock gate(&gate_);
-    rules = project_.ConfirmedPfds();
+    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules());
   }
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
-  const JsonValue* columns = params.Get("columns");
-  if (columns == nullptr || !columns->is_array()) {
-    return Status::InvalidArgument(
-        "param \"columns\" must be an array of column names");
-  }
-  std::vector<std::string> names;
-  names.reserve(columns->size());
-  for (const JsonValue& c : columns->items()) {
-    if (!c.is_string()) {
-      return Status::InvalidArgument(
-          "param \"columns\" must be an array of column names");
-    }
-    names.push_back(c.as_string());
-  }
-  ANMAT_ASSIGN_OR_RETURN(const std::string clean,
-                         ParamString(params, "clean", "off"));
-  if (clean != "off" && clean != "constant" && clean != "all") {
-    return Status::InvalidArgument("param \"clean\": \"" + clean +
-                                   "\" (expected off, constant, or all)");
-  }
-
-  ANMAT_ASSIGN_OR_RETURN(Schema schema, Schema::MakeText(names));
-  ANMAT_ASSIGN_OR_RETURN(std::unique_ptr<DetectionStream> stream,
-                         engine_.OpenStream(schema, rules));
-  if (clean != "off") {
-    stream->set_clean_on_ingest(true);
-    stream->set_clean_variable_rules(clean == "all");
-  }
-
-  auto entry = std::make_shared<StreamEntry>();
-  {
-    // Uncontended (the entry is not yet published), held for the
-    // analysis's sake: `stream` is guarded by the entry's mutex.
-    MutexLock lock(&entry->mu);
-    entry->stream = std::move(stream);
-  }
-  entry->pfds = std::move(rules);
-  entry->clean = clean;
-
   uint64_t id = 0;
   {
     MutexLock lock(&streams_mu_);
     id = next_stream_id_++;
-    streams_[id] = std::move(entry);
   }
-
+  auto entry = std::make_shared<StreamEntry>();
   VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("stream", JsonValue::Int(static_cast<int64_t>(id)));
-  out.result.Set("clean", JsonValue::String(clean));
-  out.text = "opened stream " + std::to_string(id) + " (" +
-             std::to_string(names.size()) + " column(s), clean=" + clean +
-             ")\n";
+  {
+    // Uncontended (the entry is not yet published), held for the
+    // analysis's sake: the state is guarded by the entry's mutex.
+    MutexLock lock(&entry->mu);
+    ANMAT_ASSIGN_OR_RETURN(out, StreamOpenVerb(engine_, std::move(rules),
+                                               params, id, &entry->state));
+  }
+  MutexLock lock(&streams_mu_);
+  streams_[id] = std::move(entry);
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamAppend(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::StreamAppend(const JsonValue& params) {
   ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "stream", 0));
   std::shared_ptr<StreamEntry> entry;
   {
@@ -514,57 +597,13 @@ Result<ProjectHost::VerbResult> ProjectHost::StreamAppend(
     }
     entry = it->second;
   }
-  const JsonValue* rows = params.Get("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return Status::InvalidArgument(
-        "param \"rows\" must be an array of row arrays");
-  }
-  std::vector<std::vector<std::string>> batch;
-  batch.reserve(rows->size());
-  for (const JsonValue& row : rows->items()) {
-    if (!row.is_array()) {
-      return Status::InvalidArgument(
-          "param \"rows\" must be an array of row arrays");
-    }
-    std::vector<std::string> cells;
-    cells.reserve(row.size());
-    for (const JsonValue& cell : row.items()) {
-      if (!cell.is_string()) {
-        return Status::InvalidArgument("row cells must be strings");
-      }
-      cells.push_back(cell.as_string());
-    }
-    batch.push_back(std::move(cells));
-  }
-
   // Appends to one stream serialize here; the registry lock is already
   // released, so other streams (and every other verb) proceed.
   MutexLock lock(&entry->mu);
-  ANMAT_ASSIGN_OR_RETURN(DetectionResult cumulative,
-                         entry->stream->AppendRows(batch));
-  entry->last_violations = cumulative.violations.size();
-
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(batch.size())));
-  out.result.Set("cumulative_violations",
-                 JsonValue::Int(static_cast<int64_t>(
-                     cumulative.violations.size())));
-  out.result.Set("repairs", JsonValue::Int(static_cast<int64_t>(
-                                entry->stream->batch_repairs().size())));
-  out.result.Set("conflicts", JsonValue::Int(static_cast<int64_t>(
-                                  entry->stream->batch_conflicts().size())));
-  out.text = "batch " + std::to_string(entry->stream->num_batches()) + ": +" +
-             std::to_string(batch.size()) + " row(s), cumulative violations " +
-             std::to_string(cumulative.violations.size()) + ", repairs " +
-             std::to_string(entry->stream->batch_repairs().size()) +
-             ", conflicts " +
-             std::to_string(entry->stream->batch_conflicts().size()) + "\n";
-  return out;
+  return StreamAppendVerb(&entry->state, params);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamClose(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::StreamClose(const JsonValue& params) {
   ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "stream", 0));
   std::shared_ptr<StreamEntry> entry;
   {
@@ -579,56 +618,7 @@ Result<ProjectHost::VerbResult> ProjectHost::StreamClose(
   }
   // A straggling append that raced the close finishes first.
   MutexLock lock(&entry->mu);
-  const DetectionStream& stream = *entry->stream;
-
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(
-                             stream.relation().num_rows())));
-  out.result.Set("batches",
-                 JsonValue::Int(static_cast<int64_t>(stream.num_batches())));
-  out.result.Set("clean", JsonValue::String(entry->clean));
-  out.result.Set("distinct_values", JsonValue::Int(static_cast<int64_t>(
-                                        stream.distinct_values())));
-  out.result.Set("violations", JsonValue::Int(static_cast<int64_t>(
-                                   entry->last_violations)));
-  JsonValue repairs = JsonValue::Array();
-  for (const AppliedRepair& r : stream.repairs()) {
-    repairs.push_back(AppliedRepairToJson(r, entry->pfds));
-  }
-  out.result.Set("repairs", std::move(repairs));
-  JsonValue conflicts = JsonValue::Array();
-  for (const StreamConflict& c : stream.conflicts()) {
-    conflicts.push_back(StreamConflictToJson(c));
-  }
-  out.result.Set("conflicts", std::move(conflicts));
-
-  out.text = "streamed " + std::to_string(stream.relation().num_rows()) +
-             " row(s) in " + std::to_string(stream.num_batches()) +
-             " batch(es): " + std::to_string(entry->last_violations) +
-             " violation(s)";
-  if (entry->clean != "off") {
-    out.text += ", " + std::to_string(stream.repairs().size()) +
-                " repair(s) applied on ingest, " +
-                std::to_string(stream.conflicts().size()) + " conflict(s)";
-  }
-  out.text += "\n";
-  for (const StreamConflict& c : stream.conflicts()) {
-    out.text += std::string("conflict [") + StreamConflictKindName(c) +
-                "] row " + std::to_string(c.cell.row) + " column " +
-                std::to_string(c.cell.column) + ": kept \"" + c.current +
-                "\", one-shot repair would hold \"" + c.expected +
-                "\" (rule " + std::to_string(c.pfd_index) + ", batch " +
-                std::to_string(c.batch + 1) + ")\n";
-  }
-
-  ANMAT_ASSIGN_OR_RETURN(const std::string out_path,
-                         ParamString(params, "out", ""));
-  if (!out_path.empty()) {
-    ANMAT_RETURN_NOT_OK(WriteCsvFile(stream.relation(), out_path));
-    out.text += "wrote accumulated table to " + out_path + "\n";
-  }
-  return out;
+  return StreamCloseVerb(entry->state, params);
 }
 
 }  // namespace anmat

@@ -2,27 +2,31 @@
 #define ANMAT_SERVICE_PROJECT_HOST_H_
 
 /// \file project_host.h
-/// One warm, daemon-resident project: Project + Engine + stream registry.
+/// The one implementation of ANMAT's project verbs: Project + Engine +
+/// stream registry.
 ///
-/// A `ProjectHost` is what makes the daemon worth running. A one-shot CLI
-/// invocation pays process spawn, project open (lock + recovery + catalog
-/// parse) and automaton compilation on *every* command; a host pays them
-/// once and then serves requests against:
+/// A `ProjectHost` serves verbs against an open `Project`. In the daemon
+/// it is what makes the daemon worth running: a one-shot CLI invocation
+/// pays process spawn, project open (lock + recovery + catalog parse) and
+/// automaton compilation on *every* command; a daemon-resident host pays
+/// them once and then serves requests against:
 ///
 ///  * a warm `anmat::Engine` — its shared `ThreadPool` and engine-wide
 ///    `AutomatonCache` live as long as the host, so each distinct pattern
 ///    is compiled and frozen once per daemon lifetime instead of once per
 ///    CLI run (`bench_a8_daemon` measures the amortization; the cache
 ///    stats are exposed through the daemon's `stats` verb);
-///  * the open `Project`, whose whole-project `flock` the host holds for
-///    its lifetime — cross-*process* exclusion. Within the daemon the
-///    host schedules finer than the flock: verbs that mutate project
-///    state (discover, rules confirm/reject/delete/annotate) funnel
-///    through a writer gate (`std::shared_mutex`, unique side) so their
-///    read-modify-write + `Save` cycles serialize FIFO and no edit is
-///    ever lost, while reporting verbs (detect, repair, profile, rules
-///    list, streams) take the shared side and proceed concurrently with
-///    each other;
+///  * the open `Project`, whose lock the host keeps for its lifetime (a
+///    writable project holds the whole-project `flock` — cross-*process*
+///    exclusion). Within the process the host schedules finer than the
+///    flock: verbs that mutate project state (discover, rules
+///    confirm/reject/delete/annotate) funnel through a writer gate
+///    (`std::shared_mutex`, unique side) so their read-modify-write +
+///    `Save` cycles serialize FIFO and no edit is ever lost, while
+///    reporting verbs (detect, repair, profile, rules list, streams) take
+///    the shared side and proceed concurrently with each other. A writer
+///    edits a copy of the project and publishes it only once `Save`
+///    succeeded, so a failed verb leaves no partial edit behind;
 ///  * a registry of live `DetectionStream`s addressable by stream id from
 ///    any connection — a hot feed opens a stream once and appends batches
 ///    over the socket, getting cumulative violations (and, with
@@ -31,16 +35,22 @@
 ///    (`DetectionStream` is not reentrant); different streams proceed in
 ///    parallel.
 ///
-/// Every verb returns the same JSON the one-shot CLI prints under
-/// `--format json` (the renderers in anmat/report.h are reused verbatim)
-/// plus the human-readable text rendering — so routing a CLI command
-/// through the daemon is transparent, byte for byte. The daemon
-/// (daemon.h) routes requests here; the host knows nothing about sockets.
+/// Every verb returns the JSON `anmat <verb> --format json` prints (the
+/// renderers in anmat/report.h) plus the human-readable text rendering.
+/// The daemon (daemon.h) and the CLI route requests here — the CLI builds
+/// a host in-process over the project it opened, or sends the same params
+/// to a daemon under `--connect` — so the two front-ends cannot drift. The
+/// host knows nothing about sockets.
+///
+/// The bodies of the dataset verbs (profile, detect, repair, stream.*)
+/// are free functions over explicit inputs, so the CLI's one-shot forms
+/// (`<data.csv> --rules r.json`, no project) run the same code.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "anmat/engine.h"
 #include "anmat/project.h"
@@ -52,39 +62,71 @@
 
 namespace anmat {
 
-/// \brief A warm project served by the daemon.
+/// What a verb produced: the CLI's `--format json` document plus its text
+/// rendering.
+struct VerbResult {
+  JsonValue result;
+  std::string text;
+};
+
+/// \brief profile, detect or repair (`verb`) over explicit inputs. Params:
+/// detect's "max" caps the listed violations (the stats block keeps the
+/// full counts); repair's "out" names a CSV to write the repaired table to.
+Result<VerbResult> RunDatasetVerb(Engine& engine, const std::string& verb,
+                                  Relation relation,
+                                  const std::vector<Pfd>& rules,
+                                  const JsonValue& params);
+
+/// One open stream and what it was opened with.
+struct StreamState {
+  std::unique_ptr<DetectionStream> stream;
+  std::vector<Pfd> pfds;
+  std::string clean;  ///< "off" / "constant" / "all"
+  /// Cumulative violation count after the latest append (reported again
+  /// in the close summary).
+  size_t violations = 0;
+};
+
+/// \brief stream.open: params "columns" (the schema) and "clean"; `id` is
+/// the handle the result reports.
+Result<VerbResult> StreamOpenVerb(Engine& engine, std::vector<Pfd> rules,
+                                  const JsonValue& params, uint64_t id,
+                                  StreamState* out);
+
+/// \brief stream.append: params "rows", an array of string arrays.
+Result<VerbResult> StreamAppendVerb(StreamState* stream,
+                                    const JsonValue& params);
+
+/// \brief stream.close: the run summary; params "out" names a CSV to write
+/// the accumulated (cleaned) relation to.
+Result<VerbResult> StreamCloseVerb(const StreamState& stream,
+                                   const JsonValue& params);
+
+/// \brief Hosts one open project.
 class ProjectHost {
  public:
   struct Options {
     /// Engine thread count (ExecutionOptions semantics: 1 serial,
     /// 0 = hardware).
     size_t engine_threads = 1;
-    /// How long opening waits for the project flock (a CLI writer may
-    /// hold it briefly when the daemon starts).
-    int lock_wait_ms = 10000;
   };
 
-  /// What a verb produced: the CLI-identical JSON plus its text rendering.
-  struct VerbResult {
-    JsonValue result;
-    std::string text;
-  };
-
-  /// Opens the project at `dir` (writable: the host holds the flock until
-  /// it dies) and warms an engine for it.
-  static Result<std::unique_ptr<ProjectHost>> Open(const std::string& dir,
-                                                   const Options& options);
-
-  /// Initializes a fresh project at `dir` and hosts it.
-  static Result<std::unique_ptr<ProjectHost>> Init(const std::string& dir,
-                                                   std::string name,
-                                                   const Options& options);
+  /// Hosts `project` and warms an engine for it. The host keeps whatever
+  /// lock the project holds until it dies; over a read-only project the
+  /// writer verbs fail at `Save`.
+  ProjectHost(Project project, const Options& options);
 
   ~ProjectHost() = default;
   ProjectHost(const ProjectHost&) = delete;
   ProjectHost& operator=(const ProjectHost&) = delete;
 
-  const std::string& dir() const { return dir_; }
+  /// The project.init verb: creates a project at `dir` from params
+  /// "name", "coverage" and "violations" (all optional) and saves it.
+  static Result<Project> InitProject(const std::string& dir,
+                                     const JsonValue& params);
+
+  /// True for the verbs that save the project (they need it writable).
+  static bool IsWriterVerb(const std::string& verb);
 
   /// Executes one project-scoped verb. Thread-safe: writers serialize
   /// through the writer gate, readers run concurrently (see file comment).
@@ -102,16 +144,15 @@ class ProjectHost {
   size_t num_streams();
 
  private:
-  ProjectHost(Project project, const Options& options);
-
   // Verb implementations. Writers take `gate_` uniquely, readers shared.
   Result<VerbResult> Info();
   Result<VerbResult> Fsck();
   Result<VerbResult> Dataset(const JsonValue& params);
   Result<VerbResult> Discover(const JsonValue& params);
-  Result<VerbResult> Profile(const JsonValue& params);
-  Result<VerbResult> Detect(const JsonValue& params);
-  Result<VerbResult> Repair(const JsonValue& params);
+  /// profile, detect, repair: inputs loaded under the shared gate, then
+  /// `RunDatasetVerb`.
+  Result<VerbResult> OnDataset(const std::string& verb,
+                               const JsonValue& params);
   Result<VerbResult> RulesList();
   Result<VerbResult> RulesSetStatus(const JsonValue& params,
                                     RuleStatus status);
@@ -121,25 +162,24 @@ class ProjectHost {
   Result<VerbResult> StreamAppend(const JsonValue& params);
   Result<VerbResult> StreamClose(const JsonValue& params);
 
-  /// The relation a verb operates on (`data` = catalog name, or the path
-  /// spelling that attached it — same resolution as the CLI's --data).
-  /// Requires `gate_` held, either side (shared suffices: loading never
-  /// mutates catalog state).
-  Result<Relation> LoadData(const JsonValue& params)
+  /// The catalog entry a verb operates on: `data` = catalog name, or the
+  /// path spelling that attached it (`discover --data` takes a CSV path
+  /// and attaches it under its stem). Requires `gate_` held, either side.
+  Result<Project::DatasetEntry> FindData(const JsonValue& params)
       ANMAT_REQUIRES_SHARED(gate_);
+
+  /// The confirmed rules; InvalidArgument when there are none.
+  Result<std::vector<Pfd>> ConfirmedRules() ANMAT_REQUIRES_SHARED(gate_);
+
+  /// Saves `next` (an edited copy of `project_`) and publishes it; on a
+  /// failed save `project_` stays as it was.
+  Status Commit(Project next) ANMAT_REQUIRES(gate_);
 
   /// One live stream. `mu` serializes appends (DetectionStream is not
   /// reentrant); the registry mutex is never held across an append.
   struct StreamEntry {
     Mutex mu;
-    std::unique_ptr<DetectionStream> stream ANMAT_GUARDED_BY(mu);
-    /// What the stream was opened with; immutable once the entry is
-    /// published in the registry (set under `mu` before that).
-    std::vector<Pfd> pfds;
-    std::string clean;  ///< "off" / "constant" / "all"
-    /// Cumulative violation count after the latest append (what the CLI
-    /// tracks batch-by-batch; reported again in the close summary).
-    size_t last_violations ANMAT_GUARDED_BY(mu) = 0;
+    StreamState state ANMAT_GUARDED_BY(mu);
   };
 
   /// The writer gate: in-process scheduling finer than the project flock.
@@ -147,9 +187,6 @@ class ProjectHost {
   /// `Save` cycle; reporting verbs hold it shared.
   SharedMutex gate_;
   Project project_ ANMAT_GUARDED_BY(gate_);
-  /// The project directory, cached so `dir()` needs no lock (immutable for
-  /// the host's lifetime).
-  const std::string dir_;
   Engine engine_;
   Mutex streams_mu_;
   uint64_t next_stream_id_ ANMAT_GUARDED_BY(streams_mu_) = 1;

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -421,6 +422,110 @@ TEST(DaemonTest, AnnotatePersistsNoteThroughDaemon) {
   // The note survived the daemon: it was saved, not just cached.
   Project reopened = Project::Open(dir).value();
   EXPECT_EQ(reopened.rules().Find(1)->note, "zip drives city");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTest, InitRoundTripsParametersThroughProjectJson) {
+  const std::string socket_path = FreshSocket("init");
+  const std::string dir = FreshDir("init");
+  const std::string bad_dir = FreshDir("init-bad");
+  DaemonRunner runner(socket_path);
+  DaemonClient client = DaemonClient::Connect(socket_path).value();
+
+  JsonValue params = JsonValue::Object();
+  params.Set("dir", JsonValue::String(dir));
+  params.Set("name", JsonValue::String("tuned"));
+  params.Set("coverage", JsonValue::Number(0.5));
+  params.Set("violations", JsonValue::Number(0.3));
+  ServiceResponse init =
+      client.Call("project.init", std::move(params)).value();
+  ASSERT_TRUE(init.ok) << init.error.message();
+  EXPECT_EQ(init.result.GetString("name").value(), "tuned");
+
+  // A mistyped parameter fails the verb before anything reaches the disk.
+  JsonValue bad = JsonValue::Object();
+  bad.Set("dir", JsonValue::String(bad_dir));
+  bad.Set("coverage", JsonValue::String("high"));
+  ServiceResponse rejected =
+      client.Call("project.init", std::move(bad)).value();
+  ASSERT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(bad_dir + "/project.json"));
+  runner.Stop();
+
+  Project reopened = Project::Open(dir).value();
+  EXPECT_EQ(reopened.name(), "tuned");
+  EXPECT_DOUBLE_EQ(reopened.parameters().min_coverage, 0.5);
+  EXPECT_DOUBLE_EQ(reopened.parameters().allowed_violation_ratio, 0.3);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTest, FailedWriterVerbsLeaveNoPartialEdit) {
+  const std::string socket_path = FreshSocket("partial");
+  const std::string dir = FreshDir("partial");
+  const std::string csv = WriteZipCsv("partial");
+  SeedProject(dir, csv);
+  // What the project holds before any failing verb, and what it must hold
+  // after the one successful annotate below.
+  Project expected = Project::Open(dir).value();
+  ASSERT_EQ(expected.rules().Find(1)->status, RuleStatus::kDiscovered);
+  ASSERT_TRUE(expected.AnnotateRule(1, "kept").ok());
+
+  DaemonRunner runner(socket_path);
+  DaemonClient client = DaemonClient::Connect(socket_path).value();
+  const auto call = [&](const std::string& verb,
+                        const std::function<void(JsonValue*)>& fill) {
+    JsonValue params = JsonValue::Object();
+    params.Set("project", JsonValue::String(dir));
+    params.Set("dir", JsonValue::String(dir));
+    fill(&params);
+    return client.Call(verb, std::move(params)).value();
+  };
+  const auto state = [&] {
+    return call("rules.list", [](JsonValue*) {}).result.Dump() + "\n" +
+           call("project.open", [](JsonValue*) {}).result.Dump();
+  };
+  const std::string before = state();
+  const auto one_known_one_unknown = [](JsonValue* params) {
+    JsonValue ids = JsonValue::Array();
+    ids.push_back(JsonValue::Int(1));
+    ids.push_back(JsonValue::Int(999));
+    params->Set("ids", std::move(ids));
+  };
+
+  for (const char* verb : {"rules.confirm", "rules.reject", "rules.delete"}) {
+    ServiceResponse failed = call(verb, one_known_one_unknown);
+    ASSERT_FALSE(failed.ok) << verb;
+    EXPECT_NE(failed.error.message().find("999"), std::string::npos) << verb;
+    EXPECT_EQ(state(), before) << verb << " left a partial edit";
+  }
+  ServiceResponse annotate_missing = call("rules.annotate", [](JsonValue* p) {
+    p->Set("id", JsonValue::Int(999));
+    p->Set("note", JsonValue::String("x"));
+  });
+  ASSERT_FALSE(annotate_missing.ok);
+  EXPECT_EQ(state(), before);
+  // discover sets parameters and attaches the dataset before loading it.
+  ServiceResponse discover_missing = call("discover", [&](JsonValue* p) {
+    p->Set("data", JsonValue::String(dir + "/no-such.csv"));
+    p->Set("coverage", JsonValue::Number(0.9));
+  });
+  ASSERT_FALSE(discover_missing.ok);
+  EXPECT_EQ(state(), before) << "discover left a partial edit";
+
+  // A later successful save persists that edit and nothing else.
+  ServiceResponse annotated = call("rules.annotate", [](JsonValue* p) {
+    p->Set("id", JsonValue::Int(1));
+    p->Set("note", JsonValue::String("kept"));
+  });
+  ASSERT_TRUE(annotated.ok) << annotated.error.message();
+  runner.Stop();
+  Project reopened = Project::Open(dir).value();
+  EXPECT_EQ(RuleSetToJson(reopened.rules()).Dump(),
+            RuleSetToJson(expected.rules()).Dump());
+  EXPECT_EQ(reopened.datasets().size(), expected.datasets().size());
+  EXPECT_DOUBLE_EQ(reopened.parameters().min_coverage,
+                   expected.parameters().min_coverage);
   std::filesystem::remove_all(dir);
 }
 

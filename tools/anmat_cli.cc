@@ -58,9 +58,7 @@
 //       it); shown by rules list and persisted in the store.
 //
 // Daemon mode (src/service): `anmat serve` runs anmatd, a resident
-// service holding each project open with a warm engine; `--connect`
-// routes any project verb through it instead of opening the project
-// locally, with byte-identical output:
+// service holding each project open with a warm engine:
 //
 //   anmat serve --socket <path> [--threads N] [--workers N]
 //               [--lock-wait-ms N]
@@ -75,11 +73,22 @@
 //       Daemon-scope verbs: liveness, warm-cache statistics, graceful
 //       shutdown.
 //
+// Every project verb has one implementation, ProjectHost
+// (service/project_host.h). The CLI builds the verb's JSON params and
+// either dispatches them to a ProjectHost it builds in this process over
+// the project — opened writable for init, discover and rules edits,
+// read-only for the reporting verbs, so those never block a concurrent
+// writer — or, under --connect, sends the same params to the daemon. So
+// --connect changes only the transport, never the output bytes. Only
+// `project fsck` works on the directory directly without --connect: it
+// must run on a project that cannot open.
+//
 // Project verbs also take --lock-wait-ms N: how long to wait for a
 // contended project lock before failing (default 10000).
 //
 // One-shot mode (unchanged from earlier releases; the rule file is the
-// state):
+// state; profile, detect, repair and stream run the same verb bodies as
+// the project forms):
 //
 //   anmat profile  <data.csv> [--threads N] [--format json]
 //   anmat discover <data.csv> [--coverage G] [--violations V]
@@ -104,8 +113,11 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -114,11 +126,10 @@
 #include "anmat/project.h"
 #include "anmat/report.h"
 #include "anmat/session.h"
-#include "csv/csv_writer.h"
 #include "pfd/implication.h"
-#include "repair/repair.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/project_host.h"
 #include "store/project_journal.h"
 #include "store/rule_store.h"
 #include "util/fs.h"
@@ -277,68 +288,131 @@ int FlagLockWaitMs(const ParsedArgs& args) {
              : anmat::Project::OpenOptions().lock_wait_ms;
 }
 
-/// Open options for writer commands (discover, rules edits).
-anmat::Project::OpenOptions WriterOpenOptions(const ParsedArgs& args) {
-  anmat::Project::OpenOptions options;
-  options.lock_wait_ms = FlagLockWaitMs(args);
-  return options;
-}
-
-/// Report-style commands (profile, rules list, detect, repair, stream)
-/// read project state but never write it back: open read-only, so they
-/// hold the project lock only while crash recovery runs and never block
-/// a concurrent writer.
-anmat::Result<anmat::Project> OpenProjectReadOnly(const std::string& dir,
-                                                  const ParsedArgs& args) {
-  anmat::Project::OpenOptions options;
-  options.read_only = true;
-  options.lock_wait_ms = FlagLockWaitMs(args);
-  return anmat::Project::Open(dir, options);
-}
-
 // ---------------------------------------------------------------------------
-// --connect: route the verb through a running daemon
+// Project verbs: one implementation (ProjectHost), two transports
 // ---------------------------------------------------------------------------
 
-/// One round-trip to the daemon named by --connect. A bad Result is a
-/// transport failure; a returned response may still carry ok:false.
-anmat::Result<anmat::ServiceResponse> DaemonCall(const ParsedArgs& args,
-                                                 const std::string& verb,
-                                                 anmat::JsonValue params) {
-  ANMAT_ASSIGN_OR_RETURN(anmat::DaemonClient client,
-                         anmat::DaemonClient::Connect(args.Get("connect")));
-  return client.Call(verb, std::move(params));
-}
-
-/// Params every project verb shares in connect mode.
-anmat::JsonValue ConnectParams(const ParsedArgs& args) {
-  anmat::JsonValue params = anmat::JsonValue::Object();
-  params.Set("project", anmat::JsonValue::String(args.Get("project")));
-  if (args.Has("data")) {
-    params.Set("data", anmat::JsonValue::String(args.Get("data")));
+/// A host verb's outcome in the shape the daemon client returns.
+anmat::ServiceResponse ToResponse(anmat::Result<anmat::VerbResult> result) {
+  anmat::ServiceResponse response;
+  response.ok = result.ok();
+  if (!result.ok()) {
+    response.error = result.status();
+    return response;
   }
-  return params;
+  response.result = std::move(result->result);
+  response.text = std::move(result->text);
+  return response;
 }
 
-/// Prints a successful response the way the direct command would have:
-/// the result JSON under --format json, the text rendering otherwise.
-int PrintResponse(const anmat::ServiceResponse& response, bool json) {
+/// Runs project verbs: on the daemon under --connect, else on a
+/// ProjectHost built in this process over the project the first verb
+/// names. A bad Result is a transport failure (no daemon, a project that
+/// will not open); a failed verb is a response with ok:false.
+class VerbChannel {
+ public:
+  explicit VerbChannel(const ParsedArgs& args) : args_(args) {}
+
+  bool remote() const { return args_.Has("connect"); }
+
+  anmat::Result<anmat::ServiceResponse> Call(const std::string& verb,
+                                             anmat::JsonValue params) {
+    if (remote()) {
+      if (!client_.has_value()) {
+        ANMAT_ASSIGN_OR_RETURN(
+            anmat::DaemonClient client,
+            anmat::DaemonClient::Connect(args_.Get("connect")));
+        client_.emplace(std::move(client));
+      }
+      return client_->Call(verb, std::move(params));
+    }
+    if (host_ == nullptr) {
+      ANMAT_ASSIGN_OR_RETURN(anmat::Project project,
+                             OpenProject(verb, params));
+      anmat::ProjectHost::Options options;
+      options.engine_threads = FlagThreads(args_);
+      host_ = std::make_unique<anmat::ProjectHost>(std::move(project),
+                                                   options);
+    }
+    // project.init answers with the new project's info block, as the
+    // daemon does.
+    return ToResponse(
+        host_->Dispatch(verb == "project.init" ? "info" : verb, params));
+  }
+
+ private:
+  /// Writable for init and the writer verbs; read-only otherwise, so
+  /// reporting commands hold the lock only while crash recovery runs.
+  anmat::Result<anmat::Project> OpenProject(
+      const std::string& verb, const anmat::JsonValue& params) const {
+    if (verb == "project.init") {
+      ANMAT_ASSIGN_OR_RETURN(const std::string dir, params.GetString("dir"));
+      return anmat::ProjectHost::InitProject(dir, params);
+    }
+    ANMAT_ASSIGN_OR_RETURN(const std::string dir,
+                           params.GetString("project"));
+    anmat::Project::OpenOptions options;
+    options.read_only = !anmat::ProjectHost::IsWriterVerb(verb);
+    options.lock_wait_ms = FlagLockWaitMs(args_);
+    return anmat::Project::Open(dir, options);
+  }
+
+  const ParsedArgs& args_;
+  std::optional<anmat::DaemonClient> client_;
+  std::unique_ptr<anmat::ProjectHost> host_;
+};
+
+anmat::Status Check(const anmat::Result<anmat::ServiceResponse>& response) {
+  if (!response.ok()) return response.status();
+  return response->ok ? anmat::Status::OK() : response->error;
+}
+
+void Print(const anmat::ServiceResponse& response, bool json) {
   if (json) {
     std::cout << response.result.DumpPretty() << "\n";
   } else {
     std::cout << response.text;
   }
+}
+
+/// Prints a verb's answer — its result JSON under --format json, its text
+/// otherwise. Transport and verb failures both exit 2.
+int Finish(const anmat::Result<anmat::ServiceResponse>& response,
+           bool json) {
+  if (anmat::Status s = Check(response); !s.ok()) return Fail(s);
+  Print(response.value(), json);
   return 0;
 }
 
-/// The common connect-mode tail: transport failures and verb failures
-/// both exit 2 (like the direct command's Fail path); success prints.
-int FinishDaemonCall(const anmat::Result<anmat::ServiceResponse>& response,
-                     bool json) {
-  if (!response.ok()) return Fail(response.status());
-  if (!response->ok) return Fail(response->error);
-  return PrintResponse(response.value(), json);
+/// The params every project verb carries: the project dir and --data.
+anmat::JsonValue ProjectParams(const ParsedArgs& args) {
+  anmat::JsonValue params = anmat::JsonValue::Object();
+  for (const char* key : {"project", "data"}) {
+    if (args.Has(key)) params.Set(key, anmat::JsonValue::String(args.Get(key)));
+  }
+  return params;
 }
+
+/// A path the verb reads or writes, absolute: a daemon resolves relative
+/// paths against its own working directory, not this process's.
+void SetPath(anmat::JsonValue* params, const char* key,
+             const std::string& path) {
+  params->Set(key, anmat::JsonValue::String(
+                       std::filesystem::absolute(path).string()));
+}
+
+/// --coverage and --violations, when given.
+void SetParameters(anmat::JsonValue* params, const ParsedArgs& args) {
+  for (const char* key : {"coverage", "violations"}) {
+    if (args.Has(key)) {
+      params->Set(key, anmat::JsonValue::Number(FlagDouble(args, key, 0)));
+    }
+  }
+}
+
+constexpr const char* kProjectIsRuleStore =
+    "applies to the one-shot form, not --project mode (the project "
+    "directory is the rule store)";
 
 /// Confirmed rules from a standalone rule file (one-shot mode). v1 files
 /// migrate as all-confirmed; a v2 file with rules but none confirmed is an
@@ -357,22 +431,31 @@ anmat::Result<std::vector<anmat::Pfd>> LoadConfirmedRules(
   return confirmed;
 }
 
-/// The relation a project command operates on: --data names a catalog
-/// entry; default is the last attached dataset. Because `discover
-/// --project --data` takes a CSV *path* (attached under its stem), the
-/// same path spelling is accepted here too — so the --data value that
-/// attached a dataset keeps working on detect/repair/profile.
-anmat::Result<anmat::Relation> LoadProjectData(const anmat::Project& project,
-                                               const ParsedArgs& args) {
-  if (!args.Has("data")) return project.LoadDataset("");
-  const std::string& value = args.Get("data");
-  auto entry = project.FindDataset(value);
-  if (entry.ok()) return project.LoadDataset(value);
-  const std::string stem = std::filesystem::path(value).stem().string();
-  if (!stem.empty() && stem != value && project.FindDataset(stem).ok()) {
-    return project.LoadDataset(stem);
+/// The inputs of a one-shot form: <data.csv> and, when `with_rules`, the
+/// confirmed rules of --rules. Returns 0, or the exit code on failure.
+int LoadOneShot(const ParsedArgs& args, bool with_rules,
+                anmat::Relation* relation, std::vector<anmat::Pfd>* rules) {
+  if (const std::string e = RejectFlags(args, {"data", "connect"},
+                                        "requires --project mode");
+      !e.empty()) {
+    return FlagError(e);
   }
-  return entry.status();
+  if (args.positional.size() != 1 || (with_rules && !args.Has("rules"))) {
+    return Usage();
+  }
+  auto data = anmat::ReadCsvFile(args.positional[0]);
+  if (!data.ok()) return Fail(data.status());
+  *relation = std::move(data).value();
+  if (!with_rules) return 0;
+  auto confirmed = LoadConfirmedRules(args.Get("rules"));
+  if (!confirmed.ok()) return Fail(confirmed.status());
+  *rules = std::move(confirmed).value();
+  return 0;
+}
+
+anmat::Engine MakeEngine(const ParsedArgs& args) {
+  return anmat::Engine(
+      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
 }
 
 // ---------------------------------------------------------------------------
@@ -381,91 +464,55 @@ anmat::Result<anmat::Relation> LoadProjectData(const anmat::Project& project,
 
 int CmdInit(const ParsedArgs& args) {
   if (args.positional.size() != 1) return Usage();
-  if (args.Has("connect")) {
-    anmat::JsonValue params = anmat::JsonValue::Object();
-    // The daemon resolves paths against its own cwd; send an absolute one.
-    params.Set("dir",
-               anmat::JsonValue::String(
-                   std::filesystem::absolute(args.positional[0]).string()));
-    if (args.Has("name")) {
-      params.Set("name", anmat::JsonValue::String(args.Get("name")));
-    }
-    if (args.Has("coverage")) {
-      params.Set("coverage", anmat::JsonValue::Number(
-                                 FlagDouble(args, "coverage", 0)));
-    }
-    if (args.Has("violations")) {
-      params.Set("violations", anmat::JsonValue::Number(
-                                   FlagDouble(args, "violations", 0)));
-    }
-    auto response = DaemonCall(args, "project.init", std::move(params));
-    if (!response.ok()) return Fail(response.status());
-    if (!response->ok) return Fail(response->error);
-    auto name = response->result.GetString("name");
-    std::cout << "initialized project \""
-              << (name.ok() ? name.value() : args.positional[0]) << "\" in "
-              << args.positional[0] << "\n";
-    return 0;
+  anmat::JsonValue params = anmat::JsonValue::Object();
+  SetPath(&params, "dir", args.positional[0]);
+  if (args.Has("name")) {
+    params.Set("name", anmat::JsonValue::String(args.Get("name")));
   }
-  auto project = anmat::Project::Init(
-      args.positional[0], args.Has("name") ? args.Get("name") : "");
-  if (!project.ok()) return Fail(project.status());
-  anmat::Project::Parameters parameters = project->parameters();
-  parameters.min_coverage = FlagDouble(args, "coverage",
-                                       parameters.min_coverage);
-  parameters.allowed_violation_ratio =
-      FlagDouble(args, "violations", parameters.allowed_violation_ratio);
-  project->set_parameters(parameters);
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "initialized project \"" << project->name() << "\" in "
-            << project->dir() << "\n";
+  SetParameters(&params, args);
+  auto response = VerbChannel(args).Call("project.init", std::move(params));
+  if (anmat::Status s = Check(response); !s.ok()) return Fail(s);
+  std::cout << "initialized project \""
+            << response->result.GetString("name").value_or(
+                   args.positional[0])
+            << "\" in " << args.positional[0] << "\n";
   return 0;
 }
 
 // ---------------------------------------------------------------------------
-// profile
+// profile / detect / repair
 // ---------------------------------------------------------------------------
 
-int RenderProfiles(const std::vector<anmat::ColumnProfile>& profiles,
-                   bool json) {
-  if (json) {
-    std::cout << anmat::ProfilesToJson(profiles).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderProfilingView(profiles);
+/// The project form runs `verb` through the channel; the one-shot form
+/// runs the same verb body over <data.csv> (and --rules).
+int CmdDatasetVerb(const std::string& verb, const ParsedArgs& args) {
+  anmat::JsonValue params = ProjectParams(args);
+  if (args.Has("max")) {
+    params.Set("max", anmat::JsonValue::Int(static_cast<int64_t>(
+                          std::strtoul(args.Get("max").c_str(), nullptr,
+                                       10))));
   }
-  return 0;
-}
-
-int CmdProfile(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    return FinishDaemonCall(
-        DaemonCall(args, "profile", ConnectParams(args)), FlagJson(args));
-  }
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  anmat::Relation relation;
+  if (args.Has("out")) SetPath(&params, "out", args.Get("out"));
   if (args.Has("project")) {
     if (!args.positional.empty()) return Usage();
-    auto project = OpenProjectReadOnly(args.Get("project"), args);
-    if (!project.ok()) return Fail(project.status());
-    auto data = LoadProjectData(project.value(), args);
-    if (!data.ok()) return Fail(data.status());
-    relation = std::move(data).value();
-  } else {
     if (const std::string e =
-            RejectFlags(args, {"data"}, "requires --project mode");
+            RejectFlags(args, {"rules"}, kProjectIsRuleStore);
         !e.empty()) {
       return FlagError(e);
     }
-    if (args.positional.size() != 1) return Usage();
-    auto data = anmat::ReadCsvFile(args.positional[0]);
-    if (!data.ok()) return Fail(data.status());
-    relation = std::move(data).value();
+    return Finish(VerbChannel(args).Call(verb, std::move(params)),
+                  FlagJson(args));
   }
-  return RenderProfiles(engine.Profile(relation), FlagJson(args));
+  anmat::Relation relation;
+  std::vector<anmat::Pfd> rules;
+  if (int code = LoadOneShot(args, verb != "profile", &relation, &rules);
+      code != 0) {
+    return code;
+  }
+  anmat::Engine engine = MakeEngine(args);
+  return Finish(ToResponse(anmat::RunDatasetVerb(
+                    engine, verb, std::move(relation), rules, params)),
+                FlagJson(args));
 }
 
 // ---------------------------------------------------------------------------
@@ -512,279 +559,57 @@ int CmdDiscoverOneShot(const ParsedArgs& args) {
   return 0;
 }
 
-int CmdDiscoverProject(const ParsedArgs& args) {
-  if (const std::string e = RejectFlags(
-          args, {"rules", "table", "minimize"},
-          "applies to the one-shot form, not --project mode (the project "
-          "directory is the rule store)");
+int CmdDiscover(const ParsedArgs& args) {
+  if (!args.Has("project")) {
+    if (const std::string e = RejectFlags(args, {"data", "name", "connect"},
+                                          "requires --project mode");
+        !e.empty()) {
+      return FlagError(e);
+    }
+    if (args.positional.size() != 1) return Usage();
+    return CmdDiscoverOneShot(args);
+  }
+  if (!args.positional.empty()) return Usage();
+  if (const std::string e =
+          RejectFlags(args, {"rules", "table", "minimize"},
+                      kProjectIsRuleStore);
       !e.empty()) {
     return FlagError(e);
   }
   if (args.Has("name") && !args.Has("data")) {
     return FlagError("--name requires --data (it names the attached CSV)");
   }
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("data")) {
-      // discover's --data is a CSV *path* to attach; resolve it against
-      // this process's cwd, not the daemon's.
-      params.Set("data",
-                 anmat::JsonValue::String(
-                     std::filesystem::absolute(args.Get("data")).string()));
-    }
-    if (args.Has("name")) {
-      params.Set("name", anmat::JsonValue::String(args.Get("name")));
-    }
-    if (args.Has("coverage")) {
-      params.Set("coverage", anmat::JsonValue::Number(
-                                 FlagDouble(args, "coverage", 0)));
-    }
-    if (args.Has("violations")) {
-      params.Set("violations", anmat::JsonValue::Number(
-                                   FlagDouble(args, "violations", 0)));
-    }
-    return FinishDaemonCall(DaemonCall(args, "discover", std::move(params)),
-                            FlagJson(args));
+  anmat::JsonValue params = ProjectParams(args);
+  // discover's --data is a CSV path to attach, not a catalog name.
+  if (args.Has("data")) SetPath(&params, "data", args.Get("data"));
+  if (args.Has("name")) {
+    params.Set("name", anmat::JsonValue::String(args.Get("name")));
   }
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  anmat::Project::Parameters parameters = project->parameters();
-  parameters.min_coverage = FlagDouble(args, "coverage",
-                                       parameters.min_coverage);
-  parameters.allowed_violation_ratio =
-      FlagDouble(args, "violations", parameters.allowed_violation_ratio);
-  project->set_parameters(parameters);
-
-  std::string dataset_name;
-  if (args.Has("data")) {
-    dataset_name = args.Has("name")
-                       ? args.Get("name")
-                       : std::filesystem::path(args.Get("data"))
-                             .stem()
-                             .string();
-    if (anmat::Status s =
-            project->AttachDataset(dataset_name, args.Get("data"));
-        !s.ok()) {
-      return Fail(s);
-    }
-  } else {
-    auto entry = project->FindDataset();
-    if (!entry.ok()) return Fail(entry.status());
-    dataset_name = entry->name;
-  }
-  auto relation = project->LoadDataset(dataset_name);
-  if (!relation.ok()) return Fail(relation.status());
-
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto discovery =
-      engine.Discover(relation.value(), project->discovery_options());
-  if (!discovery.ok()) return Fail(discovery.status());
-
-  for (const anmat::DiscoveredPfd& d : discovery->pfds) {
-    project->AddDiscoveredRule(d, dataset_name);
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-
-  if (FlagJson(args)) {
-    std::cout << anmat::RuleSetToJson(project->rules()).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderDiscoveredPfdsView(discovery->pfds);
-    std::cout << "\nrecorded " << discovery->pfds.size()
-              << " rule(s) as discovered in " << project->rules_path()
-              << " (review with 'anmat rules list', apply with 'anmat rules "
-              << "confirm')\n";
-  }
-  return 0;
-}
-
-int CmdDiscover(const ParsedArgs& args) {
-  if (args.Has("project")) {
-    if (!args.positional.empty()) return Usage();
-    return CmdDiscoverProject(args);
-  }
-  if (const std::string e =
-          RejectFlags(args, {"data", "name"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
-  }
-  if (args.positional.size() != 1) return Usage();
-  return CmdDiscoverOneShot(args);
+  SetParameters(&params, args);
+  return Finish(VerbChannel(args).Call("discover", std::move(params)),
+                FlagJson(args));
 }
 
 // ---------------------------------------------------------------------------
 // rules
 // ---------------------------------------------------------------------------
 
-int CmdRulesList(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    return FinishDaemonCall(
-        DaemonCall(args, "rules.list", ConnectParams(args)), FlagJson(args));
-  }
-  auto project = OpenProjectReadOnly(args.Get("project"), args);
-  if (!project.ok()) return Fail(project.status());
-  if (FlagJson(args)) {
-    std::cout << anmat::RuleSetToJson(project->rules()).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderRuleSetView(project->rules());
-  }
-  return 0;
-}
-
-/// Parses explicit rule-id positionals ("all" is handled by the caller).
-/// Digits only: strtoull would wrap "-1" to 2^64-1 instead of failing.
-anmat::Result<std::vector<uint64_t>> ParseRuleIds(
+/// Rule-id positionals as the verbs' "ids" array. Digits only: strtoull
+/// would wrap "-1" to 2^64-1 instead of failing.
+anmat::Result<anmat::JsonValue> ParseRuleIds(
     const std::vector<std::string>& positional) {
-  std::vector<uint64_t> ids;
+  anmat::JsonValue ids = anmat::JsonValue::Array();
   for (const std::string& arg : positional) {
-    if (arg.empty() ||
-        arg.find_first_not_of("0123456789") != std::string::npos) {
-      return anmat::Status::InvalidArgument("not a rule id: " + arg);
-    }
-    const unsigned long long id = std::strtoull(arg.c_str(), nullptr, 10);
+    const unsigned long long id =
+        arg.empty() || arg.find_first_not_of("0123456789") != std::string::npos
+            ? 0
+            : std::strtoull(arg.c_str(), nullptr, 10);
     if (id == 0) {
       return anmat::Status::InvalidArgument("not a rule id: " + arg);
     }
-    ids.push_back(static_cast<uint64_t>(id));
+    ids.push_back(anmat::JsonValue::Int(static_cast<int64_t>(id)));
   }
   return ids;
-}
-
-anmat::JsonValue IdsToJson(const std::vector<uint64_t>& ids) {
-  anmat::JsonValue arr = anmat::JsonValue::Array();
-  for (uint64_t id : ids) {
-    arr.push_back(anmat::JsonValue::Int(static_cast<int64_t>(id)));
-  }
-  return arr;
-}
-
-int CmdRulesSetStatus(const ParsedArgs& args, anmat::RuleStatus status) {
-  if (args.positional.empty()) {
-    return FlagError(std::string("'anmat rules ") + (
-        status == anmat::RuleStatus::kConfirmed ? "confirm" : "reject") +
-        "' needs rule id(s) or 'all'");
-  }
-  const bool all =
-      args.positional.size() == 1 && args.positional[0] == "all";
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    if (all) {
-      params.Set("all", anmat::JsonValue::Bool(true));
-    } else {
-      auto ids = ParseRuleIds(args.positional);
-      if (!ids.ok()) return FlagError(ids.status().message());
-      params.Set("ids", IdsToJson(ids.value()));
-    }
-    const char* verb = status == anmat::RuleStatus::kConfirmed
-                           ? "rules.confirm"
-                           : "rules.reject";
-    return FinishDaemonCall(DaemonCall(args, verb, std::move(params)),
-                            /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  std::vector<uint64_t> ids;
-  if (all) {
-    for (const anmat::RuleRecord& r : project->rules().records()) {
-      // `confirm all` leaves rejected rules rejected (same semantics as
-      // Session::ConfirmAll); only an explicit id overrides a rejection.
-      if (status == anmat::RuleStatus::kConfirmed &&
-          r.status == anmat::RuleStatus::kRejected) {
-        continue;
-      }
-      ids.push_back(r.id);
-    }
-  } else {
-    auto parsed = ParseRuleIds(args.positional);
-    if (!parsed.ok()) return FlagError(parsed.status().message());
-    ids = std::move(parsed).value();
-  }
-  for (uint64_t id : ids) {
-    if (anmat::Status s = project->SetRuleStatus(id, status); !s.ok()) {
-      return Fail(s);
-    }
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "marked " << ids.size() << " rule(s) "
-            << anmat::RuleStatusName(status) << "; "
-            << project->ConfirmedPfds().size()
-            << " rule(s) now confirmed\n";
-  return 0;
-}
-
-int CmdRulesDelete(const ParsedArgs& args) {
-  if (args.positional.empty()) {
-    return FlagError("'anmat rules delete' needs rule id(s)");
-  }
-  auto parsed = ParseRuleIds(args.positional);
-  if (!parsed.ok()) return FlagError(parsed.status().message());
-  std::vector<uint64_t> ids = std::move(parsed).value();
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    params.Set("ids", IdsToJson(ids));
-    auto response = DaemonCall(args, "rules.delete", std::move(params));
-    if (!response.ok()) return Fail(response.status());
-    // An unknown id is a usage error (exit 1) naming it, like direct mode.
-    if (!response->ok) return FlagError(response->error.message());
-    return PrintResponse(response.value(), /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  for (uint64_t id : ids) {
-    // Deleting an unknown id is a usage error (exit 1) naming the id, and
-    // nothing is persisted — the whole command is rejected.
-    if (anmat::Status s = project->DeleteRule(id); !s.ok()) {
-      return FlagError(s.message());
-    }
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "deleted " << ids.size() << " rule(s); "
-            << project->rules().size() << " rule(s) remain (ids are never "
-            << "reused)\n";
-  return 0;
-}
-
-int CmdRulesAnnotate(const ParsedArgs& args) {
-  if (args.positional.size() != 1) {
-    return FlagError("'anmat rules annotate' needs exactly one rule id");
-  }
-  auto parsed = ParseRuleIds(args.positional);
-  if (!parsed.ok()) return FlagError(parsed.status().message());
-  const uint64_t id = parsed->front();
-  // An absent --note clears the annotation (same as --note "").
-  const std::string note = args.Has("note") ? args.Get("note") : "";
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    params.Set("id", anmat::JsonValue::Int(static_cast<int64_t>(id)));
-    params.Set("note", anmat::JsonValue::String(note));
-    auto response = DaemonCall(args, "rules.annotate", std::move(params));
-    if (!response.ok()) return Fail(response.status());
-    // An unknown id is a usage error (exit 1) naming it, like direct mode.
-    if (!response->ok) return FlagError(response->error.message());
-    return PrintResponse(response.value(), /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-  // An unknown id is a usage error (exit 1) naming it; nothing persists.
-  if (anmat::Status s = project->AnnotateRule(id, note); !s.ok()) {
-    return FlagError(s.message());
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "annotated rule " << id << "\n";
-  return 0;
 }
 
 int CmdRules(int argc, char** argv) {
@@ -804,92 +629,88 @@ int CmdRules(int argc, char** argv) {
   if (!args.Has("project")) {
     return FlagError("'anmat rules " + sub + "' requires --project <dir>");
   }
-  if (sub == "list") return CmdRulesList(args);
-  if (sub == "confirm") {
-    return CmdRulesSetStatus(args, anmat::RuleStatus::kConfirmed);
+  VerbChannel verbs(args);
+  anmat::JsonValue params = ProjectParams(args);
+  if (sub == "list") {
+    return Finish(verbs.Call("rules.list", std::move(params)),
+                  FlagJson(args));
   }
-  if (sub == "reject") {
-    return CmdRulesSetStatus(args, anmat::RuleStatus::kRejected);
+  if (sub != "confirm" && sub != "reject" && sub != "delete" &&
+      sub != "annotate") {
+    return Usage();
   }
-  if (sub == "delete") return CmdRulesDelete(args);
-  if (sub == "annotate") return CmdRulesAnnotate(args);
-  return Usage();
+  const bool all = sub != "delete" && sub != "annotate" &&
+                   args.positional.size() == 1 &&
+                   args.positional[0] == "all";
+  if (sub == "annotate" && args.positional.size() != 1) {
+    return FlagError("'anmat rules annotate' needs exactly one rule id");
+  }
+  if (args.positional.empty()) {
+    return FlagError("'anmat rules " + sub + "' needs rule id(s)" +
+                     (sub == "delete" ? "" : " or 'all'"));
+  }
+  if (all) {
+    params.Set("all", anmat::JsonValue::Bool(true));
+  } else {
+    auto ids = ParseRuleIds(args.positional);
+    if (!ids.ok()) return FlagError(ids.status().message());
+    if (sub == "annotate") {
+      params.Set("id", ids->at(0));
+      // An absent --note clears the annotation (same as --note "").
+      params.Set("note", anmat::JsonValue::String(
+                             args.Has("note") ? args.Get("note") : ""));
+    } else {
+      params.Set("ids", std::move(ids).value());
+    }
+  }
+  auto response = verbs.Call("rules." + sub, std::move(params));
+  // An unknown id fails confirm/reject as a pipeline error (exit 2) but
+  // delete/annotate as a usage error (exit 1) naming the id; either way
+  // nothing persists.
+  if (response.ok() && !response->ok &&
+      (sub == "delete" || sub == "annotate")) {
+    return FlagError(response->error.message());
+  }
+  return Finish(response, /*json=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // project (maintenance verbs)
 // ---------------------------------------------------------------------------
 
-const char* RecoveryActionName(anmat::JournalRecoveryReport::Action action) {
-  switch (action) {
-    case anmat::JournalRecoveryReport::Action::kClean:
-      return "clean";
-    case anmat::JournalRecoveryReport::Action::kReplayed:
-      return "replayed";
-    case anmat::JournalRecoveryReport::Action::kDiscarded:
-      return "discarded";
-  }
-  return "unknown";
-}
-
-int CmdProjectFsck(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    auto response = DaemonCall(args, "fsck", ConnectParams(args));
-    if (!response.ok()) return Fail(response.status());
-    if (!response->ok) return Fail(response->error);
-    PrintResponse(response.value(), FlagJson(args));
-    const anmat::JsonValue* healthy = response->result.Get("healthy");
-    return (healthy != nullptr && healthy->is_bool() && healthy->as_bool())
-               ? 0
-               : 2;
-  }
+/// fsck without a daemon: journal recovery under the project lock, then a
+/// read-only open to see whether the project loads — it may not, which is
+/// why this path does not go through a ProjectHost.
+anmat::Result<anmat::ServiceResponse> FsckDirect(const ParsedArgs& args) {
   const std::string dir = args.Get("project");
   if (!std::filesystem::exists(dir + "/project.json") &&
       !std::filesystem::exists(dir + "/journal.wal")) {
-    return Fail(anmat::Status::NotFound("no project catalog at " + dir +
-                                        "/project.json"));
+    return anmat::Status::NotFound("no project catalog at " + dir +
+                                   "/project.json");
   }
   // Recovery runs under the project lock, like Open's (a writer crashing
   // mid-save and an fsck racing it must not both touch the files).
   anmat::FileLockOptions lock_options;
   lock_options.max_wait_ms = FlagLockWaitMs(args);
-  auto lock = anmat::FileLock::Acquire(dir + "/.anmat.lock", lock_options);
-  if (!lock.ok()) return Fail(lock.status());
+  ANMAT_ASSIGN_OR_RETURN(
+      anmat::FileLock lock,
+      anmat::FileLock::Acquire(dir + "/.anmat.lock", lock_options));
   anmat::ProjectJournal journal(dir);
-  auto report = journal.Recover();
-  if (!report.ok()) return Fail(report.status());
+  ANMAT_ASSIGN_OR_RETURN(const anmat::JournalRecoveryReport report,
+                         journal.Recover());
 
   // Recovery done; now verify the project actually loads. Our lock is
   // shared with Open's same-process acquire, so this does not deadlock.
-  auto project = OpenProjectReadOnly(dir, args);
-  const bool healthy = project.ok();
-
-  if (FlagJson(args)) {
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("action",
-             anmat::JsonValue::String(RecoveryActionName(report->action)));
-    root.Set("detail", anmat::JsonValue::String(report->detail));
-    root.Set("files_applied", anmat::JsonValue::Int(static_cast<int64_t>(
-                                  report->files_applied)));
-    root.Set("truncated_tail", anmat::JsonValue::Bool(report->truncated_tail));
-    root.Set("healthy", anmat::JsonValue::Bool(healthy));
-    if (!healthy) {
-      root.Set("error",
-               anmat::JsonValue::String(project.status().ToString()));
-    }
-    std::cout << root.DumpPretty() << "\n";
-  } else {
-    std::cout << "journal: " << report->detail << "\n";
-    if (healthy) {
-      std::cout << "project: healthy (\"" << project->name() << "\", "
-                << project->datasets().size() << " dataset(s), "
-                << project->rules().size() << " rule(s))\n";
-    } else {
-      std::cout << "project: CORRUPT — " << project.status().ToString()
-                << "\n";
-    }
-  }
-  return healthy ? 0 : 2;
+  anmat::Project::OpenOptions options;
+  options.read_only = true;
+  options.lock_wait_ms = lock_options.max_wait_ms;
+  auto project = anmat::Project::Open(dir, options);
+  const anmat::Project* loaded = project.ok() ? &project.value() : nullptr;
+  anmat::ServiceResponse response;
+  response.ok = true;
+  response.result = anmat::FsckToJson(report, loaded, project.status());
+  response.text = anmat::RenderFsckView(report, loaded, project.status());
+  return response;
 }
 
 int CmdProject(int argc, char** argv) {
@@ -908,312 +729,61 @@ int CmdProject(int argc, char** argv) {
     return FlagError("'anmat project fsck' requires --project <dir>");
   }
   if (!args.positional.empty()) return Usage();
-  return CmdProjectFsck(args);
-}
-
-// ---------------------------------------------------------------------------
-// detect / repair (shared project-mode preamble)
-// ---------------------------------------------------------------------------
-
-/// Loads the dataset and confirmed rules a project-mode detect/repair
-/// operates on. Returns 0 on success, else the exit code to return.
-int LoadProjectInputs(const ParsedArgs& args, anmat::Relation* relation,
-                      std::vector<anmat::Pfd>* rules) {
-  if (!args.positional.empty()) return Usage();
-  if (const std::string e = RejectFlags(
-          args, {"rules"},
-          "applies to the one-shot form, not --project mode (the project "
-          "directory is the rule store)");
-      !e.empty()) {
-    return FlagError(e);
-  }
-  auto project = OpenProjectReadOnly(args.Get("project"), args);
-  if (!project.ok()) return Fail(project.status());
-  auto data = LoadProjectData(project.value(), args);
-  if (!data.ok()) return Fail(data.status());
-  *relation = std::move(data).value();
-  *rules = project->ConfirmedPfds();
-  if (rules->empty()) {
-    return Fail(anmat::Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'"));
-  }
-  return 0;
-}
-
-int RunDetect(const anmat::Relation& relation,
-              const std::vector<anmat::Pfd>& rules, const ParsedArgs& args) {
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto detection = engine.Detect(relation, rules);
-  if (!detection.ok()) return Fail(detection.status());
-  if (FlagJson(args)) {
-    anmat::DetectionResult limited = std::move(detection).value();
-    if (args.Has("max")) {
-      // Honor --max in JSON too: cap the violations array. The stats block
-      // still reports the full counts, so the truncation is visible.
-      const size_t max_rows =
-          std::strtoul(args.Get("max").c_str(), nullptr, 10);
-      if (limited.violations.size() > max_rows) {
-        limited.violations.resize(max_rows);
-      }
-    }
-    std::cout << anmat::DetectionToJson(relation, rules, limited).DumpPretty()
-              << "\n";
-    return 0;
-  }
-  size_t max_rows = 50;
-  if (args.Has("max")) {
-    max_rows = std::strtoul(args.Get("max").c_str(), nullptr, 10);
-  }
-  std::cout << anmat::RenderViolationsView(relation, rules,
-                                           detection.value(), max_rows);
-  return 0;
-}
-
-int CmdDetect(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("max")) {
-      params.Set("max", anmat::JsonValue::Int(static_cast<int64_t>(
-                            std::strtoul(args.Get("max").c_str(), nullptr,
-                                         10))));
-    }
-    return FinishDaemonCall(DaemonCall(args, "detect", std::move(params)),
-                            FlagJson(args));
-  }
-  if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
-    }
-    return RunDetect(relation, rules, args);
-  }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
-  }
-  if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
-  auto relation = anmat::ReadCsvFile(args.positional[0]);
-  if (!relation.ok()) return Fail(relation.status());
-  auto rules = LoadConfirmedRules(args.Get("rules"));
-  if (!rules.ok()) return Fail(rules.status());
-  return RunDetect(relation.value(), rules.value(), args);
-}
-
-// ---------------------------------------------------------------------------
-// repair
-// ---------------------------------------------------------------------------
-
-int RunRepair(anmat::Relation relation, const std::vector<anmat::Pfd>& rules,
-              const ParsedArgs& args) {
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto result = engine.Repair(&relation, rules);
-  if (!result.ok()) return Fail(result.status());
-  if (FlagJson(args)) {
-    std::cout << anmat::RepairToJson(result.value(), rules).DumpPretty()
-              << "\n";
-  } else {
-    std::cout << anmat::RenderRepairView(result.value());
-  }
-  if (args.Has("out")) {
-    if (anmat::Status s = anmat::WriteCsvFile(relation, args.Get("out"));
-        !s.ok()) {
-      return Fail(s);
-    }
-    if (!FlagJson(args)) {
-      std::cout << "wrote cleaned table to " << args.Get("out") << "\n";
-    }
-  }
-  return 0;
+  VerbChannel verbs(args);
+  auto response = verbs.remote() ? verbs.Call("fsck", ProjectParams(args))
+                                 : FsckDirect(args);
+  if (anmat::Status s = Check(response); !s.ok()) return Fail(s);
+  Print(response.value(), FlagJson(args));
+  // Exit 2 when state files remain corrupt after recovery.
+  return response->result.GetBool("healthy").value_or(false) ? 0 : 2;
 }
 
 // ---------------------------------------------------------------------------
 // stream (streaming detection demo, optionally cleaning on ingest)
 // ---------------------------------------------------------------------------
 
-int RunStream(const anmat::Relation& relation,
-              const std::vector<anmat::Pfd>& rules, const ParsedArgs& args) {
-  size_t batch_rows = 256;
-  if (args.Has("batch")) {
-    batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
-    if (batch_rows == 0) {
-      return FlagError("invalid value for flag: --batch: must be >= 1");
-    }
-  }
-  const std::string clean = args.Has("clean") ? args.Get("clean") : "off";
-  if (clean != "off" && clean != "constant" && clean != "all") {
-    return FlagError("invalid value for flag: --clean: \"" + clean +
-                     "\" (expected off, constant, or all)");
-  }
+using VerbFn = std::function<anmat::Result<anmat::ServiceResponse>(
+    const std::string& verb, anmat::JsonValue params)>;
 
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto stream = engine.OpenStream(relation.schema(), rules);
-  if (!stream.ok()) return Fail(stream.status());
-  if (clean != "off") {
-    (*stream)->set_clean_on_ingest(true);
-    (*stream)->set_clean_variable_rules(clean == "all");
+/// The one stream loop: stream.open over `relation`'s schema, one
+/// stream.append per batch — the wire protocol a live feed would use —
+/// and stream.close; prints the per-batch lines and the summary, or one
+/// JSON document.
+int StreamLoop(const ParsedArgs& args, const anmat::Relation& relation,
+               size_t batch_rows, const std::string& clean,
+               const VerbFn& call) {
+  anmat::JsonValue open = ProjectParams(args);
+  anmat::JsonValue columns = anmat::JsonValue::Array();
+  for (const anmat::ColumnSpec& c : relation.schema().columns()) {
+    columns.push_back(anmat::JsonValue::String(c.name));
   }
+  open.Set("columns", std::move(columns));
+  open.Set("clean", anmat::JsonValue::String(clean));
+  auto opened = call("stream.open", std::move(open));
+  if (anmat::Status s = Check(opened); !s.ok()) return Fail(s);
+  auto stream_id = opened->result.GetInt("stream");
+  if (!stream_id.ok()) return Fail(stream_id.status());
 
   const bool json = FlagJson(args);
   anmat::JsonValue batches = anmat::JsonValue::Array();
-  size_t violations = 0;
   for (anmat::RowId begin = 0; begin < relation.num_rows();
        begin += static_cast<anmat::RowId>(batch_rows)) {
     const anmat::RowId end = std::min<anmat::RowId>(
         begin + static_cast<anmat::RowId>(batch_rows),
         static_cast<anmat::RowId>(relation.num_rows()));
-    auto batch = relation.Slice(begin, end);
-    if (!batch.ok()) return Fail(batch.status());
-    auto result = (*stream)->AppendBatch(batch.value());
-    if (!result.ok()) return Fail(result.status());
-    violations = result->violations.size();
-    if (json) {
-      anmat::JsonValue entry = anmat::JsonValue::Object();
-      entry.Set("rows", anmat::JsonValue::Int(
-                            static_cast<int64_t>(end - begin)));
-      entry.Set("cumulative_violations",
-                anmat::JsonValue::Int(static_cast<int64_t>(violations)));
-      entry.Set("repairs", anmat::JsonValue::Int(static_cast<int64_t>(
-                               (*stream)->batch_repairs().size())));
-      entry.Set("conflicts", anmat::JsonValue::Int(static_cast<int64_t>(
-                                 (*stream)->batch_conflicts().size())));
-      batches.push_back(std::move(entry));
-    } else {
-      std::cout << "batch " << (*stream)->num_batches() << ": +"
-                << (end - begin) << " row(s), cumulative violations "
-                << violations << ", repairs "
-                << (*stream)->batch_repairs().size() << ", conflicts "
-                << (*stream)->batch_conflicts().size() << "\n";
-    }
-  }
-
-  if (json) {
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("rows", anmat::JsonValue::Int(
-                         static_cast<int64_t>(relation.num_rows())));
-    root.Set("batches", std::move(batches));
-    root.Set("clean", anmat::JsonValue::String(clean));
-    root.Set("distinct_values", anmat::JsonValue::Int(static_cast<int64_t>(
-                                    (*stream)->distinct_values())));
-    root.Set("violations",
-             anmat::JsonValue::Int(static_cast<int64_t>(violations)));
-    anmat::JsonValue repairs = anmat::JsonValue::Array();
-    for (const anmat::AppliedRepair& r : (*stream)->repairs()) {
-      repairs.push_back(anmat::AppliedRepairToJson(r, rules));
-    }
-    root.Set("repairs", std::move(repairs));
-    anmat::JsonValue conflicts = anmat::JsonValue::Array();
-    for (const anmat::StreamConflict& c : (*stream)->conflicts()) {
-      conflicts.push_back(anmat::StreamConflictToJson(c));
-    }
-    root.Set("conflicts", std::move(conflicts));
-    std::cout << root.DumpPretty() << "\n";
-  } else {
-    std::cout << "streamed " << relation.num_rows() << " row(s) in "
-              << (*stream)->num_batches() << " batch(es): " << violations
-              << " violation(s)";
-    if (clean != "off") {
-      std::cout << ", " << (*stream)->repairs().size()
-                << " repair(s) applied on ingest, "
-                << (*stream)->conflicts().size() << " conflict(s)";
-    }
-    std::cout << "\n";
-    for (const anmat::StreamConflict& c : (*stream)->conflicts()) {
-      std::cout << "conflict [" << anmat::StreamConflictKindName(c) << "] row "
-                << c.cell.row << " column " << c.cell.column << ": kept \""
-                << c.current << "\", one-shot repair would hold \""
-                << c.expected << "\" (rule " << c.pfd_index << ", batch "
-                << c.batch + 1 << ")\n";
-    }
-  }
-
-  if (args.Has("out")) {
-    if (anmat::Status s =
-            anmat::WriteCsvFile((*stream)->relation(), args.Get("out"));
-        !s.ok()) {
-      return Fail(s);
-    }
-    if (!json) {
-      std::cout << "wrote accumulated table to " << args.Get("out") << "\n";
-    }
-  }
-  return 0;
-}
-
-/// Stream mode over the daemon: the client reads the CSV (the daemon
-/// tells it the catalog path), opens a server-side DetectionStream and
-/// feeds it batch by batch over the socket — the wire protocol a live
-/// feed would use. Output is assembled to match direct mode byte for
-/// byte (JSON) / line for line (text).
-int RunStreamConnect(const ParsedArgs& args) {
-  if (!args.Has("project")) {
-    return FlagError("--connect requires --project <dir>");
-  }
-  size_t batch_rows = 256;
-  if (args.Has("batch")) {
-    batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
-    if (batch_rows == 0) {
-      return FlagError("invalid value for flag: --batch: must be >= 1");
-    }
-  }
-  const std::string clean = args.Has("clean") ? args.Get("clean") : "off";
-  if (clean != "off" && clean != "constant" && clean != "all") {
-    return FlagError("invalid value for flag: --clean: \"" + clean +
-                     "\" (expected off, constant, or all)");
-  }
-  const bool json = FlagJson(args);
-
-  auto client = anmat::DaemonClient::Connect(args.Get("connect"));
-  if (!client.ok()) return Fail(client.status());
-
-  auto dataset = client->Call("dataset", ConnectParams(args));
-  if (!dataset.ok()) return Fail(dataset.status());
-  if (!dataset->ok) return Fail(dataset->error);
-  auto path = dataset->result.GetString("path");
-  if (!path.ok()) return Fail(path.status());
-  auto relation = anmat::ReadCsvFile(path.value());
-  if (!relation.ok()) return Fail(relation.status());
-
-  anmat::JsonValue open_params = ConnectParams(args);
-  anmat::JsonValue columns = anmat::JsonValue::Array();
-  for (const anmat::ColumnSpec& c : relation->schema().columns()) {
-    columns.push_back(anmat::JsonValue::String(c.name));
-  }
-  open_params.Set("columns", std::move(columns));
-  open_params.Set("clean", anmat::JsonValue::String(clean));
-  auto open = client->Call("stream.open", std::move(open_params));
-  if (!open.ok()) return Fail(open.status());
-  if (!open->ok) return Fail(open->error);
-  auto stream_id = open->result.GetInt("stream");
-  if (!stream_id.ok()) return Fail(stream_id.status());
-
-  anmat::JsonValue batches = anmat::JsonValue::Array();
-  for (anmat::RowId begin = 0; begin < relation->num_rows();
-       begin += static_cast<anmat::RowId>(batch_rows)) {
-    const anmat::RowId end = std::min<anmat::RowId>(
-        begin + static_cast<anmat::RowId>(batch_rows),
-        static_cast<anmat::RowId>(relation->num_rows()));
     anmat::JsonValue rows = anmat::JsonValue::Array();
     for (anmat::RowId r = begin; r < end; ++r) {
       anmat::JsonValue row = anmat::JsonValue::Array();
-      for (const std::string& cell : relation->Row(r)) {
+      for (const std::string& cell : relation.Row(r)) {
         row.push_back(anmat::JsonValue::String(cell));
       }
       rows.push_back(std::move(row));
     }
-    anmat::JsonValue params = ConnectParams(args);
+    anmat::JsonValue params = ProjectParams(args);
     params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
     params.Set("rows", std::move(rows));
-    auto appended = client->Call("stream.append", std::move(params));
-    if (!appended.ok()) return Fail(appended.status());
-    if (!appended->ok) return Fail(appended->error);
+    auto appended = call("stream.append", std::move(params));
+    if (anmat::Status s = Check(appended); !s.ok()) return Fail(s);
     if (json) {
       batches.push_back(appended->result);
     } else {
@@ -1221,97 +791,91 @@ int RunStreamConnect(const ParsedArgs& args) {
     }
   }
 
-  anmat::JsonValue close_params = ConnectParams(args);
-  close_params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
-  if (args.Has("out")) {
-    // The daemon writes the accumulated CSV; resolve the path against
-    // this process's cwd, not the daemon's.
-    close_params.Set("out",
-                     anmat::JsonValue::String(
-                         std::filesystem::absolute(args.Get("out")).string()));
-  }
-  auto closed = client->Call("stream.close", std::move(close_params));
-  if (!closed.ok()) return Fail(closed.status());
-  if (!closed->ok) return Fail(closed->error);
-
-  if (json) {
-    // Reassemble the direct CLI's root object (its exact key order);
-    // stream.close returns the summary fields, the batches array was
-    // collected append by append.
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("rows", anmat::JsonValue::Int(
-                         static_cast<int64_t>(relation->num_rows())));
-    root.Set("batches", std::move(batches));
-    for (const char* key :
-         {"clean", "distinct_values", "violations", "repairs", "conflicts"}) {
-      const anmat::JsonValue* value = closed->result.Get(key);
-      if (value != nullptr) root.Set(key, *value);
-    }
-    std::cout << root.DumpPretty() << "\n";
-  } else {
+  anmat::JsonValue close = ProjectParams(args);
+  close.Set("stream", anmat::JsonValue::Int(stream_id.value()));
+  if (args.Has("out")) SetPath(&close, "out", args.Get("out"));
+  auto closed = call("stream.close", std::move(close));
+  if (anmat::Status s = Check(closed); !s.ok()) return Fail(s);
+  if (!json) {
     std::cout << closed->text;
+    return 0;
   }
+  // The close summary, with the per-append results as "batches".
+  anmat::JsonValue root = anmat::JsonValue::Object();
+  root.Set("rows", anmat::JsonValue::Int(
+                       static_cast<int64_t>(relation.num_rows())));
+  root.Set("batches", std::move(batches));
+  for (const char* key :
+       {"clean", "distinct_values", "violations", "repairs", "conflicts"}) {
+    const anmat::JsonValue* value = closed->result.Get(key);
+    if (value != nullptr) root.Set(key, *value);
+  }
+  std::cout << root.DumpPretty() << "\n";
   return 0;
 }
 
 int CmdStream(const ParsedArgs& args) {
-  if (args.Has("connect")) return RunStreamConnect(args);
-  if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
+  size_t batch_rows = 256;
+  if (args.Has("batch")) {
+    batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
+    if (batch_rows == 0) {
+      return FlagError("invalid value for flag: --batch: must be >= 1");
     }
-    return RunStream(relation, rules, args);
   }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
+  const std::string clean = args.Has("clean") ? args.Get("clean") : "off";
+  if (clean != "off" && clean != "constant" && clean != "all") {
+    return FlagError("invalid value for flag: --clean: \"" + clean +
+                     "\" (expected off, constant, or all)");
   }
-  if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
-  auto relation = anmat::ReadCsvFile(args.positional[0]);
-  if (!relation.ok()) return Fail(relation.status());
-  auto rules = LoadConfirmedRules(args.Get("rules"));
-  if (!rules.ok()) return Fail(rules.status());
-  return RunStream(relation.value(), rules.value(), args);
-}
 
-int CmdRepair(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("out")) {
-      // The daemon writes the cleaned CSV; resolve the path against this
-      // process's cwd, not the daemon's.
-      params.Set("out",
-                 anmat::JsonValue::String(
-                     std::filesystem::absolute(args.Get("out")).string()));
-    }
-    return FinishDaemonCall(DaemonCall(args, "repair", std::move(params)),
-                            FlagJson(args));
-  }
   if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
+    if (!args.positional.empty()) return Usage();
+    if (const std::string e =
+            RejectFlags(args, {"rules"}, kProjectIsRuleStore);
+        !e.empty()) {
+      return FlagError(e);
     }
-    return RunRepair(std::move(relation), rules, args);
+    // The client reads the CSV itself, from the catalog entry the
+    // dataset verb names, checked against the schema it was attached with.
+    VerbChannel verbs(args);
+    auto dataset = verbs.Call("dataset", ProjectParams(args));
+    if (anmat::Status s = Check(dataset); !s.ok()) return Fail(s);
+    anmat::Project::DatasetEntry entry;
+    entry.name = dataset->result.GetString("name").value_or("");
+    entry.path = dataset->result.GetString("path").value_or("");
+    entry.fingerprint = dataset->result.GetString("fingerprint").value_or("");
+    auto relation = anmat::ReadCsvFile(entry.path);
+    if (!relation.ok()) return Fail(relation.status());
+    if (anmat::Status s = entry.CheckSchema(relation->schema()); !s.ok()) {
+      return Fail(s);
+    }
+    return StreamLoop(args, relation.value(), batch_rows, clean,
+                      [&verbs](const std::string& verb,
+                               anmat::JsonValue params) {
+                        return verbs.Call(verb, std::move(params));
+                      });
   }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
+
+  anmat::Relation relation;
+  std::vector<anmat::Pfd> rules;
+  if (int code = LoadOneShot(args, true, &relation, &rules); code != 0) {
+    return code;
   }
-  if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
-  auto relation = anmat::ReadCsvFile(args.positional[0]);
-  if (!relation.ok()) return Fail(relation.status());
-  auto rules = LoadConfirmedRules(args.Get("rules"));
-  if (!rules.ok()) return Fail(rules.status());
-  return RunRepair(std::move(relation).value(), rules.value(), args);
+  anmat::Engine engine = MakeEngine(args);
+  anmat::StreamState state;
+  return StreamLoop(
+      args, relation, batch_rows, clean,
+      [&](const std::string& verb,
+          anmat::JsonValue params) -> anmat::Result<anmat::ServiceResponse> {
+        if (verb == "stream.open") {
+          return ToResponse(
+              anmat::StreamOpenVerb(engine, rules, params, 1, &state));
+        }
+        if (verb == "stream.append") {
+          return ToResponse(anmat::StreamAppendVerb(&state, params));
+        }
+        return ToResponse(anmat::StreamCloseVerb(state, params));
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1365,11 +929,8 @@ int CmdDaemonVerb(int argc, char** argv) {
   if (!args.Has("connect")) {
     return FlagError("'anmat daemon " + sub + "' requires --connect <socket>");
   }
-  auto response = DaemonCall(args, sub, anmat::JsonValue::Object());
-  if (!response.ok()) return Fail(response.status());
-  if (!response->ok) return Fail(response->error);
-  std::cout << response->result.DumpPretty() << "\n";
-  return 0;
+  return Finish(VerbChannel(args).Call(sub, anmat::JsonValue::Object()),
+                /*json=*/true);
 }
 
 }  // namespace
@@ -1412,10 +973,10 @@ int main(int argc, char** argv) {
   }
 
   if (command == "init") return CmdInit(args);
-  if (command == "profile") return CmdProfile(args);
   if (command == "discover") return CmdDiscover(args);
-  if (command == "detect") return CmdDetect(args);
-  if (command == "repair") return CmdRepair(args);
+  if (command == "profile" || command == "detect" || command == "repair") {
+    return CmdDatasetVerb(command, args);
+  }
   if (command == "stream") return CmdStream(args);
   if (command == "serve") return CmdServe(args);
   return Usage();

@@ -354,6 +354,34 @@ wait "$writer_b" || fail "concurrent writer B failed"
   > direct_repair.json || fail "direct repair json"
 "$ANMAT" stream --project proj_d --batch 2 --clean constant --format json \
   > direct_stream.json || fail "direct stream json"
+"$ANMAT" profile --project proj_d --format json > direct_profile.json \
+  || fail "direct profile json"
+"$ANMAT" project fsck --project proj_d --format json > direct_fsck.json \
+  || fail "direct fsck json"
+"$ANMAT" detect --project proj_d --max 2 > direct_detect_max.txt \
+  || fail "direct detect --max 2"
+"$ANMAT" stream --project proj_d --batch 2 --clean all \
+  > direct_stream_all.txt || fail "direct stream --clean all"
+"$ANMAT" rules list --project proj_d > direct_rules.txt \
+  || fail "direct rules list"
+"$ANMAT" init proj_p_direct --coverage 0.5 --violations 0.3 >/dev/null \
+  || fail "direct init with parameters"
+
+# A re-shaped attached CSV: stream must refuse it like detect does, in
+# both modes and with the same message (the --connect half runs below).
+cp zips3.csv zips_s.csv
+"$ANMAT" init proj_s --coverage 0.5 --violations 0.3 >/dev/null \
+  || fail "init for schema test"
+"$ANMAT" discover --project proj_s --data zips_s.csv >/dev/null \
+  || fail "discover for schema test"
+"$ANMAT" rules confirm all --project proj_s >/dev/null \
+  || fail "confirm for schema test"
+sed -i '1s/.*/city,zip,extra/' zips_s.csv
+if "$ANMAT" stream --project proj_s 2>direct_schema_err.txt; then
+  fail "stream against a re-shaped dataset should fail"
+fi
+grep -q 'changed schema' direct_schema_err.txt \
+  || fail "stream schema-change error message"
 
 SOCK="$WORK/anmatd.sock"
 "$ANMAT" serve --socket "$SOCK" > daemon.log 2>&1 &
@@ -385,6 +413,26 @@ diff direct_clean.csv conn_clean.csv \
   --connect "$SOCK" > conn_stream.json || fail "connect stream"
 diff direct_stream.json conn_stream.json \
   || fail "stream diverges between direct and --connect"
+"$ANMAT" profile --project proj_d --format json --connect "$SOCK" \
+  > conn_profile.json || fail "connect profile"
+diff direct_profile.json conn_profile.json \
+  || fail "profile diverges between direct and --connect"
+"$ANMAT" project fsck --project proj_d --format json --connect "$SOCK" \
+  > conn_fsck.json || fail "connect fsck"
+diff direct_fsck.json conn_fsck.json \
+  || fail "fsck diverges between direct and --connect"
+"$ANMAT" detect --project proj_d --max 2 --connect "$SOCK" \
+  > conn_detect_max.txt || fail "connect detect --max 2"
+diff direct_detect_max.txt conn_detect_max.txt \
+  || fail "text detect --max 2 diverges between direct and --connect"
+"$ANMAT" stream --project proj_d --batch 2 --clean all --connect "$SOCK" \
+  > conn_stream_all.txt || fail "connect stream --clean all"
+diff direct_stream_all.txt conn_stream_all.txt \
+  || fail "text stream diverges between direct and --connect"
+"$ANMAT" rules list --project proj_d --connect "$SOCK" > conn_rules.txt \
+  || fail "connect rules list"
+diff direct_rules.txt conn_rules.txt \
+  || fail "text rules list diverges between direct and --connect"
 # Re-discovery is idempotent (equal pfds dedupe onto their rule ids), so
 # discover over --connect returns the same rule-store document.
 "$ANMAT" discover --project proj_d --format json --connect "$SOCK" \
@@ -419,6 +467,23 @@ assert d["projects"] == 1, d
 cache = d["project_stats"][0]["automaton_cache"]
 assert cache["hits"] > 0, cache' \
   || fail "daemon stats should show automaton cache hits"
+
+# Projects the daemon first meets through init and a failing stream.
+"$ANMAT" init proj_p_conn --coverage 0.5 --violations 0.3 \
+  --connect "$SOCK" >/dev/null || fail "connect init with parameters"
+python3 - <<'PY' || fail "init parameters diverge between direct and --connect"
+import json
+direct = json.load(open("proj_p_direct/project.json"))["parameters"]
+conn = json.load(open("proj_p_conn/project.json"))["parameters"]
+assert direct == conn, (direct, conn)
+assert direct == {"min_coverage": 0.5, "allowed_violation_ratio": 0.3}, direct
+PY
+if "$ANMAT" stream --project proj_s --connect "$SOCK" \
+    2>conn_schema_err.txt; then
+  fail "stream --connect against a re-shaped dataset should fail"
+fi
+diff direct_schema_err.txt conn_schema_err.txt \
+  || fail "stream schema-change error diverges between direct and --connect"
 
 # Graceful shutdown: the verb drains, Serve returns, the process exits,
 # the socket is unlinked, and the project flock is released — the next
