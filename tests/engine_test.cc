@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -352,14 +353,18 @@ TEST(EngineAutomatonCacheTest, RepairPassesReuseCompiledAutomata) {
 
 /// Splits `relation` into randomized chunk sizes, appends each to a stream,
 /// and checks the cumulative result against one-shot detection on the
-/// growing prefix after every batch.
+/// growing prefix after every batch. With `clean_on_ingest` the stream
+/// repairs each batch before absorbing it, so the reference is one-shot
+/// detection over the stream's own (cleaned) relation.
 void CheckStreamEquivalence(const Relation& relation,
                             const std::vector<Pfd>& rules,
-                            const DetectorOptions& options, uint64_t seed) {
+                            const DetectorOptions& options, uint64_t seed,
+                            bool clean_on_ingest = false) {
   Engine engine(ExecutionOptions{options.execution.num_threads, true,
                                  nullptr});
   auto stream = engine.OpenStream(relation.schema(), rules, options);
   ASSERT_TRUE(stream.ok()) << stream.status();
+  (*stream)->set_clean_on_ingest(clean_on_ingest);
 
   Rng rng(seed);
   Relation prefix(relation.schema());
@@ -377,7 +382,8 @@ void CheckStreamEquivalence(const Relation& relation,
 
     auto cumulative = (*stream)->AppendBatch(batch.value());
     ASSERT_TRUE(cumulative.ok()) << cumulative.status();
-    auto one_shot = engine.Detect(prefix, rules, options);
+    auto one_shot = engine.Detect(
+        clean_on_ingest ? (*stream)->relation() : prefix, rules, options);
     ASSERT_TRUE(one_shot.ok());
     ASSERT_EQ(Fingerprint(cumulative.value()), Fingerprint(one_shot.value()))
         << "batch " << batch_number << " (rows 0.." << (begin + size) << ")";
@@ -403,6 +409,22 @@ TEST(DetectionStreamTest, AppendBatchMatchesOneShotParallel) {
   DetectorOptions options;
   options.execution.num_threads = 4;
   CheckStreamEquivalence(d.relation, rules, options, 205);
+}
+
+TEST(DetectionStreamTest, CleanOnIngestMatchesOneShotOverCleanedRelation) {
+  // The cumulative result of a cleaning stream — violations, candidate
+  // rows and pairs checked — is one-shot detection over the relation the
+  // stream accumulated, at every thread count.
+  for (const Dataset& d : TestDatasets()) {
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty()) << d.name;
+    for (size_t threads : {1, 2, 4}) {
+      DetectorOptions options;
+      options.execution.num_threads = threads;
+      CheckStreamEquivalence(d.relation, rules, options, 210 + threads,
+                             /*clean_on_ingest=*/true);
+    }
+  }
 }
 
 TEST(DetectionStreamTest, AppendRowsConvenience) {
@@ -778,6 +800,371 @@ TEST(DetectionStreamTest, VariableCleanOnIngestSurfacesMajorityFlip) {
   for (RowId r = 0; r < (*stream)->relation().num_rows(); ++r) {
     EXPECT_EQ((*stream)->relation().cell(r, 1), "A");
     EXPECT_EQ(one_shot_dirty.cell(r, 1), "B");
+  }
+}
+
+std::string Fingerprint(const StreamConflict& c) {
+  static const char* const kKinds[] = {"flip", "retro", "key"};
+  std::ostringstream out;
+  out << kKinds[static_cast<int>(c.kind)] << " " << c.cell.row << ","
+      << c.cell.column << " " << c.current << "->" << c.expected << " pfd"
+      << c.pfd_index << " b" << c.batch;
+  return out.str();
+}
+
+std::string Fingerprint(const AppliedRepair& r) {
+  std::ostringstream out;
+  out << r.cell.row << "," << r.cell.column << " " << r.before << "->"
+      << r.after << " b" << r.pass << " pfd" << r.pfd_index;
+  return out.str();
+}
+
+TEST(DetectionStreamTest, GoldenMajorityFlipsAcrossBatches) {
+  // One variable rule (two-digit codes determine val) and one constant
+  // rule on the same RHS column (codes 3x have val C), over six batches:
+  //  * group 11's dirty majority goes A -> B -> A -> B, so its absorbed
+  //    members are walked again under each new majority,
+  //  * group 22 grows in every batch while its majority stays X, so only
+  //    its newly absorbed members need a look,
+  //  * group 44 is untouched from batch 1 to batch 4, then flips,
+  //  * group 55 is walked under a steady majority A in batch 1, then
+  //    flips to B, so members walked before must be walked again,
+  //  * group 33 mixes constant and variable suggestions.
+  // Batch 4 is absorbed without cleaning, so batch 5 folds dirty rows it
+  // never cleaned. A plain stream beside it pins the detection side
+  // (group violations, pairs) as majorities move. Every conflict, repair
+  // and cumulative result is pinned, batch by batch.
+  Tableau variable;
+  TableauRow vrow;
+  vrow.lhs.push_back(
+      TableauCell::Of(ParseConstrainedPattern("(\\D{2})!").value()));
+  vrow.rhs.push_back(TableauCell::Wildcard());
+  variable.AddRow(vrow);
+  Tableau constant;
+  TableauRow crow;
+  crow.lhs.push_back(
+      TableauCell::Of(ParseConstrainedPattern("(3)!\\D").value()));
+  crow.rhs.push_back(TableauCell::Of(ParseConstrainedPattern("C").value()));
+  constant.AddRow(crow);
+  const std::vector<Pfd> rules = {Pfd::Simple("T", "code", "val", variable),
+                                  Pfd::Simple("T", "code", "val", constant)};
+
+  const std::vector<std::vector<std::vector<std::string>>> batches = {
+      {{"11", "A"}, {"11", "A"}, {"11", "B"}, {"22", "X"}, {"22", "X"},
+       {"33", "C"}, {"33", "C"}, {"33", "D"}, {"44", "P"}, {"44", "P"},
+       {"44", "Q"}, {"55", "A"}, {"55", "A"}, {"55", "B"}},
+      {{"11", "B"}, {"11", "B"}, {"11", "B"}, {"22", "Y"}, {"22", "X"},
+       {"7", "K"}, {"55", "A"}},
+      {{"11", "A"}, {"11", "A"}, {"11", "A"}, {"11", "A"}, {"22", "X"},
+       {"22", "Z"}, {"55", "B"}, {"55", "B"}, {"55", "B"}, {"55", "B"}},
+      {{"11", "B"}, {"11", "B"}, {"11", "B"}, {"11", "B"}, {"11", "B"},
+       {"22", "X"}, {"33", "D"}, {"33", "D"}, {"33", "D"}},
+      {{"22", "Y"}, {"22", "Y"}, {"11", "A"}},
+      {{"44", "Q"}, {"44", "Q"}, {"44", "Q"}, {"22", "X"}},
+  };
+
+  // Per batch: the conflicts and repairs it added, then the cumulative
+  // results of the cleaning stream and of the plain one.
+  struct Expected {
+    const char* new_conflicts;
+    const char* new_repairs;
+    const char* cleaned;
+    const char* plain;
+  };
+  const Expected expected[] = {
+      {// batch 0
+          "",
+          "2,1 B->A b0 pfd0\n"
+          "7,1 D->C b0 pfd1\n"
+          "10,1 Q->P b0 pfd0\n"
+          "13,1 B->A b0 pfd0\n",
+          "scanned=28 candidates=17 pairs=0 violations=0\n",
+          "scanned=28 candidates=17 pairs=12 violations=5\n"
+          "V|0|0|2,0;2,1;0,0;0,1;|2,1|A|rows 2 and 0 agree on the constrained "
+          "part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|7,0;7,1;5,0;5,1;|7,1|C|rows 7 and 5 agree on the constrained "
+          "part of the LHS but disagree on val (\"D\" vs \"C\")\n"
+          "V|0|0|10,0;10,1;8,0;8,1;|10,1|P|rows 10 and 8 agree on the "
+          "constrained part of the LHS but disagree on val (\"Q\" vs \"P\")\n"
+          "V|0|0|13,0;13,1;11,0;11,1;|13,1|A|rows 13 and 11 agree on the "
+          "constrained part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"},
+      {// batch 1
+          "retro 0,1 A->B pfd0 b1\n"
+          "retro 1,1 A->B pfd0 b1\n"
+          "retro 2,1 A->B pfd0 b1\n"
+          "flip 14,1 A->B pfd0 b1\n"
+          "flip 15,1 A->B pfd0 b1\n"
+          "flip 16,1 A->B pfd0 b1\n",
+          "14,1 B->A b1 pfd0\n"
+          "15,1 B->A b1 pfd0\n"
+          "16,1 B->A b1 pfd0\n"
+          "17,1 Y->X b1 pfd0\n",
+          "scanned=42 candidates=23 pairs=0 violations=0\n",
+          "scanned=42 candidates=23 pairs=33 violations=7\n"
+          "V|0|0|0,0;0,1;2,0;2,1;|0,1|B|rows 0 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|1,0;1,1;2,0;2,1;|1,1|B|rows 1 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|7,0;7,1;5,0;5,1;|7,1|C|rows 7 and 5 agree on the constrained "
+          "part of the LHS but disagree on val (\"D\" vs \"C\")\n"
+          "V|0|0|10,0;10,1;8,0;8,1;|10,1|P|rows 10 and 8 agree on the "
+          "constrained part of the LHS but disagree on val (\"Q\" vs \"P\")\n"
+          "V|0|0|13,0;13,1;11,0;11,1;|13,1|A|rows 13 and 11 agree on the "
+          "constrained part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|17,0;17,1;3,0;3,1;|17,1|X|rows 17 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"},
+      {// batch 2
+          "retro 11,1 A->B pfd0 b2\n"
+          "retro 12,1 A->B pfd0 b2\n"
+          "retro 13,1 A->B pfd0 b2\n"
+          "retro 20,1 A->B pfd0 b2\n"
+          "flip 27,1 A->B pfd0 b2\n"
+          "flip 28,1 A->B pfd0 b2\n"
+          "flip 29,1 A->B pfd0 b2\n"
+          "flip 30,1 A->B pfd0 b2\n",
+          "26,1 Z->X b2 pfd0\n"
+          "27,1 B->A b2 pfd0\n"
+          "28,1 B->A b2 pfd0\n"
+          "29,1 B->A b2 pfd0\n"
+          "30,1 B->A b2 pfd0\n",
+          "scanned=62 candidates=33 pairs=0 violations=0\n",
+          "scanned=62 candidates=33 pairs=94 violations=12\n"
+          "V|0|0|2,0;2,1;0,0;0,1;|2,1|A|rows 2 and 0 agree on the constrained "
+          "part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|7,0;7,1;5,0;5,1;|7,1|C|rows 7 and 5 agree on the constrained "
+          "part of the LHS but disagree on val (\"D\" vs \"C\")\n"
+          "V|0|0|10,0;10,1;8,0;8,1;|10,1|P|rows 10 and 8 agree on the "
+          "constrained part of the LHS but disagree on val (\"Q\" vs \"P\")\n"
+          "V|0|0|11,0;11,1;13,0;13,1;|11,1|B|rows 11 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|12,0;12,1;13,0;13,1;|12,1|B|rows 12 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|14,0;14,1;0,0;0,1;|14,1|A|rows 14 and 0 agree on the "
+          "constrained part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|15,0;15,1;0,0;0,1;|15,1|A|rows 15 and 0 agree on the "
+          "constrained part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|16,0;16,1;0,0;0,1;|16,1|A|rows 16 and 0 agree on the "
+          "constrained part of the LHS but disagree on val (\"B\" vs \"A\")\n"
+          "V|0|0|17,0;17,1;3,0;3,1;|17,1|X|rows 17 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|20,0;20,1;13,0;13,1;|20,1|B|rows 20 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|26,0;26,1;3,0;3,1;|26,1|X|rows 26 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Z\" vs \"X\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"},
+      {// batch 3
+          "retro 21,1 A->B pfd0 b3\n"
+          "retro 22,1 A->B pfd0 b3\n"
+          "retro 23,1 A->B pfd0 b3\n"
+          "retro 24,1 A->B pfd0 b3\n"
+          "retro 5,1 C->D pfd0 b3\n"
+          "retro 6,1 C->D pfd0 b3\n"
+          "retro 7,1 C->D pfd0 b3\n"
+          "flip 31,1 A->B pfd0 b3\n"
+          "flip 32,1 A->B pfd0 b3\n"
+          "flip 33,1 A->B pfd0 b3\n"
+          "flip 34,1 A->B pfd0 b3\n"
+          "flip 35,1 A->B pfd0 b3\n",
+          "31,1 B->A b3 pfd0\n"
+          "32,1 B->A b3 pfd0\n"
+          "33,1 B->A b3 pfd0\n"
+          "34,1 B->A b3 pfd0\n"
+          "35,1 B->A b3 pfd0\n"
+          "37,1 D->C b3 pfd1\n"
+          "38,1 D->C b3 pfd1\n"
+          "39,1 D->C b3 pfd1\n",
+          "scanned=80 candidates=45 pairs=0 violations=0\n",
+          "scanned=80 candidates=45 pairs=172 violations=18\n"
+          "V|0|0|0,0;0,1;2,0;2,1;|0,1|B|rows 0 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|1,0;1,1;2,0;2,1;|1,1|B|rows 1 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|5,0;5,1;7,0;7,1;|5,1|D|rows 5 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|6,0;6,1;7,0;7,1;|6,1|D|rows 6 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|10,0;10,1;8,0;8,1;|10,1|P|rows 10 and 8 agree on the "
+          "constrained part of the LHS but disagree on val (\"Q\" vs \"P\")\n"
+          "V|0|0|11,0;11,1;13,0;13,1;|11,1|B|rows 11 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|12,0;12,1;13,0;13,1;|12,1|B|rows 12 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|17,0;17,1;3,0;3,1;|17,1|X|rows 17 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|20,0;20,1;13,0;13,1;|20,1|B|rows 20 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|21,0;21,1;2,0;2,1;|21,1|B|rows 21 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|22,0;22,1;2,0;2,1;|22,1|B|rows 22 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|23,0;23,1;2,0;2,1;|23,1|B|rows 23 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|24,0;24,1;2,0;2,1;|24,1|B|rows 24 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|26,0;26,1;3,0;3,1;|26,1|X|rows 26 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Z\" vs \"X\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"
+          "C|1|0|37,0;37,1;|37,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|38,0;38,1;|38,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|39,0;39,1;|39,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"},
+      {// batch 4
+          "",
+          "",
+          "scanned=86 candidates=48 pairs=36 violations=2\n"
+          "V|0|0|40,0;40,1;3,0;3,1;|40,1|X|rows 40 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|41,0;41,1;3,0;3,1;|41,1|X|rows 41 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n",
+          "scanned=86 candidates=48 pairs=202 violations=21\n"
+          "V|0|0|0,0;0,1;2,0;2,1;|0,1|B|rows 0 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|1,0;1,1;2,0;2,1;|1,1|B|rows 1 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|5,0;5,1;7,0;7,1;|5,1|D|rows 5 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|6,0;6,1;7,0;7,1;|6,1|D|rows 6 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|10,0;10,1;8,0;8,1;|10,1|P|rows 10 and 8 agree on the "
+          "constrained part of the LHS but disagree on val (\"Q\" vs \"P\")\n"
+          "V|0|0|11,0;11,1;13,0;13,1;|11,1|B|rows 11 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|12,0;12,1;13,0;13,1;|12,1|B|rows 12 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|17,0;17,1;3,0;3,1;|17,1|X|rows 17 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|20,0;20,1;13,0;13,1;|20,1|B|rows 20 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|21,0;21,1;2,0;2,1;|21,1|B|rows 21 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|22,0;22,1;2,0;2,1;|22,1|B|rows 22 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|23,0;23,1;2,0;2,1;|23,1|B|rows 23 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|24,0;24,1;2,0;2,1;|24,1|B|rows 24 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|26,0;26,1;3,0;3,1;|26,1|X|rows 26 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Z\" vs \"X\")\n"
+          "V|0|0|40,0;40,1;3,0;3,1;|40,1|X|rows 40 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|41,0;41,1;3,0;3,1;|41,1|X|rows 41 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|42,0;42,1;2,0;2,1;|42,1|B|rows 42 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"
+          "C|1|0|37,0;37,1;|37,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|38,0;38,1;|38,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|39,0;39,1;|39,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"},
+      {// batch 5
+          "retro 40,1 Y->X pfd0 b5\n"
+          "retro 41,1 Y->X pfd0 b5\n"
+          "retro 8,1 P->Q pfd0 b5\n"
+          "retro 9,1 P->Q pfd0 b5\n"
+          "retro 10,1 P->Q pfd0 b5\n"
+          "flip 43,1 P->Q pfd0 b5\n"
+          "flip 44,1 P->Q pfd0 b5\n"
+          "flip 45,1 P->Q pfd0 b5\n",
+          "43,1 Q->P b5 pfd0\n"
+          "44,1 Q->P b5 pfd0\n"
+          "45,1 Q->P b5 pfd0\n",
+          "scanned=94 candidates=52 pairs=45 violations=2\n"
+          "V|0|0|40,0;40,1;3,0;3,1;|40,1|X|rows 40 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|41,0;41,1;3,0;3,1;|41,1|X|rows 41 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n",
+          "scanned=94 candidates=52 pairs=223 violations=22\n"
+          "V|0|0|0,0;0,1;2,0;2,1;|0,1|B|rows 0 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|1,0;1,1;2,0;2,1;|1,1|B|rows 1 and 2 agree on the constrained "
+          "part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|5,0;5,1;7,0;7,1;|5,1|D|rows 5 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|6,0;6,1;7,0;7,1;|6,1|D|rows 6 and 7 agree on the constrained "
+          "part of the LHS but disagree on val (\"C\" vs \"D\")\n"
+          "V|0|0|8,0;8,1;10,0;10,1;|8,1|Q|rows 8 and 10 agree on the "
+          "constrained part of the LHS but disagree on val (\"P\" vs \"Q\")\n"
+          "V|0|0|9,0;9,1;10,0;10,1;|9,1|Q|rows 9 and 10 agree on the "
+          "constrained part of the LHS but disagree on val (\"P\" vs \"Q\")\n"
+          "V|0|0|11,0;11,1;13,0;13,1;|11,1|B|rows 11 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|12,0;12,1;13,0;13,1;|12,1|B|rows 12 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|17,0;17,1;3,0;3,1;|17,1|X|rows 17 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|20,0;20,1;13,0;13,1;|20,1|B|rows 20 and 13 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|21,0;21,1;2,0;2,1;|21,1|B|rows 21 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|22,0;22,1;2,0;2,1;|22,1|B|rows 22 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|23,0;23,1;2,0;2,1;|23,1|B|rows 23 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|24,0;24,1;2,0;2,1;|24,1|B|rows 24 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "V|0|0|26,0;26,1;3,0;3,1;|26,1|X|rows 26 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Z\" vs \"X\")\n"
+          "V|0|0|40,0;40,1;3,0;3,1;|40,1|X|rows 40 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|41,0;41,1;3,0;3,1;|41,1|X|rows 41 and 3 agree on the "
+          "constrained part of the LHS but disagree on val (\"Y\" vs \"X\")\n"
+          "V|0|0|42,0;42,1;2,0;2,1;|42,1|B|rows 42 and 2 agree on the "
+          "constrained part of the LHS but disagree on val (\"A\" vs \"B\")\n"
+          "C|1|0|7,0;7,1;|7,1|C|code = \"33\" matches (3)!\\D but val = \"D\" "
+          "!= \"C\"\n"
+          "C|1|0|37,0;37,1;|37,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|38,0;38,1;|38,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"
+          "C|1|0|39,0;39,1;|39,1|C|code = \"33\" matches (3)!\\D but val = "
+          "\"D\" != \"C\"\n"},
+  };
+  ASSERT_EQ(std::size(expected), batches.size());
+
+  auto schema = Schema::MakeText({"code", "val"});
+  ASSERT_TRUE(schema.ok());
+  Engine engine;
+  auto stream = engine.OpenStream(schema.value(), rules);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  auto plain = engine.OpenStream(schema.value(), rules);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+
+  std::string all_conflicts;
+  std::string all_repairs;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    (*stream)->set_clean_on_ingest(b != 4);
+    auto cumulative = (*stream)->AppendRows(batches[b]);
+    ASSERT_TRUE(cumulative.ok()) << cumulative.status();
+    auto detected = (*plain)->AppendRows(batches[b]);
+    ASSERT_TRUE(detected.ok()) << detected.status();
+
+    all_conflicts += expected[b].new_conflicts;
+    all_repairs += expected[b].new_repairs;
+    std::string conflicts;
+    for (const StreamConflict& c : (*stream)->conflicts()) {
+      conflicts += Fingerprint(c) + "\n";
+    }
+    std::string repairs;
+    for (const AppliedRepair& r : (*stream)->repairs()) {
+      repairs += Fingerprint(r) + "\n";
+    }
+    EXPECT_EQ(conflicts, all_conflicts) << "batch " << b;
+    EXPECT_EQ(repairs, all_repairs) << "batch " << b;
+    EXPECT_EQ(Fingerprint(cumulative.value()), expected[b].cleaned)
+        << "batch " << b;
+    EXPECT_EQ(Fingerprint(detected.value()), expected[b].plain)
+        << "batch " << b;
   }
 }
 
