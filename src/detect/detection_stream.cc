@@ -266,6 +266,7 @@ void DetectionStream::AbsorbRows(RowState& state, RowId first_row) {
           row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
   std::string key;
   key.reserve(32 * row.lhs_cols.size());
+  std::vector<Group*> grown;
   for (RowId r : seeded) {
     if (!detect_internal::MatchesLhs(row, state.scans, r)) continue;
     ++state.candidates;
@@ -275,7 +276,37 @@ void DetectionStream::AbsorbRows(RowState& state, RowId first_row) {
                                              &state.violations);
     } else if (detect_internal::RecordKey(relation_, row, state.scans, r,
                                           &key)) {
-      state.groups[key].push_back(r);
+      Group& group = state.groups[key];
+      if (group.members.empty() || group.members.back() < first_row) {
+        grown.push_back(&group);
+      }
+      group.members.push_back(r);
+      group.by_stream[detect_internal::RhsValue(relation_, row, r)]
+          .push_back(r);
+    }
+  }
+
+  // Only the groups this batch grew can change their violations. Each
+  // violation depends only on its suspect and the majority block's first
+  // member, so a group resolved before under the same majority block keeps
+  // its violations and adds those of its new members.
+  for (Group* group : grown) {
+    const bool was_violating = !group->slice.violations.empty();
+    const std::string* majority =
+        &detect_internal::MajorityBlock(group->by_stream).first;
+    const RowId first_suspect =
+        was_violating && majority == group->majority ? first_row : 0;
+    if (first_suspect == 0) group->slice.violations.clear();
+    state.pairs_checked -= group->slice.stats.pairs_checked;
+    group->slice.stats.pairs_checked = 0;
+    detect_internal::ResolveGroup(relation_, state.pfd_index,
+                                  state.row_index, row, group->by_stream,
+                                  group->members.size(), first_suspect,
+                                  /*max_violations=*/0, &group->slice);
+    state.pairs_checked += group->slice.stats.pairs_checked;
+    group->majority = majority;
+    if (!was_violating && !group->slice.violations.empty()) {
+      state.violating.push_back(group);
     }
   }
 }
@@ -454,29 +485,25 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       }
 
       for (const auto& [gkey, brows] : batch_groups) {
-        static const std::vector<RowId> kNoAbsorbed;
+        static const Group kNoGroup;
         const auto git = state.groups.find(gkey);
-        const std::vector<RowId>& arows =
-            git == state.groups.end() ? kNoAbsorbed : git->second;
+        Group* group = git == state.groups.end() ? nullptr : &git->second;
+        const Group& absorbed = group != nullptr ? *group : kNoGroup;
+        const std::vector<RowId>& arows = absorbed.members;
         if (arows.size() + brows.size() < 2) continue;
 
-        // The absorbed side of the group's RHS split, folded incrementally
-        // (`GroupRhsCache`): absorbed rows are append-only and never
-        // retroactively edited, so both their cleaned and dirty RHS values
-        // are immutable and each is computed exactly once over the
-        // stream's lifetime — not once per batch that touches the group
-        // (the re-fold was most of variable cleaning's ≈1.9× surcharge
-        // over constant-only, A7e).
-        RowState::GroupRhsCache& cache = state.rhs_cache[gkey];
-        for (size_t ai = cache.covered; ai < arows.size(); ++ai) {
-          const RowId a = arows[ai];
-          cache.by_stream[detect_internal::RhsValue(relation_, row, a)]
-              .push_back(a);
-          const auto it = cache.by_dirty.try_emplace(dirty_rhs(a)).first;
-          it->second.push_back(a);
-          cache.dirty_of.push_back(&it->first);
+        // The absorbed side of the group's dirty split, folded once per
+        // member: absorbed rows are never retroactively edited, so their
+        // dirty RHS values are immutable. (The cleaned side, `by_stream`,
+        // is kept current by AbsorbRows.)
+        if (group != nullptr) {
+          for (size_t ai = group->dirty_of.size(); ai < arows.size(); ++ai) {
+            const RowId a = arows[ai];
+            const auto it = group->by_dirty.try_emplace(dirty_rhs(a)).first;
+            it->second.push_back(a);
+            group->dirty_of.push_back(&it->first);
+          }
         }
-        cache.covered = arows.size();
 
         // The batch side of the split, in final stream coordinates. One
         // map serves both views: batch rows carry no dirty overrides yet,
@@ -533,8 +560,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
               m.violated = distinct > 1;
               return m;
             };
-        const Merged stream_m = resolve_merged(cache.by_stream, batch_by_rhs);
-        const Merged dirty_m = resolve_merged(cache.by_dirty, batch_by_rhs);
+        const Merged stream_m =
+            resolve_merged(absorbed.by_stream, batch_by_rhs);
+        const Merged dirty_m = resolve_merged(absorbed.by_dirty, batch_by_rhs);
         if (!stream_m.violated && !dirty_m.violated) continue;
 
         // Suggestions for the batch's own minority rows, against the
@@ -573,11 +601,22 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                            state.pfd_index, /*variable=*/true);
           }
         }
-        for (size_t ai = 0; ai < arows.size(); ++ai) {
+        if (group == nullptr) continue;  // nothing absorbed to walk
+
+        // Walk the absorbed members whose verdict may have changed: all of
+        // them when the dirty majority moved since the last walk, else
+        // only those absorbed since (the watermark invariant in the header).
+        DirtyMajority majority;
+        if (dirty_m.violated) {
+          majority = DirtyMajority{true, *dirty_m.key, dirty_repair};
+        }
+        const size_t from =
+            majority == group->examined_majority ? group->examined : 0;
+        for (size_t ai = from; ai < arows.size(); ++ai) {
           const CellRef cell{arows[ai], rhs_front};
           const std::string_view current =
               relation_.cell(cell.row, cell.column);
-          if (dirty_m.violated && *cache.dirty_of[ai] != *dirty_m.key &&
+          if (dirty_m.violated && *group->dirty_of[ai] != *dirty_m.key &&
               !dirty_repair.empty()) {
             // The one-shot pass repairs this absorbed minority cell (empty
             // suggestions are never applied — SuggestionFold drops them —
@@ -607,6 +646,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                 state.pfd_index, num_batches_});
           }
         }
+        group->examined = arows.size();
+        group->examined_majority = std::move(majority);
       }
     }
   }
@@ -789,35 +830,29 @@ Result<DetectionResult> DetectionStream::AppendBatch(const Relation& batch) {
   }
   ++num_batches_;
 
-  // Absorb the new rows and assemble per-(PFD, row) result slots; each task
-  // owns its RowState exclusively and reads the shared structures. Merging
-  // in slot order plus the canonical sort keeps the cumulative result
-  // byte-identical to a one-shot run at any thread count.
-  std::vector<DetectionResult> slots(rows_.size());
+  // Absorb the new rows; each task owns its RowState exclusively and reads
+  // the shared structures.
   ParallelFor(options_.execution, rows_.size(), [&](size_t i) {
     RowState& state = rows_[i];
-    if (!state.constant && !state.variable) return;
-    AbsorbRows(state, first_row);
-    DetectionResult& slot = slots[i];
-    slot.stats.candidate_rows = state.candidates;
-    if (state.constant) {
-      slot.violations = state.violations;  // cumulative; copy, keep ours
-    } else {
-      detect_internal::ResolveGroups(relation_, state.pfd_index,
-                                     state.row_index, state.resolved,
-                                     state.groups, /*max_violations=*/0,
-                                     &slot);
-    }
+    if (state.constant || state.variable) AbsorbRows(state, first_row);
   });
 
+  // The cumulative result: the cached constant violations and the group
+  // slices, in the one canonical order — byte-identical to a one-shot run
+  // at any thread count.
   DetectionResult result;
   result.stats.rows_scanned = relation_.num_rows() * pfds_.size();
-  for (DetectionResult& slot : slots) {
-    result.stats.candidate_rows += slot.stats.candidate_rows;
-    result.stats.pairs_checked += slot.stats.pairs_checked;
+  for (const RowState& state : rows_) {
+    result.stats.candidate_rows += state.candidates;
+    result.stats.pairs_checked += state.pairs_checked;
     result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(slot.violations.begin()),
-                             std::make_move_iterator(slot.violations.end()));
+                             state.violations.begin(),
+                             state.violations.end());
+    for (const Group* group : state.violating) {
+      result.violations.insert(result.violations.end(),
+                               group->slice.violations.begin(),
+                               group->slice.violations.end());
+    }
   }
   SortViolations(&result.violations);
   result.stats.violations = result.violations.size();

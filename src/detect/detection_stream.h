@@ -14,6 +14,17 @@
 /// checked as they arrive, the demo GUI re-running after edits) do
 /// O(new distinct values) automaton work per batch instead of O(rows).
 ///
+/// Group work is delta-maintained too. Each equivalence group of a
+/// variable row keeps its RHS split, its violations and its share of
+/// `pairs_checked`, and a batch updates only the groups it grows: their
+/// new members join the split, and a group whose majority block did not
+/// move emits violations for those new members alone (a moved majority
+/// re-emits the group). Per batch the stream therefore does
+/// O(batch rows + distinct RHS values of the groups the batch touches +
+/// violations it emits) group work, plus the assembly of the cumulative
+/// result, which is linear in the violations reported — none of it grows
+/// with the rows absorbed so far.
+///
 /// The cumulative result returned by `AppendBatch` is byte-identical to
 /// `DetectErrors` over the concatenated relation (asserted by the
 /// randomized differential tests in engine_test.cc).
@@ -40,15 +51,11 @@
 ///
 /// Neither kind runs a batch-local `DetectErrors`: cleaning reuses the
 /// incremental dictionaries and the per-distinct-value match/extraction
-/// memos (new values are memoized batch-locally). Constant cleaning adds
-/// essentially nothing over plain streaming (A7d in bench_a7, ≈1.0×);
-/// variable cleaning re-resolves the RHS split of every group the batch
-/// touches — the same O(touched group sizes) shape as the cumulative
-/// group re-resolution the stream already performs per batch — for a
-/// bounded surcharge (A7e, ≈1.9× the constant-only cleaning cost on the
-/// 20-batch zip bench). Applied repairs are reported per batch
-/// (`batch_repairs()`) and cumulatively (`repairs()`), with row ids in
-/// stream coordinates.
+/// memos (new values are memoized batch-locally). Variable cleaning reads
+/// each touched group's RHS split as the stream keeps it; its dirty-view
+/// split is folded once per absorbed member, not once per batch. Applied
+/// repairs are reported per batch (`batch_repairs()`) and cumulatively
+/// (`repairs()`), with row ids in stream coordinates.
 ///
 /// Majority-flip semantics: already-absorbed rows are NEVER retroactively
 /// edited — the stream's relation is append-only except for the batch
@@ -61,6 +68,18 @@
 /// batches whenever `conflicts()` is empty, and every divergence is
 /// covered by a reported conflict (randomized chunk-split differential
 /// tests in engine_test.cc).
+///
+/// Flip detection walks all of a touched group's absorbed members only
+/// when its dirty-view majority has changed since the last walk; otherwise
+/// it walks just the members absorbed since then, so under a steady
+/// majority clean-on-ingest stays within the per-batch bound above (a
+/// moved majority costs one walk over the group). This is exact: whether an
+/// absorbed member surfaces a conflict depends only on its own cells,
+/// dirty overrides and repair record — all immutable once absorbed — and
+/// on the group's dirty majority (whether the group disagrees, the
+/// majority value and its repair). A member walked before under the same
+/// majority reaches the same verdict again, and a conflict it raised then
+/// is already recorded for its cell, which is reported at most once.
 
 #include <map>
 #include <memory>
@@ -186,6 +205,47 @@ class DetectionStream {
   /// Resolves tableau rows and allocates per-row state; called once.
   Status Init();
 
+  /// A variable row's dirty-view majority as one flip walk saw it: the
+  /// part of the group's state a member's conflict verdict depends on.
+  struct DirtyMajority {
+    bool violated = false;  ///< the members disagree on the RHS
+    std::string key;        ///< the majority RHS value (when violated)
+    std::string repair;     ///< its repair value (when violated)
+
+    bool operator==(const DirtyMajority& other) const {
+      return violated == other.violated && key == other.key &&
+             repair == other.repair;
+    }
+  };
+
+  /// One equivalence group of a variable row. Absorbed rows are never
+  /// retroactively edited, so every split below only ever grows.
+  struct Group {
+    /// Absorbed members, ascending.
+    std::vector<RowId> members;
+    /// RHS value → members over the stream's relation; `AbsorbRows` keeps
+    /// it current. Detection resolves it, and clean-on-ingest reads it as
+    /// the cleaned view's side of each majority.
+    std::map<std::string, std::vector<RowId>> by_stream;
+    /// Clean-on-ingest: the same split over the dirty view (through
+    /// `dirty_overrides_`), folded by `CleanBatch` for the members
+    /// [0, dirty_of.size()).
+    std::map<std::string, std::vector<RowId>> by_dirty;
+    /// Per folded member (member order): its dirty RHS value, as a pointer
+    /// to a `by_dirty` key.
+    std::vector<const std::string*> dirty_of;
+    /// The group's share of the cumulative result: its pair violations
+    /// and `pairs_checked`, brought up to date whenever the group grows.
+    DetectionResult slice;
+    /// The `by_stream` key of the majority block `slice` was resolved
+    /// under.
+    const std::string* majority = nullptr;
+    /// Flip watermark: the members [0, examined) were walked for conflicts
+    /// under `examined_majority` (see the file comment).
+    size_t examined = 0;
+    DirtyMajority examined_majority;
+  };
+
   /// Per-(PFD, tableau row) state carried across batches.
   struct RowState {
     size_t pfd_index = 0;
@@ -201,31 +261,18 @@ class DetectionStream {
     /// depend only on that row's own cells, so they never change once
     /// emitted; appended in ascending row order).
     std::vector<Violation> violations;
-    /// Variable rows: cumulative key → rows groups (append-only; the group
-    /// resolution is re-run per batch because majorities can flip).
-    std::map<std::string, std::vector<RowId>> groups;
-    /// Variable rows, clean-on-ingest: incremental per-group RHS splits of
-    /// the *absorbed* rows, folded lazily as groups grow (absorbed rows are
-    /// append-only and never retroactively edited, so both the cleaned and
-    /// dirty RHS views of a row are immutable once absorbed). Saves the
-    /// per-batch re-fold of every touched group's full history that made
-    /// variable cleaning ≈1.9× constant-only cleaning (A7e).
-    struct GroupRhsCache {
-      /// RHS value → rows, over the stream's (cleaned) relation.
-      std::map<std::string, std::vector<RowId>> by_stream;
-      /// Same split over the dirty view (applying `dirty_overrides_`).
-      std::map<std::string, std::vector<RowId>> by_dirty;
-      /// Per absorbed group member (group order): its dirty RHS value, as
-      /// a pointer into a `by_dirty` key (flip detection walks this
-      /// instead of recomputing each row's dirty RHS).
-      std::vector<const std::string*> dirty_of;
-      /// How many of the group's absorbed rows are folded in.
-      size_t covered = 0;
-    };
-    std::map<std::string, GroupRhsCache> rhs_cache;
+    /// Variable rows: cumulative key → group (append-only).
+    std::map<std::string, Group> groups;
+    /// Variable rows: the groups with violations, in the order they got
+    /// their first. A group whose members disagree keeps disagreeing, so
+    /// none ever leaves.
+    std::vector<const Group*> violating;
+    /// Variable rows: the sum of the groups' `pairs_checked` shares.
+    size_t pairs_checked = 0;
   };
 
-  /// Folds the rows appended from `first_row` on into `state`.
+  /// Folds the rows appended from `first_row` on into `state`, bringing
+  /// the groups they join up to date.
   void AbsorbRows(RowState& state, RowId first_row);
 
   /// Computes the confident constant- and (when enabled) variable-rule

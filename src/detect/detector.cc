@@ -197,38 +197,49 @@ const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
   return *best;
 }
 
+bool ResolveGroup(const Relation& relation, size_t pfd_index,
+                  size_t row_index, const ResolvedRow& row,
+                  const std::map<std::string, std::vector<RowId>>& by_rhs,
+                  size_t size, RowId first_suspect, size_t max_violations,
+                  DetectionResult* result) {
+  if (by_rhs.size() <= 1) return true;
+  // Blocking only pays for pairs inside conflicting blocks.
+  result->stats.pairs_checked += size * (size - 1) / 2;
+
+  const auto& majority = MajorityBlock(by_rhs);
+  const std::string* majority_key = &majority.first;
+  const RowId witness = majority.second.front();
+  // Repair suggestion: the witness's first RHS attribute value.
+  const std::string majority_repair(
+      relation.cell(witness, row.rhs_cols.front()));
+  for (const auto& [rhs, ids] : by_rhs) {
+    if (rhs == *majority_key) continue;
+    for (auto it = std::lower_bound(ids.begin(), ids.end(), first_suspect);
+         it != ids.end(); ++it) {
+      if (max_violations > 0 && result->violations.size() >= max_violations) {
+        return false;
+      }
+      EmitPairViolation(relation, pfd_index, row_index, row, *it, witness,
+                        majority_repair, &result->violations);
+    }
+  }
+  return true;
+}
+
 void ResolveGroups(const Relation& relation, size_t pfd_index,
                    size_t row_index, const ResolvedRow& row,
                    const std::map<std::string, std::vector<RowId>>& groups,
                    size_t max_violations, DetectionResult* result) {
-  const auto at_cap = [&] {
-    return max_violations > 0 && result->violations.size() >= max_violations;
-  };
   for (const auto& [key, rows] : groups) {
     if (rows.size() < 2) continue;
     std::map<std::string, std::vector<RowId>> by_rhs;
     for (RowId r : rows) {
       by_rhs[RhsValue(relation, row, r)].push_back(r);
     }
-    if (by_rhs.size() > 1) {
-      // Blocking only pays for pairs inside conflicting blocks.
-      result->stats.pairs_checked += rows.size() * (rows.size() - 1) / 2;
-    }
-    if (by_rhs.size() <= 1) continue;
-
-    const auto& majority = MajorityBlock(by_rhs);
-    const std::string* majority_key = &majority.first;
-    const RowId witness = majority.second.front();
-    // Repair suggestion: the witness's first RHS attribute value.
-    const std::string majority_repair(
-        relation.cell(witness, row.rhs_cols.front()));
-    for (const auto& [rhs, ids] : by_rhs) {
-      if (rhs == *majority_key) continue;
-      for (RowId r : ids) {
-        if (at_cap()) return;
-        EmitPairViolation(relation, pfd_index, row_index, row, r, witness,
-                          majority_repair, &result->violations);
-      }
+    if (!ResolveGroup(relation, pfd_index, row_index, row, by_rhs,
+                      rows.size(), /*first_suspect=*/0, max_violations,
+                      result)) {
+      return;
     }
   }
 }
