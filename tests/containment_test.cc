@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
+#include "util/random.h"
 
 namespace anmat {
 namespace {
@@ -118,6 +123,199 @@ TEST(ContainmentTest, MixedStructure) {
   EXPECT_FALSE(Contains("John\\ \\A*", "\\LU\\LL*\\ \\A*"));
   // Phone: 850\D{7} ⊆ \D{10}.
   EXPECT_TRUE(Contains("\\D{10}", "850\\D{7}"));
+}
+
+// ---- Brute-force oracle ----------------------------------------------------
+//
+// Containment is decided against exhaustive enumeration: every string up to
+// length k over an alphabet holding every literal of both patterns, two
+// unnamed bytes per class, and two `\S` bytes outside printable ASCII
+// ('\t' and 0xE9). Patterns tell bytes apart only by class and by literal
+// identity, so a shortest counterexample, if one exists within length k,
+// appears over this alphabet.
+
+void AddLiterals(const Pattern& p, std::string* out) {
+  for (const PatternElement& e : p.elements()) {
+    if (e.cls == SymbolClass::kLiteral &&
+        out->find(e.literal) == std::string::npos) {
+      out->push_back(e.literal);
+    }
+  }
+  for (const Pattern& c : p.conjuncts()) AddLiterals(c, out);
+}
+
+std::string OracleAlphabet(const Pattern& a, const Pattern& b) {
+  std::string literals;
+  AddLiterals(a, &literals);
+  AddLiterals(b, &literals);
+  std::string alphabet = literals;
+  for (const char* pool : {"QZXJ", "qzxj", "7301", "~!@#"}) {
+    int added = 0;
+    for (const char* c = pool; *c != '\0' && added < 2; ++c) {
+      if (literals.find(*c) == std::string::npos) {
+        alphabet.push_back(*c);
+        ++added;
+      }
+    }
+  }
+  for (const char c : {'\t', '\xE9'}) {
+    if (alphabet.find(c) == std::string::npos) alphabet.push_back(c);
+  }
+  return alphabet;
+}
+
+/// Membership of every string up to length `k` over `alphabet` in `p` and
+/// in `q`, as found by the NFA reference matcher.
+struct OracleVerdict {
+  bool p_in_q = true;  ///< no enumerated string is in p but not in q
+  bool q_in_p = true;
+  std::string p_witness;  ///< a string in p but not in q (when !p_in_q)
+  std::string q_witness;
+};
+
+OracleVerdict RunOracle(const Pattern& p, const Pattern& q, size_t k) {
+  const std::string alphabet = OracleAlphabet(p, q);
+  OracleVerdict verdict;
+  std::vector<size_t> digits;
+  for (size_t len = 0; len <= k; ++len) {
+    digits.assign(len, 0);
+    std::string s(len, alphabet[0]);
+    while (true) {
+      const bool in_p = NfaMatchesWithConjuncts(p, s);
+      const bool in_q = NfaMatchesWithConjuncts(q, s);
+      if (in_p && !in_q && verdict.p_in_q) {
+        verdict.p_in_q = false;
+        verdict.p_witness = s;
+      }
+      if (in_q && !in_p && verdict.q_in_p) {
+        verdict.q_in_p = false;
+        verdict.q_witness = s;
+      }
+      size_t i = 0;
+      while (i < len && ++digits[i] == alphabet.size()) {
+        digits[i] = 0;
+        s[i] = alphabet[0];
+        ++i;
+      }
+      if (i == len) break;
+      s[i] = alphabet[digits[i]];
+    }
+  }
+  return verdict;
+}
+
+/// Literal pool: letters, digits and separators that collide with the
+/// oracle's class bytes, plus the UTF-8 lead and continuation bytes of the
+/// web table's non-ASCII digits (U+0660 = D9 A0, U+FF11 = EF BC 91).
+constexpr char kLiteralPool[] = "aZ5- \xD9\xA0\xEF\xBC\x91";
+
+Pattern RandomPattern(Rng& rng, bool bounded, int depth) {
+  std::vector<PatternElement> elements;
+  const size_t n = 1 + rng.NextBelow(3);
+  for (size_t i = 0; i < n; ++i) {
+    PatternElement e;
+    if (rng.NextBool(0.5)) {
+      e = PatternElement::Literal(
+          kLiteralPool[rng.NextBelow(sizeof(kLiteralPool) - 1)]);
+    } else {
+      static constexpr SymbolClass kClasses[] = {
+          SymbolClass::kUpper, SymbolClass::kLower, SymbolClass::kDigit,
+          SymbolClass::kSymbol, SymbolClass::kAny};
+      e = PatternElement::Class(kClasses[rng.NextBelow(5)]);
+    }
+    static constexpr uint32_t kRanges[][2] = {
+        {1, 1}, {0, 1}, {1, 2}, {2, 2}, {0, 2}, {0, kUnbounded},
+        {1, kUnbounded}};
+    const auto& range = kRanges[rng.NextBelow(bounded ? 5 : 7)];
+    e.min = range[0];
+    e.max = range[1];
+    elements.push_back(e);
+  }
+  Pattern p(std::move(elements));
+  // Conjuncts, occasionally nested, so FlattenConjuncts' whole tree counts.
+  if (depth < 2 && rng.NextBool(depth == 0 ? 0.4 : 0.2)) {
+    p.AddConjunct(RandomPattern(rng, rng.NextBool(0.5), depth + 1));
+  }
+  return p;
+}
+
+/// A random pattern whose language holds only strings of length <= k.
+Pattern RandomBoundedPattern(Rng& rng, uint32_t k) {
+  while (true) {
+    Pattern p = RandomPattern(rng, /*bounded=*/true, 0);
+    if (p.MaxLength() <= k) return p;
+  }
+}
+
+/// Checks both directions of containment and the equivalence verdict of a
+/// pattern pair against the oracle. When both languages hold only strings
+/// of length <= k the oracle is exact and the verdicts must be equal;
+/// otherwise an oracle counterexample must refute containment.
+void ExpectAgreesWithOracle(const Pattern& p, const Pattern& q, uint32_t k) {
+  const OracleVerdict oracle = RunOracle(p, q, k);
+  const bool exact = p.MaxLength() <= k && q.MaxLength() <= k;
+  const bool p_in_q = PatternContains(q, p);
+  const bool q_in_p = PatternContains(p, q);
+  if (exact || !oracle.p_in_q) {
+    EXPECT_EQ(p_in_q, oracle.p_in_q)
+        << p.ToString() << " ⊆ " << q.ToString() << " witness \""
+        << oracle.p_witness << "\"";
+  }
+  if (exact || !oracle.q_in_p) {
+    EXPECT_EQ(q_in_p, oracle.q_in_p)
+        << q.ToString() << " ⊆ " << p.ToString() << " witness \""
+        << oracle.q_witness << "\"";
+  }
+  EXPECT_EQ(PatternEquivalent(p, q), p_in_q && q_in_p)
+      << p.ToString() << " ≡ " << q.ToString();
+}
+
+class ContainmentOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ContainmentOracleTest, BoundedPatternsMatchOracleExactly) {
+  constexpr uint32_t kMaxLen = 3;
+  Rng rng(GetParam());
+  for (int i = 0; i < 60; ++i) {
+    const Pattern p = RandomBoundedPattern(rng, kMaxLen);
+    const Pattern q = RandomBoundedPattern(rng, kMaxLen);
+    ExpectAgreesWithOracle(p, q, kMaxLen);
+    EXPECT_TRUE(PatternEquivalent(p, p)) << p.ToString();
+  }
+}
+
+TEST_P(ContainmentOracleTest, UnboundedCounterexampleRefutesContainment) {
+  Rng rng(GetParam() + 1000);
+  for (int i = 0; i < 40; ++i) {
+    const Pattern p = RandomPattern(rng, /*bounded=*/false, 0);
+    const Pattern q = RandomPattern(rng, /*bounded=*/false, 0);
+    ExpectAgreesWithOracle(p, q, 3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(ContainmentOracleTest, Utf8MultiByteLiterals) {
+  // Arabic-Indic zero (D9 A0) and fullwidth one (EF BC 91): every byte is
+  // \S, so class patterns see each digit as a run of symbols.
+  const char* kPairs[][2] = {
+      {"\\S{2}", "\xD9\xA0"},
+      {"\\S\\S?", "\xD9\xA0"},
+      {"\\S{3}", "\xEF\xBC\x91"},
+      {"\\S{2}", "\xEF\xBC\x91"},
+      {"\\A*", "\xD9\xA0\\D"},
+      {"\\S*\\D", "\xD9\\S\\D"},
+      {"\xD9\\S", "\\S{2}"},
+      {"\xEF\\S\x91", "\xEF\xBC\x91"},
+      {"\xEF\\S\x91", "\xEF\\S{1,2}"},
+      {"\\S+", "\\S{2}&\xD9\\A"},
+      {"\xD9\\A&\\S\xA0", "\xD9\xA0"},
+      {"\\D\xD9\xA0\\D", "\\A{4}&\\D\\S*\\D"},
+  };
+  for (const auto& [q_text, p_text] : kPairs) {
+    ExpectAgreesWithOracle(ParsePattern(p_text).value(),
+                           ParsePattern(q_text).value(), 4);
+  }
 }
 
 // ---- Constrained restriction (Q ⊆ Q') -----------------------------------

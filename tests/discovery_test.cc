@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "datagen/datasets.h"
 
 namespace anmat {
@@ -153,6 +158,94 @@ TEST(DiscoveryTest, EmployeeDatasetFindsIdStructure) {
     }
   }
   EXPECT_TRUE(id_to_dept);
+}
+
+// ---- Golden output ---------------------------------------------------------
+//
+// The full discovery output — every rule's text, its coverage statistics
+// and its provenance lines — for every datagen generator at fixed seeds and
+// sizes, pinned byte for byte in tests/corpus/discovery_golden.txt. The
+// name/gender samples are large enough that the constant miner's redundancy
+// pruning keeps every first name above the support floor (53 rows), and,
+// under a lower row cap, stops with its kept list full. On a mismatch the
+// actual output is written to the test's temp directory so it can be
+// diffed against the golden.
+
+std::string RenderDiscovery(const std::string& label, const Dataset& data,
+                            const DiscoveryOptions& options) {
+  const DiscoveryResult result = DiscoverPfds(data.relation, options).value();
+  std::ostringstream out;
+  out << "== " << label << " rows=" << data.relation.num_rows()
+      << " rules=" << result.pfds.size() << "\n";
+  for (const DiscoveredPfd& p : result.pfds) {
+    out << "rule: " << p.pfd.ToString() << "\n";
+    out << "stats: total=" << p.stats.total_rows
+        << " covered=" << p.stats.covered_rows
+        << " violating=" << p.stats.violating_rows << "\n";
+    for (const std::string& line : p.provenance) {
+      out << "provenance: " << line << "\n";
+    }
+  }
+  return out.str();
+}
+
+std::string GoldenDiscoveryText() {
+  DiscoveryOptions options;
+  options.min_coverage = 0.4;
+  DiscoveryOptions toy = options;  // 4-row tables with one error each
+  toy.allowed_violation_ratio = 0.5;
+  toy.constant_miner.decision.min_dominance = 0.5;
+
+  std::string text;
+  text += RenderDiscovery("paper_name", PaperNameTable(), toy);
+  text += RenderDiscovery("paper_zip", PaperZipTable(), toy);
+  text += RenderDiscovery("phone", PhoneStateDataset(1000, 3, 0.02), options);
+  text += RenderDiscovery("name", NameGenderDataset(2000, 4, 0.02), options);
+  // A row cap below the number of accepted first names: pruning stops at
+  // the cap with its kept list full.
+  DiscoveryOptions capped = options;
+  capped.constant_miner.max_rows = 32;
+  text += RenderDiscovery("name_capped", NameGenderDataset(1000, 8, 0.02),
+                          capped);
+  text += RenderDiscovery("zip", ZipCityStateDataset(1000, 5, 0.02), options);
+  text += RenderDiscovery("employee", EmployeeDataset(1000, 6, 0.02), options);
+  text += RenderDiscovery("compound", CompoundDataset(1000, 7, 0.02), options);
+  text += RenderDiscovery("web", WebAccountDataset(50, 1, 0.02), options);
+  return text;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(DiscoveryGoldenTest, EveryGeneratorMatchesPinnedOutput) {
+  const std::string golden_path =
+      std::string(ANMAT_TEST_CORPUS_DIR) + "/discovery_golden.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+
+  const std::string actual = GoldenDiscoveryText();
+  if (actual == golden.str()) return;
+
+  const std::string actual_path =
+      ::testing::TempDir() + "discovery_golden.actual.txt";
+  std::ofstream(actual_path, std::ios::binary) << actual;
+  const std::vector<std::string> want = SplitLines(golden.str());
+  const std::vector<std::string> got = SplitLines(actual);
+  size_t line = 0;
+  while (line < want.size() && line < got.size() && want[line] == got[line]) {
+    ++line;
+  }
+  ADD_FAILURE() << "discovery output differs from " << golden_path
+                << " at line " << line + 1 << "\n  golden: "
+                << (line < want.size() ? want[line] : "<end>")
+                << "\n  actual: " << (line < got.size() ? got[line] : "<end>")
+                << "\nfull actual output: " << actual_path;
 }
 
 }  // namespace
