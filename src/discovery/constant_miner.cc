@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "pattern/containment.h"
@@ -205,37 +206,47 @@ Result<std::vector<MinedRow>> MineConstantRows(
   // (contained either way) with an already-kept row's LHS carrying the same
   // RHS constant — the kept (higher-ranked) row subsumes the rule. Checking
   // both directions removes unanchored mirror keys of equal support (e.g.
-  // `\D50\D{7}` once `850\D{7}` is kept).
+  // `\D50\D{7}` once `850\D{7}` is kept). Each LHS is compiled at most
+  // once, on its first check; a kept row's automaton keeps the transitions
+  // earlier checks materialized for every later one.
+  struct PruneKey {
+    std::string rhs;
+    Pattern lhs;
+    std::optional<ContainmentAutomaton> automaton;
+
+    const ContainmentAutomaton& Compiled() {
+      if (!automaton) automaton.emplace(lhs);
+      return *automaton;
+    }
+  };
   std::vector<MinedRow> kept;
+  std::vector<PruneKey> kept_keys;
   for (MinedRow& candidate : mined) {
     bool redundant = false;
-    std::string cand_rhs;
-    candidate.row.rhs[0].IsConstant(&cand_rhs);
-    const Pattern cand_lhs =
-        candidate.row.lhs[0].pattern().EmbeddedPattern();
-    for (const MinedRow& existing : kept) {
-      std::string kept_rhs;
-      existing.row.rhs[0].IsConstant(&kept_rhs);
-      if (kept_rhs != cand_rhs) continue;
-      const Pattern kept_lhs = existing.row.lhs[0].pattern().EmbeddedPattern();
-      if (cand_lhs.MinLength() > options.max_containment_length ||
-          kept_lhs.MinLength() > options.max_containment_length) {
+    PruneKey cand;
+    candidate.row.rhs[0].IsConstant(&cand.rhs);
+    cand.lhs = candidate.row.lhs[0].pattern().EmbeddedPattern();
+    for (PruneKey& existing : kept_keys) {
+      if (existing.rhs != cand.rhs) continue;
+      if (cand.lhs.MinLength() > options.max_containment_length ||
+          existing.lhs.MinLength() > options.max_containment_length) {
         // Monster patterns: containment costs too much for what it prunes;
         // drop only exact duplicates.
-        if (kept_lhs == cand_lhs) {
+        if (existing.lhs == cand.lhs) {
           redundant = true;
           break;
         }
         continue;
       }
-      if (PatternContains(kept_lhs, cand_lhs) ||
-          PatternContains(cand_lhs, kept_lhs)) {
+      if (PatternContains(existing.Compiled(), cand.Compiled()) ||
+          PatternContains(cand.Compiled(), existing.Compiled())) {
         redundant = true;
         break;
       }
     }
     if (!redundant) {
       kept.push_back(std::move(candidate));
+      kept_keys.push_back(std::move(cand));
       if (kept.size() >= options.max_rows) break;
     }
   }

@@ -57,8 +57,9 @@ struct ConstantMinerOptions {
   /// of accepted entries; only the best ones are worth containment checks.
   size_t max_candidates = 512;
   /// Containment-based pruning is skipped (exact-equality fallback) for
-  /// patterns whose minimum length exceeds this — NFA containment on
-  /// multi-thousand-state automata buys nothing for monster cells.
+  /// patterns whose minimum length exceeds this: such monster cells
+  /// compile to automata with a state per mandatory character, and
+  /// containment among them prunes nothing useful.
   uint32_t max_containment_length = 512;
   /// LHS cells longer than this are skipped entirely: a pattern rule keyed
   /// inside a multi-kilobyte blob is never meaningful, and its automaton

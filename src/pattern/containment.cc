@@ -1,9 +1,8 @@
 #include "pattern/containment.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "pattern/nfa.h"
@@ -12,154 +11,126 @@ namespace anmat {
 
 namespace {
 
-/// Collects every literal character mentioned anywhere in a pattern
-/// (elements and conjuncts).
-void CollectLiterals(const Pattern& p, std::string* out) {
-  for (const PatternElement& e : p.elements()) {
-    if (e.cls == SymbolClass::kLiteral &&
-        out->find(e.literal) == std::string::npos) {
-      out->push_back(e.literal);
-    }
+/// Refines the byte partition `classes` (`num_classes` classes, numbered by
+/// their first byte) by `dfa`'s symbol classes: afterwards two bytes share
+/// a class iff they did before and `dfa` maps them to the same class.
+/// Returns the new class count (at most 256: every class holds a byte).
+uint32_t RefineClasses(const Dfa& dfa, uint8_t classes[256],
+                       uint32_t num_classes) {
+  const size_t dfa_classes = dfa.num_symbol_classes();
+  std::vector<int> renumber(num_classes * dfa_classes, -1);
+  uint32_t count = 0;
+  for (int b = 0; b < 256; ++b) {
+    int& id = renumber[classes[b] * dfa_classes +
+                       dfa.ByteClass(static_cast<char>(b))];
+    if (id < 0) id = static_cast<int>(count++);
+    classes[b] = static_cast<uint8_t>(id);
   }
-  for (const Pattern& c : p.conjuncts()) CollectLiterals(c, out);
-}
-
-/// The finite alphabet abstraction: all mentioned literals plus one fresh
-/// representative per class (fresh = not colliding with any literal). Two
-/// characters of the same class that neither pattern names cannot be
-/// distinguished by any pattern built from these literals, so one
-/// representative per class is sound and complete.
-std::string RelevantAlphabet(const Pattern& a, const Pattern& b) {
-  std::string alphabet;
-  CollectLiterals(a, &alphabet);
-  CollectLiterals(b, &alphabet);
-  for (SymbolClass cls : {SymbolClass::kUpper, SymbolClass::kLower,
-                          SymbolClass::kDigit, SymbolClass::kSymbol}) {
-    char rep = RepresentativeChar(cls, alphabet);
-    if (rep != '\0') alphabet.push_back(rep);
-  }
-  return alphabet;
-}
-
-/// Intersection (product) automaton of a list of NFAs. Start/accept are
-/// tuples; we simulate lazily with tuple state-sets.
-struct ProductState {
-  // One state-set per component automaton (each epsilon-closed, sorted).
-  std::vector<std::vector<uint32_t>> sets;
-
-  bool operator<(const ProductState& other) const { return sets < other.sets; }
-};
-
-class ProductNfa {
- public:
-  explicit ProductNfa(std::vector<Nfa> components)
-      : components_(std::move(components)) {}
-
-  ProductState StartState() const {
-    ProductState s;
-    s.sets.resize(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      s.sets[i] = {components_[i].start()};
-      components_[i].EpsilonClosure(&s.sets[i]);
-    }
-    return s;
-  }
-
-  /// Advances every component on `c`; returns false if any component dies
-  /// (the intersection language has no continuation).
-  bool Step(const ProductState& from, char c, ProductState* to) const {
-    to->sets.resize(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      components_[i].Step(from.sets[i], c, &to->sets[i]);
-      if (to->sets[i].empty()) return false;
-    }
-    return true;
-  }
-
-  bool Accepts(const ProductState& s) const {
-    for (size_t i = 0; i < components_.size(); ++i) {
-      if (!components_[i].Accepts(s.sets[i])) return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<Nfa> components_;
-};
-
-/// Compiles a pattern (with conjuncts) to the component list of its
-/// intersection automaton.
-std::vector<Nfa> CompileConjunctList(const Pattern& p) {
-  std::vector<Nfa> nfas;
-  nfas.push_back(Nfa::Compile(p));
-  for (const Pattern& c : p.conjuncts()) {
-    // Flatten nested conjuncts (rare; '&' is typically one level).
-    std::vector<Nfa> inner = CompileConjunctList(c);
-    for (Nfa& n : inner) nfas.push_back(std::move(n));
-  }
-  return nfas;
+  return count;
 }
 
 }  // namespace
 
-bool PatternContains(const Pattern& q, const Pattern& p) {
-  // Decide L(p) ⊆ L(q) by searching the product of p's intersection
-  // automaton with q's (subset-construction) automaton for a state that p
-  // accepts and q rejects.
-  const std::string alphabet = RelevantAlphabet(p, q);
+ContainmentAutomaton::ContainmentAutomaton(const Pattern& p) {
+  dfas_.emplace_back(Nfa::Compile(p));
+  std::vector<const Pattern*> conjuncts;
+  FlattenConjuncts(p, &conjuncts);
+  for (const Pattern* c : conjuncts) dfas_.emplace_back(Nfa::Compile(*c));
 
-  ProductNfa p_nfa(CompileConjunctList(p));
-  ProductNfa q_nfa(CompileConjunctList(q));
+  exact_bounds_ = conjuncts.empty();
+  for (const PatternElement& e : p.elements()) {
+    const bool unbounded = e.max == kUnbounded;
+    exact_bounds_ = exact_bounds_ && e.min <= kMaxExpandedRepetition &&
+                    (unbounded || (e.min <= e.max &&
+                                   e.max <= kMaxExpandedRepetition));
+    min_length_ += e.min;
+    max_length_ = unbounded || max_length_ == UINT64_MAX
+                      ? UINT64_MAX
+                      : max_length_ + e.max;
+  }
+}
 
-  struct SearchState {
-    ProductState p_state;
-    ProductState q_state;  // empty sets allowed: q may be "dead"
-    bool q_alive;
+bool ContainmentAutomaton::ContainedIn(const Dfa& q) const {
+  // Edges: one byte per joint class, the bytes every automaton of the
+  // product maps to the same symbol class. Class ids number classes by
+  // their first byte, so the first byte of each class is where the next
+  // unused id appears.
+  uint8_t joint[256] = {};
+  uint32_t num_classes = 1;
+  for (const Dfa& dfa : dfas_) {
+    num_classes = RefineClasses(dfa, joint, num_classes);
+  }
+  RefineClasses(q, joint, num_classes);
+  std::string edges;
+  for (int b = 0; b < 256; ++b) {
+    if (joint[b] == edges.size()) edges.push_back(static_cast<char>(b));
+  }
 
-    bool operator<(const SearchState& other) const {
-      if (q_alive != other.q_alive) return q_alive < other.q_alive;
-      if (p_state < other.p_state) return true;
-      if (other.p_state < p_state) return false;
-      return q_state < other.q_state;
-    }
+  // Depth-first walk over state tuples (this pattern's states..., q's),
+  // visited set keyed by the packed tuple. A tuple where every automaton
+  // of this pattern accepts and q does not is reached by a string in
+  // L(this) \ L(q). A tuple with a dead state of this pattern has no
+  // continuation in L(this) and is not expanded.
+  const size_t width = dfas_.size() + 1;
+  const auto pack = [width](const uint32_t* tuple) {
+    return std::string(reinterpret_cast<const char*>(tuple),
+                       width * sizeof(uint32_t));
   };
-
-  std::set<SearchState> visited;
-  std::vector<SearchState> stack;
-  SearchState start{p_nfa.StartState(), q_nfa.StartState(), true};
-  visited.insert(start);
-  stack.push_back(start);
-
+  std::vector<uint32_t> next(width);
+  for (size_t i = 0; i < dfas_.size(); ++i) next[i] = dfas_[i].start_state();
+  next.back() = q.start_state();
+  std::unordered_set<std::string> visited{pack(next.data())};
+  std::vector<uint32_t> stack = next;  // tuples, `width` states each
+  std::vector<uint32_t> cur(width);
   while (!stack.empty()) {
-    SearchState cur = stack.back();
-    stack.pop_back();
+    cur.assign(stack.end() - width, stack.end());
+    stack.resize(stack.size() - width);
 
-    if (p_nfa.Accepts(cur.p_state)) {
-      if (!cur.q_alive || !q_nfa.Accepts(cur.q_state)) {
-        return false;  // counterexample string reaches here
-      }
+    bool accepts = true;
+    for (size_t i = 0; i < dfas_.size() && accepts; ++i) {
+      accepts = dfas_[i].IsAccepting(cur[i]);
     }
+    if (accepts && !q.IsAccepting(cur.back())) return false;
 
-    for (char c : alphabet) {
-      SearchState next;
-      next.q_alive = cur.q_alive;
-      if (!p_nfa.Step(cur.p_state, c, &next.p_state)) {
-        continue;  // p has no continuation on c; no counterexample this way
+    for (const char c : edges) {
+      bool alive = true;
+      for (size_t i = 0; i < dfas_.size() && alive; ++i) {
+        next[i] = dfas_[i].Next(cur[i], c);
+        alive = next[i] != Dfa::kDead;
       }
-      if (cur.q_alive) {
-        next.q_alive = q_nfa.Step(cur.q_state, c, &next.q_state);
-        if (!next.q_alive) next.q_state = ProductState{};
-      } else {
-        next.q_state = ProductState{};
+      if (!alive) continue;
+      next.back() = q.Next(cur.back(), c);
+      if (visited.insert(pack(next.data())).second) {
+        stack.insert(stack.end(), next.begin(), next.end());
       }
-      if (visited.insert(next).second) stack.push_back(next);
     }
   }
   return true;
 }
 
+bool PatternContains(const ContainmentAutomaton& q,
+                     const ContainmentAutomaton& p) {
+  // Necessary condition on exact bounds: L(p) ⊆ L(q) needs p's shortest
+  // and longest strings to fit q's bounds.
+  if (p.exact_bounds_ && q.exact_bounds_ &&
+      (p.min_length_ < q.min_length_ || p.max_length_ > q.max_length_)) {
+    return false;
+  }
+  for (const Dfa& q_component : q.dfas_) {
+    if (!p.ContainedIn(q_component)) return false;
+  }
+  return true;
+}
+
+bool PatternContains(const Pattern& q, const Pattern& p) {
+  return PatternContains(ContainmentAutomaton(q), ContainmentAutomaton(p));
+}
+
 bool PatternEquivalent(const Pattern& a, const Pattern& b) {
-  return PatternContains(a, b) && PatternContains(b, a);
+  const ContainmentAutomaton compiled_a(a);
+  const ContainmentAutomaton compiled_b(b);
+  return PatternContains(compiled_a, compiled_b) &&
+         PatternContains(compiled_b, compiled_a);
 }
 
 bool ConstrainedRestricts(const ConstrainedPattern& sub,

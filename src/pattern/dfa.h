@@ -77,6 +77,21 @@ class Dfa {
   std::shared_ptr<const FrozenDfa> Freeze(
       size_t max_states = kDefaultMaxFrozenStates) const;
 
+  /// Single-step interface for walks over a product of automata
+  /// (containment.cc). States are ids; `kDead` is the state without a
+  /// continuation, and it loops on every byte. `Next` materializes the edge
+  /// on first use, like `Matches`. Bytes with equal `ByteClass` drive every
+  /// transition identically.
+  static constexpr uint32_t kDead = 0;  ///< DFA state for the empty set
+  uint32_t start_state() const { return start_state_; }
+  uint32_t Next(uint32_t state, char c) const {
+    return Transition(state, ByteClass(c));
+  }
+  bool IsAccepting(uint32_t state) const { return accept_[state] != 0; }
+  uint32_t ByteClass(char c) const {
+    return byte_class_[static_cast<unsigned char>(c)];
+  }
+
   /// Introspection (benchmarks / tests).
   size_t num_symbol_classes() const { return num_classes_; }
   size_t num_materialized_states() const { return accept_.size(); }
@@ -89,7 +104,6 @@ class Dfa {
   const std::string& required_literal() const { return required_literal_; }
 
  private:
-  static constexpr uint32_t kDead = 0;    ///< DFA state for the empty set
   static constexpr uint32_t kUnset = 0xFFFFFFFFu;  ///< lazy-edge sentinel
 
   void BuildAlphabet();

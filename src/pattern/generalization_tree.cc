@@ -1,6 +1,6 @@
 #include "pattern/generalization_tree.h"
 
-#include <string_view>
+#include <string>
 
 #include "util/string_util.h"
 
@@ -60,37 +60,6 @@ const char* SymbolClassToken(SymbolClass cls) {
       return "\\A";
   }
   return "";
-}
-
-char RepresentativeChar(SymbolClass cls, const std::string& exclude) {
-  auto excluded = [&exclude](char c) {
-    return exclude.find(c) != std::string::npos;
-  };
-  std::string_view candidates;
-  switch (cls) {
-    case SymbolClass::kUpper:
-      candidates = "QZXJKVWYABCDEFGHILMNOPRSTU";
-      break;
-    case SymbolClass::kLower:
-      candidates = "qzxjkvwyabcdefghilmnoprstu";
-      break;
-    case SymbolClass::kDigit:
-      candidates = "7301245689";
-      break;
-    case SymbolClass::kSymbol:
-      candidates = "~!@#$%^&*()_+-=[]{}|;:'\",.<>/? ";
-      break;
-    case SymbolClass::kAny:
-    case SymbolClass::kLiteral:
-      // kAny: any representative will do; reuse the symbol pool first, then
-      // letters — kAny transitions accept everything anyway.
-      candidates = "~qQ7!aA1#zZ9";
-      break;
-  }
-  for (char c : candidates) {
-    if (!excluded(c)) return c;
-  }
-  return '\0';
 }
 
 std::string RenderGeneralizationTree() {

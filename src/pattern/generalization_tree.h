@@ -51,11 +51,6 @@ SymbolClass JoinClasses(SymbolClass a, SymbolClass b);
 /// \brief The pattern-syntax spelling of a class ("\\A", "\\LU", ...).
 const char* SymbolClassToken(SymbolClass cls);
 
-/// \brief A representative character of `cls` that differs from every
-/// character in `exclude`. Returns '\0' if the class is exhausted (cannot
-/// happen for reasonable exclude sets; symbol class has >30 members).
-char RepresentativeChar(SymbolClass cls, const std::string& exclude);
-
 /// \brief Renders the tree (levels + example leaves) for the Figure-1 bench.
 std::string RenderGeneralizationTree();
 

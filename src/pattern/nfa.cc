@@ -4,16 +4,6 @@
 
 namespace anmat {
 
-namespace {
-
-/// Cap on expanding bounded repetitions: an element {0,1000000} would
-/// otherwise create a million states. Bounds above the cap are treated as
-/// unbounded, which over-approximates (sound for error *candidate*
-/// generation; in practice data cells are far shorter).
-constexpr uint32_t kMaxExpandedRepetition = 4096;
-
-}  // namespace
-
 Nfa Nfa::Compile(const Pattern& p) {
   Nfa nfa;
   uint32_t current = nfa.AddState();  // start state 0

@@ -13,8 +13,9 @@
 /// The per-character simulation here is the *semantic reference*: hot paths
 /// match through the lazily-determinized `Dfa` (dfa.h), which is
 /// differential-tested against this implementation (tests/dfa_test.cc).
-/// Containment checking (containment.cc) stays on the NFA, whose explicit
-/// state sets are what the product-automaton search needs.
+/// Containment checking (containment.cc) walks a product of those lazy
+/// `Dfa`s and is tested against brute-force enumeration with this matcher
+/// (tests/containment_test.cc).
 
 #include <cstdint>
 #include <string_view>
@@ -23,6 +24,13 @@
 #include "pattern/pattern.h"
 
 namespace anmat {
+
+/// Cap on expanding bounded repetitions: an element {0,1000000} would
+/// otherwise create a million states. Bounds above the cap are treated as
+/// unbounded, which over-approximates (sound for error *candidate*
+/// generation; in practice data cells are far shorter). Mandatory counts
+/// above the cap are clamped to it.
+inline constexpr uint32_t kMaxExpandedRepetition = 4096;
 
 /// \brief A compiled automaton for one pattern's element sequence.
 ///

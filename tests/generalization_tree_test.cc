@@ -73,18 +73,6 @@ TEST(SymbolClassTokenTest, PaperSpellings) {
   EXPECT_STREQ(SymbolClassToken(SymbolClass::kSymbol), "\\S");
 }
 
-TEST(RepresentativeCharTest, BelongsToClassAndAvoidsExclusions) {
-  for (SymbolClass cls : {SymbolClass::kUpper, SymbolClass::kLower,
-                          SymbolClass::kDigit, SymbolClass::kSymbol}) {
-    char rep = RepresentativeChar(cls, "");
-    EXPECT_TRUE(ClassMatchesChar(cls, rep));
-  }
-  char rep = RepresentativeChar(SymbolClass::kDigit, "7301245689");
-  EXPECT_EQ(rep, '\0');  // all digits excluded
-  rep = RepresentativeChar(SymbolClass::kDigit, "73012456");
-  EXPECT_TRUE(rep == '8' || rep == '9');
-}
-
 TEST(RenderTreeTest, MentionsAllClasses) {
   const std::string tree = RenderGeneralizationTree();
   EXPECT_NE(tree.find("\\A"), std::string::npos);
