@@ -19,10 +19,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -895,6 +899,100 @@ TEST(DaemonTest, StreamVerbsAcrossOneConnection) {
       client.Call("stream.close", std::move(gone)).value();
   EXPECT_FALSE(missing.ok);
   runner.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// -- Readers against a parked writer ----------------------------------------
+
+/// Parks the first fsync of a project journal until `Release`: the writer
+/// verb that reaches it sits inside its `Save`, its edit not yet published.
+class ParkJournalFsync : public FaultInjector {
+ public:
+  Status BeforeOp(FsOp op, const std::string& path) override {
+    if (op != FsOp::kFsync ||
+        path.find("journal.wal") == std::string::npos) {
+      return Status::OK();
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    if (parked_) return Status::OK();
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return Status::OK();
+  }
+
+  bool WaitParked(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return parked_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+/// How long a read may take while a writer is parked. A detect on the
+/// four-row table takes milliseconds, sanitizers included; a read that
+/// queues behind the parked writer never finishes on its own.
+constexpr std::chrono::seconds kReadBound{10};
+
+TEST(ProjectHostTest, ReadersNeverWaitOnAParkedWriter) {
+  const std::string dir = FreshDir("parked");
+  const std::string csv = WriteZipCsv("parked");
+  SeedProject(dir, csv);
+  ProjectHost host(Project::Open(dir).value(), ProjectHost::Options());
+  JsonValue all = JsonValue::Object();
+  all.Set("all", JsonValue::Bool(true));
+  ASSERT_TRUE(host.Dispatch("rules.confirm", all).ok());
+
+  const auto read = [&host](const std::string& verb) {
+    Result<VerbResult> reply = host.Dispatch(verb, JsonValue::Object());
+    return reply.ok() ? reply->result.Dump() : reply.status().ToString();
+  };
+  const std::vector<std::string> verbs = {"detect", "rules.list", "info"};
+  std::vector<std::string> before;
+  for (const std::string& verb : verbs) before.push_back(read(verb));
+
+  ParkJournalFsync injector;
+  SetFaultInjector(&injector);
+  Status annotated = Status::OK();
+  std::thread writer([&] {
+    JsonValue params = JsonValue::Object();
+    params.Set("id", JsonValue::Int(1));
+    params.Set("note", JsonValue::String("parked note"));
+    annotated = host.Dispatch("rules.annotate", params).status();
+  });
+  if (injector.WaitParked(kReadBound)) {
+    for (size_t i = 0; i < verbs.size(); ++i) {
+      auto reply = std::async(std::launch::async, read, verbs[i]);
+      if (reply.wait_for(kReadBound) != std::future_status::ready) {
+        ADD_FAILURE() << verbs[i] << " waited on the parked writer";
+        // Let the queued read finish so the future's destructor returns.
+        injector.Release();
+        break;
+      }
+      EXPECT_EQ(reply.get(), before[i])
+          << verbs[i] << " saw the write before it committed";
+    }
+  } else {
+    ADD_FAILURE() << "the annotate never reached the journal fsync";
+  }
+  injector.Release();
+  writer.join();
+  SetFaultInjector(nullptr);
+  ASSERT_TRUE(annotated.ok()) << annotated.ToString();
+
+  // Committed and published: the next read sees the note.
+  EXPECT_NE(read("rules.list").find("parked note"), std::string::npos);
+  EXPECT_EQ(read("detect"), before[0]);
   std::filesystem::remove_all(dir);
 }
 
