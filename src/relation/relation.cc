@@ -78,6 +78,12 @@ Arena& Relation::arena() const {
   return *arena_;
 }
 
+void Relation::DetachArena() {
+  auto own = std::make_shared<Arena>();
+  own->AdoptBuffer(std::move(arena_));
+  arena_ = std::move(own);
+}
+
 Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_columns());
 }

@@ -194,6 +194,11 @@ class Relation {
   /// Zero-copy loaders adopt their backing buffers here.
   Arena& arena() const;
 
+  /// Gives this relation an arena of its own for the bytes it interns
+  /// from now on; the shared one stays alive behind it. A copy made to be
+  /// edited then no longer grows the arena of the relation it came from.
+  void DetachArena();
+
   /// Refreshes the schema's column types from the current data: the type of
   /// each column is the least upper bound of its cells' inferred types.
   void InferColumnTypes();

@@ -360,6 +360,7 @@ JsonValue Daemon::StatsJson() {
       entry.Set("streams", JsonValue::Int(static_cast<int64_t>(
                                host->num_streams())));
       entry.Set("automaton_cache", host->CacheStatsJson());
+      entry.Set("warm_datasets", host->WarmStatsJson());
       projects.push_back(std::move(entry));
     }
   }

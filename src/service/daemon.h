@@ -18,8 +18,9 @@
 ///    inline.
 ///  * Project verbs are submitted to a `ThreadPool` of executor threads,
 ///    so a slow detect on one connection never blocks another
-///    connection's rules edit. Within a project the host's writer gate
-///    (not this file) orders writers and lets readers run concurrently.
+///    connection's rules edit. Within a project the host (not this file)
+///    orders writers on its writer mutex; readers work on a snapshot and
+///    never wait for them.
 ///  * Executors never touch sockets. A finished request is pushed onto
 ///    the connection's outbox (mutex-guarded) and the poll thread is
 ///    woken through a self-pipe; it alone moves outbox bytes to the
@@ -43,11 +44,14 @@
 /// `project` param — the project directory):
 ///
 ///   ping          -> {"pid": ..., "protocol": 1}
-///   stats         -> {"pid", "connections", "projects": [{"dir",
+///   stats         -> {"pid", "connections", "in_flight", "projects",
+///                     "project_stats": [{"dir",
 ///                     "streams", "automaton_cache": {"hits", "misses",
 ///                     "fallbacks", "dispatch": {"automata", "fallbacks",
 ///                     "total_states", "total_patterns", "pool_bytes",
-///                     "probes", "probe_hits", "hits", "misses"}}}]}
+///                     "probes", "probe_hits", "hits", "misses"}},
+///                     "warm_datasets": {"entries", "bytes", "hits",
+///                     "misses"}}]}
 ///   shutdown      -> {"stopping": true}, then a graceful drain
 ///   project.open  -> params {"dir"}: opens (or reuses) the host, returns
 ///                    its info block

@@ -1,6 +1,9 @@
 #include "service/project_host.h"
 
+#include <sys/stat.h>
+
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "anmat/report.h"
@@ -89,12 +92,56 @@ Result<std::string> WriteOut(const JsonValue& params,
   return "wrote " + what + " table to " + out_path + "\n";
 }
 
+/// The catalog entry a verb operates on: `data` = catalog name, or the
+/// path spelling that attached it (`discover --data` takes a CSV path and
+/// attaches it under its stem).
+Result<Project::DatasetEntry> FindData(const Project& project,
+                                       const JsonValue& params) {
+  ANMAT_ASSIGN_OR_RETURN(const std::string value,
+                         ParamString(params, "data", ""));
+  Result<Project::DatasetEntry> entry = project.FindDataset(value);
+  if (entry.ok() || value.empty()) return entry;
+  const std::string stem = std::filesystem::path(value).stem().string();
+  if (!stem.empty() && stem != value) {
+    Result<Project::DatasetEntry> by_stem = project.FindDataset(stem);
+    if (by_stem.ok()) return by_stem;
+  }
+  return entry;
+}
+
+/// The confirmed rules; InvalidArgument when there are none.
+Result<std::vector<Pfd>> ConfirmedRules(const Project& project) {
+  std::vector<Pfd> rules = project.ConfirmedPfds();
+  if (rules.empty()) {
+    return Status::InvalidArgument(
+        "project has no confirmed rules; run 'anmat rules confirm'");
+  }
+  return rules;
+}
+
+/// What a warm relation holds, estimated: the file's bytes (mapped or
+/// read), interned bytes, one view per cell, and per column dictionary
+/// its distinct values plus two ids per row.
+size_t WarmBytes(const Relation& relation, size_t file_bytes) {
+  size_t bytes = file_bytes + relation.arena().bytes_used() +
+                 relation.num_rows() * relation.num_columns() *
+                     (sizeof(std::string_view) + 2 * sizeof(uint32_t));
+  for (size_t col = 0; col < relation.num_columns(); ++col) {
+    const ColumnDictionary& dictionary = relation.dictionary(col);
+    for (uint32_t id = 0; id < dictionary.num_values(); ++id) {
+      bytes += dictionary.value(id).size() + sizeof(std::string) +
+               sizeof(std::vector<RowId>);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
 
 // -- Verb bodies over explicit inputs ---------------------------------------
 
 Result<VerbResult> RunDatasetVerb(Engine& engine, const std::string& verb,
-                                  Relation relation,
+                                  const Relation& relation,
                                   const std::vector<Pfd>& rules,
                                   const JsonValue& params) {
   VerbResult out;
@@ -115,12 +162,16 @@ Result<VerbResult> RunDatasetVerb(Engine& engine, const std::string& verb,
     }
     out.result = DetectionToJson(relation, rules, detection);
   } else if (verb == "repair") {
+    // The edits go to a copy with an arena of its own: `relation` may be
+    // a warm dataset, whose arena must not grow with every repair.
+    Relation repaired = relation;
+    repaired.DetachArena();
     ANMAT_ASSIGN_OR_RETURN(RepairResult result,
-                           engine.Repair(&relation, rules));
+                           engine.Repair(&repaired, rules));
     out.result = RepairToJson(result, rules);
     out.text = RenderRepairView(result);
     ANMAT_ASSIGN_OR_RETURN(const std::string wrote,
-                           WriteOut(params, relation, "cleaned"));
+                           WriteOut(params, repaired, "cleaned"));
     out.text += wrote;
   } else {
     return Status::InvalidArgument("not a dataset verb: " + verb);
@@ -270,7 +321,7 @@ Result<VerbResult> StreamCloseVerb(const StreamState& stream,
 // -- ProjectHost ------------------------------------------------------------
 
 ProjectHost::ProjectHost(Project project, const Options& options)
-    : project_(std::move(project)),
+    : snapshot_(std::make_shared<const Project>(std::move(project))),
       engine_(ExecutionOptions{options.engine_threads, true, nullptr}) {}
 
 Result<Project> ProjectHost::InitProject(const std::string& dir,
@@ -344,56 +395,109 @@ JsonValue ProjectHost::CacheStatsJson() {
   return stats;
 }
 
+JsonValue ProjectHost::WarmStatsJson() {
+  MutexLock lock(&warm_mu_);
+  JsonValue stats = JsonValue::Object();
+  stats.Set("entries", JsonValue::Int(static_cast<int64_t>(warm_.size())));
+  stats.Set("bytes", JsonValue::Int(static_cast<int64_t>(warm_bytes_)));
+  stats.Set("hits", JsonValue::Int(static_cast<int64_t>(warm_hits_)));
+  stats.Set("misses", JsonValue::Int(static_cast<int64_t>(warm_misses_)));
+  return stats;
+}
+
 size_t ProjectHost::num_streams() {
   MutexLock lock(&streams_mu_);
   return streams_.size();
 }
 
-Result<Project::DatasetEntry> ProjectHost::FindData(const JsonValue& params) {
-  ANMAT_ASSIGN_OR_RETURN(const std::string value,
-                         ParamString(params, "data", ""));
-  Result<Project::DatasetEntry> entry = project_.FindDataset(value);
-  if (entry.ok() || value.empty()) return entry;
-  const std::string stem = std::filesystem::path(value).stem().string();
-  if (!stem.empty() && stem != value) {
-    Result<Project::DatasetEntry> by_stem = project_.FindDataset(stem);
-    if (by_stem.ok()) return by_stem;
-  }
-  return entry;
+std::shared_ptr<const Project> ProjectHost::Snapshot() {
+  MutexLock lock(&snapshot_mu_);
+  return snapshot_;
 }
 
-Result<std::vector<Pfd>> ProjectHost::ConfirmedRules() {
-  std::vector<Pfd> rules = project_.ConfirmedPfds();
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
-  return rules;
-}
-
-Status ProjectHost::Commit(Project next) {
+Result<std::shared_ptr<const Project>> ProjectHost::Commit(Project next) {
   ANMAT_RETURN_NOT_OK(next.Save());
-  project_ = std::move(next);
-  return Status::OK();
+  auto published = std::make_shared<const Project>(std::move(next));
+  MutexLock lock(&snapshot_mu_);
+  snapshot_ = published;
+  return published;
+}
+
+Result<std::shared_ptr<const Relation>> ProjectHost::WarmDataset(
+    const Project& project, const Project::DatasetEntry& entry) {
+  // A failed stat leaves the diagnosis to the load below.
+  struct stat st {};
+  const bool stated = ::stat(entry.path.c_str(), &st) == 0;
+  FileIdentity file;
+  if (stated) {
+    file.device = static_cast<uint64_t>(st.st_dev);
+    file.inode = static_cast<uint64_t>(st.st_ino);
+    file.size = static_cast<uint64_t>(st.st_size);
+    file.mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                    st.st_mtim.tv_nsec;
+  }
+  {
+    MutexLock lock(&warm_mu_);
+    auto it = warm_.find(entry.name);
+    if (it != warm_.end()) {
+      const WarmEntry& warm = it->second;
+      if (stated && warm.path == entry.path &&
+          warm.fingerprint == entry.fingerprint && warm.file == file) {
+        ++warm_hits_;
+        return warm.relation;
+      }
+      warm_bytes_ -= warm.bytes;
+      warm_.erase(it);
+    }
+    ++warm_misses_;
+  }
+
+  // Loaded without the lock; a concurrent miss on the same dataset loads
+  // it too, and the later insert replaces the earlier.
+  ANMAT_ASSIGN_OR_RETURN(Relation loaded, project.LoadDataset(entry.name));
+  for (size_t col = 0; col < loaded.num_columns(); ++col) {
+    loaded.dictionary(col);
+  }
+  auto relation = std::make_shared<const Relation>(std::move(loaded));
+  const size_t bytes = WarmBytes(*relation, file.size);
+  if (!stated || bytes > kMaxWarmDatasetBytes) return relation;
+
+  MutexLock lock(&warm_mu_);
+  if (auto it = warm_.find(entry.name); it != warm_.end()) {
+    warm_bytes_ -= it->second.bytes;
+    warm_.erase(it);
+  }
+  while (warm_bytes_ + bytes > kMaxWarmDatasetBytes) {
+    auto oldest = warm_.begin();
+    for (auto it = warm_.begin(); it != warm_.end(); ++it) {
+      if (it->second.load_order < oldest->second.load_order) oldest = it;
+    }
+    warm_bytes_ -= oldest->second.bytes;
+    warm_.erase(oldest);
+  }
+  warm_[entry.name] = WarmEntry{entry.path, entry.fingerprint, file,
+                                relation, bytes, ++warm_loads_};
+  warm_bytes_ += bytes;
+  return relation;
 }
 
 Result<VerbResult> ProjectHost::Info() {
-  ReaderMutexLock gate(&gate_);
+  const std::shared_ptr<const Project> project = Snapshot();
+  const size_t confirmed = project->ConfirmedPfds().size();
   VerbResult out;
   out.result = JsonValue::Object();
-  out.result.Set("name", JsonValue::String(project_.name()));
-  out.result.Set("dir", JsonValue::String(project_.dir()));
+  out.result.Set("name", JsonValue::String(project->name()));
+  out.result.Set("dir", JsonValue::String(project->dir()));
   out.result.Set("datasets", JsonValue::Int(static_cast<int64_t>(
-                                 project_.datasets().size())));
+                                 project->datasets().size())));
   out.result.Set("rules", JsonValue::Int(static_cast<int64_t>(
-                              project_.rules().size())));
-  out.result.Set("confirmed", JsonValue::Int(static_cast<int64_t>(
-                                  project_.ConfirmedPfds().size())));
-  out.text = "project \"" + project_.name() + "\" (" +
-             std::to_string(project_.datasets().size()) + " dataset(s), " +
-             std::to_string(project_.rules().size()) + " rule(s), " +
-             std::to_string(project_.ConfirmedPfds().size()) +
-             " confirmed)\n";
+                              project->rules().size())));
+  out.result.Set("confirmed",
+                 JsonValue::Int(static_cast<int64_t>(confirmed)));
+  out.text = "project \"" + project->name() + "\" (" +
+             std::to_string(project->datasets().size()) + " dataset(s), " +
+             std::to_string(project->rules().size()) + " rule(s), " +
+             std::to_string(confirmed) + " confirmed)\n";
   return out;
 }
 
@@ -401,10 +505,10 @@ Result<VerbResult> ProjectHost::Fsck() {
   // The host ran journal recovery when it opened and has held the project
   // lock ever since — no save can have torn in between — so fsck reports
   // that recovery plus the live (healthy by construction) state.
-  ReaderMutexLock gate(&gate_);
+  const std::shared_ptr<const Project> project = Snapshot();
   VerbResult out;
-  out.result = FsckToJson(project_.recovery(), &project_, Status::OK());
-  out.text = RenderFsckView(project_.recovery(), &project_, Status::OK());
+  out.result = FsckToJson(project->recovery(), project.get(), Status::OK());
+  out.text = RenderFsckView(project->recovery(), project.get(), Status::OK());
   return out;
 }
 
@@ -412,8 +516,8 @@ Result<VerbResult> ProjectHost::Dataset(const JsonValue& params) {
   // The catalog entry instead of the rows: a client (the CLI's stream
   // mode) reads the CSV itself, checks it against the fingerprint, and
   // feeds batches over the stream verbs.
-  ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry, FindData(params));
+  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry,
+                         FindData(*Snapshot(), params));
   VerbResult out;
   out.result = JsonValue::Object();
   out.result.Set("name", JsonValue::String(entry.name));
@@ -424,8 +528,8 @@ Result<VerbResult> ProjectHost::Dataset(const JsonValue& params) {
 }
 
 Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
-  WriterMutexLock gate(&gate_);
-  Project next = project_;
+  MutexLock writer(&writer_mu_);
+  Project next = *Snapshot();
   ANMAT_ASSIGN_OR_RETURN(const Project::Parameters parameters,
                          ParamParameters(params, next.parameters()));
   next.set_parameters(parameters);
@@ -451,13 +555,14 @@ Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
   for (const DiscoveredPfd& d : discovery.pfds) {
     next.AddDiscoveredRule(d, dataset_name);
   }
-  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<const Project> committed,
+                         Commit(std::move(next)));
 
   VerbResult out;
-  out.result = RuleSetToJson(project_.rules());
+  out.result = RuleSetToJson(committed->rules());
   out.text = RenderDiscoveredPfdsView(discovery.pfds) + "\nrecorded " +
              std::to_string(discovery.pfds.size()) +
-             " rule(s) as discovered in " + project_.rules_path() +
+             " rule(s) as discovered in " + committed->rules_path() +
              " (review with 'anmat rules list', apply with 'anmat rules "
              "confirm')\n";
   return out;
@@ -465,28 +570,30 @@ Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
 
 Result<VerbResult> ProjectHost::OnDataset(const std::string& verb,
                                           const JsonValue& params) {
-  ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry, FindData(params));
-  ANMAT_ASSIGN_OR_RETURN(Relation relation, project_.LoadDataset(entry.name));
+  const std::shared_ptr<const Project> project = Snapshot();
+  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry,
+                         FindData(*project, params));
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<const Relation> relation,
+                         WarmDataset(*project, entry));
   std::vector<Pfd> rules;
   if (verb != "profile") {
-    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules());
+    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules(*project));
   }
-  return RunDatasetVerb(engine_, verb, std::move(relation), rules, params);
+  return RunDatasetVerb(engine_, verb, *relation, rules, params);
 }
 
 Result<VerbResult> ProjectHost::RulesList() {
-  ReaderMutexLock gate(&gate_);
+  const std::shared_ptr<const Project> project = Snapshot();
   VerbResult out;
-  out.result = RuleSetToJson(project_.rules());
-  out.text = RenderRuleSetView(project_.rules());
+  out.result = RuleSetToJson(project->rules());
+  out.text = RenderRuleSetView(project->rules());
   return out;
 }
 
 Result<VerbResult> ProjectHost::RulesSetStatus(const JsonValue& params,
                                                RuleStatus status) {
-  WriterMutexLock gate(&gate_);
-  Project next = project_;
+  MutexLock writer(&writer_mu_);
+  Project next = *Snapshot();
   std::vector<uint64_t> ids;
   const JsonValue* all = params.Get("all");
   if (all != nullptr && all->is_bool() && all->as_bool()) {
@@ -505,52 +612,54 @@ Result<VerbResult> ProjectHost::RulesSetStatus(const JsonValue& params,
   for (uint64_t id : ids) {
     ANMAT_RETURN_NOT_OK(next.SetRuleStatus(id, status));
   }
-  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<const Project> committed,
+                         Commit(std::move(next)));
+  const size_t confirmed = committed->ConfirmedPfds().size();
 
   VerbResult out;
   out.result = JsonValue::Object();
   out.result.Set("marked", JsonValue::Int(static_cast<int64_t>(ids.size())));
-  out.result.Set("confirmed", JsonValue::Int(static_cast<int64_t>(
-                                  project_.ConfirmedPfds().size())));
+  out.result.Set("confirmed",
+                 JsonValue::Int(static_cast<int64_t>(confirmed)));
   out.text = "marked " + std::to_string(ids.size()) + " rule(s) " +
-             RuleStatusName(status) + "; " +
-             std::to_string(project_.ConfirmedPfds().size()) +
+             RuleStatusName(status) + "; " + std::to_string(confirmed) +
              " rule(s) now confirmed\n";
   return out;
 }
 
 Result<VerbResult> ProjectHost::RulesDelete(const JsonValue& params) {
-  WriterMutexLock gate(&gate_);
-  Project next = project_;
+  MutexLock writer(&writer_mu_);
+  Project next = *Snapshot();
   ANMAT_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids, ParamIds(params));
   for (uint64_t id : ids) {
     // An unknown id rejects the whole command; nothing is persisted.
     ANMAT_RETURN_NOT_OK(next.DeleteRule(id));
   }
-  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<const Project> committed,
+                         Commit(std::move(next)));
 
   VerbResult out;
   out.result = JsonValue::Object();
   out.result.Set("deleted", JsonValue::Int(static_cast<int64_t>(ids.size())));
   out.result.Set("remaining", JsonValue::Int(static_cast<int64_t>(
-                                  project_.rules().size())));
+                                  committed->rules().size())));
   out.text = "deleted " + std::to_string(ids.size()) + " rule(s); " +
-             std::to_string(project_.rules().size()) +
+             std::to_string(committed->rules().size()) +
              " rule(s) remain (ids are never reused)\n";
   return out;
 }
 
 Result<VerbResult> ProjectHost::RulesAnnotate(const JsonValue& params) {
-  WriterMutexLock gate(&gate_);
+  MutexLock writer(&writer_mu_);
   ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "id", 0));
   if (id <= 0) {
     return Status::InvalidArgument("param \"id\" must be a positive rule id");
   }
   ANMAT_ASSIGN_OR_RETURN(const std::string note,
                          ParamString(params, "note", ""));
-  Project next = project_;
+  Project next = *Snapshot();
   ANMAT_RETURN_NOT_OK(next.AnnotateRule(static_cast<uint64_t>(id), note));
-  ANMAT_RETURN_NOT_OK(Commit(std::move(next)));
+  ANMAT_RETURN_NOT_OK(Commit(std::move(next)).status());
 
   VerbResult out;
   out.result = JsonValue::Object();
@@ -561,11 +670,7 @@ Result<VerbResult> ProjectHost::RulesAnnotate(const JsonValue& params) {
 }
 
 Result<VerbResult> ProjectHost::StreamOpen(const JsonValue& params) {
-  std::vector<Pfd> rules;
-  {
-    ReaderMutexLock gate(&gate_);
-    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules());
-  }
+  ANMAT_ASSIGN_OR_RETURN(std::vector<Pfd> rules, ConfirmedRules(*Snapshot()));
   uint64_t id = 0;
   {
     MutexLock lock(&streams_mu_);

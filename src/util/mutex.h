@@ -12,16 +12,14 @@
 //   MutexLock lock(&mu_);      // scoped exclusive
 //   items_.push_back(1);       // OK: mu_ held
 //
-// SharedMutex adds reader/writer locking (WriterMutexLock /
-// ReaderMutexLock). CondVar works with Mutex and requires the caller to
-// hold it across Wait, matching std::condition_variable's contract.
+// CondVar works with Mutex and requires the caller to hold it across
+// Wait, matching std::condition_variable's contract.
 
 #ifndef ANMAT_UTIL_MUTEX_H_
 #define ANMAT_UTIL_MUTEX_H_
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -53,54 +51,6 @@ class ANMAT_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-class ANMAT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ANMAT_ACQUIRE() { mu_.lock(); }
-  void Unlock() ANMAT_RELEASE() { mu_.unlock(); }
-  void LockShared() ANMAT_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() ANMAT_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-/// Scoped exclusive (writer) lock over SharedMutex.
-class ANMAT_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) ANMAT_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() ANMAT_RELEASE() { mu_->Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
-};
-
-/// Scoped shared (reader) lock over SharedMutex.
-class ANMAT_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) ANMAT_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->LockShared();
-  }
-  // release_generic: clang models a scoped capability's destructor as
-  // releasing however the capability was acquired.
-  ~ReaderMutexLock() ANMAT_RELEASE_GENERIC() { mu_->UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
 };
 
 /// Condition variable for Mutex. Wait requires the mutex held; use an

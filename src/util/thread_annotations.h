@@ -6,10 +6,9 @@
 // compile-checked: touching it without holding `mu` is a build error. Under
 // GCC they expand to nothing, so annotated code builds identically there.
 //
-// Use the wrappers in util/mutex.h (anmat::Mutex / anmat::SharedMutex and
-// the scoped lock types) rather than std::mutex directly — the analysis
-// needs a mutex type that itself carries the capability attribute, which
-// libstdc++'s is not.
+// Use the wrappers in util/mutex.h (anmat::Mutex and its scoped lock)
+// rather than std::mutex directly — the analysis needs a mutex type that
+// itself carries the capability attribute, which libstdc++'s is not.
 
 #ifndef ANMAT_UTIL_THREAD_ANNOTATIONS_H_
 #define ANMAT_UTIL_THREAD_ANNOTATIONS_H_
@@ -36,30 +35,13 @@
 #define ANMAT_REQUIRES(...) \
   ANMAT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
-/// On a function: the caller must hold `...` at least shared.
-#define ANMAT_REQUIRES_SHARED(...) \
-  ANMAT_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
 /// On a function: acquires `...` exclusively and does not release it.
 #define ANMAT_ACQUIRE(...) \
   ANMAT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/// On a function: acquires `...` shared and does not release it.
-#define ANMAT_ACQUIRE_SHARED(...) \
-  ANMAT_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /// On a function: releases `...` (held exclusively).
 #define ANMAT_RELEASE(...) \
   ANMAT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// On a function: releases `...` (held shared).
-#define ANMAT_RELEASE_SHARED(...) \
-  ANMAT_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-/// On a function: releases `...` whether held exclusively or shared
-/// (what a scoped lock's destructor does).
-#define ANMAT_RELEASE_GENERIC(...) \
-  ANMAT_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 
 /// On a function: the caller must NOT hold `...` (deadlock guard for
 /// functions that acquire it themselves).

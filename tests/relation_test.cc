@@ -103,6 +103,19 @@ TEST(RelationTest, SetCell) {
   EXPECT_EQ(rel.cell(0, 1), "LA");
 }
 
+TEST(RelationTest, DetachedCopyInternsIntoItsOwnArena) {
+  const Relation source = MakeZipRelation();
+  const size_t shared_bytes = source.arena().bytes_used();
+  Relation copy = source;
+  copy.DetachArena();
+  copy.set_cell(0, 1, "Los Angeles, CA");
+  EXPECT_EQ(copy.cell(0, 1), "Los Angeles, CA");
+  // Cells the copy still shares stay readable through the kept arena.
+  EXPECT_EQ(copy.cell(2, 1), "New York");
+  EXPECT_EQ(source.cell(0, 1), "Los Angeles");
+  EXPECT_EQ(source.arena().bytes_used(), shared_bytes);
+}
+
 TEST(RelationTest, ColumnByName) {
   Relation rel = MakeZipRelation();
   auto col = rel.ColumnByName("city");

@@ -3,10 +3,12 @@
 // end-to-end over a real unix socket — workflow verbs, protocol
 // robustness (malformed / truncated / oversized frames, mid-request
 // disconnects) without taking the daemon down, fork()-based concurrent
-// writers proving the in-process writer gate loses no edit, kill -9
+// writers proving the host's writer mutex loses no edit, kill -9
 // of a serving daemon leaving the project recoverable, and the
 // byte-identity of daemon results with the report-layer JSON the
-// one-shot CLI prints.
+// one-shot CLI prints. The ProjectHost tests pin snapshot reads (a
+// reader answers while a writer is parked inside its save) and warm
+// datasets (in-place rewrites, a changed schema, truncation).
 
 #include "service/daemon.h"
 
@@ -34,6 +36,7 @@
 #include "anmat/engine.h"
 #include "anmat/project.h"
 #include "anmat/report.h"
+#include "csv/csv_reader.h"
 #include "pattern/pattern_parser.h"
 #include "service/client.h"
 #include "service/framing.h"
@@ -380,6 +383,11 @@ TEST(DaemonTest, WorkflowVerbsMatchReportJson) {
   const JsonValue& cache =
       *stats.result.Get("project_stats")->at(0).Get("automaton_cache");
   EXPECT_GT(cache.GetInt("hits").value(), 0);
+  const JsonValue& warm =
+      *stats.result.Get("project_stats")->at(0).Get("warm_datasets");
+  EXPECT_EQ(warm.GetInt("entries").value(), 1);
+  EXPECT_EQ(warm.GetInt("hits").value(), 1);
+  EXPECT_EQ(warm.GetInt("misses").value(), 1);
 
   // rules.list mirrors RuleSetToJson.
   JsonValue list = JsonValue::Object();
@@ -993,6 +1001,145 @@ TEST(ProjectHostTest, ReadersNeverWaitOnAParkedWriter) {
   // Committed and published: the next read sees the note.
   EXPECT_NE(read("rules.list").find("parked note"), std::string::npos);
   EXPECT_EQ(read("detect"), before[0]);
+  std::filesystem::remove_all(dir);
+}
+
+// -- Warm datasets ------------------------------------------------------------
+
+/// Writes `text` over `path` in place — same inode, cut to `text`'s
+/// length — then moves the mtime on by a second. The warm key reads size
+/// and mtime, and a coarse filesystem clock can stamp a rewrite with the
+/// very mtime the previous load saw (project_host.h).
+void RewriteInPlace(const std::string& path, const std::string& text) {
+  const auto mtime = std::filesystem::last_write_time(path);
+  {
+    std::fstream out(path, std::ios::in | std::ios::out | std::ios::binary);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  }
+  std::filesystem::resize_file(path, text.size());
+  std::filesystem::last_write_time(path, mtime + std::chrono::seconds(1));
+}
+
+/// What `detect --format json` prints for `path` against `rules`, from a
+/// fresh read of the file.
+std::string FreshDetectJson(const std::string& path,
+                            const std::vector<Pfd>& rules) {
+  Relation data = ReadCsvFile(path).value();
+  Engine engine;
+  return DetectionToJson(data, rules, engine.Detect(data, rules).value())
+      .Dump();
+}
+
+/// The seeded project at `dir`, every rule confirmed and saved.
+Project OpenConfirmed(const std::string& dir) {
+  Project project = Project::Open(dir).value();
+  for (const RuleRecord& rule : project.rules().records()) {
+    EXPECT_TRUE(project.SetRuleStatus(rule.id, RuleStatus::kConfirmed).ok());
+  }
+  EXPECT_TRUE(project.Save().ok());
+  return project;
+}
+
+TEST(ProjectHostTest, WarmDatasetFollowsInPlaceRewrites) {
+  const std::string dir = FreshDir("warm");
+  const std::string csv = WriteZipCsv("warm");
+  SeedProject(dir, csv);
+  Project project = OpenConfirmed(dir);
+  const std::vector<Pfd> rules = project.ConfirmedPfds();
+  ProjectHost host(std::move(project), ProjectHost::Options());
+  const auto detect = [&host] {
+    return host.Dispatch("detect", JsonValue::Object());
+  };
+  const auto warm = [&host](const char* key) {
+    return host.WarmStatsJson().GetInt(key).value();
+  };
+
+  // Two detects in a row: one load, then the warm relation.
+  const std::string original = FreshDetectJson(csv, rules);
+  EXPECT_EQ(detect()->result.Dump(), original);
+  EXPECT_EQ(warm("misses"), 1);
+  EXPECT_EQ(warm("hits"), 0);
+  EXPECT_EQ(detect()->result.Dump(), original);
+  EXPECT_EQ(warm("misses"), 1);
+  EXPECT_EQ(warm("hits"), 1);
+  EXPECT_EQ(warm("entries"), 1);
+  EXPECT_GT(warm("bytes"), 0);
+
+  // Repair edits a copy: the warm relation still detects as before.
+  ASSERT_TRUE(host.Dispatch("repair", JsonValue::Object()).ok());
+  EXPECT_EQ(detect()->result.Dump(), original);
+
+  // One cell rewritten, same size, same header: detect sees the new bytes.
+  const std::string clean =
+      "zip,city\n90001,Los Angeles\n90002,Los Angeles\n"
+      "90003,Los Angeles\n90004,New York\n";
+  std::string cell = clean;
+  cell.replace(cell.find("90004,New York"), 14, "90004,New Yorj");
+  RewriteInPlace(csv, cell);
+  const std::string rewritten = FreshDetectJson(csv, rules);
+  ASSERT_NE(rewritten, original);
+  EXPECT_EQ(detect()->result.Dump(), rewritten);
+
+  // A new header of the same size: the schema-change error still fires.
+  std::string header = clean;
+  header.replace(0, 8, "zip,town");
+  RewriteInPlace(csv, header);
+  Result<VerbResult> changed = detect();
+  ASSERT_FALSE(changed.ok());
+  EXPECT_NE(changed.status().message().find("changed schema"),
+            std::string::npos)
+      << changed.status().ToString();
+
+  // Truncated in place to two rows, then to nothing: reloaded each time.
+  RewriteInPlace(csv, clean);
+  EXPECT_EQ(detect()->result.Dump(), original);
+  RewriteInPlace(csv, clean.substr(0, clean.find("90003")));
+  EXPECT_EQ(detect()->result.Dump(), FreshDetectJson(csv, rules));
+  RewriteInPlace(csv, "");
+  EXPECT_FALSE(detect().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ProjectHostTest, ConcurrentDetectsAndAnnotatesAgree) {
+  const std::string dir = FreshDir("mixed");
+  const std::string csv = WriteZipCsv("mixed");
+  SeedProject(dir, csv);
+  Project project = OpenConfirmed(dir);
+  const std::string expected = FreshDetectJson(csv, project.ConfirmedPfds());
+  ProjectHost host(std::move(project), ProjectHost::Options());
+
+  // Readers share one warm relation and read snapshots while the writer
+  // commits and publishes new ones.
+  constexpr int kReaders = 3;
+  constexpr int kDetects = 20;
+  constexpr int kAnnotates = 5;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kReaders, 0);
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (int i = 0; i < kDetects; ++i) {
+        Result<VerbResult> reply =
+            host.Dispatch("detect", JsonValue::Object());
+        if (!reply.ok() || reply->result.Dump() != expected) ++mismatches[r];
+      }
+    });
+  }
+  Status annotated = Status::OK();
+  threads.emplace_back([&] {
+    for (int i = 0; i < kAnnotates && annotated.ok(); ++i) {
+      JsonValue params = JsonValue::Object();
+      params.Set("id", JsonValue::Int(1));
+      params.Set("note", JsonValue::String("note " + std::to_string(i)));
+      annotated = host.Dispatch("rules.annotate", params).status();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(annotated.ok()) << annotated.ToString();
+  EXPECT_EQ(mismatches, std::vector<int>(kReaders, 0));
+  EXPECT_EQ(host.WarmStatsJson().GetInt("entries").value(), 1);
+  Result<VerbResult> list = host.Dispatch("rules.list", JsonValue::Object());
+  ASSERT_TRUE(list.ok());
+  EXPECT_NE(list->result.Dump().find("note 4"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

@@ -510,8 +510,8 @@ int CmdDatasetVerb(const std::string& verb, const ParsedArgs& args) {
     return code;
   }
   anmat::Engine engine = MakeEngine(args);
-  return Finish(ToResponse(anmat::RunDatasetVerb(
-                    engine, verb, std::move(relation), rules, params)),
+  return Finish(ToResponse(anmat::RunDatasetVerb(engine, verb, relation,
+                                                 rules, params)),
                 FlagJson(args));
 }
 
