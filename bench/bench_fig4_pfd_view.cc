@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "bench_util.h"
 #include "datagen/datasets.h"
 #include "store/rule_store.h"
@@ -19,34 +18,26 @@ namespace {
 
 using anmat_bench::Banner;
 using anmat_bench::CheckOrDie;
+using anmat_bench::RulesOf;
 
-anmat::Session DiscoveredSession() {
+std::vector<anmat::DiscoveredPfd> DiscoverD2() {
   anmat::Dataset d = anmat::NameGenderDataset(3000, 61, 0.02);
-  anmat::Session session("D2");
-  CheckOrDie(session.LoadRelation(d.relation).ok(), "load D2");
-  session.SetMinCoverage(0.4);
-  session.SetAllowedViolationRatio(0.1);
-  CheckOrDie(session.Discover().ok(), "discover D2");
-  return session;
+  return anmat_bench::DiscoverOrDie(d.relation, "D2", 0.4, 0.1);
 }
 
 void ReproduceContent() {
   Banner("F4", "Figure 4: discovered PFDs with tableau + provenance");
-  anmat::Session session = DiscoveredSession();
-  const std::string view =
-      anmat::RenderDiscoveredPfdsView(session.discovered());
+  const std::vector<anmat::DiscoveredPfd> discovered = DiscoverD2();
+  const std::string view = anmat::RenderDiscoveredPfdsView(discovered);
   std::cout << view;
-  CheckOrDie(!session.discovered().empty(), "PFDs discovered");
+  CheckOrDie(!discovered.empty(), "PFDs discovered");
   CheckOrDie(view.find("coverage=") != std::string::npos,
              "coverage displayed");
   CheckOrDie(view.find("::") != std::string::npos,
              "pattern::position provenance displayed");
 
   // Confirmation persists the rules (MongoDB in the demo; JSON here).
-  std::vector<anmat::Pfd> rules;
-  for (const anmat::DiscoveredPfd& p : session.discovered()) {
-    rules.push_back(p.pfd);
-  }
+  const std::vector<anmat::Pfd> rules = RulesOf(discovered);
   const std::string json = anmat::SerializeRuleSet(rules);
   auto restored = anmat::ParseRuleSet(json);
   CheckOrDie(restored.ok() && restored.value().size() == rules.size(),
@@ -56,9 +47,9 @@ void ReproduceContent() {
 }
 
 void BM_RenderPfdView(benchmark::State& state) {
-  anmat::Session session = DiscoveredSession();
+  const std::vector<anmat::DiscoveredPfd> discovered = DiscoverD2();
   for (auto _ : state) {
-    std::string view = anmat::RenderDiscoveredPfdsView(session.discovered());
+    std::string view = anmat::RenderDiscoveredPfdsView(discovered);
     benchmark::DoNotOptimize(view);
   }
   state.SetItemsProcessed(state.iterations());
@@ -66,11 +57,7 @@ void BM_RenderPfdView(benchmark::State& state) {
 BENCHMARK(BM_RenderPfdView);
 
 void BM_SerializeRules(benchmark::State& state) {
-  anmat::Session session = DiscoveredSession();
-  std::vector<anmat::Pfd> rules;
-  for (const anmat::DiscoveredPfd& p : session.discovered()) {
-    rules.push_back(p.pfd);
-  }
+  const std::vector<anmat::Pfd> rules = RulesOf(DiscoverD2());
   for (auto _ : state) {
     std::string json = anmat::SerializeRuleSet(rules);
     benchmark::DoNotOptimize(json);
@@ -80,11 +67,7 @@ void BM_SerializeRules(benchmark::State& state) {
 BENCHMARK(BM_SerializeRules);
 
 void BM_ParseRules(benchmark::State& state) {
-  anmat::Session session = DiscoveredSession();
-  std::vector<anmat::Pfd> rules;
-  for (const anmat::DiscoveredPfd& p : session.discovered()) {
-    rules.push_back(p.pfd);
-  }
+  const std::vector<anmat::Pfd> rules = RulesOf(DiscoverD2());
   const std::string json = anmat::SerializeRuleSet(rules);
   for (auto _ : state) {
     auto restored = anmat::ParseRuleSet(json);

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "bench_util.h"
 #include "datagen/datasets.h"
 
@@ -17,26 +16,33 @@ namespace {
 using anmat_bench::Banner;
 using anmat_bench::CheckOrDie;
 
-anmat::Session DetectedSession(size_t rows, uint64_t seed) {
+/// A D2 table with every rule discovered on it confirmed.
+struct ConfirmedD2 {
+  anmat::Relation relation;
+  std::vector<anmat::Pfd> rules;
+};
+
+ConfirmedD2 DiscoverD2(size_t rows, uint64_t seed) {
   anmat::Dataset d = anmat::NameGenderDataset(rows, seed, 0.03);
-  anmat::Session session("D2");
-  CheckOrDie(session.LoadRelation(d.relation).ok(), "load D2");
-  session.SetMinCoverage(0.4);
-  session.SetAllowedViolationRatio(0.12);
-  CheckOrDie(session.Discover().ok(), "discover D2");
-  session.ConfirmAll();
-  CheckOrDie(session.Detect().ok(), "detect D2");
-  return session;
+  std::vector<anmat::Pfd> rules = anmat_bench::RulesOf(
+      anmat_bench::DiscoverOrDie(d.relation, "D2", 0.4, 0.12));
+  return ConfirmedD2{std::move(d.relation), std::move(rules)};
+}
+
+anmat::DetectionResult DetectOrDie(const ConfirmedD2& d) {
+  auto detection = anmat::Engine().Detect(d.relation, d.rules);
+  CheckOrDie(detection.ok(), "detect D2");
+  return std::move(detection).value();
 }
 
 void ReproduceContent() {
   Banner("F5", "Figure 5: violations view for Full Name -> Gender");
-  anmat::Session session = DetectedSession(2000, 71);
-  const std::string view = anmat::RenderViolationsView(
-      session.relation(), session.confirmed(), session.detection(), 15);
+  const ConfirmedD2 d = DiscoverD2(2000, 71);
+  const anmat::DetectionResult detection = DetectOrDie(d);
+  const std::string view =
+      anmat::RenderViolationsView(d.relation, d.rules, detection, 15);
   std::cout << view;
-  CheckOrDie(!session.detection().violations.empty(),
-             "violations reported");
+  CheckOrDie(!detection.violations.empty(), "violations reported");
   CheckOrDie(view.find("full_name=") != std::string::npos,
              "full violating records displayed");
   CheckOrDie(view.find("suggested repair") != std::string::npos,
@@ -44,26 +50,21 @@ void ReproduceContent() {
 }
 
 void BM_DetectNameGender(benchmark::State& state) {
-  anmat::Dataset d = anmat::NameGenderDataset(
-      static_cast<size_t>(state.range(0)), 72, 0.03);
-  anmat::Session session("D2");
-  (void)session.LoadRelation(d.relation);
-  session.SetMinCoverage(0.4);
-  session.SetAllowedViolationRatio(0.12);
-  (void)session.Discover();
-  session.ConfirmAll();
+  const ConfirmedD2 d = DiscoverD2(static_cast<size_t>(state.range(0)), 72);
+  anmat::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.Detect());
+    benchmark::DoNotOptimize(engine.Detect(d.relation, d.rules));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DetectNameGender)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_RenderViolations(benchmark::State& state) {
-  anmat::Session session = DetectedSession(4000, 73);
+  const ConfirmedD2 d = DiscoverD2(4000, 73);
+  const anmat::DetectionResult detection = DetectOrDie(d);
   for (auto _ : state) {
-    std::string view = anmat::RenderViolationsView(
-        session.relation(), session.confirmed(), session.detection());
+    std::string view =
+        anmat::RenderViolationsView(d.relation, d.rules, detection);
     benchmark::DoNotOptimize(view);
   }
   state.SetItemsProcessed(state.iterations());

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "bench_util.h"
 #include "datagen/datasets.h"
 #include "detect/detector.h"
@@ -48,15 +47,12 @@ void ReproduceContent() {
   std::cout << d.relation.ToString() << "\n";
 
   // Discovery on the toy table.
-  anmat::Session session("Name");
-  CheckOrDie(session.LoadRelation(d.relation).ok(), "load Table 1");
-  session.SetMinCoverage(0.4);
-  session.SetAllowedViolationRatio(0.5);
-  CheckOrDie(session.Discover().ok(), "discover on Table 1");
-  std::cout << anmat::RenderDiscoveredPfdsView(session.discovered());
+  const std::vector<anmat::DiscoveredPfd> discovered =
+      anmat_bench::DiscoverOrDie(d.relation, "Name", 0.4, 0.5);
+  std::cout << anmat::RenderDiscoveredPfdsView(discovered);
   bool has_john = false;
   bool has_susan = false;
-  for (const anmat::DiscoveredPfd& p : session.discovered()) {
+  for (const anmat::DiscoveredPfd& p : discovered) {
     const std::string text = p.pfd.ToString();
     if (text.find("John") != std::string::npos) has_john = true;
     if (text.find("Susan") != std::string::npos) has_susan = true;

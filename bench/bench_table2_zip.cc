@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "bench_util.h"
 #include "datagen/datasets.h"
 #include "detect/detector.h"
@@ -62,18 +61,16 @@ void ReproduceContent() {
              "P1 = \\D{5} is contained in P2 = \\D*");
 
   // Discovery re-finds both rule shapes from the dirty toy table.
-  anmat::Session session("Zip");
-  CheckOrDie(session.LoadRelation(d.relation).ok(), "load Table 2");
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.3);
   // The 4-row toy table has a single key group ("900"); the usual guard
   // demanding two independently-tested groups would reject λ5 here.
-  session.mutable_discovery_options().variable_miner.min_multi_groups = 1;
-  CheckOrDie(session.Discover().ok(), "discover on Table 2");
-  std::cout << "\n" << anmat::RenderDiscoveredPfdsView(session.discovered());
+  anmat::DiscoveryOptions options;
+  options.variable_miner.min_multi_groups = 1;
+  const std::vector<anmat::DiscoveredPfd> discovered =
+      anmat_bench::DiscoverOrDie(d.relation, "Zip", 0.5, 0.3, options);
+  std::cout << "\n" << anmat::RenderDiscoveredPfdsView(discovered);
   bool constant_rule = false;
   bool variable_rule = false;
-  for (const anmat::DiscoveredPfd& p : session.discovered()) {
+  for (const anmat::DiscoveredPfd& p : discovered) {
     if (p.pfd.IsConstant() &&
         p.pfd.ToString().find("Los\\ Angeles") != std::string::npos) {
       constant_rule = true;

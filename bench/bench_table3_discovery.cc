@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "bench_util.h"
 #include "datagen/datasets.h"
 
@@ -29,18 +28,16 @@ struct RunResult {
   anmat::Relation relation;
 };
 
+/// Discovers on `dataset`, confirms every rule and detects with them.
 RunResult RunPipeline(const anmat::Dataset& dataset, double min_coverage,
                       double allowed_violations) {
-  anmat::Session session(dataset.name);
-  CheckOrDie(session.LoadRelation(dataset.relation).ok(),
-             "load " + dataset.name);
-  session.SetMinCoverage(min_coverage);
-  session.SetAllowedViolationRatio(allowed_violations);
-  CheckOrDie(session.Discover().ok(), "discover " + dataset.name);
-  session.ConfirmAll();
-  CheckOrDie(session.Detect().ok(), "detect " + dataset.name);
-  return RunResult{session.confirmed(), session.detection(),
-                   session.relation()};
+  std::vector<anmat::Pfd> rules = anmat_bench::RulesOf(
+      anmat_bench::DiscoverOrDie(dataset.relation, dataset.name,
+                                 min_coverage, allowed_violations));
+  auto detection = anmat::Engine().Detect(dataset.relation, rules);
+  CheckOrDie(detection.ok(), "detect " + dataset.name);
+  return RunResult{std::move(rules), std::move(detection).value(),
+                   dataset.relation};
 }
 
 bool RulesMention(const std::vector<anmat::Pfd>& rules,
@@ -115,13 +112,16 @@ void BM_EndToEnd(benchmark::State& state, int which) {
                        : anmat::ZipCityStateDataset(
                              static_cast<size_t>(state.range(0)), 33, 0.03);
   for (auto _ : state) {
-    anmat::Session session("bench");
-    benchmark::DoNotOptimize(session.LoadRelation(d.relation));
-    session.SetMinCoverage(0.4);
-    session.SetAllowedViolationRatio(0.12);
-    benchmark::DoNotOptimize(session.Discover());
-    session.ConfirmAll();
-    benchmark::DoNotOptimize(session.Detect());
+    anmat::Engine engine;
+    anmat::DiscoveryOptions options;
+    options.table_name = "bench";
+    options.min_coverage = 0.4;
+    options.allowed_violation_ratio = 0.12;
+    auto discovery = engine.Discover(d.relation, options);
+    benchmark::DoNotOptimize(discovery);
+    if (!discovery.ok()) continue;
+    benchmark::DoNotOptimize(
+        engine.Detect(d.relation, anmat_bench::RulesOf(discovery->pfds)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

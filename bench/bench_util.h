@@ -11,6 +11,10 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "anmat/engine.h"
 
 namespace anmat_bench {
 
@@ -42,6 +46,29 @@ inline void CheckOrDie(bool ok, const std::string& what) {
     std::cerr << "REPRODUCTION CHECK FAILED: " << what << "\n";
     std::exit(2);
   }
+}
+
+/// Serial discovery on `relation` as table `name`, with minimum coverage
+/// `gamma` and `violations` the allowed violation ratio; `options` carries
+/// any other discovery knob. Aborts the bench on error.
+inline std::vector<anmat::DiscoveredPfd> DiscoverOrDie(
+    const anmat::Relation& relation, const std::string& name, double gamma,
+    double violations, anmat::DiscoveryOptions options = {}) {
+  options.table_name = name;
+  options.min_coverage = gamma;
+  options.allowed_violation_ratio = violations;
+  auto result = anmat::Engine().Discover(relation, options);
+  CheckOrDie(result.ok(), "discover " + name);
+  return std::move(result->pfds);
+}
+
+/// The PFDs of `discovered`: the rule set that confirming all of them
+/// applies.
+inline std::vector<anmat::Pfd> RulesOf(
+    const std::vector<anmat::DiscoveredPfd>& discovered) {
+  std::vector<anmat::Pfd> rules;
+  for (const anmat::DiscoveredPfd& d : discovered) rules.push_back(d.pfd);
+  return rules;
 }
 
 }  // namespace anmat_bench

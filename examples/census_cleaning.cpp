@@ -12,8 +12,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "anmat/engine.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "datagen/datasets.h"
 
 namespace {
@@ -26,33 +26,32 @@ void RunDataset(const anmat::Dataset& dataset,
             << dataset.ground_truth.size() << " injected errors)\n";
   std::cout << "==================================================\n";
 
-  anmat::Session session(dataset.name);
-  if (anmat::Status s = session.LoadRelation(dataset.relation); !s.ok()) {
-    std::cerr << s << "\n";
+  anmat::Engine engine;
+  anmat::DiscoveryOptions options;
+  options.table_name = dataset.name;
+  options.min_coverage = 0.4;
+  options.allowed_violation_ratio = 0.1;
+  auto discovery = engine.Discover(dataset.relation, options);
+  if (!discovery.ok()) {
+    std::cerr << discovery.status() << "\n";
     return;
   }
-  session.SetMinCoverage(0.4);
-  session.SetAllowedViolationRatio(0.1);
+  std::cout << anmat::RenderDiscoveredPfdsView(discovery->pfds);
 
-  if (anmat::Status s = session.Discover(); !s.ok()) {
-    std::cerr << s << "\n";
-    return;
-  }
-  std::cout << anmat::RenderDiscoveredPfdsView(session.discovered());
-
-  session.ConfirmAll();
-  if (anmat::Status s = session.Detect(); !s.ok()) {
-    std::cerr << s << "\n";
+  // Confirm every discovered rule and detect with them.
+  std::vector<anmat::Pfd> rules;
+  for (const anmat::DiscoveredPfd& d : discovery->pfds) rules.push_back(d.pfd);
+  auto detection = engine.Detect(dataset.relation, rules);
+  if (!detection.ok()) {
+    std::cerr << detection.status() << "\n";
     return;
   }
 
   std::cout << "\nTable-3 style summary:\n";
-  std::cout << anmat::RenderTable3Style(session.relation(),
-                                        session.confirmed(),
-                                        session.detection());
+  std::cout << anmat::RenderTable3Style(dataset.relation, rules, *detection);
 
   std::vector<anmat::CellRef> suspects;
-  for (const anmat::Violation& v : session.detection().violations) {
+  for (const anmat::Violation& v : detection->violations) {
     suspects.push_back(v.suspect);
   }
   std::set<size_t> cols(scored_columns.begin(), scored_columns.end());

@@ -14,8 +14,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "anmat/engine.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "datagen/datasets.h"
 #include "detect/detector.h"
 #include "store/rule_store.h"
@@ -30,27 +30,22 @@ int main(int argc, char** argv) {
             << " injected label errors.\n\n";
   std::cout << dataset.relation.ToString(5) << "\n";
 
-  anmat::Session session("chembl");
-  if (anmat::Status s = session.LoadRelation(dataset.relation); !s.ok()) {
-    std::cerr << s << "\n";
+  anmat::DiscoveryOptions options;
+  options.table_name = "chembl";
+  options.min_coverage = 0.2;  // each digit-count bucket is a minority
+  options.allowed_violation_ratio = 0.1;
+  options.constant_miner.decision.min_support = 20;
+  auto discovery = anmat::Engine().Discover(dataset.relation, options);
+  if (!discovery.ok()) {
+    std::cerr << discovery.status() << "\n";
     return 1;
   }
-  session.SetMinCoverage(0.2);  // each digit-count bucket is a minority
-  session.SetAllowedViolationRatio(0.1);
-  session.mutable_discovery_options().constant_miner.decision.min_support = 20;
-
-  if (anmat::Status s = session.Discover(); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  std::cout << anmat::RenderDiscoveredPfdsView(session.discovered()) << "\n";
+  std::cout << anmat::RenderDiscoveredPfdsView(discovery->pfds) << "\n";
 
   // Persist the discovered rules and reload them — the demo's MongoDB
   // round-trip, substituted by the JSON rule store.
   std::vector<anmat::Pfd> rules;
-  for (const anmat::DiscoveredPfd& d : session.discovered()) {
-    rules.push_back(d.pfd);
-  }
+  for (const anmat::DiscoveredPfd& d : discovery->pfds) rules.push_back(d.pfd);
   const std::string store_path = "/tmp/anmat_chembl_rules.json";
   anmat::RuleStore store(store_path);
   if (anmat::Status s = store.Save(rules); !s.ok()) {

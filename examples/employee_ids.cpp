@@ -11,8 +11,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "anmat/engine.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "datagen/datasets.h"
 
 int main(int argc, char** argv) {
@@ -26,34 +26,34 @@ int main(int argc, char** argv) {
             << " injected errors.\n\n";
   std::cout << dataset.relation.ToString(6) << "\n";
 
-  anmat::Session session("employees");
-  if (anmat::Status s = session.LoadRelation(dataset.relation); !s.ok()) {
-    std::cerr << s << "\n";
+  anmat::Engine engine;
+  anmat::DiscoveryOptions options;
+  options.table_name = "employees";
+  options.min_coverage = 0.5;
+  options.allowed_violation_ratio = 0.08;
+  auto discovery = engine.Discover(dataset.relation, options);
+  if (!discovery.ok()) {
+    std::cerr << discovery.status() << "\n";
     return 1;
   }
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.08);
+  std::cout << anmat::RenderDiscoveredPfdsView(discovery->pfds) << "\n";
 
-  if (anmat::Status s = session.Discover(); !s.ok()) {
-    std::cerr << s << "\n";
+  // Confirm every discovered rule and detect with them.
+  std::vector<anmat::Pfd> rules;
+  for (const anmat::DiscoveredPfd& d : discovery->pfds) rules.push_back(d.pfd);
+  auto detection = engine.Detect(dataset.relation, rules);
+  if (!detection.ok()) {
+    std::cerr << detection.status() << "\n";
     return 1;
   }
-  std::cout << anmat::RenderDiscoveredPfdsView(session.discovered()) << "\n";
-
-  session.ConfirmAll();
-  if (anmat::Status s = session.Detect(); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  std::cout << anmat::RenderViolationsView(session.relation(),
-                                           session.confirmed(),
-                                           session.detection(), 10)
+  std::cout << anmat::RenderViolationsView(dataset.relation, rules,
+                                           *detection, 10)
             << "\n";
 
   // Score suspects against the injected ground truth (columns 1 and 2 are
   // department and grade — the corrupted ones).
   std::vector<anmat::CellRef> suspects;
-  for (const anmat::Violation& v : session.detection().violations) {
+  for (const anmat::Violation& v : detection->violations) {
     suspects.push_back(v.suspect);
   }
   anmat::PrecisionRecall pr =

@@ -6,8 +6,9 @@
 /// drives the pipeline stages with it.
 ///
 /// ```
-///   Session (session.h)           thin workflow façade (load → profile →
-///      │  delegates                discover → confirm → detect)
+///   ProjectHost (service/)        the project verbs: Project + Engine
+///   CLI one-shot forms, benches   (the composition project.h documents)
+///      │  call
 ///      ▼
 ///   Engine (this file)            owns ThreadPool + ExecutionOptions
 ///      │  fans out via ParallelFor(…)
@@ -27,7 +28,7 @@
 /// byte-identical to serial runs (asserted by the randomized differential
 /// tests in engine_test.cc). The engine overwrites the `execution` block of
 /// whatever options it is handed with its own configuration — threads are
-/// set once, on the engine.
+/// set once, when the engine is constructed.
 ///
 /// The engine also owns the engine-wide `AutomatonCache`
 /// (pattern/automaton_cache.h) and installs it into every stage's options:
@@ -56,8 +57,6 @@
 #include "relation/relation.h"
 #include "repair/repair.h"
 #include "util/status.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace anmat {
@@ -65,39 +64,17 @@ namespace anmat {
 /// \brief The execution engine: pipeline stages + a shared thread pool +
 /// the engine-wide automaton cache.
 ///
-/// Movable, not copyable. Stage calls (Profile/Discover/Detect/OpenStream)
-/// may run concurrently from several threads — lazy pool creation is
-/// lock-guarded — as long as each call uses a distinct relation.
-/// Reconfiguration (`set_execution`, `SetNumThreads`, move) must be
-/// externally synchronized with stage calls (the options block itself is
-/// not synchronized), but it never destroys a pool that was already handed
-/// out: pools are shared (`shared_ptr` in `ExecutionOptions`), so a
-/// `DetectionStream` opened before a reconfiguration stays valid — it
-/// keeps running on its original pool and thread count, and the retired
-/// pool is freed the moment the last borrowing stream dies.
+/// The execution block is fixed at construction. Stage calls
+/// (Profile/Discover/Detect/Repair/OpenStream) may run concurrently from
+/// several threads, as long as each call uses a distinct relation. Copies
+/// share the pool and the cache.
 class Engine {
  public:
   /// `execution.num_threads`: 1 = serial (default), 0 = one per hardware
-  /// thread, n = exactly n. The pool is created lazily on the first
-  /// parallel stage and reused across calls.
+  /// thread, n = exactly n. With more than one thread the pool is built
+  /// here and reused by every stage call; a pool passed in
+  /// `execution.pool` is ignored.
   explicit Engine(ExecutionOptions execution = {});
-  ~Engine();
-
-  Engine(Engine&&) noexcept;
-  Engine& operator=(Engine&&) noexcept;
-
-  /// A snapshot of the execution configuration.
-  ExecutionOptions execution() const {
-    MutexLock lock(&pool_mu_);
-    return execution_;
-  }
-
-  /// Replaces the execution configuration (drops the pool; it is rebuilt
-  /// lazily at the new size).
-  void set_execution(ExecutionOptions execution);
-
-  /// Convenience for the common knob.
-  void SetNumThreads(size_t num_threads);
 
   /// Column-parallel profiling (Figure 3).
   std::vector<ColumnProfile> Profile(const Relation& relation,
@@ -127,9 +104,8 @@ class Engine {
   /// Opens a streaming detector for `pfds` over relations with `schema`;
   /// batches appended to it pay pattern work only for newly seen distinct
   /// values (see detection_stream.h). The stream co-owns the engine's pool
-  /// and automaton cache through its options, so it stays valid across
-  /// engine reconfiguration (it keeps its original pool) and even engine
-  /// destruction; retired pools are freed when their last borrower dies.
+  /// and automaton cache through its options, so it stays valid after the
+  /// engine is destroyed; both are freed when their last owner lets go.
   Result<std::unique_ptr<DetectionStream>> OpenStream(
       const Schema& schema, std::vector<Pfd> pfds,
       DetectorOptions options = {});
@@ -139,19 +115,10 @@ class Engine {
   AutomatonCache& automata() { return *automata_; }
 
  private:
-  /// The engine's execution block with the (lazily created) pool
-  /// installed.
-  ExecutionOptions Exec();
-
-  /// Guards `execution_` and lazy creation of `pool_` under concurrent
-  /// stage calls.
-  mutable Mutex pool_mu_;
-  ExecutionOptions execution_ ANMAT_GUARDED_BY(pool_mu_);
-  /// Shared with every options block handed out; resetting it on
-  /// reconfiguration retires the pool without destroying it under a
-  /// borrower.
-  std::shared_ptr<ThreadPool> pool_ ANMAT_GUARDED_BY(pool_mu_);
-  /// Engine-wide automaton cache, shared with streams the same way.
+  /// Installed into every stage's options. Holds the pool when threads > 1;
+  /// each options copy a stream keeps co-owns it.
+  ExecutionOptions execution_;
+  /// Engine-wide automaton cache, co-owned by streams the same way.
   std::shared_ptr<AutomatonCache> automata_;
 };
 

@@ -31,8 +31,9 @@
 /// share the lock (in-process coordination stays the caller's concern).
 ///
 /// `Project` owns durable state only; execution stays in `anmat::Engine`.
-/// The intended composition (what `Session` and the CLI's `--project`
-/// subcommands do):
+/// The intended composition (what `ProjectHost` (service/project_host.h)
+/// does for the CLI's `--project` verbs and the daemon, and what the
+/// quickstart example does):
 ///
 /// \code
 ///   ANMAT_ASSIGN_OR_RETURN(anmat::Project project,

@@ -149,17 +149,6 @@ std::string RenderScorecard(const std::string& label,
          std::to_string(pr.false_negatives) + ")\n";
 }
 
-std::string RenderSessionReport(const Session& session) {
-  std::string out = "ANMAT project: " + session.project_name() + "\n\n";
-  out += RenderProfilingView(session.profiles());
-  out += "\n";
-  out += RenderDiscoveredPfdsView(session.discovered());
-  out += "\n";
-  out += RenderViolationsView(session.relation(), session.confirmed(),
-                              session.detection());
-  return out;
-}
-
 JsonValue ProfilesToJson(const std::vector<ColumnProfile>& profiles) {
   JsonValue columns = JsonValue::Array();
   for (const ColumnProfile& p : profiles) {

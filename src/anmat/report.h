@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "anmat/project.h"
-#include "anmat/session.h"
 #include "datagen/error_injector.h"
 #include "detect/detection_stream.h"
 #include "detect/violation.h"
@@ -60,9 +59,6 @@ std::string RenderRuleSetView(const RuleSet& rules);
 /// `error` saying why.
 std::string RenderFsckView(const JournalRecoveryReport& report,
                            const Project* project, const Status& error);
-
-/// \brief Convenience: all three views for a completed session.
-std::string RenderSessionReport(const Session& session);
 
 // -- Machine-readable variants (the CLI's --format json) -------------------
 

@@ -141,11 +141,6 @@ DetectionStream::DetectionStream(Schema schema, std::vector<Pfd> pfds,
 Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
     const Schema& schema, std::vector<Pfd> pfds,
     const DetectorOptions& options) {
-  if (options.max_violations != 0) {
-    return Status::InvalidArgument(
-        "DetectionStream does not support max_violations: the cap's "
-        "\"first N found\" semantics contradict cumulative batch results");
-  }
   DetectorOptions with_cache = detect_internal::WithAutomata(options);
   std::unique_ptr<DetectionStream> stream(
       new DetectionStream(schema, std::move(pfds), std::move(with_cache)));  // lint: new-ok (private ctor, owned by the unique_ptr)
@@ -302,7 +297,7 @@ void DetectionStream::AbsorbRows(RowState& state, RowId first_row) {
     detect_internal::ResolveGroup(relation_, state.pfd_index,
                                   state.row_index, row, group->by_stream,
                                   group->members.size(), first_suspect,
-                                  /*max_violations=*/0, &group->slice);
+                                  &group->slice);
     state.pairs_checked += group->slice.stats.pairs_checked;
     group->majority = majority;
     if (!was_violating && !group->slice.violations.empty()) {
@@ -572,10 +567,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           const std::string_view repair =
               witness >= base ? batch.cell(witness - base, rhs_front)
                               : relation_.cell(witness, rhs_front);
-          // Pair-backed majority suggestions carry witness strength 2, so
-          // they always clear RepairErrors' min(min_witness, 2) confidence
-          // gate (ConfidentVariableRepair, suggestion_policy.h) — no
-          // runtime check needed here.
+          // A majority suggestion is confident as it stands: RepairErrors
+          // applies every variable suggestion that survives the fold too.
           for (size_t bi = 0; bi < brows.size(); ++bi) {
             if (brow_rhs[bi] == *stream_m.key) continue;
             fold.Add(CellRef{brows[bi], rhs_front}, repair,

@@ -134,10 +134,8 @@ struct StreamConflict {
 class DetectionStream {
  public:
   /// Opens a stream for `pfds` over relations with `schema`. Fails if some
-  /// PFD does not validate against the schema, or if
-  /// `options.max_violations` is set (the cap's "first N found" semantics
-  /// contradict cumulative results). A null `options.automata` gets a
-  /// cache private to the stream.
+  /// PFD does not validate against the schema. A null `options.automata`
+  /// gets a cache private to the stream.
   static Result<std::unique_ptr<DetectionStream>> Open(
       const Schema& schema, std::vector<Pfd> pfds,
       const DetectorOptions& options = {});

@@ -197,12 +197,11 @@ const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
   return *best;
 }
 
-bool ResolveGroup(const Relation& relation, size_t pfd_index,
+void ResolveGroup(const Relation& relation, size_t pfd_index,
                   size_t row_index, const ResolvedRow& row,
                   const std::map<std::string, std::vector<RowId>>& by_rhs,
-                  size_t size, RowId first_suspect, size_t max_violations,
-                  DetectionResult* result) {
-  if (by_rhs.size() <= 1) return true;
+                  size_t size, RowId first_suspect, DetectionResult* result) {
+  if (by_rhs.size() <= 1) return;
   // Blocking only pays for pairs inside conflicting blocks.
   result->stats.pairs_checked += size * (size - 1) / 2;
 
@@ -216,31 +215,24 @@ bool ResolveGroup(const Relation& relation, size_t pfd_index,
     if (rhs == *majority_key) continue;
     for (auto it = std::lower_bound(ids.begin(), ids.end(), first_suspect);
          it != ids.end(); ++it) {
-      if (max_violations > 0 && result->violations.size() >= max_violations) {
-        return false;
-      }
       EmitPairViolation(relation, pfd_index, row_index, row, *it, witness,
                         majority_repair, &result->violations);
     }
   }
-  return true;
 }
 
 void ResolveGroups(const Relation& relation, size_t pfd_index,
                    size_t row_index, const ResolvedRow& row,
                    const std::map<std::string, std::vector<RowId>>& groups,
-                   size_t max_violations, DetectionResult* result) {
+                   DetectionResult* result) {
   for (const auto& [key, rows] : groups) {
     if (rows.size() < 2) continue;
     std::map<std::string, std::vector<RowId>> by_rhs;
     for (RowId r : rows) {
       by_rhs[RhsValue(relation, row, r)].push_back(r);
     }
-    if (!ResolveGroup(relation, pfd_index, row_index, row, by_rhs,
-                      rows.size(), /*first_suspect=*/0, max_violations,
-                      result)) {
-      return;
-    }
+    ResolveGroup(relation, pfd_index, row_index, row, by_rhs, rows.size(),
+                 /*first_suspect=*/0, result);
   }
 }
 
@@ -292,11 +284,6 @@ struct RunContext {
       nullptr;
   // Pre-classified dispatch verdicts shared read-only (may be null).
   const DetectDispatch* dispatch = nullptr;
-
-  bool AtCap() const {
-    return options->max_violations > 0 &&
-           result->violations.size() >= options->max_violations;
-  }
 
   const PatternIndex& IndexFor(size_t col) {
     if (shared_indexes != nullptr) {
@@ -373,7 +360,6 @@ void DetectConstantRow(RunContext& ctx, size_t pfd_index, size_t row_index,
   ctx.result->stats.candidate_rows += candidates.size();
 
   for (RowId r : candidates) {
-    if (ctx.AtCap()) return;
     detect_internal::EmitConstantViolation(*ctx.relation, pfd_index,
                                            row_index, row, r,
                                            &ctx.result->violations);
@@ -397,8 +383,7 @@ void DetectVariableRow(RunContext& ctx, size_t pfd_index, size_t row_index,
     }
   }
   detect_internal::ResolveGroups(*ctx.relation, pfd_index, row_index, row,
-                                 groups, ctx.options->max_violations,
-                                 ctx.result);
+                                 groups, ctx.result);
 }
 
 /// One PFD resolved against the schema (column indices looked up once).
@@ -464,8 +449,8 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
     }
   }
 
-  const bool parallel = options.execution.EffectiveThreads() > 1 &&
-                        items.size() > 1 && options.max_violations == 0;
+  const bool parallel =
+      options.execution.EffectiveThreads() > 1 && items.size() > 1;
   AutomatonCache* const automata = options.automata.get();
   assert(automata != nullptr && "entry points install a cache (WithAutomata)");
 
@@ -547,7 +532,6 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
     RunContext ctx{&relation, &options, &result, {}, nullptr,
                    dispatch.get()};
     for (size_t i = 0; i < items.size(); ++i) {
-      if (ctx.AtCap()) break;
       DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
     }
     SortViolations(&result.violations);

@@ -29,17 +29,13 @@
 
 namespace anmat {
 
-/// \brief Detection options. There is one detection path; these only cap
-/// the output, parallelize the run and share compiled automata.
+/// \brief Detection options. There is one detection path; these only
+/// parallelize the run and share compiled automata.
 struct DetectorOptions {
-  /// Cap on reported violations (0 = unlimited).
-  size_t max_violations = 0;
   /// Parallel execution. With more than one thread, detection fans out one
   /// task per (PFD, tableau row) — the seed pattern indexes are pre-built
   /// and shared read-only — and merges per-task results in task order, so
-  /// the output is byte-identical to a serial run. `max_violations > 0`
-  /// forces the serial path (the cap's "first N found in processing order"
-  /// semantics cannot be reproduced under fan-out).
+  /// the output is byte-identical to a serial run.
   ExecutionOptions execution;
   /// Shared compile-once automaton cache (pattern/automaton_cache.h):
   /// tableau matchers, index verifiers and union automata come out of it

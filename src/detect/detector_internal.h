@@ -205,23 +205,20 @@ const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
 /// members split (members ascending): when the members disagree, accounts
 /// the group's pairs into `result->stats.pairs_checked` and appends a pair
 /// violation for every minority member from `first_suspect` on against the
-/// first member of the majority block. Returns false, having stopped, once
-/// `result` holds `max_violations` violations (when non-zero). The one
-/// emission of variable violations: one-shot detection resolves every
-/// group through it, the stream each group a batch grows.
-bool ResolveGroup(const Relation& relation, size_t pfd_index,
+/// first member of the majority block. The one emission of variable
+/// violations: one-shot detection resolves every group through it, the
+/// stream each group a batch grows.
+void ResolveGroup(const Relation& relation, size_t pfd_index,
                   size_t row_index, const ResolvedRow& row,
                   const std::map<std::string, std::vector<RowId>>& by_rhs,
-                  size_t size, RowId first_suspect, size_t max_violations,
-                  DetectionResult* result);
+                  size_t size, RowId first_suspect, DetectionResult* result);
 
 /// One-shot group resolution: splits every group of key → rows by RHS
-/// value and runs `ResolveGroup` on it, in key order, stopping at
-/// `max_violations` total violations when non-zero.
+/// value and runs `ResolveGroup` on it, in key order.
 void ResolveGroups(const Relation& relation, size_t pfd_index,
                    size_t row_index, const ResolvedRow& row,
                    const std::map<std::string, std::vector<RowId>>& groups,
-                   size_t max_violations, DetectionResult* result);
+                   DetectionResult* result);
 
 }  // namespace detect_internal
 }  // namespace anmat

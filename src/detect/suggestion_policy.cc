@@ -1,17 +1,6 @@
 #include "detect/suggestion_policy.h"
 
-#include <algorithm>
-
 namespace anmat {
-
-size_t WitnessStrength(const Violation& v) {
-  // cells = (suspect_lhs, suspect_rhs, witness_lhs, witness_rhs)
-  return v.cells.size() >= 4 ? 2 : 1;
-}
-
-bool ConfidentVariableRepair(size_t witness_strength, size_t min_witness) {
-  return witness_strength >= std::min<size_t>(min_witness, 2);
-}
 
 void SuggestionFold::Add(const CellRef& cell, std::string_view value,
                          size_t pfd_index, bool variable) {

@@ -8,13 +8,12 @@
 ///
 /// §3 of the paper makes a repair *confident* when the violation's
 /// suggestion is a constant rule's RHS (always confident under the
-/// LHS-is-correct assumption) or is backed by enough agreeing witnesses
-/// (variable rows). Conflicting suggestions for one cell are dropped — the
-/// cell is left for the user — so repair never oscillates on a genuinely
-/// ambiguous cell. Both repair paths must agree on these rules cell for
-/// cell, or streaming and batch cleaning drift apart; keeping the fold and
-/// the confidence gate here is what pins them together (differentially
-/// tested in engine_test.cc).
+/// LHS-is-correct assumption) or a variable row's group majority.
+/// Conflicting suggestions for one cell are dropped — the cell is left for
+/// the user — so repair never oscillates on a genuinely ambiguous cell.
+/// Both repair paths must agree on these rules cell for cell, or streaming
+/// and batch cleaning drift apart; keeping the fold here is what pins them
+/// together (differentially tested in engine_test.cc).
 
 #include <cstddef>
 #include <map>
@@ -25,19 +24,6 @@
 #include "detect/violation.h"
 
 namespace anmat {
-
-/// \brief Witness strength behind a violation's suggestion: pair
-/// violations carry one explicit witness row on top of the suspect (the
-/// majority semantics were already enforced during detection), so they
-/// count as 2; anything thinner counts as 1.
-size_t WitnessStrength(const Violation& v);
-
-/// \brief The confidence gate for variable-row suggestions: a repair backed
-/// by `witness_strength` agreeing tuples is confident when it meets
-/// `min_witness`, capped at the pair-violation strength of 2 (a larger
-/// requirement would simply demand a larger block majority, which pair
-/// violations cannot express).
-bool ConfidentVariableRepair(size_t witness_strength, size_t min_witness);
 
 /// \brief Per-cell suggestion fold: equal suggestions for a cell merge (the
 /// first one's provenance wins), disagreeing suggestions mark the cell

@@ -54,12 +54,9 @@ Result<RepairResult> RepairErrors(Relation* relation,
         }
         continue;
       }
-      if (v.kind == ViolationKind::kVariable) {
-        if (!options.apply_variable_repairs) continue;
-        if (!ConfidentVariableRepair(WitnessStrength(v),
-                                     options.min_witness)) {
-          continue;
-        }
+      if (v.kind == ViolationKind::kVariable &&
+          !options.apply_variable_repairs) {
+        continue;
       }
       fold.Add(v.suspect, v.suggested_repair, v.pfd_index,
                v.kind == ViolationKind::kVariable);

@@ -13,12 +13,13 @@
 ///   repeat up to `max_passes` times:
 ///     detect violations → apply confident suggested repairs → re-detect
 ///
-/// A repair is *confident* when the violation's suggestion is backed by at
-/// least `min_witness` agreeing tuples (for variable rows) or is a constant
+/// A repair is *confident* when the violation's suggestion is a constant
 /// rule's RHS (always confident under the paper's LHS-is-correct
-/// assumption). Conflicting suggestions for the same cell within one pass
-/// are dropped (the cell is left for the user), so the loop never
-/// oscillates on a genuinely ambiguous cell. The fixpoint loop terminates
+/// assumption) or the majority RHS of a variable row's equivalence group
+/// (detection only flags a group's minority members, each against a
+/// witness of the majority block). Conflicting suggestions for the same
+/// cell within one pass are dropped (the cell is left for the user), so
+/// the loop never oscillates on a genuinely ambiguous cell. The fixpoint loop terminates
 /// because each pass either strictly reduces the number of violating cells
 /// or stops.
 ///
@@ -51,8 +52,6 @@ namespace anmat {
 struct RepairOptions {
   DetectorOptions detector;
   size_t max_passes = 4;
-  /// Variable-row repairs need a majority group of at least this size.
-  size_t min_witness = 2;
   /// When false, only constant-rule repairs are applied (the paper's
   /// explicitly stated case).
   bool apply_variable_repairs = true;
@@ -67,8 +66,8 @@ struct RepairResult {
   /// Cells with conflicting suggestions, left untouched.
   std::vector<CellRef> conflicted_cells;
   /// The detection result over the *repaired* relation — the fixpoint
-  /// loop's final verification pass, returned so callers (Session, views)
-  /// need not re-detect. `remaining_violations` is its violation count.
+  /// loop's final verification pass, returned so callers (views, the
+  /// repair verb) need not re-detect. `remaining_violations` is its violation count.
   DetectionResult final_detection;
 };
 

@@ -598,8 +598,8 @@ Result<VerbResult> ProjectHost::RulesSetStatus(const JsonValue& params,
   const JsonValue* all = params.Get("all");
   if (all != nullptr && all->is_bool() && all->as_bool()) {
     for (const RuleRecord& r : next.rules().records()) {
-      // `confirm all` leaves rejected rules rejected (Session::ConfirmAll's
-      // semantics); only an explicit id overrides a rejection.
+      // `confirm all` leaves rejected rules rejected; only an explicit id
+      // overrides a rejection.
       if (status == RuleStatus::kConfirmed &&
           r.status == RuleStatus::kRejected) {
         continue;

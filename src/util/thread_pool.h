@@ -71,8 +71,8 @@ class ThreadPool {
 ///
 /// Embedded in `ProfilerOptions`, `DiscoveryOptions` and `DetectorOptions`.
 /// `anmat::Engine` overwrites the block with its own configuration (and its
-/// shared pool) before delegating, so Engine/Session users set threads once
-/// on the engine; direct callers of `ProfileRelation`/`DiscoverPfds`/
+/// shared pool) before delegating, so engine users set threads once, when
+/// they construct the engine; direct callers of `ProfileRelation`/`DiscoverPfds`/
 /// `DetectErrors` set it on the options they pass.
 struct ExecutionOptions {
   /// Worker threads for the stage. 1 = serial (default), 0 = one per
@@ -89,9 +89,8 @@ struct ExecutionOptions {
   /// Optional shared pool. When null, `ParallelFor` spins up a transient
   /// pool per call; the Engine installs its long-lived pool here. Shared
   /// ownership: every options copy (e.g. the one a `DetectionStream` keeps
-  /// for its lifetime) co-owns the pool, so a pool the engine retires on
-  /// reconfiguration is freed as soon as the last borrower lets go — not
-  /// parked until engine destruction.
+  /// for its lifetime) co-owns the pool, so a stream keeps its pool after
+  /// the engine that opened it is gone.
   std::shared_ptr<ThreadPool> pool;
 
   /// `num_threads` with the 0 = hardware default resolved.

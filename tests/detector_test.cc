@@ -226,16 +226,6 @@ TEST(DetectorTest, KeyFragmentSeparatorPreventsConfusion) {
   EXPECT_EQ(untouched, "kept");
 }
 
-TEST(DetectorTest, MaxViolationsCap) {
-  Dataset d = ZipCityStateDataset(500, 44, 0.1);
-  Pfd variable = Pfd::Simple("Z", "zip", "city",
-                             OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  DetectorOptions opts;
-  opts.max_violations = 3;
-  auto result = DetectErrors(d.relation, {variable}, opts).value();
-  EXPECT_LE(result.violations.size(), 3u);
-}
-
 TEST(DetectorTest, MultiplePfdsIndexedByPosition) {
   Dataset d = PaperZipTable();
   Pfd lambda3 = Pfd::Simple("Zip", "zip", "city",

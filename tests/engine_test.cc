@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "anmat/session.h"
 #include "csv/csv_reader.h"
 #include "csv/csv_writer.h"
 #include "datagen/datasets.h"
@@ -228,23 +227,6 @@ TEST(EngineParallelTest, ZeroCopyIngestDetectsIdenticallyAcrossThreads) {
   }
 }
 
-TEST(EngineParallelTest, MaxViolationsFallsBackToSerialSemantics) {
-  const Dataset d = ZipCityStateDataset(800, 104, 0.05);
-  const std::vector<Pfd> rules = DiscoverRules(d.relation);
-  ASSERT_FALSE(rules.empty());
-  DetectorOptions options;
-  options.max_violations = 3;
-  Engine serial(ExecutionOptions{1, true, nullptr});
-  auto serial_result = serial.Detect(d.relation, rules, options);
-  ASSERT_TRUE(serial_result.ok());
-  Engine parallel(ExecutionOptions{4, true, nullptr});
-  auto parallel_result = parallel.Detect(d.relation, rules, options);
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_EQ(Fingerprint(parallel_result.value()),
-            Fingerprint(serial_result.value()));
-  EXPECT_LE(parallel_result->violations.size(), 3u);
-}
-
 TEST(EngineParallelTest, RepairByteIdenticalToSerial) {
   for (const Dataset& d : TestDatasets()) {
     const std::vector<Pfd> rules = DiscoverRules(d.relation);
@@ -445,41 +427,32 @@ TEST(DetectionStreamTest, AppendRowsConvenience) {
   EXPECT_EQ(Fingerprint(cumulative.value()), Fingerprint(one_shot.value()));
 }
 
-TEST(DetectionStreamTest, StreamSurvivesEngineReconfiguration) {
-  // Reconfiguring the engine retires (not destroys) the pool a previously
-  // opened stream captured, so the stream stays valid and its cumulative
-  // results stay byte-identical to one-shot detection.
+TEST(DetectionStreamTest, StreamOutlivesItsEngine) {
+  // A stream co-owns the pool and the automaton cache of the engine that
+  // opened it, so it keeps working after that engine is destroyed and its
+  // cumulative results stay byte-identical to one-shot detection.
   const Dataset d = ZipCityStateDataset(600, 216, 0.04);
   const std::vector<Pfd> rules = DiscoverRules(d.relation);
   ASSERT_FALSE(rules.empty());
 
-  Engine engine(ExecutionOptions{4, true, nullptr});
-  auto stream = engine.OpenStream(d.relation.schema(), rules);
-  ASSERT_TRUE(stream.ok()) << stream.status();
-
   const RowId half = static_cast<RowId>(d.relation.num_rows() / 2);
-  ASSERT_TRUE((*stream)->AppendBatch(d.relation.Slice(0, half).value()).ok());
+  std::unique_ptr<DetectionStream> stream;
+  {
+    Engine engine(ExecutionOptions{4, true, nullptr});
+    auto opened = engine.OpenStream(d.relation.schema(), rules);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    stream = std::move(opened).value();
+    ASSERT_TRUE(stream->AppendBatch(d.relation.Slice(0, half).value()).ok());
+  }
 
-  engine.SetNumThreads(8);  // stream keeps its original 4-thread pool
-
-  auto second = (*stream)->AppendBatch(
+  auto second = stream->AppendBatch(
       d.relation
           .Slice(half, static_cast<RowId>(d.relation.num_rows()))
           .value());
   ASSERT_TRUE(second.ok()) << second.status();
-  auto one_shot = engine.Detect(d.relation, rules);
+  auto one_shot = Engine().Detect(d.relation, rules);
   ASSERT_TRUE(one_shot.ok());
   EXPECT_EQ(Fingerprint(second.value()), Fingerprint(one_shot.value()));
-}
-
-TEST(DetectionStreamTest, RejectsMaxViolations) {
-  const Dataset d = ZipCityStateDataset(100, 207, 0.0);
-  const std::vector<Pfd> rules = DiscoverRules(d.relation);
-  Engine engine;
-  DetectorOptions options;
-  options.max_violations = 10;
-  auto stream = engine.OpenStream(d.relation.schema(), rules, options);
-  EXPECT_FALSE(stream.ok());
 }
 
 TEST(DetectionStreamTest, RejectsSchemaMismatch) {
@@ -1189,65 +1162,6 @@ TEST(DetectionStreamTest, CleanVariableRulesToggleRestoresConstantOnly) {
   // The variable rules must have contributed repairs beyond the constant
   // ones on this error-injected dataset.
   EXPECT_GT((*both)->repairs().size(), (*constant_only)->repairs().size());
-}
-
-// -- Session façade --------------------------------------------------------
-
-TEST(SessionEngineTest, SessionDelegatesToEngineWithThreads) {
-  const Dataset d = ZipCityStateDataset(600, 212, 0.03);
-
-  // Same project name: it is recorded as the PFD table name.
-  Session serial("zips");
-  ASSERT_TRUE(serial.LoadRelation(d.relation).ok());
-  serial.SetMinCoverage(0.4);
-  ASSERT_TRUE(serial.Discover().ok());
-  serial.ConfirmAll();
-  ASSERT_TRUE(serial.Detect().ok());
-
-  Session threaded("zips");
-  threaded.SetNumThreads(4);
-  ASSERT_TRUE(threaded.LoadRelation(d.relation).ok());
-  threaded.SetMinCoverage(0.4);
-  ASSERT_TRUE(threaded.Discover().ok());
-  threaded.ConfirmAll();
-  ASSERT_TRUE(threaded.Detect().ok());
-
-  EXPECT_EQ(Fingerprint(threaded.detection()),
-            Fingerprint(serial.detection()));
-  ASSERT_EQ(threaded.discovered().size(), serial.discovered().size());
-  for (size_t i = 0; i < serial.discovered().size(); ++i) {
-    EXPECT_EQ(threaded.discovered()[i].pfd.ToString(),
-              serial.discovered()[i].pfd.ToString());
-  }
-}
-
-TEST(SessionEngineTest, OpenDetectionStreamMatchesDetect) {
-  const Dataset d = ZipCityStateDataset(500, 213, 0.04);
-  Session session("stream");
-  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
-  session.SetMinCoverage(0.4);
-  ASSERT_TRUE(session.Discover().ok());
-  session.ConfirmAll();
-  ASSERT_TRUE(session.Detect().ok());
-
-  auto stream = session.OpenDetectionStream();
-  ASSERT_TRUE(stream.ok()) << stream.status();
-  const RowId half = static_cast<RowId>(d.relation.num_rows() / 2);
-  auto first = d.relation.Slice(0, half);
-  auto second =
-      d.relation.Slice(half, static_cast<RowId>(d.relation.num_rows()));
-  ASSERT_TRUE(first.ok() && second.ok());
-  ASSERT_TRUE((*stream)->AppendBatch(first.value()).ok());
-  auto cumulative = (*stream)->AppendBatch(second.value());
-  ASSERT_TRUE(cumulative.ok());
-  EXPECT_EQ(Fingerprint(cumulative.value()), Fingerprint(session.detection()));
-}
-
-TEST(SessionEngineTest, OpenDetectionStreamRequiresConfirmedRules) {
-  const Dataset d = ZipCityStateDataset(100, 214, 0.0);
-  Session session;
-  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
-  EXPECT_FALSE(session.OpenDetectionStream().ok());
 }
 
 }  // namespace

@@ -7,10 +7,11 @@
 #include <cstdio>
 #include <set>
 
+#include "anmat/engine.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "baseline/baseline_detector.h"
 #include "baseline/fd_miner.h"
+#include "csv/csv_reader.h"
 #include "csv/csv_writer.h"
 #include "datagen/datasets.h"
 #include "detect/detector.h"
@@ -26,17 +27,23 @@ TEST(IntegrationTest, CsvRoundTripThroughFullPipeline) {
   const std::string path = ::testing::TempDir() + "/anmat_integration.csv";
   ASSERT_TRUE(WriteCsvFile(d.relation, path).ok());
 
-  Session session("roundtrip");
-  ASSERT_TRUE(session.LoadCsvFile(path).ok());
-  EXPECT_EQ(session.relation().num_rows(), 400u);
+  auto data = ReadCsvFile(path);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->num_rows(), 400u);
 
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.1);
-  ASSERT_TRUE(session.Discover().ok());
-  ASSERT_FALSE(session.discovered().empty());
-  session.ConfirmAll();
-  ASSERT_TRUE(session.Detect().ok());
-  EXPECT_FALSE(session.detection().violations.empty());
+  Engine engine;
+  DiscoveryOptions options;
+  options.table_name = "roundtrip";
+  options.min_coverage = 0.5;
+  options.allowed_violation_ratio = 0.1;
+  auto discovery = engine.Discover(*data, options);
+  ASSERT_TRUE(discovery.ok());
+  ASSERT_FALSE(discovery->pfds.empty());
+  std::vector<Pfd> rules;
+  for (const DiscoveredPfd& p : discovery->pfds) rules.push_back(p.pfd);
+  auto detection = engine.Detect(*data, rules);
+  ASSERT_TRUE(detection.ok());
+  EXPECT_FALSE(detection->violations.empty());
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,8 @@
-// Tests for the persistent project layer (anmat/project.h) and the Session
-// façade over Project + Engine: init/open, catalog round-trips, the rule
-// lifecycle (discovered -> confirmed/rejected) surviving re-open, and the
-// full workflow (discover -> confirm -> detect -> repair) against a project
-// directory.
+// Tests for the persistent project layer (anmat/project.h), composed with
+// anmat::Engine the way project.h documents: init/open, catalog
+// round-trips, the rule lifecycle (discovered -> confirmed/rejected)
+// surviving re-open, and the full workflow (discover -> confirm -> detect
+// -> repair) against a project directory.
 
 #include "anmat/project.h"
 
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "anmat/engine.h"
-#include "anmat/session.h"
 #include "csv/csv_writer.h"
 #include "datagen/datasets.h"
 
@@ -197,183 +196,94 @@ TEST(ProjectTest, LoadDatasetWithoutCatalogEntriesFails) {
   std::filesystem::remove_all(dir);
 }
 
-// -- Session façade over Project + Engine ----------------------------------
-
-TEST(SessionProjectTest, DiscoverRecordsRulesWithProvenance) {
-  const std::string dir = FreshDir("session");
-  const std::string csv = WriteZipCsv("session");
-
-  Session session("zips");
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.3);
-  ASSERT_TRUE(session.InitProject(dir).ok());
-  ASSERT_TRUE(session.LoadCsvFile(csv).ok());
-  ASSERT_TRUE(session.Discover().ok());
-  ASSERT_FALSE(session.discovered().empty());
-
-  // Discovered rules land in the project store as `discovered`, with the
-  // CSV path as provenance source.
-  ASSERT_EQ(session.project()->rules().size(), session.discovered().size());
-  EXPECT_EQ(session.project()->rules().records()[0].status,
-            RuleStatus::kDiscovered);
-  EXPECT_EQ(session.project()->rules().records()[0].provenance.source, csv);
-
-  ASSERT_TRUE(session.Confirm(0).ok());
-  for (size_t i = 1; i < session.discovered().size(); ++i) {
-    ASSERT_TRUE(session.Reject(i).ok());
+/// Inits `dir` as project "zips" (γ = 0.5, 30% violations allowed) over
+/// the CSV at `csv`, discovers on it and records every discovered rule
+/// with `csv` as its source, appending their ids to `ids`.
+Project InitAndDiscover(const std::string& dir, const std::string& csv,
+                        std::vector<uint64_t>* ids) {
+  Project project = Project::Init(dir, "zips").value();
+  project.set_parameters({/*min_coverage=*/0.5,
+                          /*allowed_violation_ratio=*/0.3});
+  EXPECT_TRUE(project.AttachDataset("zips", csv).ok());
+  const Relation data = project.LoadDataset().value();
+  auto discovery = Engine().Discover(data, project.discovery_options());
+  EXPECT_TRUE(discovery.ok());
+  for (const DiscoveredPfd& d : discovery->pfds) {
+    ids->push_back(project.AddDiscoveredRule(d, csv));
   }
-  ASSERT_TRUE(session.Detect().ok());
-  ASSERT_TRUE(session.Repair().ok());
-  EXPECT_FALSE(session.repair_result().repairs.empty());
-  ASSERT_TRUE(session.SaveProject().ok());
+  return project;
+}
 
-  // A fresh session over the same project detects with the stored
-  // confirmed rules without re-discovering.
-  Session fresh;
-  ASSERT_TRUE(fresh.OpenProject(dir).ok());
-  EXPECT_EQ(fresh.project_name(), "zips");
-  ASSERT_EQ(fresh.confirmed().size(), 1u);
-  ASSERT_TRUE(fresh.LoadCsvFile(csv).ok());
-  ASSERT_EQ(fresh.confirmed().size(), 1u);  // survives the data (re)load
-  ASSERT_TRUE(fresh.Detect().ok());
-  EXPECT_FALSE(fresh.detection().violations.empty());
+TEST(ProjectTest, DiscoveredRulesKeepSourceAndConfirmationsSurviveReopen) {
+  const std::string dir = FreshDir("provenance");
+  const std::string csv = WriteZipCsv("provenance");
+  {
+    std::vector<uint64_t> ids;
+    Project project = InitAndDiscover(dir, csv, &ids);
+    ASSERT_FALSE(ids.empty());
+
+    // Discovered rules land in the store as `discovered`, with the source
+    // AddDiscoveredRule was given.
+    ASSERT_EQ(project.rules().size(), ids.size());
+    EXPECT_EQ(project.rules().records()[0].status, RuleStatus::kDiscovered);
+    EXPECT_EQ(project.rules().records()[0].provenance.source, csv);
+
+    ASSERT_TRUE(project.SetRuleStatus(ids[0], RuleStatus::kConfirmed).ok());
+    for (size_t i = 1; i < ids.size(); ++i) {
+      ASSERT_TRUE(project.SetRuleStatus(ids[i], RuleStatus::kRejected).ok());
+    }
+    Relation data = project.LoadDataset().value();
+    auto repair = Engine().Repair(&data, project.ConfirmedPfds());
+    ASSERT_TRUE(repair.ok());
+    EXPECT_FALSE(repair->repairs.empty());
+    ASSERT_TRUE(project.Save().ok());
+  }
+
+  // Reopened, the project detects with the stored confirmed rule without
+  // re-discovering.
+  Project reopened = Project::Open(dir).value();
+  EXPECT_EQ(reopened.name(), "zips");
+  ASSERT_EQ(reopened.ConfirmedPfds().size(), 1u);
+  auto detection = Engine().Detect(reopened.LoadDataset().value(),
+                                   reopened.ConfirmedPfds());
+  ASSERT_TRUE(detection.ok());
+  EXPECT_FALSE(detection->violations.empty());
 
   std::filesystem::remove_all(dir);
   std::remove(csv.c_str());
 }
 
-TEST(SessionProjectTest, SaveProjectRequiresBinding) {
-  Session session;
-  EXPECT_FALSE(session.SaveProject().ok());
-}
-
-TEST(SessionProjectTest, StoredConfirmationsSurviveRediscovery) {
+TEST(ProjectTest, StoredConfirmationsSurviveRediscoveryAfterReopen) {
   const std::string dir = FreshDir("rediscover");
   const std::string csv = WriteZipCsv("rediscover");
   {
-    Session session("zips");
-    session.SetMinCoverage(0.5);
-    session.SetAllowedViolationRatio(0.3);
-    ASSERT_TRUE(session.InitProject(dir).ok());
-    ASSERT_TRUE(session.LoadCsvFile(csv).ok());
-    ASSERT_TRUE(session.Discover().ok());
-    session.ConfirmAll();
-    ASSERT_FALSE(session.confirmed().empty());
-    ASSERT_TRUE(session.SaveProject().ok());
+    std::vector<uint64_t> ids;
+    Project project = InitAndDiscover(dir, csv, &ids);
+    for (uint64_t id : ids) {
+      ASSERT_TRUE(project.SetRuleStatus(id, RuleStatus::kConfirmed).ok());
+    }
+    ASSERT_FALSE(project.ConfirmedPfds().empty());
+    ASSERT_TRUE(project.Save().ok());
   }
-  // A later session re-discovers over the same project: the stored
-  // confirmed rules stay applied (dedup keeps their records and status),
-  // so Detect() works right after Discover() without re-confirming.
-  Session session;
-  ASSERT_TRUE(session.OpenProject(dir).ok());
-  ASSERT_TRUE(session.LoadCsvFile(csv).ok());
-  const size_t stored = session.project()->rules().size();
-  ASSERT_TRUE(session.Discover().ok());
-  EXPECT_EQ(session.project()->rules().size(), stored);  // no duplicates
-  EXPECT_FALSE(session.confirmed().empty());
-  ASSERT_TRUE(session.Detect().ok());
-  EXPECT_FALSE(session.detection().violations.empty());
+  // A later run re-discovers over the reopened project: the records are
+  // not duplicated and keep their confirmed status, so detection works
+  // right after discovery without re-confirming.
+  Project project = Project::Open(dir).value();
+  const Relation data = project.LoadDataset().value();
+  const size_t stored = project.rules().size();
+  auto discovery = Engine().Discover(data, project.discovery_options());
+  ASSERT_TRUE(discovery.ok());
+  for (const DiscoveredPfd& d : discovery->pfds) {
+    project.AddDiscoveredRule(d, csv);
+  }
+  EXPECT_EQ(project.rules().size(), stored);
+  EXPECT_EQ(project.ConfirmedPfds().size(), stored);
+  auto detection = Engine().Detect(data, project.ConfirmedPfds());
+  ASSERT_TRUE(detection.ok());
+  EXPECT_FALSE(detection->violations.empty());
 
   std::filesystem::remove_all(dir);
   std::remove(csv.c_str());
-}
-
-TEST(SessionProjectTest, RepairRefreshesDetection) {
-  const Dataset d = PaperZipTable();
-  Session session("Zip");
-  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.3);
-  ASSERT_TRUE(session.Discover().ok());
-  session.ConfirmAll();
-  ASSERT_TRUE(session.Detect().ok());
-  ASSERT_FALSE(session.detection().violations.empty());
-  ASSERT_TRUE(session.Repair().ok());
-  // detection() now describes the repaired relation, not the stale one.
-  EXPECT_TRUE(session.detection().violations.empty());
-  EXPECT_EQ(session.detection().violations.size(),
-            session.repair_result().remaining_violations);
-}
-
-TEST(SessionProjectTest, ConfirmAllPreservesStoredRejection) {
-  const std::string dir = FreshDir("keep-rejected");
-  const std::string csv = WriteZipCsv("keep-rejected");
-  {
-    Session session("zips");
-    session.SetMinCoverage(0.5);
-    session.SetAllowedViolationRatio(0.3);
-    ASSERT_TRUE(session.InitProject(dir).ok());
-    ASSERT_TRUE(session.LoadCsvFile(csv).ok());
-    ASSERT_TRUE(session.Discover().ok());
-    for (size_t i = 0; i < session.discovered().size(); ++i) {
-      ASSERT_TRUE(session.Reject(i).ok());
-    }
-    ASSERT_TRUE(session.SaveProject().ok());
-  }
-  // A later session re-discovers and blanket-confirms: the stored
-  // rejections must survive (only an explicit Confirm(i) overrides one).
-  Session session;
-  ASSERT_TRUE(session.OpenProject(dir).ok());
-  ASSERT_TRUE(session.LoadCsvFile(csv).ok());
-  ASSERT_TRUE(session.Discover().ok());
-  session.ConfirmAll();
-  EXPECT_TRUE(session.confirmed().empty());
-  for (const RuleRecord& r : session.project()->rules().records()) {
-    EXPECT_EQ(r.status, RuleStatus::kRejected);
-  }
-  ASSERT_TRUE(session.Confirm(0).ok());  // explicit override still works
-  EXPECT_EQ(session.confirmed().size(), 1u);
-  EXPECT_EQ(session.project()->rules().records()[0].status,
-            RuleStatus::kConfirmed);
-
-  std::filesystem::remove_all(dir);
-  std::remove(csv.c_str());
-}
-
-TEST(SessionProjectTest, RejectUnappliesEarlierConfirm) {
-  const Dataset d = ZipCityStateDataset(300, 78, 0.02);
-  Session session;
-  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
-  session.SetMinCoverage(0.4);
-  ASSERT_TRUE(session.Discover().ok());
-  ASSERT_FALSE(session.discovered().empty());
-
-  ASSERT_TRUE(session.Confirm(0).ok());
-  ASSERT_EQ(session.confirmed().size(), 1u);
-  ASSERT_TRUE(session.Reject(0).ok());  // changed their mind
-  EXPECT_TRUE(session.confirmed().empty());
-
-  // Even without a bound project, ConfirmAll keeps the session-local
-  // rejection; only an explicit Confirm(0) overrides it.
-  session.ConfirmAll();
-  for (const Pfd& p : session.confirmed()) {
-    EXPECT_FALSE(p == session.discovered()[0].pfd);
-  }
-  ASSERT_TRUE(session.Confirm(0).ok());
-  session.ClearConfirmations();
-  EXPECT_TRUE(session.confirmed().empty());
-  EXPECT_FALSE(session.Detect().ok());  // nothing left to apply
-}
-
-TEST(SessionProjectTest, SessionRepairMatchesEngineRepair) {
-  const Dataset d = ZipCityStateDataset(400, 77, 0.05);
-  Session session("zips");
-  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
-  session.SetMinCoverage(0.4);
-  ASSERT_TRUE(session.Discover().ok());
-  session.ConfirmAll();
-  ASSERT_TRUE(session.Repair().ok());
-
-  Relation reference = d.relation;
-  RepairResult expected =
-      RepairErrors(&reference, session.confirmed()).value();
-  EXPECT_EQ(session.repair_result().repairs.size(), expected.repairs.size());
-  for (RowId r = 0; r < reference.num_rows(); ++r) {
-    for (size_t c = 0; c < reference.num_columns(); ++c) {
-      ASSERT_EQ(session.relation().cell(r, c), reference.cell(r, c))
-          << "row " << r << " col " << c;
-    }
-  }
 }
 
 TEST(ProjectTest, SchemaFingerprintDetectsChangedDataset) {

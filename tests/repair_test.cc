@@ -181,6 +181,28 @@ TEST(RepairTest, MixedRulesNeverIncreaseViolations) {
   }
 }
 
+TEST(RepairTest, FinalDetectionDescribesRepairedRelation) {
+  Dataset d = ZipCityStateDataset(400, 77, 0.05);
+  DiscoveryOptions options;
+  options.min_coverage = 0.4;
+  const DiscoveryResult discovery = DiscoverPfds(d.relation, options).value();
+  std::vector<Pfd> rules;
+  for (const DiscoveredPfd& p : discovery.pfds) rules.push_back(p.pfd);
+  ASSERT_FALSE(rules.empty());
+  const RepairResult result = RepairErrors(&d.relation, rules).value();
+  ASSERT_FALSE(result.repairs.empty());
+  // The returned verification pass is a detection over the repaired
+  // relation, so callers need not re-detect.
+  const DetectionResult fresh = DetectErrors(d.relation, rules).value();
+  ASSERT_EQ(result.final_detection.violations.size(),
+            fresh.violations.size());
+  EXPECT_EQ(result.remaining_violations, fresh.violations.size());
+  for (size_t i = 0; i < fresh.violations.size(); ++i) {
+    EXPECT_EQ(result.final_detection.violations[i].suspect,
+              fresh.violations[i].suspect);
+  }
+}
+
 TEST(RepairTest, NullRelationRejected) {
   Pfd rule = Pfd::Simple("Z", "zip", "city", OneRowTableau("(9)!\\D", "LA"));
   EXPECT_FALSE(RepairErrors(nullptr, {rule}).ok());

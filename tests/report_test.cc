@@ -4,6 +4,8 @@
 
 #include "datagen/datasets.h"
 #include "detect/detector.h"
+#include "discovery/discovery.h"
+#include "discovery/profiler.h"
 #include "pattern/pattern_parser.h"
 
 namespace anmat {
@@ -81,6 +83,61 @@ TEST(ScorecardTest, ZeroDenominators) {
   const std::string card = RenderScorecard("empty", pr);
   EXPECT_NE(card.find("precision=0.000"), std::string::npos);
   EXPECT_NE(card.find("f1=0.000"), std::string::npos);
+}
+
+/// Discovery on `relation` as table `name` with minimum coverage `gamma`
+/// and `violations` the allowed violation ratio.
+std::vector<DiscoveredPfd> Discover(const Relation& relation,
+                                    const std::string& name, double gamma,
+                                    double violations) {
+  DiscoveryOptions options;
+  options.table_name = name;
+  options.min_coverage = gamma;
+  options.allowed_violation_ratio = violations;
+  return DiscoverPfds(relation, options).value().pfds;
+}
+
+TEST(ReportTest, ProfilingViewShowsPatternPositionFrequency) {
+  Dataset d = ZipCityStateDataset(100, 56, 0.0);
+  const std::string view = RenderProfilingView(ProfileRelation(d.relation));
+  EXPECT_NE(view.find("Profiling"), std::string::npos);
+  EXPECT_NE(view.find("zip"), std::string::npos);
+  // Figure 3/4 entry format "pattern::position, frequency".
+  EXPECT_NE(view.find("\\D{5}::0, "), std::string::npos);
+}
+
+TEST(ReportTest, DiscoveredViewShowsTableauAndCoverage) {
+  Dataset d = ZipCityStateDataset(200, 57, 0.0);
+  const std::string view =
+      RenderDiscoveredPfdsView(Discover(d.relation, "Zip", 0.5, 0.1));
+  EXPECT_NE(view.find("Discovered PFDs"), std::string::npos);
+  EXPECT_NE(view.find("coverage="), std::string::npos);
+}
+
+TEST(ReportTest, EmptyDiscoveredView) {
+  EXPECT_NE(RenderDiscoveredPfdsView({}).find("(none)"), std::string::npos);
+}
+
+TEST(ReportTest, ViolationsViewShowsRecordsAndRepairs) {
+  Dataset d = PaperZipTable();
+  std::vector<Pfd> rules;
+  for (const DiscoveredPfd& p : Discover(d.relation, "Zip", 0.5, 0.3)) {
+    rules.push_back(p.pfd);
+  }
+  const DetectionResult detection = DetectErrors(d.relation, rules).value();
+  const std::string view = RenderViolationsView(d.relation, rules, detection);
+  EXPECT_NE(view.find("Violations"), std::string::npos);
+  EXPECT_NE(view.find("New York"), std::string::npos);
+}
+
+TEST(ReportTest, ScorecardFormat) {
+  PrecisionRecall pr;
+  pr.true_positives = 8;
+  pr.false_positives = 2;
+  pr.false_negatives = 2;
+  const std::string card = RenderScorecard("pfd", pr);
+  EXPECT_NE(card.find("precision=0.800"), std::string::npos);
+  EXPECT_NE(card.find("recall=0.800"), std::string::npos);
 }
 
 }  // namespace

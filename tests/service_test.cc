@@ -733,8 +733,8 @@ TEST(DaemonTest, ConcurrentConfirmsSerializeWithNoLostEdit) {
   DaemonRunner runner(socket_path);
 
   // Two client processes race: each confirms a different rule through its
-  // own connection. Both confirms read-modify-write the shared host and
-  // Save; the writer gate must serialize them so neither edit is lost.
+  // own connection. Both confirms copy the host's snapshot, edit and Save;
+  // the host's writer mutex must serialize them so neither edit is lost.
   std::vector<pid_t> children;
   for (uint64_t id = 1; id <= 2; ++id) {
     const pid_t pid = ::fork();

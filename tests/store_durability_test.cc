@@ -342,7 +342,7 @@ TEST(FileLockTest, SameProcessAcquiresShareOneLock) {
   const std::string path = dir + "/.anmat.lock";
   FileLock first = FileLock::Acquire(path).value();
   // A second same-process acquire must not deadlock against our own
-  // flock — it shares it (two Sessions on one project dir do this).
+  // flock — it shares it (two Projects open on one directory do this).
   FileLock second = FileLock::Acquire(path).value();
   EXPECT_TRUE(first.held());
   EXPECT_TRUE(second.held());

@@ -110,6 +110,7 @@
 // Exit codes: 0 success, 1 usage error, 2 pipeline error.
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -125,7 +126,6 @@
 #include "anmat/engine.h"
 #include "anmat/project.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "pfd/implication.h"
 #include "service/client.h"
 #include "service/daemon.h"
@@ -240,8 +240,10 @@ std::string ValidateNumericFlags(const ParsedArgs& args) {
              value + "\" is not a non-negative integer";
     }
     errno = 0;
-    std::strtoul(value.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
+    const unsigned long parsed = std::strtoul(value.c_str(), nullptr, 10);
+    // --lock-wait-ms becomes an int; a larger value would wrap negative.
+    if (errno == ERANGE ||
+        (std::string(key) == "lock-wait-ms" && parsed > INT_MAX)) {
       return "invalid value for flag: --" + std::string(key) + ": \"" +
              value + "\" is out of range";
     }
@@ -520,26 +522,23 @@ int CmdDatasetVerb(const std::string& verb, const ParsedArgs& args) {
 // ---------------------------------------------------------------------------
 
 int CmdDiscoverOneShot(const ParsedArgs& args) {
-  anmat::Session session(args.Has("table") ? args.Get("table") : "T");
-  session.SetNumThreads(FlagThreads(args));
-  if (anmat::Status s = session.LoadCsvFile(args.positional[0]); !s.ok()) {
-    return Fail(s);
-  }
-  session.SetMinCoverage(FlagDouble(args, "coverage", 0.4));
-  session.SetAllowedViolationRatio(FlagDouble(args, "violations", 0.1));
-  if (anmat::Status s = session.Discover(); !s.ok()) return Fail(s);
+  auto data = anmat::ReadCsvFile(args.positional[0]);
+  if (!data.ok()) return Fail(data.status());
+  anmat::DiscoveryOptions options;
+  options.table_name = args.Has("table") ? args.Get("table") : "T";
+  options.min_coverage = FlagDouble(args, "coverage", 0.4);
+  options.allowed_violation_ratio = FlagDouble(args, "violations", 0.1);
+  auto discovery = MakeEngine(args).Discover(data.value(), options);
+  if (!discovery.ok()) return Fail(discovery.status());
+  const std::vector<anmat::DiscoveredPfd>& discovered = discovery->pfds;
   if (FlagJson(args)) {
-    std::cout << anmat::DiscoveredPfdsToJson(session.discovered())
-                     .DumpPretty()
-              << "\n";
+    std::cout << anmat::DiscoveredPfdsToJson(discovered).DumpPretty() << "\n";
   } else {
-    std::cout << anmat::RenderDiscoveredPfdsView(session.discovered());
+    std::cout << anmat::RenderDiscoveredPfdsView(discovered);
   }
   if (args.Has("rules")) {
     std::vector<anmat::Pfd> rules;
-    for (const anmat::DiscoveredPfd& d : session.discovered()) {
-      rules.push_back(d.pfd);
-    }
+    for (const anmat::DiscoveredPfd& d : discovered) rules.push_back(d.pfd);
     if (args.Has("minimize") && args.Get("minimize") != "false") {
       anmat::MinimizeStats stats;
       rules = anmat::MinimizeRuleSet(rules, &stats);

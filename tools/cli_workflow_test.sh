@@ -169,6 +169,13 @@ if "$ANMAT" profile zips.csv --threads ' -3' 2>err.txt; then
 fi
 grep -q -- 'invalid value for flag: --threads' err.txt \
   || fail "whitespace-negative --threads named"
+# --lock-wait-ms is held as an int: a value past INT_MAX is out of range,
+# not a wrapped negative wait.
+[ "$("$ANMAT" rules list --project proj --lock-wait-ms 3000000000 \
+      >/dev/null 2>err.txt; echo $?)" = 1 ] \
+  || fail "--lock-wait-ms past INT_MAX should exit 1"
+grep -q -- 'invalid value for flag: --lock-wait-ms: "3000000000" is out of range' \
+  err.txt || fail "--lock-wait-ms range error names the flag"
 
 # rules confirm/reject render nothing, so --format is rejected there.
 if "$ANMAT" rules confirm all --project proj --format json 2>err.txt; then
