@@ -272,10 +272,10 @@ struct DetectDispatch {
 };
 
 /// Shared context of one detection run (serial: one per run shared across
-/// PFDs; parallel: one per (PFD, tableau row) task).
+/// PFDs; parallel: one per (PFD, tableau row) task; coverage: one per call).
 struct RunContext {
   const Relation* relation;
-  const DetectorOptions* options;
+  AutomatonCache* automata;
   DetectionResult* result;
   // Lazily-built pattern indexes, one per column.
   std::map<size_t, std::unique_ptr<PatternIndex>> indexes;
@@ -284,6 +284,9 @@ struct RunContext {
       nullptr;
   // Pre-classified dispatch verdicts shared read-only (may be null).
   const DetectDispatch* dispatch = nullptr;
+  // Rows matching some detected tableau row's LHS, set per candidate
+  // (`ComputeCoverage` only; null in detection runs).
+  std::vector<bool>* covered = nullptr;
 
   const PatternIndex& IndexFor(size_t col) {
     if (shared_indexes != nullptr) {
@@ -294,8 +297,8 @@ struct RunContext {
     auto it = indexes.find(col);
     if (it == indexes.end()) {
       it = indexes
-               .emplace(col, std::make_unique<PatternIndex>(
-                                 *relation, col, options->automata.get()))
+               .emplace(col, std::make_unique<PatternIndex>(*relation, col,
+                                                            automata))
                .first;
     }
     return *it->second;
@@ -350,6 +353,9 @@ std::vector<RowId> CandidateRows(RunContext& ctx, const ResolvedRow& row,
       verified.push_back(r);
     }
   }
+  if (ctx.covered != nullptr) {
+    for (RowId r : verified) (*ctx.covered)[r] = true;
+  }
   return verified;
 }
 
@@ -393,6 +399,22 @@ struct PfdPlan {
   std::vector<size_t> rhs_cols;
 };
 
+/// Validates `pfd` against `schema` and looks up its columns.
+Result<PfdPlan> PlanPfd(const Pfd& pfd, const Schema& schema) {
+  ANMAT_RETURN_NOT_OK(pfd.Validate(schema));
+  PfdPlan plan;
+  plan.pfd = &pfd;
+  for (const std::string& a : pfd.lhs_attrs()) {
+    ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
+    plan.lhs_cols.push_back(idx);
+  }
+  for (const std::string& a : pfd.rhs_attrs()) {
+    ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
+    plan.rhs_cols.push_back(idx);
+  }
+  return plan;
+}
+
 /// Detects one already-resolved tableau row into `ctx.result`. `item` is
 /// the work-item index (keys the dispatch cell table).
 void DetectResolvedRow(RunContext& ctx, const ResolvedRow& resolved,
@@ -420,17 +442,7 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   std::vector<PfdPlan> plans;
   plans.reserve(pfds.size());
   for (const Pfd& pfd : pfds) {
-    ANMAT_RETURN_NOT_OK(pfd.Validate(relation.schema()));
-    PfdPlan plan;
-    plan.pfd = &pfd;
-    for (const std::string& a : pfd.lhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, relation.schema().IndexOf(a));
-      plan.lhs_cols.push_back(idx);
-    }
-    for (const std::string& a : pfd.rhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, relation.schema().IndexOf(a));
-      plan.rhs_cols.push_back(idx);
-    }
+    ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, relation.schema()));
     plans.push_back(std::move(plan));
   }
 
@@ -529,8 +541,7 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   }
 
   if (!parallel) {
-    RunContext ctx{&relation, &options, &result, {}, nullptr,
-                   dispatch.get()};
+    RunContext ctx{&relation, automata, &result, {}, nullptr, dispatch.get()};
     for (size_t i = 0; i < items.size(); ++i) {
       DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
     }
@@ -567,8 +578,8 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   // cell) patterns, identical in every resolution of the same work item.
   std::vector<DetectionResult> slots(items.size());
   ParallelFor(options.execution, items.size(), [&](size_t i) {
-    RunContext ctx{&relation,       &options, &slots[i],
-                   {},              &shared_indexes, dispatch.get()};
+    RunContext ctx{&relation, automata,        &slots[i],
+                   {},        &shared_indexes, dispatch.get()};
     if (rows.rows[i].concurrent_safe()) {
       DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
       return;
@@ -613,6 +624,40 @@ Result<DetectionResult> DetectErrors(const Relation& relation,
 Result<DetectionResult> DetectErrors(const Relation& relation, const Pfd& pfd,
                                      const DetectorOptions& options) {
   return DetectErrors(relation, std::vector<Pfd>{pfd}, options);
+}
+
+Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
+                                      AutomatonCache* automata) {
+  ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, relation.schema()));
+  std::unique_ptr<AutomatonCache> private_cache;
+  if (automata == nullptr) {
+    private_cache = std::make_unique<AutomatonCache>();
+    automata = private_cache.get();
+  }
+
+  // The serial per-pattern path: index-seeded candidates and per-value
+  // memos, no union automata (a union compiled for one candidate PFD would
+  // never be probed again).
+  DetectionResult result;
+  std::vector<bool> covered(relation.num_rows(), false);
+  RunContext ctx{&relation, automata, &result, {}, nullptr, nullptr,
+                 &covered};
+  for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
+    const detect_internal::ResolvedRow row = detect_internal::ResolveRow(
+        pfd.tableau().row(ri), plan.lhs_cols, plan.rhs_cols, pfd.lhs_attrs(),
+        pfd.rhs_attrs(), automata);
+    DetectResolvedRow(ctx, row, /*pfd_index=*/0, ri, /*item=*/0);
+  }
+
+  std::vector<bool> violating(relation.num_rows(), false);
+  for (const Violation& v : result.violations) violating[v.suspect.row] = true;
+  CoverageStats stats;
+  stats.total_rows = relation.num_rows();
+  stats.covered_rows =
+      static_cast<size_t>(std::count(covered.begin(), covered.end(), true));
+  stats.violating_rows = static_cast<size_t>(
+      std::count(violating.begin(), violating.end(), true));
+  return stats;
 }
 
 }  // namespace anmat

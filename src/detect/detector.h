@@ -67,6 +67,47 @@ Result<DetectionResult> DetectErrors(const Relation& relation,
 Result<DetectionResult> DetectErrors(const Relation& relation, const Pfd& pfd,
                                      const DetectorOptions& options = {});
 
+/// \brief Participation / violation statistics of one PFD.
+///
+/// The paper (§4, "Parameter Setting"): *minimum coverage* is the ratio of
+/// records participating in the PFD (records matching at least one tableau
+/// row's LHS patterns) to the total number of records; since data is dirty,
+/// a bounded *ratio of allowed violations* among participating records is
+/// tolerated and reported as errors.
+struct CoverageStats {
+  size_t total_rows = 0;      ///< rows in the relation
+  size_t covered_rows = 0;    ///< rows matching some tableau row's LHS
+  size_t violating_rows = 0;  ///< distinct suspect rows of the violations
+
+  /// covered / total (0 when the relation is empty).
+  double Coverage() const {
+    return total_rows == 0
+               ? 0.0
+               : static_cast<double>(covered_rows) /
+                     static_cast<double>(total_rows);
+  }
+  /// violating / covered (0 when nothing is covered).
+  double ViolationRate() const {
+    return covered_rows == 0
+               ? 0.0
+               : static_cast<double>(violating_rows) /
+                     static_cast<double>(covered_rows);
+  }
+};
+
+/// \brief Coverage and violation statistics of `pfd` on `relation` — the
+/// discovery filter (Figure 2, line 13).
+///
+/// Runs every tableau row through detection's serial per-pattern path, so
+/// "covered" and "violating" mean exactly what `DetectErrors` checks: a row
+/// is covered when it is a candidate of some constant or variable tableau
+/// row, and violating when it is the suspect of one of its violations.
+/// Rows whose RHS is a non-literal pattern are skipped, as in detection.
+/// `automata` shares compiled automata across calls; null gives a private
+/// cache for this call. Never compiles a union automaton.
+Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
+                                      AutomatonCache* automata = nullptr);
+
 }  // namespace anmat
 
 #endif  // ANMAT_DETECT_DETECTOR_H_

@@ -2,8 +2,9 @@
 #define ANMAT_DETECT_DETECTOR_INTERNAL_H_
 
 /// \file detector_internal.h
-/// Shared internals of the one-shot detector (detector.cc) and the
-/// streaming detector (detection_stream.cc): the resolved tableau rows,
+/// Shared internals of the one-shot detector (detector.cc), which also
+/// backs discovery's coverage check (`ComputeCoverage`), and the streaming
+/// detector (detection_stream.cc): the resolved tableau rows,
 /// per-distinct-value match/extraction memos, record keys, and the group
 /// resolution that turns equivalence groups into variable violations.
 ///

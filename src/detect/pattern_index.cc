@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "discovery/tokenizer.h"
 #include "pattern/generalizer.h"
 #include "pattern/matcher.h"
 #include "util/string_util.h"
+#include "util/tokenizer.h"
 
 namespace anmat {
 
@@ -19,21 +19,46 @@ uint32_t PackTrigram(std::string_view s, size_t i) {
          static_cast<uint32_t>(static_cast<unsigned char>(s[i + 2]));
 }
 
-/// Extracts literal token anchors from a pattern: maximal runs of literal
-/// non-symbol characters of length >= 2 (shorter anchors are not selective).
-std::vector<std::string> LiteralAnchors(const Pattern& p) {
-  std::vector<std::string> anchors;
+/// A mandatory literal run of a pattern: maximal literal non-symbol
+/// characters of length >= 2 (shorter anchors are not selective).
+/// `whole_token` when whitespace or a value edge bounds the run on both
+/// sides in every matching value, so the run is itself a token (Tokenize
+/// splits on whitespace only); otherwise it may be part of a longer token
+/// ("HumanResource" in "HumanResources") and only its trigrams bound the
+/// candidates.
+struct LiteralAnchor {
+  std::string text;
+  bool whole_token;
+};
+
+/// An element that always consumes at least one whitespace character.
+bool IsMandatorySpace(const PatternElement& e) {
+  return e.cls == SymbolClass::kLiteral && IsSpace(e.literal) && e.min > 0;
+}
+
+std::vector<LiteralAnchor> LiteralAnchors(const Pattern& p) {
+  const std::vector<PatternElement>& elements = p.elements();
+  std::vector<LiteralAnchor> anchors;
   std::string current;
-  for (const PatternElement& e : p.elements()) {
-    if (e.cls == SymbolClass::kLiteral && !IsSymbol(e.literal) &&
-        e.min == e.max) {
-      current.append(e.min, e.literal);
-    } else {
-      if (current.size() >= 2) anchors.push_back(current);
-      current.clear();
+  bool bounded_before = true;  // the value's start
+  for (size_t i = 0; i <= elements.size(); ++i) {
+    const bool at_end = i == elements.size();
+    if (!at_end) {
+      const PatternElement& e = elements[i];
+      if (e.cls == SymbolClass::kLiteral && !IsSymbol(e.literal) &&
+          e.min == e.max) {
+        current.append(e.min, e.literal);
+        continue;
+      }
     }
+    const bool bounded_after = at_end || IsMandatorySpace(elements[i]);
+    if (current.size() >= 2) {
+      anchors.push_back(
+          LiteralAnchor{current, bounded_before && bounded_after});
+    }
+    current.clear();
+    bounded_before = !at_end && IsMandatorySpace(elements[i]);
   }
-  if (current.size() >= 2) anchors.push_back(current);
   return anchors;
 }
 
@@ -203,16 +228,18 @@ std::vector<RowId> PostingTail(const std::vector<RowId>& rows, RowId min_row) {
 const std::vector<RowId>* PatternIndex::BestAnchorPostings(
     const Pattern& p, bool* provably_empty) const {
   // A mandatory literal run must occur in every matching value, so the
-  // rarest posting list among (a) the anchor as a whole token and (b) the
-  // anchor's trigrams bounds the candidates. A required trigram absent
-  // from the index proves the result is empty.
+  // rarest posting list among (a) the anchor's token, when the anchor is a
+  // whole token, and (b) the anchor's trigrams bounds the candidates. A
+  // required trigram absent from the index proves the result is empty.
   *provably_empty = false;
-  const std::vector<std::string> anchors = LiteralAnchors(p);
   const std::vector<RowId>* best = nullptr;
-  for (const std::string& a : anchors) {
+  for (const LiteralAnchor& anchor : LiteralAnchors(p)) {
+    const std::string& a = anchor.text;
     const std::vector<RowId>* anchor_best = nullptr;
-    if (auto it = by_token_.find(a); it != by_token_.end()) {
-      anchor_best = &it->second;
+    if (anchor.whole_token) {
+      if (auto it = by_token_.find(a); it != by_token_.end()) {
+        anchor_best = &it->second;
+      }
     }
     for (size_t i = 0; i + 3 <= a.size(); ++i) {
       auto it = by_trigram_.find(PackTrigram(a, i));

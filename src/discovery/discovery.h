@@ -9,18 +9,19 @@
 ///      for single-token code/id columns),
 ///   2. mine constant rows (inverted list + decision function) and variable
 ///      rows (candidate segmentations),
-///   3. assemble tableaux, compute coverage, and keep PFDs whose coverage
-///      meets the user's minimum coverage `γ` (Figure 2, line 13) and whose
-///      violation rate stays within the allowed ratio.
+///   3. assemble tableaux, compute coverage on detection's serial
+///      per-pattern path (`ComputeCoverage`, detect/detector.h), and keep
+///      PFDs whose coverage meets the user's minimum coverage `γ` (Figure 2,
+///      line 13) and whose violation rate stays within the allowed ratio.
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "detect/detector.h"
 #include "discovery/constant_miner.h"
 #include "discovery/profiler.h"
 #include "discovery/variable_miner.h"
-#include "pfd/coverage.h"
 #include "pfd/pfd.h"
 #include "relation/relation.h"
 #include "util/status.h"
@@ -59,7 +60,8 @@ struct DiscoveryOptions {
   /// candidate, so with the cache installed (by `anmat::Engine`, like
   /// `execution`) each distinct pattern is compiled exactly once across
   /// all candidates — and shared with detection/repair afterwards. Null
-  /// keeps private lazy automata; results are byte-identical either way.
+  /// gives each coverage call a private cache; results are byte-identical
+  /// either way.
   std::shared_ptr<AutomatonCache> automata;
 
   ProfilerOptions profiler;

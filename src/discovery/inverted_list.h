@@ -16,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "discovery/tokenizer.h"
 #include "relation/relation.h"
+#include "util/tokenizer.h"
 
 namespace anmat {
 

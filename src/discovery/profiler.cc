@@ -4,9 +4,9 @@
 #include <map>
 
 #include "csv/type_inference.h"
-#include "discovery/tokenizer.h"
 #include "pattern/generalizer.h"
 #include "util/string_util.h"
+#include "util/tokenizer.h"
 
 namespace anmat {
 

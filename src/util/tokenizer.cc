@@ -1,4 +1,4 @@
-#include "discovery/tokenizer.h"
+#include "util/tokenizer.h"
 
 #include "util/string_util.h"
 

@@ -1,5 +1,5 @@
-#ifndef ANMAT_DISCOVERY_TOKENIZER_H_
-#define ANMAT_DISCOVERY_TOKENIZER_H_
+#ifndef ANMAT_UTIL_TOKENIZER_H_
+#define ANMAT_UTIL_TOKENIZER_H_
 
 /// \file tokenizer.h
 /// The `Tokenize` and `NGrams` functions of the discovery algorithm
@@ -62,4 +62,4 @@ bool IsSingleToken(std::string_view value);
 
 }  // namespace anmat
 
-#endif  // ANMAT_DISCOVERY_TOKENIZER_H_
+#endif  // ANMAT_UTIL_TOKENIZER_H_

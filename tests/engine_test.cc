@@ -302,6 +302,20 @@ TEST(EngineAutomatonCacheTest, SharedCachePathMatchesReference) {
   }
 }
 
+TEST(EngineAutomatonCacheTest, DiscoverCompilesNoUnionAutomata) {
+  // Discovery's coverage check runs each candidate PFD on detection's
+  // per-pattern path: a union automaton built for one candidate would never
+  // be probed again, so none is compiled.
+  for (const Dataset& d : TestDatasets()) {
+    Engine engine;
+    auto result = engine.Discover(d.relation, LenientDiscovery());
+    ASSERT_TRUE(result.ok());
+    EXPECT_FALSE(result->pfds.empty()) << d.name;
+    EXPECT_GT(engine.automata().misses(), 0u) << d.name;
+    EXPECT_EQ(engine.automata().dispatch_stats().automata, 0u) << d.name;
+  }
+}
+
 TEST(EngineAutomatonCacheTest, RepairPassesReuseCompiledAutomata) {
   const Dataset d = ZipCityStateDataset(1000, 401, 0.04);
   const std::vector<Pfd> rules = DiscoverRules(d.relation);

@@ -64,6 +64,27 @@ TEST(PatternIndexTest, TokenAnchorNarrowsCandidates) {
   EXPECT_LE(index.last_candidates(), 2u);
 }
 
+TEST(PatternIndexTest, AnchorInsideLongerTokenStillFindsRows) {
+  // "HumanResource" is a mandatory literal run of the pattern but not a
+  // whole token of the matching values; the one value whose token it is
+  // (a typo) does not match. The token posting list must not bound the
+  // candidates, nor must "Donald" for values whose token is "Donald,".
+  RelationBuilder builder(Schema::MakeText({"v"}).value());
+  for (const char* v : {"HumanResources", "HumanResource", "HumanResources",
+                        "Donald, E.", "Donald"}) {
+    EXPECT_TRUE(builder.AddRow({v}).ok());
+  }
+  Relation rel = builder.Build();
+  PatternIndex index(rel, 0);
+  for (const char* text :
+       {"HumanResource\\LL+", "Donald,\\ \\A*", "Donald", "\\LU\\LL+"}) {
+    Pattern p = ParsePattern(text).value();
+    EXPECT_EQ(index.Lookup(p), ScanReference(rel, p)) << text;
+  }
+  EXPECT_EQ(index.Lookup(ParsePattern("HumanResource\\LL+").value()),
+            (std::vector<RowId>{0, 2}));
+}
+
 TEST(PatternIndexTest, SignaturePrefilterLimitsCandidates) {
   Relation rel = MixedColumn();
   PatternIndex index(rel, 0);

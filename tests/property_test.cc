@@ -15,7 +15,6 @@
 #include "pattern/matcher.h"
 #include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
-#include "pfd/coverage.h"
 #include "reference_check.h"
 #include "store/rule_store.h"
 #include "util/random.h"

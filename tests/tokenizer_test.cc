@@ -1,4 +1,4 @@
-#include "discovery/tokenizer.h"
+#include "util/tokenizer.h"
 
 #include <gtest/gtest.h>
 

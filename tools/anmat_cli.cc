@@ -765,15 +765,16 @@ int StreamLoop(const ParsedArgs& args, const anmat::Relation& relation,
 
   const bool json = FlagJson(args);
   anmat::JsonValue batches = anmat::JsonValue::Array();
-  for (anmat::RowId begin = 0; begin < relation.num_rows();
-       begin += static_cast<anmat::RowId>(batch_rows)) {
-    const anmat::RowId end = std::min<anmat::RowId>(
-        begin + static_cast<anmat::RowId>(batch_rows),
-        static_cast<anmat::RowId>(relation.num_rows()));
+  // Batch bounds stay in size_t: a --batch past the RowId range must not
+  // wrap to a zero (or tiny) step; it is one batch of the whole relation.
+  const size_t num_rows = relation.num_rows();
+  for (size_t begin = 0, end = 0; begin < num_rows; begin = end) {
+    end = begin + std::min(batch_rows, num_rows - begin);
     anmat::JsonValue rows = anmat::JsonValue::Array();
-    for (anmat::RowId r = begin; r < end; ++r) {
+    for (size_t r = begin; r < end; ++r) {
       anmat::JsonValue row = anmat::JsonValue::Array();
-      for (const std::string& cell : relation.Row(r)) {
+      for (const std::string& cell :
+           relation.Row(static_cast<anmat::RowId>(r))) {
         row.push_back(anmat::JsonValue::String(cell));
       }
       rows.push_back(std::move(row));

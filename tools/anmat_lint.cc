@@ -63,8 +63,8 @@ namespace fs = std::filesystem;
 const std::map<std::string, int>& LayerOf() {
   static const std::map<std::string, int> kLayers = {
       {"util", 0},     {"relation", 1}, {"csv", 2},      {"pattern", 2},
-      {"pfd", 3},      {"discovery", 4}, {"dispatch", 4}, {"store", 4},
-      {"detect", 5},   {"repair", 6},   {"datagen", 6},  {"baseline", 6},
+      {"pfd", 3},      {"dispatch", 4}, {"store", 4},    {"detect", 5},
+      {"discovery", 6}, {"repair", 6},  {"datagen", 6},  {"baseline", 6},
       {"anmat", 7},    {"service", 8},
   };
   return kLayers;

@@ -217,6 +217,12 @@ if "$ANMAT" stream zips.csv --rules r.json --batch 0 2>err.txt; then
 fi
 grep -q -- 'invalid value for flag: --batch' err.txt \
   || fail "--batch validation names the flag"
+# A batch past the 32-bit row-id range is one batch of the whole relation
+# (it once wrapped to a zero step and appended empty batches forever).
+timeout 10 "$ANMAT" stream zips.csv --rules r.json --batch 4294967296 \
+  | grep -q 'in 1 batch(es)' || fail "stream --batch 2^32 is one batch"
+timeout 10 "$ANMAT" stream zips.csv --rules r.json --batch 4294967297 \
+  | grep -q 'in 1 batch(es)' || fail "stream --batch 2^32+1 is one batch"
 
 # --- catalog schema fingerprints -------------------------------------------
 
