@@ -5,8 +5,8 @@
 // (`ReferenceDetectErrors`) matches every row against R independent
 // automata. The dispatch subsystem (src/dispatch/) deduplicates the rules'
 // embedded patterns into slots, prefix-groups the slots (PatternTrie) into
-// a few union automata shared through AutomatonCache::GetUnion, and
-// classifies each distinct value with ONE frozen-table scan per group — the
+// a few lazy union automata shared through AutomatonCache::GetUnion, and
+// classifies each distinct value with ONE union-table scan per group — the
 // detectors then read exact 0/1 verdict vectors instead of walking R
 // automata.
 //
@@ -128,8 +128,7 @@ void ReproduceContent() {
                                                                     256, 1024};
 
   anmat::TextTable table({"rules", "violations", "reference s/run",
-                          "dispatch s/run", "speedup", "unions", "states",
-                          "pool KiB"});
+                          "dispatch s/run", "speedup", "unions", "states"});
   std::vector<std::pair<size_t, double>> speedups;
   for (const size_t rules : rule_counts) {
     const anmat::Pfd pfd = RulesPfd(rules);
@@ -172,8 +171,7 @@ void ReproduceContent() {
     table.AddRow({std::to_string(rules), std::to_string(base.violations.size()),
                   std::to_string(base_secs), std::to_string(disp_secs),
                   std::to_string(speedup), std::to_string(dstats.automata),
-                  std::to_string(dstats.total_states),
-                  std::to_string(dstats.pool_bytes / 1024)});
+                  std::to_string(dstats.total_states)});
     speedups.emplace_back(rules, speedup);
 
     // Compile-once: the timed repeats above reused `dispatch.automata`;

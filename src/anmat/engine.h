@@ -34,7 +34,8 @@
 /// (pattern/automaton_cache.h) and installs it into every stage's options:
 /// each distinct pattern is compiled and frozen exactly once per engine
 /// lifetime, and every stage, task, repair pass and stream probes the
-/// shared immutable automata lock-free.
+/// shared immutable automata lock-free. Union automata are shared the same
+/// way and grow lazily under their own locks.
 ///
 /// \code
 ///   anmat::Engine engine(anmat::ExecutionOptions{/*num_threads=*/0});

@@ -208,7 +208,7 @@ Status DetectionStream::Init() {
   // cells into union automata so each batch classifies a *new distinct
   // value* against all of them in one combined scan per prefix group. The
   // verdict vectors feed the cell memos through `CellScan::preset_match`;
-  // a column whose unions cannot freeze keeps the per-pattern path.
+  // a column without a union-friendly pattern keeps the per-pattern path.
   dispatchers_.resize(schema.num_columns());
   classified_values_.assign(schema.num_columns(), 0);
   std::vector<std::vector<uint32_t>> slots(rows_.size());
@@ -227,7 +227,7 @@ Status DetectionStream::Init() {
   }
   for (std::unique_ptr<ColumnDispatcher>& cd : dispatchers_) {
     if (cd != nullptr && !cd->Compile(options_.automata.get())) {
-      cd.reset();  // unfreezable union: per-pattern fallback
+      cd.reset();  // no union-friendly pattern: per-pattern path
     }
   }
   for (size_t s = 0; s < rows_.size(); ++s) {
@@ -238,8 +238,8 @@ Status DetectionStream::Init() {
           dispatchers_[state.resolved.lhs_cols[i]].get();
       // Verdict-vector addresses are stable: the outer vector is fixed
       // at Compile, only the inner vectors grow per batch. Uncovered
-      // slots (leading unbounded class repeat, or a union past the
-      // freeze budget) keep the lazy per-pattern memo.
+      // slots (leading unbounded class repeat) keep the lazy per-pattern
+      // memo.
       if (cd != nullptr && cd->covers(slots[s][i])) {
         state.scans[i].preset_match = cd->verdicts(slots[s][i]);
       }

@@ -298,7 +298,7 @@ class DetectionStream {
   /// new candidates sub-linearly.
   std::vector<std::unique_ptr<PatternIndex>> indexes_;
   /// Multi-pattern dispatchers, one slot per column (null for columns with
-  /// no pattern cell, or whose unions are unfreezable). Each batch
+  /// no union-friendly pattern cell). Each batch
   /// classifies only the column's *new* distinct values — ids in
   /// `[classified_values_[c], num_values)` — in one combined scan per
   /// prefix group, with the column's `PatternIndex` as pre-filter; the

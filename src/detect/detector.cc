@@ -278,10 +278,9 @@ struct RunContext {
   AutomatonCache* automata;
   DetectionResult* result;
   // Lazily-built pattern indexes, one per column.
-  std::map<size_t, std::unique_ptr<PatternIndex>> indexes;
+  ColumnIndexes indexes;
   // Pre-built indexes shared read-only across parallel tasks (may be null).
-  const std::map<size_t, std::unique_ptr<PatternIndex>>* shared_indexes =
-      nullptr;
+  const ColumnIndexes* shared_indexes = nullptr;
   // Pre-classified dispatch verdicts shared read-only (may be null).
   const DetectDispatch* dispatch = nullptr;
   // Rows matching some detected tableau row's LHS, set per candidate
@@ -510,7 +509,7 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
       if (cd.Compile(automata)) usable.emplace_back(col, &cd);
     }
     if (usable.empty()) {
-      dispatch.reset();  // every column fell back to the per-pattern path
+      dispatch.reset();  // no union-friendly pattern: per-pattern path
     } else {
       // A multi-group column pays one full-dictionary scan per group; a
       // pattern-index prefilter narrows each group's scan to its members'
@@ -559,15 +558,9 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
     const size_t col = row.lhs_cols[SeedCell(row)];
     if (dispatch == nullptr || !dispatch->Covers(col)) seed_cols.insert(col);
   }
-  const std::vector<size_t> cols(seed_cols.begin(), seed_cols.end());
-  std::vector<std::unique_ptr<PatternIndex>> built(cols.size());
-  ParallelFor(options.execution, cols.size(), [&](size_t i) {
-    built[i] = std::make_unique<PatternIndex>(relation, cols[i], automata);
-  });
-  std::map<size_t, std::unique_ptr<PatternIndex>> shared_indexes;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    shared_indexes.emplace(cols[i], std::move(built[i]));
-  }
+  const ColumnIndexes shared_indexes = BuildColumnIndexes(
+      relation, std::vector<size_t>(seed_cols.begin(), seed_cols.end()),
+      automata, options.execution);
 
   // One task per work item, each with its own result slot; slots are merged
   // in item order, so the outcome is byte-identical to the serial loop.
@@ -626,8 +619,24 @@ Result<DetectionResult> DetectErrors(const Relation& relation, const Pfd& pfd,
   return DetectErrors(relation, std::vector<Pfd>{pfd}, options);
 }
 
+ColumnIndexes BuildColumnIndexes(const Relation& relation,
+                                 const std::vector<size_t>& cols,
+                                 AutomatonCache* automata,
+                                 const ExecutionOptions& execution) {
+  std::vector<std::unique_ptr<PatternIndex>> built(cols.size());
+  ParallelFor(execution, cols.size(), [&](size_t i) {
+    built[i] = std::make_unique<PatternIndex>(relation, cols[i], automata);
+  });
+  ColumnIndexes indexes;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    indexes.emplace(cols[i], std::move(built[i]));
+  }
+  return indexes;
+}
+
 Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
-                                      AutomatonCache* automata) {
+                                      AutomatonCache* automata,
+                                      const ColumnIndexes* indexes) {
   ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, relation.schema()));
   std::unique_ptr<AutomatonCache> private_cache;
   if (automata == nullptr) {
@@ -640,7 +649,7 @@ Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
   // never be probed again).
   DetectionResult result;
   std::vector<bool> covered(relation.num_rows(), false);
-  RunContext ctx{&relation, automata, &result, {}, nullptr, nullptr,
+  RunContext ctx{&relation, automata, &result, {}, indexes, nullptr,
                  &covered};
   for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
     const detect_internal::ResolvedRow row = detect_internal::ResolveRow(

@@ -16,6 +16,7 @@
 /// count as checked. The paper's full-scan and quadratic-pair algorithms
 /// are the test oracle in detect/reference_detector.h.
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -95,6 +96,18 @@ struct CoverageStats {
   }
 };
 
+/// \brief Pattern indexes over some columns of one relation, keyed by
+/// column, shared read-only across tasks and calls (`PatternIndex::Lookup`
+/// on a const index is thread-safe).
+using ColumnIndexes = std::map<size_t, std::unique_ptr<PatternIndex>>;
+
+/// \brief Builds one `PatternIndex` per column of `cols` over `relation`
+/// (one task per column under `execution`), verifying through `automata`.
+ColumnIndexes BuildColumnIndexes(const Relation& relation,
+                                 const std::vector<size_t>& cols,
+                                 AutomatonCache* automata,
+                                 const ExecutionOptions& execution);
+
 /// \brief Coverage and violation statistics of `pfd` on `relation` — the
 /// discovery filter (Figure 2, line 13).
 ///
@@ -104,9 +117,13 @@ struct CoverageStats {
 /// row, and violating when it is the suspect of one of its violations.
 /// Rows whose RHS is a non-literal pattern are skipped, as in detection.
 /// `automata` shares compiled automata across calls; null gives a private
-/// cache for this call. Never compiles a union automaton.
+/// cache for this call. `indexes` (optional) supplies pre-built seed-column
+/// indexes over `relation`, so calls that probe one column share a single
+/// build; columns it lacks get a private index. Never compiles a union
+/// automaton.
 Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
-                                      AutomatonCache* automata = nullptr);
+                                      AutomatonCache* automata = nullptr,
+                                      const ColumnIndexes* indexes = nullptr);
 
 }  // namespace anmat
 

@@ -1,6 +1,7 @@
 #include "discovery/discovery.h"
 
 #include <algorithm>
+#include <set>
 
 namespace anmat {
 
@@ -19,7 +20,8 @@ std::string ConstantProvenance(const MinedRow& m) {
 Result<std::vector<DiscoveredPfd>> MineCandidate(
     const Relation& relation, const ColumnProfile& lhs_profile,
     const CandidateDependency& cand, const DiscoveryOptions& options,
-    const ConstantMinerOptions& cm, const VariableMinerOptions& vm) {
+    const ConstantMinerOptions& cm, const VariableMinerOptions& vm,
+    const ColumnIndexes& lhs_indexes) {
   std::vector<DiscoveredPfd> out;
   const std::string& lhs_name = relation.schema().column(cand.lhs_col).name;
   const std::string& rhs_name = relation.schema().column(cand.rhs_col).name;
@@ -45,7 +47,8 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
                             std::move(tableau));
       ANMAT_ASSIGN_OR_RETURN(
           CoverageStats stats,
-          ComputeCoverage(pfd, relation, options.automata.get()));
+          ComputeCoverage(pfd, relation, options.automata.get(),
+                          &lhs_indexes));
       if (stats.Coverage() >= options.min_coverage &&
           stats.ViolationRate() <= options.allowed_violation_ratio) {
         out.push_back(DiscoveredPfd{std::move(pfd), stats,
@@ -74,7 +77,8 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
                             std::move(tableau));
       ANMAT_ASSIGN_OR_RETURN(
           CoverageStats stats,
-          ComputeCoverage(pfd, relation, options.automata.get()));
+          ComputeCoverage(pfd, relation, options.automata.get(),
+                          &lhs_indexes));
       if (stats.Coverage() >= options.min_coverage &&
           stats.ViolationRate() <= options.allowed_violation_ratio) {
         out.push_back(DiscoveredPfd{std::move(pfd), stats,
@@ -105,6 +109,15 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   VariableMinerOptions vm = options.variable_miner;
   vm.allowed_violation_ratio = options.allowed_violation_ratio;
 
+  // One pattern index per LHS column, built once and shared read-only by
+  // the coverage checks of every candidate on that column (the constant
+  // and variable PFD of each).
+  std::set<size_t> lhs_cols;
+  for (const CandidateDependency& c : candidates) lhs_cols.insert(c.lhs_col);
+  const ColumnIndexes lhs_indexes = BuildColumnIndexes(
+      relation, std::vector<size_t>(lhs_cols.begin(), lhs_cols.end()),
+      options.automata.get(), options.execution);
+
   // One task and one slot per candidate. Slots are merged in candidate
   // order and the final sort below is stable, so parallel output is
   // byte-identical to the serial loop; the first mining error (in candidate
@@ -114,7 +127,7 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   ParallelFor(options.execution, candidates.size(), [&](size_t i) {
     Result<std::vector<DiscoveredPfd>> mined =
         MineCandidate(relation, result.profiles[candidates[i].lhs_col],
-                      candidates[i], options, cm, vm);
+                      candidates[i], options, cm, vm, lhs_indexes);
     if (mined.ok()) {
       slots[i] = std::move(mined).value();
     } else {

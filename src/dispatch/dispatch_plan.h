@@ -21,10 +21,16 @@
 /// classification: value ids outside a pattern's candidate superset
 /// provably do not match and keep verdict 0 without being scanned.
 ///
+/// The union automata are lazy (`MultiPatternDfa`): a group's scan
+/// materializes only the subset states its values walk, and the states
+/// stay in the engine cache for the next run, batch or repair pass over
+/// the same rule set.
+///
 /// Thread safety: build + Classify* are single-threaded (or externally
-/// ordered); afterwards the verdict vectors are read-only and the frozen
-/// union automata are lock-free, so any number of detection tasks may
-/// probe concurrently.
+/// ordered); afterwards the verdict vectors are read-only, so any number
+/// of detection tasks may read them concurrently. A group's scan holds its
+/// shared union's mutex, so dispatchers of concurrent runs (one task per
+/// column, daemon detects, streams) that share a union take turns on it.
 
 #include <cstdint>
 #include <functional>
@@ -48,10 +54,15 @@ using DispatchPrefilter = std::function<std::vector<uint32_t>(
 
 /// Default cap on patterns per union automaton — deliberately large: one
 /// scan then classifies a value against (up to) every rule on the column.
-/// `Compile` splits any group whose union exceeds the freeze state cap in
-/// half (trie order) and retries, so an oversized starting group degrades
-/// into several smaller unions instead of failing.
 inline constexpr size_t kDefaultDispatchGroupSize = 1024;
+
+/// True when `p` may join a union automaton: its leading element is a
+/// literal or a bounded repeat. A leading unbounded class repeat (`\A+...`,
+/// `\S*...`) leaves the union no discriminating prefix: every member stays
+/// live through the whole scan, subset construction multiplies member
+/// positions, and the union would scan no faster than the members run
+/// separately. Such patterns keep the per-pattern path.
+bool UnionFriendly(const Pattern& p);
 
 /// \brief One column's multi-pattern classifier: registered patterns
 /// (deduplicated into slots) -> prefix-grouped union automata -> per-slot
@@ -62,16 +73,11 @@ class ColumnDispatcher {
   /// element-sequence signature share a slot. Must precede `Compile`.
   uint32_t AddPattern(const Pattern& p);
 
-  /// Compiles the union automata over the registered slots through
-  /// `cache` (shared engine-wide; compile-once per signature set).
-  /// Coverage is per slot: patterns whose leading element is an unbounded
-  /// class repeat are excluded up front (no prefix ever discriminates, so
-  /// the union automaton tracks every member in lockstep — subset
-  /// construction explodes and even a frozen union scans no faster than N
-  /// automata), and slots whose unions still cannot freeze after the
-  /// split/fail budget stay uncovered. Uncovered slots keep the exact
-  /// per-pattern path. Returns false — and leaves the dispatcher unusable
-  /// — only when no union compiled at all.
+  /// Groups the registered union-friendly slots by shared prefixes and
+  /// looks their lazy union automata up in `cache` (shared engine-wide;
+  /// one per signature set). Every union-friendly slot is covered; the
+  /// others keep the exact per-pattern path. Returns false — and leaves
+  /// the dispatcher unusable — only when no slot is union-friendly.
   bool Compile(AutomatonCache* cache,
                size_t max_group_size = kDefaultDispatchGroupSize);
 
@@ -86,10 +92,11 @@ class ColumnDispatcher {
   size_t num_groups() const { return groups_.size(); }
 
   /// Classifies dictionary values [first_id, dict.num_values()), extending
-  /// every slot's verdict vector to dict.num_values(). One frozen-table
-  /// scan per (value, group). `prefilter` (optional) narrows each group's
-  /// scan to the union of its members' candidate value ids — ids outside
-  /// provably do not match and stay 0.
+  /// every slot's verdict vector to dict.num_values(). One union-table
+  /// scan per (value, group), holding the group's union mutex for the
+  /// group's whole scan. `prefilter` (optional, called before that lock is
+  /// taken) narrows each group's scan to the union of its members'
+  /// candidate value ids — ids outside provably do not match and stay 0.
   void ClassifyValues(const ColumnDictionary& dict, uint32_t first_id,
                       const DispatchPrefilter& prefilter = nullptr);
 
@@ -111,7 +118,7 @@ class ColumnDispatcher {
 
  private:
   struct Group {
-    std::shared_ptr<const FrozenMultiDfa> dfa;
+    std::shared_ptr<SharedUnion> automaton;
     std::vector<uint32_t> slots;    ///< member slots, trie-group order
     std::vector<uint32_t> to_slot;  ///< automaton pattern id -> slot
   };

@@ -7,8 +7,9 @@
 ///
 /// One union automaton over *every* confirmed rule of a column can blow up:
 /// the subset construction multiplies when member patterns disagree wildly
-/// on structure, and the freeze cap would push the whole column back onto
-/// the per-pattern path. Patterns that share element-sequence *prefixes*
+/// on structure, and a lazy union whose values walk too many states
+/// flushes its memo over and over. Patterns that share element-sequence
+/// *prefixes*
 /// (the common case — tableau rows of one PFD differ in a suffix literal or
 /// a repetition bound) determinize together almost for free, because their
 /// NFA fronts stay merged for the shared prefix.

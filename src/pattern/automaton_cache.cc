@@ -64,11 +64,12 @@ UnionAutomaton AutomatonCache::GetUnion(
     auto it = unions_.find(key);
     if (it != unions_.end()) {
       ++union_hits_;
-      result.dfa = it->second;
+      result.automaton = it->second;
       return result;
     }
   }
-  // Compile outside the lock (same first-publish-wins protocol as Get).
+  // Build outside the lock (same first-publish-wins protocol as Get; the
+  // build is only the merged NFA and the start state).
   // One representative Pattern per distinct signature, in signature order.
   std::vector<const Pattern*> members(sorted.size(), nullptr);
   for (size_t i = 0; i < patterns.size(); ++i) {
@@ -76,30 +77,35 @@ UnionAutomaton AutomatonCache::GetUnion(
       members[result.slot_of[i]] = patterns[i];
     }
   }
-  std::shared_ptr<const FrozenMultiDfa> frozen =
-      MultiPatternDfa(members).Freeze(max_frozen_states_);
+  auto built = std::make_shared<SharedUnion>(members, max_frozen_states_);
   MutexLock lock(&mu_);
-  auto [it, inserted] = unions_.emplace(std::move(key), std::move(frozen));
+  auto [it, inserted] = unions_.emplace(std::move(key), std::move(built));
   ++union_misses_;
-  if (inserted && it->second == nullptr) ++union_fallbacks_;
-  result.dfa = it->second;
+  result.automaton = it->second;
   return result;
 }
 
 DispatchStats AutomatonCache::dispatch_stats() const {
-  MutexLock lock(&mu_);
   DispatchStats stats;
-  stats.fallbacks = union_fallbacks_;
-  stats.hits = union_hits_;
-  stats.misses = union_misses_;
-  for (const auto& [key, dfa] : unions_) {
-    if (!dfa) continue;
-    ++stats.automata;
-    stats.total_states += dfa->num_states();
-    stats.total_patterns += dfa->num_patterns();
-    stats.pool_bytes += dfa->pool_bytes();
-    stats.probes += dfa->probes();
-    stats.probe_hits += dfa->hits();
+  std::vector<std::shared_ptr<SharedUnion>> unions;
+  {
+    MutexLock lock(&mu_);
+    stats.hits = union_hits_;
+    stats.misses = union_misses_;
+    for (const auto& [key, u] : unions_) unions.push_back(u);
+  }
+  // Each union's lock is taken alone, after the cache lock is released, so
+  // a stats call waiting on a union that is classifying never blocks
+  // `Get` / `GetUnion`.
+  stats.automata = unions.size();
+  for (const std::shared_ptr<SharedUnion>& ptr : unions) {
+    SharedUnion& u = *ptr;
+    MutexLock lock(&u.mu);
+    stats.total_states += u.dfa.num_materialized_states();
+    stats.total_patterns += u.dfa.num_patterns();
+    stats.flushes += u.dfa.flushes();
+    stats.probes += u.dfa.probes();
+    stats.probe_hits += u.dfa.hits();
   }
   return stats;
 }

@@ -2,7 +2,7 @@
 #define ANMAT_PATTERN_AUTOMATON_CACHE_H_
 
 /// \file automaton_cache.h
-/// Engine-wide compile-once cache of frozen automata.
+/// Engine-wide compile-once cache of frozen and union automata.
 ///
 /// The pipeline probes millions of cell values against a small, heavily
 /// repeated set of patterns: every tableau cell, every conjunct, every
@@ -22,21 +22,25 @@
 ///
 /// Besides single-pattern automata, the cache holds *union* automata
 /// (pattern/multi_pattern_dfa.h): `GetUnion` maps the sorted set of
-/// member element-sequence signatures to one `FrozenMultiDfa`, so every
-/// detector / stream that dispatches the same rule set (regardless of rule
-/// order) shares a single compiled table. The per-call member ordering is
-/// translated through the returned slot map.
+/// member element-sequence signatures to one lazy `MultiPatternDfa`, so
+/// every detector / stream that dispatches the same rule set (regardless
+/// of rule order) shares a single table, and repair passes, stream batches
+/// and daemon detects keep extending the states earlier callers
+/// materialized. The per-call member ordering is translated through the
+/// returned slot map. A union never fails: it materializes only the states
+/// classified values walk and flushes its memo at the state bound
+/// (`max_frozen_states`), so every union-friendly rule set gets one.
 ///
-/// Unfreezable patterns (reachable states above the freeze cap) are
+/// Unfreezable single patterns (reachable states above the freeze cap) are
 /// negatively cached: `Get` returns null and callers fall back to private
 /// lazy `Dfa` copies, one per owner, exactly the pre-cache behavior.
-/// `GetUnion` negatively caches the same way; callers fall back to the
-/// per-pattern path for that rule set.
 ///
-/// Thread safety: `Get` may be called concurrently (lookups take a mutex;
-/// compilation runs outside it, and a same-pattern race publishes
-/// first-wins). The stats counters are monotone and approximate only in
-/// the sense that a racing miss may count twice.
+/// Thread safety: `Get` and `GetUnion` may be called concurrently (lookups
+/// take a mutex; compilation runs outside it, and a same-key race
+/// publishes first-wins). A union's lazy tables grow under its own
+/// `SharedUnion::mu`, held by a caller for as long as it classifies. The
+/// stats counters are monotone and approximate only in the sense that a
+/// racing miss may count twice.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,23 +58,31 @@
 
 namespace anmat {
 
+/// \brief A lazy union automaton shared engine-wide. Classifying grows its
+/// memo tables, so every use holds `mu`.
+struct SharedUnion {
+  SharedUnion(const std::vector<const Pattern*>& members, size_t max_states)
+      : dfa(members, max_states) {}
+
+  Mutex mu;
+  MultiPatternDfa dfa ANMAT_GUARDED_BY(mu);
+};
+
 /// \brief A shared union automaton plus the caller-order translation:
 /// member i of the `GetUnion` argument list is automaton pattern id
 /// `slot_of[i]` (signature-sorted internally, so order-insensitive keys
-/// share one table). `dfa == nullptr` means the union is unfreezable and
-/// the caller must use the per-pattern path.
+/// share one table). `automaton` is never null.
 struct UnionAutomaton {
-  std::shared_ptr<const FrozenMultiDfa> dfa;
+  std::shared_ptr<SharedUnion> automaton;
   std::vector<uint32_t> slot_of;
 };
 
 /// \brief Aggregated dispatch-table statistics (daemon `stats` verb).
 struct DispatchStats {
-  size_t automata = 0;       ///< frozen union automata held
-  size_t fallbacks = 0;      ///< union keys negatively cached (unfreezable)
-  size_t total_states = 0;   ///< sum of frozen states over all unions
+  size_t automata = 0;       ///< union automata held
+  size_t total_states = 0;   ///< materialized lazy states over all unions
   size_t total_patterns = 0; ///< sum of member patterns over all unions
-  size_t pool_bytes = 0;     ///< sum of accept-set pool footprints
+  uint64_t flushes = 0;      ///< memo flushes at the state bound
   uint64_t probes = 0;       ///< lifetime Classify calls over all unions
   uint64_t probe_hits = 0;   ///< Classify calls with a non-empty accept set
   size_t hits = 0;           ///< GetUnion lookups answered from the cache
@@ -81,6 +93,8 @@ struct DispatchStats {
 /// canonical element-sequence signature.
 class AutomatonCache {
  public:
+  /// `max_frozen_states` caps a frozen single-pattern automaton and bounds
+  /// each union's lazy memo.
   explicit AutomatonCache(size_t max_frozen_states = kDefaultMaxFrozenStates)
       : max_frozen_states_(max_frozen_states) {}
 
@@ -92,11 +106,10 @@ class AutomatonCache {
   /// cap); the verdict is cached either way.
   std::shared_ptr<const FrozenDfa> Get(const Pattern& p);
 
-  /// The shared union automaton over `patterns`' element sequences,
-  /// compiling + freezing it on first sight of this signature *set* (the
-  /// key is order-insensitive and deduplicates signatures). The returned
-  /// slot map translates argument positions to automaton pattern ids.
-  /// `dfa` is null when the union is unfreezable (negatively cached).
+  /// The shared lazy union automaton over `patterns`' element sequences,
+  /// built on first sight of this signature *set* (the key is
+  /// order-insensitive and deduplicates signatures). The returned slot map
+  /// translates argument positions to automaton pattern ids.
   UnionAutomaton GetUnion(const std::vector<const Pattern*>& patterns);
 
   /// The canonical cache key of `p`: its elements-only textual form
@@ -113,8 +126,9 @@ class AutomatonCache {
   /// Misses whose pattern exceeded the freeze cap (lazy fallback).
   size_t fallbacks() const;
 
-  /// Aggregated union-automaton statistics: tables held, states, pool
-  /// footprint, lifetime probe counters summed over every frozen union.
+  /// Aggregated union-automaton statistics: tables held, materialized
+  /// states, flushes and lifetime probe counters summed over every union.
+  /// Takes each union's mutex in turn, never two locks at once.
   DispatchStats dispatch_stats() const;
 
  private:
@@ -124,15 +138,14 @@ class AutomatonCache {
   /// unfreezable patterns.
   std::unordered_map<std::string, std::shared_ptr<const FrozenDfa>> dfas_
       ANMAT_GUARDED_BY(mu_);
-  /// Sorted-signature-set key -> frozen union automaton (null = negative).
-  std::unordered_map<std::string, std::shared_ptr<const FrozenMultiDfa>>
-      unions_ ANMAT_GUARDED_BY(mu_);
+  /// Sorted-signature-set key -> shared lazy union automaton.
+  std::unordered_map<std::string, std::shared_ptr<SharedUnion>> unions_
+      ANMAT_GUARDED_BY(mu_);
   size_t hits_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t misses_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t fallbacks_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t union_hits_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t union_misses_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t union_fallbacks_ ANMAT_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace anmat

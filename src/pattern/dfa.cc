@@ -18,7 +18,51 @@ uint64_t HashSet(const std::vector<uint32_t>& set) {
   return h;
 }
 
+/// Bucket of hash `h`. FNV's multiplies carry bits only upwards, so fold
+/// the high half into the low bits the mask keeps.
+size_t BucketOf(uint64_t h, size_t mask) {
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
 }  // namespace
+
+uint32_t SubsetTable::Intern(std::vector<uint32_t> set, bool* inserted) {
+  if ((sets_.size() + 1) * 2 > buckets_.size()) {
+    Rehash(std::max<size_t>(16, buckets_.size() * 2));
+  }
+  const uint64_t h = HashSet(set);
+  const size_t mask = buckets_.size() - 1;
+  size_t b = BucketOf(h, mask);
+  for (; buckets_[b] != 0; b = (b + 1) & mask) {
+    const uint32_t id = buckets_[b] - 1;
+    if (hashes_[id] == h && sets_[id] == set) {
+      if (inserted != nullptr) *inserted = false;
+      return id;
+    }
+  }
+  const uint32_t id = static_cast<uint32_t>(sets_.size());
+  buckets_[b] = id + 1;
+  sets_.push_back(std::move(set));
+  hashes_.push_back(h);
+  if (inserted != nullptr) *inserted = true;
+  return id;
+}
+
+void SubsetTable::Rehash(size_t buckets) {
+  buckets_.assign(buckets, 0);
+  const size_t mask = buckets - 1;
+  for (uint32_t id = 0; id < hashes_.size(); ++id) {
+    size_t b = BucketOf(hashes_[id], mask);
+    while (buckets_[b] != 0) b = (b + 1) & mask;
+    buckets_[b] = id + 1;
+  }
+}
+
+void SubsetTable::Clear() {
+  sets_.clear();
+  hashes_.clear();
+  buckets_.clear();
+}
 
 Dfa Dfa::Compile(const Pattern& p) {
   Dfa dfa(Nfa::Compile(p));
@@ -30,7 +74,7 @@ Dfa::Dfa(Nfa nfa) : nfa_(std::move(nfa)) {
   BuildAlphabet();
   // State 0 is the dead state (empty NFA set): all edges loop on itself and
   // never need lazy materialization.
-  nfa_sets_.emplace_back();
+  nfa_sets_.Intern({});
   accept_.push_back(0);
   transitions_.assign(num_classes_, kDead);
   std::vector<uint32_t> start{nfa_.start()};
@@ -69,18 +113,14 @@ void Dfa::BuildAlphabet() {
 }
 
 uint32_t Dfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
-  const uint64_t h = HashSet(nfa_set);
-  for (const auto& [hash, id] : set_index_) {
-    if (hash == h && nfa_sets_[id] == nfa_set) return id;
+  const bool accepting =
+      std::binary_search(nfa_set.begin(), nfa_set.end(), nfa_.accept());
+  bool inserted = false;
+  const uint32_t id = nfa_sets_.Intern(std::move(nfa_set), &inserted);
+  if (inserted) {
+    accept_.push_back(accepting ? 1 : 0);
+    transitions_.resize(transitions_.size() + num_classes_, kUnset);
   }
-  const uint32_t id = static_cast<uint32_t>(nfa_sets_.size());
-  accept_.push_back(std::binary_search(nfa_set.begin(), nfa_set.end(),
-                                       nfa_.accept())
-                        ? 1
-                        : 0);
-  nfa_sets_.push_back(std::move(nfa_set));
-  set_index_.emplace_back(h, id);
-  transitions_.resize(transitions_.size() + num_classes_, kUnset);
   return id;
 }
 
@@ -91,7 +131,7 @@ uint32_t Dfa::Transition(uint32_t from, uint32_t cls) const {
   std::vector<uint32_t> to;
   // Any byte of the class drives the NFA identically; use the
   // representative. Step() sorts, dedupes and epsilon-closes.
-  nfa_.Step(nfa_sets_[from], class_rep_[cls], &to);
+  nfa_.Step(nfa_sets_.set(from), class_rep_[cls], &to);
   const uint32_t id = to.empty() ? kDead : AddDfaState(std::move(to));
   transitions_[idx] = id;  // AddDfaState may grow transitions_; re-index is
                            // safe because idx addresses an existing slot.

@@ -46,6 +46,30 @@ class FrozenDfa;
 /// only guards against pathological inputs.
 inline constexpr size_t kDefaultMaxFrozenStates = 4096;
 
+/// \brief The subset-construction memo shared by `Dfa` and
+/// `MultiPatternDfa`: interns sorted, epsilon-closed NFA state sets as
+/// dense DFA state ids. Lookup is one hash probe into an open-addressed
+/// table of ids, so interning stays O(|set|) however many states exist.
+class SubsetTable {
+ public:
+  /// The id of `set`, appending it as the next id on first sight.
+  /// `*inserted` (optional) reports whether it was new.
+  uint32_t Intern(std::vector<uint32_t> set, bool* inserted = nullptr);
+  const std::vector<uint32_t>& set(uint32_t id) const { return sets_[id]; }
+  size_t size() const { return sets_.size(); }
+  /// Forgets every set (ids restart at 0).
+  void Clear();
+
+ private:
+  void Rehash(size_t buckets);
+
+  std::vector<std::vector<uint32_t>> sets_;
+  std::vector<uint64_t> hashes_;  ///< per id, for probing and rehashing
+  /// Open-addressed buckets holding id + 1 (0 = empty); a power of two,
+  /// kept at most half full.
+  std::vector<uint32_t> buckets_;
+};
+
 /// \brief Lazily-determinized automaton for one pattern's element sequence
 /// (conjuncts are compiled separately, exactly like `Nfa`).
 class Dfa {
@@ -131,9 +155,7 @@ class Dfa {
   mutable std::vector<uint32_t> transitions_;
   mutable std::vector<uint8_t> accept_;
   /// The epsilon-closed NFA set of each materialized DFA state.
-  mutable std::vector<std::vector<uint32_t>> nfa_sets_;
-  /// Hash of an NFA set -> DFA state ids with that hash (tiny buckets).
-  mutable std::vector<std::pair<uint64_t, uint32_t>> set_index_;
+  mutable SubsetTable nfa_sets_;
 
   uint32_t start_state_ = kDead;
 };

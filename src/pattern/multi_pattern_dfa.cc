@@ -1,21 +1,10 @@
 #include "pattern/multi_pattern_dfa.h"
 
 #include <algorithm>
-#include <map>
 
 namespace anmat {
 
 namespace {
-
-/// FNV-1a over the elements of a sorted merged-NFA state set.
-uint64_t HashSet(const std::vector<uint32_t>& set) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint32_t s : set) {
-    h ^= s;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Longest common substring of two needles (classic O(|a|·|b|) rolling-row
 /// DP — needles are capped at 64 bytes by RequiredLiteralSubstring, so this
@@ -40,8 +29,10 @@ std::string LongestCommonSubstring(const std::string& a,
 
 }  // namespace
 
-MultiPatternDfa::MultiPatternDfa(const std::vector<const Pattern*>& patterns)
+MultiPatternDfa::MultiPatternDfa(const std::vector<const Pattern*>& patterns,
+                                 size_t max_states)
     : num_patterns_(patterns.size()),
+      max_states_(max_states),
       accept_words_per_state_(
           static_cast<uint32_t>((patterns.size() + 63) / 64)) {
   if (accept_words_per_state_ == 0) accept_words_per_state_ = 1;
@@ -81,14 +72,20 @@ MultiPatternDfa::MultiPatternDfa(const std::vector<const Pattern*>& patterns)
     if (prefilter_literal_.empty()) break;
   }
   BuildAlphabet();
+  closure_mark_.assign(nfa_states_.size(), 0);
+  EpsilonClosure(&raw_start_set);
+  start_set_ = std::move(raw_start_set);
+  ResetMemo();
+}
+
+void MultiPatternDfa::ResetMemo() const {
+  nfa_sets_.Clear();
   // State 0 is the dead state (empty merged-NFA set): all edges loop on
   // itself and never need lazy materialization.
-  nfa_sets_.emplace_back();
+  nfa_sets_.Intern({});
   accept_words_.assign(accept_words_per_state_, 0);
   transitions_.assign(num_classes_, kDead);
-  EpsilonClosure(&raw_start_set);
-  start_set_ = raw_start_set;
-  start_state_ = AddDfaState(std::move(raw_start_set));
+  start_state_ = AddDfaState(start_set_);
 }
 
 void MultiPatternDfa::BuildAlphabet() {
@@ -120,11 +117,15 @@ void MultiPatternDfa::BuildAlphabet() {
 }
 
 void MultiPatternDfa::EpsilonClosure(std::vector<uint32_t>* states) const {
-  std::vector<bool> visited(nfa_states_.size(), false);
-  std::vector<uint32_t> stack;
+  if (++closure_epoch_ == 0) {  // wrapped: stale marks could alias
+    std::fill(closure_mark_.begin(), closure_mark_.end(), 0);
+    closure_epoch_ = 1;
+  }
+  std::vector<uint32_t>& stack = closure_stack_;
+  stack.clear();
   for (uint32_t s : *states) {
-    if (!visited[s]) {
-      visited[s] = true;
+    if (closure_mark_[s] != closure_epoch_) {
+      closure_mark_[s] = closure_epoch_;
       stack.push_back(s);
     }
   }
@@ -134,8 +135,8 @@ void MultiPatternDfa::EpsilonClosure(std::vector<uint32_t>* states) const {
     stack.pop_back();
     states->push_back(s);
     for (uint32_t t : nfa_states_[s].epsilon) {
-      if (!visited[t]) {
-        visited[t] = true;
+      if (closure_mark_[t] != closure_epoch_) {
+        closure_mark_[t] = closure_epoch_;
         stack.push_back(t);
       }
     }
@@ -157,49 +158,31 @@ void MultiPatternDfa::Step(const std::vector<uint32_t>& from, char c,
 }
 
 uint32_t MultiPatternDfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
-  const uint64_t h = HashSet(nfa_set);
-  for (const auto& [hash, id] : set_index_) {
-    if (hash == h && nfa_sets_[id] == nfa_set) return id;
-  }
-  const uint32_t id = static_cast<uint32_t>(nfa_sets_.size());
+  bool inserted = false;
+  const uint32_t id = nfa_sets_.Intern(std::move(nfa_set), &inserted);
+  if (!inserted) return id;
   accept_words_.resize(accept_words_.size() + accept_words_per_state_, 0);
   uint64_t* words = &accept_words_[static_cast<size_t>(id) *
                                    accept_words_per_state_];
-  for (uint32_t s : nfa_set) {
+  for (uint32_t s : nfa_sets_.set(id)) {
     const int32_t p = accept_pattern_of_[s];
     if (p >= 0) words[p >> 6] |= 1ull << (p & 63);
   }
-  nfa_sets_.push_back(std::move(nfa_set));
-  set_index_.emplace_back(h, id);
   transitions_.resize(transitions_.size() + num_classes_, kUnset);
   return id;
 }
 
 uint32_t MultiPatternDfa::Transition(uint32_t from, uint32_t cls) const {
-  const size_t idx = static_cast<size_t>(from) * num_classes_ + cls;
-  const uint32_t cached = transitions_[idx];
-  if (cached != kUnset) return cached;
   std::vector<uint32_t> to;
-  Step(nfa_sets_[from], class_rep_[cls], &to);
+  Step(nfa_sets_.set(from), class_rep_[cls], &to);
   const uint32_t id = to.empty() ? kDead : AddDfaState(std::move(to));
-  transitions_[idx] = id;  // AddDfaState may grow transitions_; re-index is
-                           // safe because idx addresses an existing slot.
+  // AddDfaState may grow transitions_; the edge's slot already existed.
+  transitions_[static_cast<size_t>(from) * num_classes_ + cls] = id;
   return id;
 }
 
-void MultiPatternDfa::Classify(std::string_view s,
-                               std::vector<uint32_t>* out) const {
-  out->clear();
-  // No member can accept a value lacking the shared mandatory literal.
-  if (!prefilter_literal_.empty() &&
-      !simd::ContainsLiteral(s, prefilter_literal_)) {
-    return;
-  }
-  uint32_t state = start_state_;
-  for (const char c : s) {
-    state = Transition(state, byte_class_[static_cast<unsigned char>(c)]);
-    if (state == kDead) return;
-  }
+bool MultiPatternDfa::AppendAccepted(uint32_t state,
+                                     std::vector<uint32_t>* out) const {
   const uint64_t* words =
       &accept_words_[static_cast<size_t>(state) * accept_words_per_state_];
   for (uint32_t w = 0; w < accept_words_per_state_; ++w) {
@@ -210,68 +193,13 @@ void MultiPatternDfa::Classify(std::string_view s,
       bits &= bits - 1;
     }
   }
+  return !out->empty();
 }
 
 bool MultiPatternDfa::Matches(std::string_view s, uint32_t id) const {
   std::vector<uint32_t> hits;
   Classify(s, &hits);
   return std::binary_search(hits.begin(), hits.end(), id);
-}
-
-std::shared_ptr<const FrozenMultiDfa> MultiPatternDfa::Freeze(
-    size_t max_states) const {
-  if (nfa_sets_.size() > max_states) return nullptr;
-  // Eager bounded subset construction: visit every materialized state in id
-  // order, forcing each outgoing edge. Newly-discovered states append and
-  // are visited in turn, so the loop terminates exactly when the reachable
-  // automaton is complete (or the cap trips).
-  for (uint32_t s = 0; s < nfa_sets_.size(); ++s) {
-    for (uint32_t cls = 0; cls < num_classes_; ++cls) {
-      Transition(s, cls);
-      if (nfa_sets_.size() > max_states) return nullptr;
-    }
-  }
-
-  auto frozen = std::shared_ptr<FrozenMultiDfa>(new FrozenMultiDfa());  // lint: new-ok (private ctor, owned by the shared_ptr)
-  simd::BuildByteClassifier(byte_class_, &frozen->classifier_);
-  frozen->prefilter_literal_ = prefilter_literal_;
-  frozen->num_classes_ = num_classes_;
-  frozen->num_states_ = static_cast<uint32_t>(nfa_sets_.size());
-  frozen->num_patterns_ = static_cast<uint32_t>(num_patterns_);
-  frozen->start_state_ = start_state_;
-  frozen->transitions_ = transitions_;  // fully materialized, no kUnset left
-
-  // Deduplicate accept sets into the pool. Entry 0 is reserved for the
-  // empty set (shared by the dead state and every non-accepting state), so
-  // `accept_ref_[s] == 0` doubles as the fast "nothing matched" test.
-  std::map<std::vector<uint32_t>, uint32_t> pool_entry_of;
-  frozen->pool_offsets_ = {0, 0};  // entry 0: empty run
-  pool_entry_of[{}] = 0;
-  frozen->accept_ref_.resize(nfa_sets_.size(), 0);
-  std::vector<uint32_t> ids;
-  for (uint32_t s = 0; s < nfa_sets_.size(); ++s) {
-    ids.clear();
-    const uint64_t* words =
-        &accept_words_[static_cast<size_t>(s) * accept_words_per_state_];
-    for (uint32_t w = 0; w < accept_words_per_state_; ++w) {
-      uint64_t bits = words[w];
-      while (bits) {
-        const int bit = __builtin_ctzll(bits);
-        ids.push_back((w << 6) + static_cast<uint32_t>(bit));
-        bits &= bits - 1;
-      }
-    }
-    auto [it, inserted] = pool_entry_of.emplace(
-        ids, static_cast<uint32_t>(frozen->pool_offsets_.size() - 1));
-    if (inserted) {
-      frozen->pool_ids_.insert(frozen->pool_ids_.end(), ids.begin(),
-                               ids.end());
-      frozen->pool_offsets_.push_back(
-          static_cast<uint32_t>(frozen->pool_ids_.size()));
-    }
-    frozen->accept_ref_[s] = it->second;
-  }
-  return frozen;
 }
 
 }  // namespace anmat

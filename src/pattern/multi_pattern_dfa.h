@@ -20,23 +20,26 @@
 /// state records which patterns' accept states its NFA set contains, as a
 /// packed bitset over pattern ids.
 ///
+/// Construction is lazy only: a union materializes exactly the subset
+/// states the classified values walk, never the whole reachable automaton
+/// (whose size multiplies with the member count, while the states real
+/// column values visit stay few). `Classify` is an inline table walk that
+/// leaves it only on an edge not yet materialized. Memory is bounded by
+/// `max_states`: once the memo holds that many states, the next `Classify`
+/// first drops every state but the dead and start states and carries on —
+/// exact, because states are pure functions of their NFA sets (a regex
+/// engine's DFA cache flush).
+///
 /// Like `Dfa`, the lazy tables grow behind a const interface, so a
-/// `MultiPatternDfa` is single-owner. `Freeze()` materializes every
-/// reachable state (bounded by a cap) into an immutable `FrozenMultiDfa`:
-/// a contiguous state-major transition table plus a deduplicated
-/// *accept-set pool* (each distinct pattern-id set stored once, states
-/// referencing pool entries), safe for lock-free concurrent probes and
-/// shared engine-wide through `AutomatonCache::GetUnion`.
+/// `MultiPatternDfa` is single-owner; `AutomatonCache::GetUnion` shares one
+/// engine-wide behind a mutex (`SharedUnion`, automaton_cache.h).
 ///
 /// Classification is exactly equivalent to matching each pattern's element
 /// sequence independently (differential-tested against N independent `Dfa`
-/// walks in tests/dispatch_test.cc); conjuncts are out of scope here, the
-/// same contract as `Dfa`.
+/// walks in tests/dispatch_test.cc, flushing included); conjuncts are out
+/// of scope here, the same contract as `Dfa`.
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,37 +51,59 @@
 
 namespace anmat {
 
-class FrozenMultiDfa;
-
 /// \brief Lazily-determinized union automaton over a fixed set of pattern
 /// element sequences. Pattern ids are positions in the constructor's list.
 class MultiPatternDfa {
  public:
   /// Compiles the union over `patterns` (not owned; only read during
   /// construction). Conjuncts are ignored, exactly like `Dfa::Compile`.
-  explicit MultiPatternDfa(const std::vector<const Pattern*>& patterns);
+  /// `max_states` bounds the memo (see the file comment).
+  explicit MultiPatternDfa(const std::vector<const Pattern*>& patterns,
+                           size_t max_states = kDefaultMaxFrozenStates);
 
   size_t num_patterns() const { return num_patterns_; }
 
   /// Clears `*out` and fills it with the ids (ascending) of every pattern
   /// whose element sequence accepts `s`. One table lookup per byte plus a
-  /// bitset decode at the end; NOT safe for concurrent callers (lazy memo
-  /// tables — freeze for sharing).
-  void Classify(std::string_view s, std::vector<uint32_t>* out) const;
+  /// bitset decode at the end; values lacking the union's shared mandatory
+  /// literal are rejected without a walk. Drops the memo first when it
+  /// holds `max_states` states. NOT safe for concurrent callers (lazy memo
+  /// tables).
+  void Classify(std::string_view s, std::vector<uint32_t>* out) const {
+    ++probes_;
+    out->clear();
+    if (!prefilter_literal_.empty() &&
+        !simd::ContainsLiteral(s, prefilter_literal_)) {
+      return;
+    }
+    if (nfa_sets_.size() >= max_states_) {
+      ++flushes_;
+      ResetMemo();
+    }
+    uint32_t state = start_state_;
+    for (const char c : s) {
+      const uint32_t cls = byte_class_[static_cast<unsigned char>(c)];
+      uint32_t next = transitions_[static_cast<size_t>(state) * num_classes_ +
+                                   cls];
+      if (next == kUnset) next = Transition(state, cls);
+      state = next;
+      if (state == kDead) return;
+    }
+    if (AppendAccepted(state, out)) ++hits_;
+  }
 
   /// Convenience for tests: does pattern `id` accept `s`?
   bool Matches(std::string_view s, uint32_t id) const;
 
-  /// Eagerly materializes every reachable state and emits an immutable
-  /// `FrozenMultiDfa` with identical accept sets. Returns null when more
-  /// than `max_states` states are reachable — callers fall back to the
-  /// per-pattern path then.
-  std::shared_ptr<const FrozenMultiDfa> Freeze(
-      size_t max_states = kDefaultMaxFrozenStates) const;
-
-  /// Introspection (benchmarks / tests).
+  /// Introspection (benchmarks / tests / dispatch stats).
   size_t num_symbol_classes() const { return num_classes_; }
+  /// States currently held (dead and start states included).
   size_t num_materialized_states() const { return nfa_sets_.size(); }
+  /// Lifetime `Classify` calls / calls that returned a non-empty set.
+  uint64_t probes() const { return probes_; }
+  uint64_t hits() const { return hits_; }
+  /// Times the memo reached `max_states` and was dropped.
+  uint64_t flushes() const { return flushes_; }
 
   /// Union prefilter needle: the longest substring guaranteed to occur in
   /// every string accepted by *any* member pattern — the fold of the
@@ -92,6 +117,8 @@ class MultiPatternDfa {
   static constexpr uint32_t kUnset = 0xFFFFFFFFu;  ///< lazy-edge sentinel
 
   void BuildAlphabet();
+  /// Drops every state, then re-adds the dead and start states.
+  void ResetMemo() const;
   /// Epsilon-closes `*states` over the merged NFA (sorted ascending).
   void EpsilonClosure(std::vector<uint32_t>* states) const;
   /// One merged-NFA step on byte `c` (sorted, deduped, epsilon-closed).
@@ -99,10 +126,14 @@ class MultiPatternDfa {
             std::vector<uint32_t>* to) const;
   /// Interns an epsilon-closed merged-NFA set, returning its DFA state id.
   uint32_t AddDfaState(std::vector<uint32_t> nfa_set) const;
-  /// The target of `from` on symbol class `cls`, materialized on first use.
+  /// Materializes the target of `from` on symbol class `cls` (the edge is
+  /// still `kUnset`).
   uint32_t Transition(uint32_t from, uint32_t cls) const;
+  /// Appends the ids accepted in `state` to `*out`; true when any.
+  bool AppendAccepted(uint32_t state, std::vector<uint32_t>* out) const;
 
   size_t num_patterns_ = 0;
+  size_t max_states_ = kDefaultMaxFrozenStates;
   uint32_t accept_words_per_state_ = 1;  ///< (num_patterns_ + 63) / 64
 
   /// Mandatory-literal needle shared by every member (empty = no filter).
@@ -125,109 +156,18 @@ class MultiPatternDfa {
   mutable std::vector<uint32_t> transitions_;
   /// Packed accept bitsets, `accept_words_per_state_` words per state.
   mutable std::vector<uint64_t> accept_words_;
-  mutable std::vector<std::vector<uint32_t>> nfa_sets_;
-  mutable std::vector<std::pair<uint64_t, uint32_t>> set_index_;
+  mutable SubsetTable nfa_sets_;
+  mutable uint32_t start_state_ = kDead;
 
-  uint32_t start_state_ = kDead;
-};
+  /// Epsilon-closure scratch: `closure_mark_[s] == closure_epoch_` marks
+  /// NFA state `s` visited in the current closure, so no step clears it.
+  mutable std::vector<uint32_t> closure_mark_;
+  mutable uint32_t closure_epoch_ = 0;
+  mutable std::vector<uint32_t> closure_stack_;
 
-/// \brief Fully-materialized immutable union automaton: a state-major
-/// transition table plus a packed accept-set pool, safe for lock-free
-/// concurrent probes. Built exclusively by `MultiPatternDfa::Freeze`.
-///
-/// The pool stores each *distinct* accept set once: `Classify` resolves
-/// the final state's pool entry and copies out its pattern ids — no bitset
-/// work on the hot path. Probe counters are relaxed atomics (monotone,
-/// aggregated into the daemon's dispatch stats).
-class FrozenMultiDfa {
- public:
-  /// Clears `*out` and fills it with the ids (ascending) of every pattern
-  /// accepting `s`. Safe from any number of threads. Values lacking the
-  /// union's shared mandatory literal are rejected without a table walk;
-  /// long values classify through the SIMD kernel in chunks, exactly like
-  /// `FrozenDfa::Matches`.
-  void Classify(std::string_view s, std::vector<uint32_t>* out) const {
-    probes_.fetch_add(1, std::memory_order_relaxed);
-    out->clear();
-    if (!prefilter_literal_.empty() &&
-        !simd::ContainsLiteral(s, prefilter_literal_)) {
-      return;
-    }
-    uint32_t state = start_state_;
-    const uint32_t stride = num_classes_;
-    // Buffered classify only when the shuffle kernel vectorizes it; the
-    // fused scalar walk wins otherwise (see FrozenDfa::Matches).
-    if (s.size() < kClassifyThreshold || !classifier_.shuffle_ok) {
-      for (const char c : s) {
-        state = transitions_[state * stride +
-                             classifier_.table[static_cast<unsigned char>(c)]];
-        if (state == kDead) return;
-      }
-    } else {
-      uint8_t cls[kClassifyChunk];
-      for (size_t i = 0; i < s.size(); i += kClassifyChunk) {
-        const size_t chunk = std::min(s.size() - i, sizeof(cls));
-        simd::ClassifyBytes(classifier_, s.data() + i, chunk, cls);
-        for (size_t j = 0; j < chunk; ++j) {
-          state = transitions_[state * stride + cls[j]];
-          if (state == kDead) return;
-        }
-      }
-    }
-    const uint32_t ref = accept_ref_[state];
-    if (ref == 0) return;  // entry 0 is the empty set
-    const uint32_t begin = pool_offsets_[ref];
-    const uint32_t end = pool_offsets_[ref + 1];
-    out->reserve(end - begin);
-    for (uint32_t i = begin; i < end; ++i) out->push_back(pool_ids_[i]);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  size_t num_patterns() const { return num_patterns_; }
-  size_t num_states() const { return num_states_; }
-  size_t num_symbol_classes() const { return num_classes_; }
-  /// Distinct accept sets in the pool (including the empty set).
-  size_t num_accept_sets() const { return pool_offsets_.size() - 1; }
-  /// Footprint of the packed accept-set pool (ids + offsets + state refs).
-  size_t pool_bytes() const {
-    return (pool_ids_.size() + pool_offsets_.size() + accept_ref_.size()) *
-           sizeof(uint32_t);
-  }
-  /// Lifetime `Classify` calls / calls that returned a non-empty set.
-  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  const std::string& prefilter_literal() const { return prefilter_literal_; }
-  /// True when the SSSE3 table-shuffle path backs `ClassifyBytes` here.
-  bool classify_shuffle_active() const { return classifier_.shuffle_ok; }
-
- private:
-  friend class MultiPatternDfa;  // populated by Freeze
-  FrozenMultiDfa() = default;
-
-  static constexpr uint32_t kDead = 0;
-  /// Same thresholds as `FrozenDfa`: shorter inputs walk fused, longer
-  /// ones classify through the SIMD kernel into a stack buffer.
-  static constexpr size_t kClassifyThreshold = 16;
-  static constexpr size_t kClassifyChunk = 256;
-
-  /// byte -> symbol class table plus its prepared SIMD decomposition.
-  simd::ByteClassifier classifier_;
-  /// Mandatory-literal prefilter needle (empty = no prefilter).
-  std::string prefilter_literal_;
-  uint32_t num_classes_ = 1;
-  uint32_t num_states_ = 0;
-  uint32_t num_patterns_ = 0;
-  uint32_t start_state_ = kDead;
-  /// State-major flat transition table (no lazy sentinel).
-  std::vector<uint32_t> transitions_;
-  /// State -> pool entry holding its accept set (0 = the empty set).
-  std::vector<uint32_t> accept_ref_;
-  /// Entry e covers pool_ids_[pool_offsets_[e], pool_offsets_[e + 1]).
-  std::vector<uint32_t> pool_offsets_;
-  /// Concatenated ascending pattern-id runs, one per distinct accept set.
-  std::vector<uint32_t> pool_ids_;
-  mutable std::atomic<uint64_t> probes_{0};
-  mutable std::atomic<uint64_t> hits_{0};
+  mutable uint64_t probes_ = 0;
+  mutable uint64_t hits_ = 0;
+  mutable uint64_t flushes_ = 0;
 };
 
 }  // namespace anmat

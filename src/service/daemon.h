@@ -47,8 +47,8 @@
 ///   stats         -> {"pid", "connections", "in_flight", "projects",
 ///                     "project_stats": [{"dir",
 ///                     "streams", "automaton_cache": {"hits", "misses",
-///                     "fallbacks", "dispatch": {"automata", "fallbacks",
-///                     "total_states", "total_patterns", "pool_bytes",
+///                     "fallbacks", "dispatch": {"automata",
+///                     "total_states", "total_patterns", "flushes",
 ///                     "probes", "probe_hits", "hits", "misses"}},
 ///                     "warm_datasets": {"entries", "bytes", "hits",
 ///                     "misses"}}]}

@@ -378,14 +378,11 @@ JsonValue ProjectHost::CacheStatsJson() {
   const DispatchStats dispatch = engine_.automata().dispatch_stats();
   JsonValue d = JsonValue::Object();
   d.Set("automata", JsonValue::Int(static_cast<int64_t>(dispatch.automata)));
-  d.Set("fallbacks",
-        JsonValue::Int(static_cast<int64_t>(dispatch.fallbacks)));
   d.Set("total_states",
         JsonValue::Int(static_cast<int64_t>(dispatch.total_states)));
   d.Set("total_patterns",
         JsonValue::Int(static_cast<int64_t>(dispatch.total_patterns)));
-  d.Set("pool_bytes",
-        JsonValue::Int(static_cast<int64_t>(dispatch.pool_bytes)));
+  d.Set("flushes", JsonValue::Int(static_cast<int64_t>(dispatch.flushes)));
   d.Set("probes", JsonValue::Int(static_cast<int64_t>(dispatch.probes)));
   d.Set("probe_hits",
         JsonValue::Int(static_cast<int64_t>(dispatch.probe_hits)));

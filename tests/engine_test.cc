@@ -21,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "csv/csv_reader.h"
@@ -30,6 +31,7 @@
 #include "detect/detector.h"
 #include "detect/reference_detector.h"
 #include "discovery/discovery.h"
+#include "dispatch/dispatch_plan.h"
 #include "pattern/pattern_parser.h"
 #include "reference_check.h"
 #include "repair/repair.h"
@@ -343,6 +345,106 @@ TEST(EngineAutomatonCacheTest, RepairPassesReuseCompiledAutomata) {
   // Detection and streaming reuse the very same automata.
   ASSERT_TRUE(engine.Detect(d.relation, rules).ok());
   EXPECT_EQ(engine.automata().misses(), misses_after_first);
+}
+
+TEST(EngineAutomatonCacheTest, WebDetectMaterializesOnlyWalkedUnionStates) {
+  // The web table's rules give unions whose full subset construction runs
+  // to thousands of states; the 50 values a detect classifies walk a few
+  // hundred of them, and only those are built.
+  const Dataset d = WebAccountDataset(50, 1, 0.02);
+  DiscoveryOptions discovery;
+  discovery.min_coverage = 0.4;
+  std::vector<Pfd> rules;
+  {
+    Engine engine;
+    auto result = engine.Discover(d.relation, discovery);
+    ASSERT_TRUE(result.ok());
+    for (const DiscoveredPfd& p : result->pfds) rules.push_back(p.pfd);
+  }
+  ASSERT_FALSE(rules.empty());
+
+  Engine engine(ExecutionOptions{2, true, nullptr});
+  auto detection = engine.Detect(d.relation, rules);
+  ASSERT_TRUE(detection.ok());
+  ExpectSameAsReference(detection.value(),
+                        ReferenceDetectErrors(d.relation, rules).value(),
+                        "web");
+  const DispatchStats stats = engine.automata().dispatch_stats();
+  EXPECT_GT(stats.automata, 0u);
+  EXPECT_LT(stats.total_states, 1000u);
+  EXPECT_EQ(stats.flushes, 0u);
+
+  // Every union-friendly LHS pattern classified through a union.
+  std::map<size_t, ColumnDispatcher> by_col;
+  std::map<size_t, std::vector<std::pair<uint32_t, bool>>> slots;
+  for (const Pfd& pfd : rules) {
+    for (size_t r = 0; r < pfd.tableau().size(); ++r) {
+      const TableauRow& row = pfd.tableau().row(r);
+      for (size_t c = 0; c < row.lhs.size(); ++c) {
+        if (row.lhs[c].is_wildcard()) continue;
+        const size_t col =
+            d.relation.schema().IndexOf(pfd.lhs_attrs()[c]).value();
+        const Pattern& p = row.lhs[c].pattern().EmbeddedPattern();
+        slots[col].emplace_back(by_col[col].AddPattern(p), UnionFriendly(p));
+      }
+    }
+  }
+  size_t friendly = 0;
+  for (auto& [col, cd] : by_col) {
+    cd.Compile(&engine.automata());
+    for (const auto& [slot, union_friendly] : slots[col]) {
+      friendly += union_friendly ? 1 : 0;
+      EXPECT_EQ(cd.compiled() && cd.covers(slot), union_friendly)
+          << "column " << col << " slot " << slot;
+    }
+  }
+  EXPECT_GT(friendly, 0u);
+}
+
+TEST(EngineAutomatonCacheTest, ConcurrentDetectsShareUnionsByteIdentically) {
+  // Four callers detect on one engine at once, so their dispatchers grow
+  // the same cached lazy unions concurrently (run under TSan via
+  // tools/verify.sh thread). Every result must equal a serial run's bytes.
+  std::vector<Dataset> datasets = TestDatasets();
+  datasets.push_back(WebAccountDataset(50, 1, 0.02));
+  std::vector<std::vector<Pfd>> rules;
+  std::vector<std::string> expected;
+  for (const Dataset& d : datasets) {
+    rules.push_back(DiscoverRules(d.relation));
+    Engine serial;
+    auto result = serial.Detect(d.relation, rules.back());
+    ASSERT_TRUE(result.ok());
+    expected.push_back(Fingerprint(result.value()));
+  }
+
+  Engine engine(ExecutionOptions{2, true, nullptr});
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 3;
+  std::vector<std::vector<std::string>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < datasets.size(); ++k) {
+          // Each caller starts at a different table.
+          const size_t i = (k + t) % datasets.size();
+          auto result = engine.Detect(datasets[i].relation, rules[i]);
+          got[t].push_back(result.ok() ? Fingerprint(result.value())
+                                       : result.status().ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (size_t t = 0; t < kCallers; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * datasets.size());
+    for (size_t n = 0; n < got[t].size(); ++n) {
+      const size_t i = (n % datasets.size() + t) % datasets.size();
+      EXPECT_EQ(got[t][n], expected[i])
+          << "caller " << t << ", " << datasets[i].name;
+    }
+  }
+  EXPECT_GT(engine.automata().dispatch_stats().probes, 0u);
 }
 
 // -- Streaming == one-shot -------------------------------------------------
