@@ -36,7 +36,8 @@ Result<RepairResult> Engine::Repair(Relation* relation,
                                     RepairOptions options) {
   // Every detection pass inside the repair loop inherits the engine's
   // execution block and automaton cache (tableau matchers are resolved
-  // once and shared across passes — see RepairErrors); the suggestion
+  // once, and each rule's candidates and groups kept until a pass writes
+  // one of its LHS columns — see RepairErrors); the suggestion
   // fold and application steps are deterministic, so the whole run is
   // byte-identical to serial RepairErrors.
   options.detector.execution = execution_;

@@ -223,10 +223,9 @@ void ResolveGroup(const Relation& relation, size_t pfd_index,
 
 void ResolveGroups(const Relation& relation, size_t pfd_index,
                    size_t row_index, const ResolvedRow& row,
-                   const std::map<std::string, std::vector<RowId>>& groups,
+                   const std::vector<std::vector<RowId>>& groups,
                    DetectionResult* result) {
-  for (const auto& [key, rows] : groups) {
-    if (rows.size() < 2) continue;
+  for (const std::vector<RowId>& rows : groups) {
     std::map<std::string, std::vector<RowId>> by_rhs;
     for (RowId r : rows) {
       by_rhs[RhsValue(relation, row, r)].push_back(r);
@@ -245,6 +244,7 @@ void ResolveGroups(const Relation& relation, size_t pfd_index,
 namespace {
 
 using detect_internal::CellScan;
+using detect_internal::ItemState;
 using detect_internal::ResolvedRow;
 
 /// Per-(work item, LHS cell) handle into a column dispatcher's verdicts.
@@ -358,37 +358,53 @@ std::vector<RowId> CandidateRows(RunContext& ctx, const ResolvedRow& row,
   return verified;
 }
 
+/// Detects a constant row, building `state` first when it is not built:
+/// the violations read the RHS cells live.
 void DetectConstantRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item) {
-  std::vector<CellScan> scans = MakeScans(ctx, row, item);
-  const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
-  ctx.result->stats.candidate_rows += candidates.size();
+                       const ResolvedRow& row, size_t item,
+                       ItemState& state) {
+  if (!state.built) {
+    std::vector<CellScan> scans = MakeScans(ctx, row, item);
+    state.candidates = CandidateRows(ctx, row, scans);
+    state.candidate_rows = state.candidates.size();
+    state.built = true;
+  }
+  ctx.result->stats.candidate_rows += state.candidate_rows;
 
-  for (RowId r : candidates) {
+  for (RowId r : state.candidates) {
     detect_internal::EmitConstantViolation(*ctx.relation, pfd_index,
                                            row_index, row, r,
                                            &ctx.result->violations);
   }
 }
 
+/// Detects a variable row, building `state` first when it is not built:
+/// the groups' RHS splits read the RHS cells live.
 void DetectVariableRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item) {
-  std::vector<CellScan> scans = MakeScans(ctx, row, item);
-  const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
-  ctx.result->stats.candidate_rows += candidates.size();
-
-  std::map<std::string, std::vector<RowId>> groups;
-  std::string key;
-  // The reused key buffer is sized once for the row; map insertion copies
-  // it, so pre-sizing kills the grow-reallocs on every append below.
-  key.reserve(32 * row.lhs_cols.size());
-  for (RowId r : candidates) {
-    if (detect_internal::RecordKey(*ctx.relation, row, scans, r, &key)) {
-      groups[key].push_back(r);
+                       const ResolvedRow& row, size_t item,
+                       ItemState& state) {
+  if (!state.built) {
+    std::vector<CellScan> scans = MakeScans(ctx, row, item);
+    const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
+    std::map<std::string, std::vector<RowId>> groups;
+    std::string key;
+    // The reused key buffer is sized once for the row; map insertion copies
+    // it, so pre-sizing kills the grow-reallocs on every append below.
+    key.reserve(32 * row.lhs_cols.size());
+    for (RowId r : candidates) {
+      if (detect_internal::RecordKey(*ctx.relation, row, scans, r, &key)) {
+        groups[key].push_back(r);
+      }
     }
+    for (auto& [group_key, rows] : groups) {
+      if (rows.size() >= 2) state.groups.push_back(std::move(rows));
+    }
+    state.candidate_rows = candidates.size();
+    state.built = true;
   }
+  ctx.result->stats.candidate_rows += state.candidate_rows;
   detect_internal::ResolveGroups(*ctx.relation, pfd_index, row_index, row,
-                                 groups, ctx.result);
+                                 state.groups, ctx.result);
 }
 
 /// One PFD resolved against the schema (column indices looked up once).
@@ -414,15 +430,17 @@ Result<PfdPlan> PlanPfd(const Pfd& pfd, const Schema& schema) {
   return plan;
 }
 
-/// Detects one already-resolved tableau row into `ctx.result`. `item` is
-/// the work-item index (keys the dispatch cell table).
+/// Detects one already-resolved tableau row into `ctx.result`, reusing
+/// `state` when it is built and building it otherwise. `item` is the
+/// work-item index (keys the dispatch cell table).
 void DetectResolvedRow(RunContext& ctx, const ResolvedRow& resolved,
-                       size_t pfd_index, size_t row_index, size_t item) {
+                       size_t pfd_index, size_t row_index, size_t item,
+                       ItemState& state) {
   const TableauRow& trow = *resolved.row;
   if (trow.IsConstantRow()) {
-    DetectConstantRow(ctx, pfd_index, row_index, resolved, item);
+    DetectConstantRow(ctx, pfd_index, row_index, resolved, item, state);
   } else if (trow.IsVariableRow()) {
-    DetectVariableRow(ctx, pfd_index, row_index, resolved, item);
+    DetectVariableRow(ctx, pfd_index, row_index, resolved, item, state);
   }
   // Rows that are neither (pattern-valued RHS) are treated as
   // constraints on format only; format checking is the profiler's job.
@@ -432,10 +450,9 @@ void DetectResolvedRow(RunContext& ctx, const ResolvedRow& resolved,
 
 namespace detect_internal {
 
-Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
-                                                const std::vector<Pfd>& pfds,
-                                                const DetectorOptions& options,
-                                                ResolvedRowSet* row_set) {
+Result<DetectionResult> DetectErrorsKeepingState(
+    const Relation& relation, const std::vector<Pfd>& pfds,
+    const DetectorOptions& options, DetectionState* kept) {
   // Validate and resolve every PFD up front (also what the parallel path
   // needs: the first validation error must not depend on task timing).
   std::vector<PfdPlan> plans;
@@ -465,39 +482,68 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   AutomatonCache* const automata = options.automata.get();
   assert(automata != nullptr && "entry points install a cache (WithAutomata)");
 
-  // Resolve the tableau rows once per `row_set` lifetime (per call when the
-  // caller passed none): the repair fixpoint loop hands the same set back
-  // for every pass, so matchers are not rebuilt per pass.
-  ResolvedRowSet local_rows;
-  ResolvedRowSet& rows = row_set != nullptr ? *row_set : local_rows;
-  if (!rows.resolved) {
-    rows.rows.reserve(items.size());
+  // Resolve the tableau rows once per state lifetime (per call when the
+  // caller kept none): the repair fixpoint loop hands the same state back
+  // for every pass, so matchers are not rebuilt per pass. An item whose
+  // LHS columns were written since its state was built is rebuilt.
+  DetectionState local_state;
+  DetectionState& state = kept != nullptr ? *kept : local_state;
+  if (!state.resolved) {
+    state.rows.reserve(items.size());
     for (const WorkItem& item : items) {
       const PfdPlan& plan = plans[item.plan];
-      rows.rows.push_back(
+      state.rows.push_back(
           ResolveRow(plan.pfd->tableau().row(item.row), plan.lhs_cols,
                      plan.rhs_cols, plan.pfd->lhs_attrs(),
                      plan.pfd->rhs_attrs(), automata));
     }
-    rows.resolved = true;
+    state.items.resize(items.size());
+    state.resolved = true;
+  }
+  const std::vector<ResolvedRow>& rows = state.rows;
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (const size_t col : rows[i].lhs_cols) {
+      if (state.written_columns.count(col) > 0) {
+        state.items[i] = ItemState{};
+        break;
+      }
+    }
+  }
+  state.written_columns.clear();
+
+  // The pattern columns of the items this run builds: only they need
+  // dispatch verdicts or a seed index.
+  std::set<size_t> build_cols;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (state.items[i].built) continue;
+    for (size_t c = 0; c < rows[i].lhs_cols.size(); ++c) {
+      if (rows[i].lhs_matchers[c] != nullptr) {
+        build_cols.insert(rows[i].lhs_cols[c]);
+      }
+    }
   }
 
   // Multi-pattern dispatch: compile every LHS column's patterns into a few
   // prefix-grouped union automata (shared through the cache) and classify
   // each distinct value with one scan per group, instead of one automaton
   // walk per (pattern, value). Slots the unions do not cover keep the
-  // per-pattern path. Values must be re-classified every run — the repair
-  // fixpoint mutates cells between passes — but the automata themselves
-  // compile once per cache lifetime.
+  // per-pattern path. Values are classified afresh on every run that
+  // builds an item on the column (a repair pass may have written it); a
+  // column whose items all reuse their state is skipped whole — dropping
+  // only some of its patterns would change the union key. The automata
+  // themselves compile once per cache lifetime.
   std::unique_ptr<DetectDispatch> dispatch;
-  if (!items.empty()) {
+  if (!build_cols.empty()) {
     dispatch = std::make_unique<DetectDispatch>();
     dispatch->cells.resize(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
-      const ResolvedRow& row = rows.rows[i];
+      const ResolvedRow& row = rows[i];
       dispatch->cells[i].assign(row.lhs_cols.size(), DispatchCell{});
       for (size_t c = 0; c < row.lhs_cols.size(); ++c) {
-        if (row.lhs_matchers[c] == nullptr) continue;
+        if (row.lhs_matchers[c] == nullptr ||
+            build_cols.count(row.lhs_cols[c]) == 0) {
+          continue;
+        }
         ColumnDispatcher& cd = dispatch->by_col[row.lhs_cols[c]];
         dispatch->cells[i][c].dispatcher = &cd;
         dispatch->cells[i][c].slot =
@@ -539,11 +585,18 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
     }
   }
 
+  // Runs item i on `row`; a one-shot run (no kept state) frees the item's
+  // candidates and groups as soon as its violations are out.
+  const auto run_item = [&](RunContext& ctx, const ResolvedRow& row,
+                            size_t i) {
+    DetectResolvedRow(ctx, row, items[i].plan, items[i].row, i,
+                      state.items[i]);
+    if (kept == nullptr) state.items[i] = ItemState{};
+  };
+
   if (!parallel) {
     RunContext ctx{&relation, automata, &result, {}, nullptr, dispatch.get()};
-    for (size_t i = 0; i < items.size(); ++i) {
-      DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
-    }
+    for (size_t i = 0; i < items.size(); ++i) run_item(ctx, rows[i], i);
     SortViolations(&result.violations);
     result.stats.violations = result.violations.size();
     return result;
@@ -552,10 +605,12 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   // Pre-build the seed-cell indexes the tasks will share (in parallel, one
   // per distinct column; PatternIndex::Lookup on a const index is
   // thread-safe). Dispatch-covered columns seed from preset verdicts and
-  // never probe an index — skip their build.
+  // never probe an index, and items reusing their state never seed — skip
+  // both builds.
   std::set<size_t> seed_cols;
-  for (const ResolvedRow& row : rows.rows) {
-    const size_t col = row.lhs_cols[SeedCell(row)];
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (state.items[i].built) continue;
+    const size_t col = rows[i].lhs_cols[SeedCell(rows[i])];
     if (dispatch == nullptr || !dispatch->Covers(col)) seed_cols.insert(col);
   }
   const ColumnIndexes shared_indexes = BuildColumnIndexes(
@@ -568,13 +623,15 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
   // matcher is re-resolved privately by its task (lazy matchers memoize
   // under the const interface and stay single-owner). Private rows still
   // read the shared dispatch verdicts: those depend only on the (item,
-  // cell) patterns, identical in every resolution of the same work item.
+  // cell) patterns, identical in every resolution of the same work item,
+  // and keep their item's state: it holds rows, not matcher memos. Task i
+  // alone touches `state.items[i]`.
   std::vector<DetectionResult> slots(items.size());
   ParallelFor(options.execution, items.size(), [&](size_t i) {
     RunContext ctx{&relation, automata,        &slots[i],
                    {},        &shared_indexes, dispatch.get()};
-    if (rows.rows[i].concurrent_safe()) {
-      DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
+    if (rows[i].concurrent_safe()) {
+      run_item(ctx, rows[i], i);
       return;
     }
     const PfdPlan& plan = plans[items[i].plan];
@@ -582,7 +639,7 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
         ResolveRow(plan.pfd->tableau().row(items[i].row), plan.lhs_cols,
                    plan.rhs_cols, plan.pfd->lhs_attrs(),
                    plan.pfd->rhs_attrs(), automata);
-    DetectResolvedRow(ctx, resolved, items[i].plan, items[i].row, i);
+    run_item(ctx, resolved, i);
   });
 
   for (DetectionResult& slot : slots) {
@@ -610,7 +667,7 @@ DetectorOptions WithAutomata(const DetectorOptions& options) {
 Result<DetectionResult> DetectErrors(const Relation& relation,
                                      const std::vector<Pfd>& pfds,
                                      const DetectorOptions& options) {
-  return detect_internal::DetectErrorsReusingRows(
+  return detect_internal::DetectErrorsKeepingState(
       relation, pfds, detect_internal::WithAutomata(options), nullptr);
 }
 
@@ -655,7 +712,8 @@ Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
     const detect_internal::ResolvedRow row = detect_internal::ResolveRow(
         pfd.tableau().row(ri), plan.lhs_cols, plan.rhs_cols, pfd.lhs_attrs(),
         pfd.rhs_attrs(), automata);
-    DetectResolvedRow(ctx, row, /*pfd_index=*/0, ri, /*item=*/0);
+    ItemState state;
+    DetectResolvedRow(ctx, row, /*pfd_index=*/0, ri, /*item=*/0, state);
   }
 
   std::vector<bool> violating(relation.num_rows(), false);

@@ -4,7 +4,8 @@
 /// \file detector_internal.h
 /// Shared internals of the one-shot detector (detector.cc), which also
 /// backs discovery's coverage check (`ComputeCoverage`), and the streaming
-/// detector (detection_stream.cc): the resolved tableau rows,
+/// detector (detection_stream.cc): the resolved tableau rows, the
+/// detection state the repair loop keeps across its passes,
 /// per-distinct-value match/extraction memos, record keys, and the group
 /// resolution that turns equivalence groups into variable violations.
 ///
@@ -13,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,14 +73,42 @@ ResolvedRow ResolveRow(const TableauRow& row,
                        const std::vector<std::string>& rhs_attrs,
                        AutomatonCache* automata);
 
-/// Resolved rows of a fixed (pfds, schema) pair, flattened in (PFD,
-/// tableau row) order — one entry per detection work item. A caller
-/// running `DetectErrors` repeatedly over the same rules (the repair
-/// fixpoint loop) passes one of these to `DetectErrorsReusingRows` so rows
-/// are resolved once, not once per pass.
-struct ResolvedRowSet {
+/// What one work item's detection derives from its LHS columns alone, kept
+/// between runs over one relation (see `DetectionState`). A constant row
+/// keeps its verified candidates, a variable row the rows of its groups;
+/// a run re-emits violations from these by reading the RHS cells live.
+struct ItemState {
+  bool built = false;
+  /// The item's share of `DetectionStats::candidate_rows`.
+  size_t candidate_rows = 0;
+  /// Constant rows: the rows matching every LHS cell, ascending.
+  std::vector<RowId> candidates;
+  /// Variable rows: the members of every group of two or more rows, in
+  /// record-key order (singletons never violate and are dropped).
+  std::vector<std::vector<RowId>> groups;
+};
+
+/// Detection state of a fixed (pfds, relation) pair, kept across the runs
+/// of the repair fixpoint loop: the resolved rows, flattened in (PFD,
+/// tableau row) order — one entry per detection work item — and each
+/// item's `ItemState`. The loop calls `RecordWrite` for every column it
+/// writes. The next run rebuilds only the items with a written column among
+/// their LHS columns (wildcard cells count: `RecordKey` keys on their raw
+/// values); the others skip candidate generation and keying, and a column
+/// with no rebuilt item skips its seed-index build and dispatch
+/// classification. Writes are recorded, not inferred from a column's
+/// dictionary address: `set_cell` frees the dictionary and a new one may
+/// reuse the address. Violations and stats equal a fresh `DetectErrors` on
+/// the relation as it stands. Each run touches an item's state only from
+/// the one task that runs it.
+struct DetectionState {
   std::vector<ResolvedRow> rows;
+  std::vector<ItemState> items;
   bool resolved = false;
+  /// Columns written since the last run.
+  std::set<size_t> written_columns;
+
+  void RecordWrite(size_t col) { written_columns.insert(col); }
 };
 
 /// `options` with a private `AutomatonCache` installed when it has none.
@@ -87,13 +117,12 @@ struct ResolvedRowSet {
 /// a non-null cache.
 DetectorOptions WithAutomata(const DetectorOptions& options);
 
-/// `DetectErrors` with an optional cross-run resolved-row cache (see
-/// `ResolvedRowSet`); `row_set` may be null. `options.automata` must be
-/// set (see `WithAutomata`). Defined in detector.cc.
-Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
-                                                const std::vector<Pfd>& pfds,
-                                                const DetectorOptions& options,
-                                                ResolvedRowSet* row_set);
+/// `DetectErrors` with an optional cross-run `DetectionState`; `state` may
+/// be null (a one-shot run). `options.automata` must be set (see
+/// `WithAutomata`). Defined in detector.cc.
+Result<DetectionResult> DetectErrorsKeepingState(
+    const Relation& relation, const std::vector<Pfd>& pfds,
+    const DetectorOptions& options, DetectionState* state);
 
 /// The index of the seed cell (the first non-wildcard LHS cell), or
 /// lhs_cols.size() when every cell is a wildcard (a row `Pfd::Validate`
@@ -214,11 +243,11 @@ void ResolveGroup(const Relation& relation, size_t pfd_index,
                   const std::map<std::string, std::vector<RowId>>& by_rhs,
                   size_t size, RowId first_suspect, DetectionResult* result);
 
-/// One-shot group resolution: splits every group of key → rows by RHS
-/// value and runs `ResolveGroup` on it, in key order.
+/// One-shot group resolution: splits every group's rows by their live RHS
+/// value and runs `ResolveGroup` on it, in the given (record-key) order.
 void ResolveGroups(const Relation& relation, size_t pfd_index,
                    size_t row_index, const ResolvedRow& row,
-                   const std::map<std::string, std::vector<RowId>>& groups,
+                   const std::vector<std::vector<RowId>>& groups,
                    DetectionResult* result);
 
 }  // namespace detect_internal

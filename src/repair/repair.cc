@@ -21,18 +21,20 @@ Result<RepairResult> RepairErrors(Relation* relation,
                                      // not oscillate a cell back and forth
 
   // Tableau rows depend on (pfds, schema) only, not on the mutating cell
-  // data — resolve their matchers once and reuse the set for every pass
-  // and the final verification, instead of recompiling per detection run.
-  // One cache serves every pass, so each pattern compiles once per repair.
+  // data — resolve their matchers once and reuse them for every pass and
+  // the final verification. One cache serves every pass, so each pattern
+  // compiles once per repair. A work item's candidates and groups depend
+  // only on its LHS columns: every write is recorded, and a pass rebuilds
+  // only the items whose LHS columns earlier passes wrote.
   const DetectorOptions detector = detect_internal::WithAutomata(
       options.detector);
-  detect_internal::ResolvedRowSet resolved_rows;
+  detect_internal::DetectionState state;
 
   for (size_t pass = 0; pass < options.max_passes; ++pass) {
     ANMAT_ASSIGN_OR_RETURN(
         DetectionResult detection,
-        detect_internal::DetectErrorsReusingRows(*relation, pfds, detector,
-                                                 &resolved_rows));
+        detect_internal::DetectErrorsKeepingState(*relation, pfds, detector,
+                                                  &state));
     result.passes = pass + 1;
     result.remaining_violations = detection.violations.size();
     if (detection.violations.empty()) break;
@@ -75,6 +77,7 @@ Result<RepairResult> RepairErrors(Relation* relation,
       const std::string before(relation->cell(cell.row, cell.column));
       if (before == suggestion.value) continue;
       relation->set_cell(cell.row, cell.column, suggestion.value);
+      state.RecordWrite(cell.column);
       repaired_cells.insert(cell);
       result.repairs.push_back(AppliedRepair{cell, before, suggestion.value,
                                              pass, suggestion.pfd_index});
@@ -87,8 +90,8 @@ Result<RepairResult> RepairErrors(Relation* relation,
   // callers need not re-detect over the repaired relation.
   ANMAT_ASSIGN_OR_RETURN(
       result.final_detection,
-      detect_internal::DetectErrorsReusingRows(*relation, pfds, detector,
-                                               &resolved_rows));
+      detect_internal::DetectErrorsKeepingState(*relation, pfds, detector,
+                                                &state));
   result.remaining_violations = result.final_detection.violations.size();
   std::sort(result.conflicted_cells.begin(), result.conflicted_cells.end());
   return result;

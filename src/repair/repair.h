@@ -12,6 +12,7 @@
 ///
 ///   repeat up to `max_passes` times:
 ///     detect violations → apply confident suggested repairs → re-detect
+///     what the applied repairs touched
 ///
 /// A repair is *confident* when the violation's suggestion is a constant
 /// rule's RHS (always confident under the paper's LHS-is-correct
@@ -22,6 +23,16 @@
 /// the loop never oscillates on a genuinely ambiguous cell. The fixpoint loop terminates
 /// because each pass either strictly reduces the number of violating cells
 /// or stops.
+///
+/// The loop does not re-detect from scratch. Repair writes RHS cells, and a
+/// (PFD, tableau row)'s candidate rows (constant rows) and equivalence
+/// groups (variable rows) depend only on its LHS columns. The loop keeps
+/// them for its whole run and records every column it writes; a pass
+/// rebuilds only the rows with a written column on their LHS (a column
+/// that is one rule's RHS and another's LHS) and re-emits the others'
+/// violations from the live RHS cells. Every pass and the final
+/// verification equal a fresh `DetectErrors` on the relation as it stands,
+/// stats included.
 ///
 /// Execution: each pass's suggestion generation is a detection run, so
 /// `options.detector.execution` parallelizes it per (PFD, tableau row)

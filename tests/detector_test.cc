@@ -5,6 +5,7 @@
 #include "datagen/datasets.h"
 #include "detect/detector_internal.h"
 #include "detect/reference_detector.h"
+#include "pattern/automaton_cache.h"
 #include "pattern/pattern_parser.h"
 #include "reference_check.h"
 
@@ -346,6 +347,123 @@ TEST(DetectorTest, StatsPopulated) {
   EXPECT_EQ(result.stats.rows_scanned, 100u);
   EXPECT_GT(result.stats.candidate_rows, 0u);
   EXPECT_EQ(result.stats.violations, result.violations.size());
+}
+
+std::string DetectionFingerprint(const DetectionResult& result) {
+  std::string out = "scanned=" + std::to_string(result.stats.rows_scanned) +
+                    " candidates=" +
+                    std::to_string(result.stats.candidate_rows) +
+                    " pairs=" + std::to_string(result.stats.pairs_checked) +
+                    " violations=" + std::to_string(result.stats.violations) +
+                    "\n";
+  for (const Violation& v : result.violations) {
+    out += ViolationFingerprint(v) + "\n";
+  }
+  return out;
+}
+
+TEST(DetectorTest, KeptStateMatchesFreshDetectAfterEveryWrite) {
+  // The repair loop's seam: a run over a `DetectionState` rebuilds only
+  // the items whose LHS columns were written (and recorded) since the last
+  // run. After every scripted write its result must equal a fresh detect
+  // (stats included) and the reference oracle. Columns: zip is every
+  // rule's LHS; city is the zip rules' RHS and the city rule's LHS; region
+  // is only a wildcard LHS cell; state is only ever an RHS.
+  const Dataset base = ZipCityStateDataset(300, 47, 0.05);
+  RelationBuilder builder(
+      Schema::MakeText({"zip", "city", "state", "region"}).value());
+  for (RowId r = 0; r < base.relation.num_rows(); ++r) {
+    const std::string state(base.relation.cell(r, 2));
+    const bool west = state == "CA" || state == "WA" || state == "CO";
+    ASSERT_TRUE(builder
+                    .AddRow({std::string(base.relation.cell(r, 0)),
+                             std::string(base.relation.cell(r, 1)), state,
+                             west ? "West" : "East"})
+                    .ok());
+  }
+  const Relation initial = builder.Build();
+
+  Tableau zip_region;
+  TableauRow zip_region_row;
+  zip_region_row.lhs.push_back(PatternCell("(\\D{2})!\\D{3}"));
+  zip_region_row.lhs.push_back(TableauCell::Wildcard());
+  zip_region_row.rhs.push_back(TableauCell::Wildcard());
+  zip_region.AddRow(zip_region_row);
+  const std::vector<Pfd> pfds = {
+      Pfd::Simple("Z", "zip", "city",
+                  OneRowTableau("(900)!\\D{2}", "Los\\ Angeles")),
+      Pfd::Simple("Z", "zip", "city",
+                  OneRowTableau("(\\D{3})!\\D{2}", nullptr)),
+      Pfd::Simple("C", "city", "state",
+                  OneRowTableau("(\\LU\\LL*)!\\A*", nullptr)),
+      Pfd("Z", {"zip", "region"}, {"state"}, zip_region)};
+
+  struct Write {
+    const char* what;
+    RowId row;
+    size_t col;
+    const char* value;
+  };
+  const Write script[] = {
+      {"RHS-only state", 5, 2, "ZZ"},
+      {"city: a zip rule's RHS and the city rule's LHS", 7, 1,
+       "San Francisco"},
+      {"city to a value the city rule's pattern rejects", 9, 1,
+       "los angeles"},
+      {"wildcard-only region", 11, 3, "North"},
+      {"zip: single- and multi-column LHS", 13, 0, "90077"},
+      {"zip to a value no zip pattern matches", 15, 0, "9x0"},
+  };
+
+  struct Config {
+    std::string label;
+    size_t threads;
+    size_t max_frozen_states;  // 0: the default cache
+  };
+  const Config configs[] = {{"1 thread", 1, 0},
+                            {"2 threads", 2, 0},
+                            {"4 threads", 4, 0},
+                            {"forced fallback, 4 threads", 4, 3}};
+  for (const Config& config : configs) {
+    DetectorOptions options;
+    options.execution.num_threads = config.threads;
+    options.automata = config.max_frozen_states == 0
+                           ? std::make_shared<AutomatonCache>()
+                           : std::make_shared<AutomatonCache>(
+                                 config.max_frozen_states);
+    Relation relation = initial;
+    detect_internal::DetectionState state;
+    std::string previous;
+    const auto check = [&](const std::string& step, bool changed) {
+      const std::string label = config.label + ", " + step;
+      const Result<DetectionResult> kept =
+          detect_internal::DetectErrorsKeepingState(relation, pfds, options,
+                                                    &state);
+      ASSERT_TRUE(kept.ok()) << label;
+      const DetectionResult fresh =
+          DetectErrors(relation, pfds, options).value();
+      EXPECT_EQ(DetectionFingerprint(kept.value()),
+                DetectionFingerprint(fresh))
+          << label;
+      ExpectSameAsReference(kept.value(),
+                            ReferenceDetectErrors(relation, pfds).value(),
+                            label);
+      // Every scripted write must change what detection reports, or the
+      // step would pass on stale state.
+      EXPECT_EQ(DetectionFingerprint(fresh) != previous, changed) << label;
+      previous = DetectionFingerprint(fresh);
+    };
+    check("first run", true);
+    check("rerun without writes", false);
+    for (const Write& w : script) {
+      relation.set_cell(w.row, w.col, w.value);
+      state.RecordWrite(w.col);
+      check(w.what, true);
+    }
+    if (config.max_frozen_states != 0) {
+      EXPECT_GT(options.automata->fallbacks(), 0u) << config.label;
+    }
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "detect/detection_stream.h"
 #include "detect/detector.h"
 #include "detect/reference_detector.h"
+#include "detect/suggestion_policy.h"
 #include "discovery/discovery.h"
 #include "dispatch/dispatch_plan.h"
 #include "pattern/pattern_parser.h"
@@ -253,6 +254,143 @@ TEST(EngineParallelTest, RepairByteIdenticalToSerial) {
           << d.name << " with " << threads << " threads";
     }
   }
+}
+
+// -- Repair == an independent reference loop -------------------------------
+
+/// The repair fixpoint loop written from its contract over the reference
+/// detector, run from scratch every pass: fold each pass's suggestions
+/// (detect/suggestion_policy.h), never touch a conflicted cell again, and
+/// repair a cell at most once. Nothing is kept between passes, so a pass
+/// of `RepairErrors` that reads stale detection state shows up here.
+RepairResult ReferenceRepair(Relation* relation, const std::vector<Pfd>& pfds,
+                             const RepairOptions& options) {
+  RepairResult result;
+  std::set<CellRef> conflicted;
+  std::set<CellRef> repaired;
+  const auto conflict = [&](const CellRef& cell) {
+    if (conflicted.insert(cell).second) {
+      result.conflicted_cells.push_back(cell);
+    }
+  };
+  for (size_t pass = 0; pass < options.max_passes; ++pass) {
+    const DetectionResult detection =
+        ReferenceDetectErrors(*relation, pfds).value();
+    result.passes = pass + 1;
+    if (detection.violations.empty()) break;
+    SuggestionFold fold;
+    for (const Violation& v : detection.violations) {
+      if (v.suggested_repair.empty() || conflicted.count(v.suspect) > 0) {
+        continue;
+      }
+      if (repaired.count(v.suspect) > 0) {
+        if (relation->cell(v.suspect.row, v.suspect.column) !=
+            v.suggested_repair) {
+          conflict(v.suspect);
+        }
+        continue;
+      }
+      const bool variable = v.kind == ViolationKind::kVariable;
+      if (variable && !options.apply_variable_repairs) continue;
+      fold.Add(v.suspect, v.suggested_repair, v.pfd_index, variable);
+    }
+    for (const CellRef& cell : fold.conflicts()) conflict(cell);
+    size_t applied = 0;
+    for (const auto& [cell, suggestion] : fold.Resolve()) {
+      const std::string before(relation->cell(cell.row, cell.column));
+      if (before == suggestion.value) continue;
+      relation->set_cell(cell.row, cell.column, suggestion.value);
+      repaired.insert(cell);
+      result.repairs.push_back(AppliedRepair{cell, before, suggestion.value,
+                                             pass, suggestion.pfd_index});
+      ++applied;
+    }
+    if (applied == 0) break;
+  }
+  result.final_detection = ReferenceDetectErrors(*relation, pfds).value();
+  result.remaining_violations = result.final_detection.violations.size();
+  std::sort(result.conflicted_cells.begin(), result.conflicted_cells.end());
+  return result;
+}
+
+/// Repairs that wrote a column some rule reads on its LHS: the writes after
+/// which a pass must rebuild other rules' candidates and groups.
+size_t LhsWrites(const RepairResult& result, const Relation& relation,
+                 const std::vector<Pfd>& rules) {
+  std::set<size_t> lhs_cols;
+  for (const Pfd& rule : rules) {
+    for (const std::string& attr : rule.lhs_attrs()) {
+      lhs_cols.insert(relation.schema().IndexOf(attr).value());
+    }
+  }
+  size_t writes = 0;
+  for (const AppliedRepair& r : result.repairs) {
+    writes += lhs_cols.count(r.cell.column);
+  }
+  return writes;
+}
+
+TEST(EngineRepairOracleTest, RepairMatchesReferenceLoop) {
+  // TestDatasets() plus small versions of the five duplicate-heavy tables
+  // the end-to-end cleaning benchmark repairs, discovered as it does.
+  struct Case {
+    Dataset data;
+    DiscoveryOptions discovery;
+  };
+  std::vector<Case> cases;
+  for (Dataset& d : TestDatasets()) {
+    cases.push_back({std::move(d), LenientDiscovery()});
+  }
+  DiscoveryOptions batch;
+  batch.min_coverage = 0.4;
+  cases.push_back({ZipCityStateDataset(1000, 11, 0.02), batch});
+  cases.push_back({PhoneStateDataset(1000, 12, 0.02), batch});
+  cases.push_back({NameGenderDataset(1000, 13, 0.02), batch});
+  cases.push_back({EmployeeDataset(1000, 14, 0.02), batch});
+  cases.push_back({CompoundDataset(1000, 15, 0.02), batch});
+
+  size_t lhs_writes = 0;
+  for (const Case& c : cases) {
+    const std::string& name = c.data.name;
+    Engine discoverer;
+    auto discovery = discoverer.Discover(c.data.relation, c.discovery);
+    ASSERT_TRUE(discovery.ok()) << name;
+    std::vector<Pfd> rules;
+    for (const DiscoveredPfd& d : discovery->pfds) rules.push_back(d.pfd);
+    ASSERT_FALSE(rules.empty()) << name;
+
+    Relation expected_relation = c.data.relation;
+    const RepairResult expected =
+        ReferenceRepair(&expected_relation, rules, RepairOptions{});
+    EXPECT_FALSE(expected.repairs.empty()) << name;
+    lhs_writes += LhsWrites(expected, expected_relation, rules);
+
+    Relation relation = c.data.relation;
+    const RepairResult serial = RepairErrors(&relation, rules).value();
+    EXPECT_EQ(Fingerprint(serial), Fingerprint(expected)) << name;
+    EXPECT_EQ(Fingerprint(relation), Fingerprint(expected_relation)) << name;
+    ExpectSameAsReference(serial.final_detection, expected.final_detection,
+                          name + ", final detection");
+
+    for (size_t threads : {size_t{2}, size_t{4}}) {
+      const std::string label =
+          name + " with " + std::to_string(threads) + " threads";
+      Engine engine(ExecutionOptions{threads, true, nullptr});
+      Relation engine_relation = c.data.relation;
+      auto repaired = engine.Repair(&engine_relation, rules);
+      ASSERT_TRUE(repaired.ok()) << label;
+      EXPECT_EQ(Fingerprint(repaired.value()), Fingerprint(expected))
+          << label;
+      EXPECT_EQ(Fingerprint(engine_relation), Fingerprint(expected_relation))
+          << label;
+      ExpectSameAsReference(repaired->final_detection,
+                            expected.final_detection,
+                            label + ", final detection");
+    }
+  }
+  // Some repair wrote a column another rule reads on its LHS, so the
+  // passes after it had to rebuild that rule's state.
+  EXPECT_GT(lhs_writes, 0u);
 }
 
 TEST(EngineParallelTest, ZeroMeansHardwareThreads) {
