@@ -588,17 +588,24 @@ TEST(EngineAutomatonCacheTest, ConcurrentDetectsShareUnionsByteIdentically) {
 // -- Streaming == one-shot -------------------------------------------------
 
 /// Splits `relation` into randomized chunk sizes, appends each to a stream,
-/// and checks the cumulative result against one-shot detection on the
-/// growing prefix after every batch. With `clean_on_ingest` the stream
-/// repairs each batch before absorbing it, so the reference is one-shot
-/// detection over the stream's own (cleaned) relation.
+/// and checks the cumulative result after every batch against one-shot
+/// detection on the growing prefix and against `ReferenceDetectErrors` on
+/// the stream's relation (the one-shot detector and the stream share their
+/// detection code; the oracle shares none of it). With `clean_on_ingest`
+/// the stream repairs each batch before absorbing it, so both references
+/// run over the stream's own (cleaned) relation. A null `options.automata`
+/// runs through an `Engine` and its cache; a set one (a bounded cache, say)
+/// opens the stream and detects directly, since an engine installs its own.
 void CheckStreamEquivalence(const Relation& relation,
                             const std::vector<Pfd>& rules,
                             const DetectorOptions& options, uint64_t seed,
                             bool clean_on_ingest = false) {
   Engine engine(ExecutionOptions{options.execution.num_threads, true,
                                  nullptr});
-  auto stream = engine.OpenStream(relation.schema(), rules, options);
+  const bool own_cache = options.automata != nullptr;
+  auto stream = own_cache
+                    ? DetectionStream::Open(relation.schema(), rules, options)
+                    : engine.OpenStream(relation.schema(), rules, options);
   ASSERT_TRUE(stream.ok()) << stream.status();
   (*stream)->set_clean_on_ingest(clean_on_ingest);
 
@@ -618,16 +625,61 @@ void CheckStreamEquivalence(const Relation& relation,
 
     auto cumulative = (*stream)->AppendBatch(batch.value());
     ASSERT_TRUE(cumulative.ok()) << cumulative.status();
-    auto one_shot = engine.Detect(
-        clean_on_ingest ? (*stream)->relation() : prefix, rules, options);
+    const Relation& detected = clean_on_ingest ? (*stream)->relation() : prefix;
+    auto one_shot = own_cache ? DetectErrors(detected, rules, options)
+                              : engine.Detect(detected, rules, options);
     ASSERT_TRUE(one_shot.ok());
+    const std::string label = "batch " + std::to_string(batch_number) +
+                              " (rows 0.." + std::to_string(begin + size) +
+                              ")";
     ASSERT_EQ(Fingerprint(cumulative.value()), Fingerprint(one_shot.value()))
-        << "batch " << batch_number << " (rows 0.." << (begin + size) << ")";
+        << label;
+    ExpectSameAsReference(
+        cumulative.value(),
+        ReferenceDetectErrors((*stream)->relation(), rules).value(), label);
     begin += size;
     ++batch_number;
   }
   EXPECT_EQ((*stream)->relation().num_rows(), relation.num_rows());
   EXPECT_EQ((*stream)->num_batches(), batch_number);
+}
+
+TEST(DetectionStreamTest, AppendBatchMatchesReferenceOnEveryCleaningTable) {
+  // The six tables the end-to-end cleaning benchmark runs (phone and
+  // compound at 1k rows, web at its 50), split at random, with and without
+  // clean-on-ingest, at 1/2/4 threads and through a cache whose state
+  // bound leaves every single pattern unfrozen and flushes every union.
+  std::vector<Dataset> datasets = TestDatasets();
+  datasets.push_back(PhoneStateDataset(1000, 221, 0.02));
+  datasets.push_back(CompoundDataset(1000, 222, 0.02));
+  datasets.push_back(WebAccountDataset(50, 223, 0.02));
+  struct Config {
+    size_t threads;
+    size_t max_frozen_states;  // 0: the engine's cache
+  };
+  const Config configs[] = {{1, 0}, {2, 0}, {4, 0}, {4, 3}};
+  for (const Dataset& d : datasets) {
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty()) << d.name;
+    for (const Config& config : configs) {
+      SCOPED_TRACE(d.name + ", " + std::to_string(config.threads) +
+                   " threads, state bound " +
+                   std::to_string(config.max_frozen_states));
+      DetectorOptions options;
+      options.execution.num_threads = config.threads;
+      if (config.max_frozen_states != 0) {
+        options.automata =
+            std::make_shared<AutomatonCache>(config.max_frozen_states);
+      }
+      for (const bool clean : {false, true}) {
+        CheckStreamEquivalence(d.relation, rules, options,
+                               230 + config.threads, clean);
+      }
+      if (config.max_frozen_states != 0) {
+        EXPECT_GT(options.automata->fallbacks(), 0u);
+      }
+    }
+  }
 }
 
 TEST(DetectionStreamTest, AppendBatchMatchesOneShotAcrossDatasets) {
