@@ -15,13 +15,16 @@
 ///      ├─ Profile   → ProfileRelation   one task per column
 ///      ├─ Discover  → DiscoverPfds      one task per candidate dependency
 ///      ├─ Detect    → DetectErrors      one task per (PFD, tableau row)
-///      ├─ Repair    → RepairErrors      suggestion generation fans out per
-///      │                                (PFD, tableau row) via the same
-///      │                                detection fan-out, every pass
-///      └─ OpenStream → DetectionStream  incremental batch detection
-///                                       (+ clean-on-ingest repair mode:
-///                                       constant and cumulative-majority
-///                                       variable repairs per batch)
+///      ├─ Repair    → RepairErrors      one detection state kept across
+///      │                                its passes: each pass re-runs
+///      │                                only the work items its writes
+///      │                                touched, one task per item
+///      └─ OpenStream → DetectionStream  incremental batch detection: each
+///                                       batch is absorbed by the same
+///                                       per-item tasks (+ clean-on-ingest
+///                                       repair mode: constant and
+///                                       cumulative-majority variable
+///                                       repairs per batch)
 /// ```
 ///
 /// Every parallel stage merges per-task slots in task order, so results are
@@ -91,9 +94,9 @@ class Engine {
                                  DetectorOptions options = {});
 
   /// Iterative repair (§3's suggestion semantics, repair.h's fixpoint
-  /// loop), with suggestion generation fanned out per (PFD, tableau row):
-  /// each repair pass runs the detection fan-out — per-task slots merged in
-  /// task order — so the applied repairs, the conflict set and the repaired
+  /// loop). Each pass detects through one detection state kept across the
+  /// passes, one task per (PFD, tableau row) it has to re-run, merged in
+  /// item order, so the applied repairs, the conflict set and the repaired
   /// relation are byte-identical to a serial `RepairErrors` run at any
   /// thread count (differentially tested at 2/4/8 threads in
   /// engine_test.cc). The engine's execution block overrides

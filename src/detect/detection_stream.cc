@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "detect/suggestion_policy.h"
-#include "util/thread_pool.h"
 
 namespace anmat {
 
@@ -16,7 +15,8 @@ using detect_internal::AppendKeyFragment;
 using detect_internal::CellScan;
 using detect_internal::ResolvedRow;
 using detect_internal::SeedCell;
-using detect_internal::SortViolations;
+using detect_internal::Group;
+using detect_internal::WorkItem;
 
 namespace {
 
@@ -85,7 +85,7 @@ class BatchLhsScan {
   }
 
   /// Builds batch row `r`'s grouping key (byte-identical to RecordKey, so
-  /// it addresses the stream's cumulative `RowState::groups` directly);
+  /// it addresses the item's cumulative `ItemState::groups` directly);
   /// false when some pattern cell has no canonical extraction.
   bool Key(RowId r, std::string* key) {
     key->clear();
@@ -149,161 +149,25 @@ Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
 }
 
 Status DetectionStream::Init() {
-  const Schema& schema = relation_.schema();
-  dicts_.resize(schema.num_columns());
-  indexes_.resize(schema.num_columns());
-
-  for (size_t pi = 0; pi < pfds_.size(); ++pi) {
-    const Pfd& pfd = pfds_[pi];
-    ANMAT_RETURN_NOT_OK(pfd.Validate(schema));
-    std::vector<size_t> lhs_cols;
-    for (const std::string& a : pfd.lhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
-      lhs_cols.push_back(idx);
+  ANMAT_RETURN_NOT_OK(state_.Open(relation_.schema(), pfds_,
+                                  options_.automata.get(),
+                                  /*dispatch=*/true));
+  // Stream-owned incremental dictionaries for every pattern column, and
+  // incremental indexes over the seed columns: the state reads these in
+  // place of `Relation::dictionary`, and seeds each batch's candidates from
+  // the index's posting tails.
+  dicts_.resize(relation_.num_columns());
+  indexes_.resize(relation_.num_columns());
+  for (const auto& [col, column] : state_.columns()) {
+    dicts_[col] = std::make_unique<ColumnDictionary>();
+    if (column.seeds) {
+      indexes_[col] = std::make_unique<PatternIndex>(
+          relation_, col, dicts_[col].get(), options_.automata.get());
     }
-    std::vector<size_t> rhs_cols;
-    for (const std::string& a : pfd.rhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
-      rhs_cols.push_back(idx);
-    }
-
-    for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
-      const TableauRow& trow = pfd.tableau().row(ri);
-      RowState state;
-      state.pfd_index = pi;
-      state.row_index = ri;
-      state.constant = trow.IsConstantRow();
-      state.variable = trow.IsVariableRow();
-      state.resolved = detect_internal::ResolveRow(
-          trow, lhs_cols, rhs_cols, pfd.lhs_attrs(), pfd.rhs_attrs(),
-          options_.automata.get());
-
-      // Preset every pattern cell's scan with the stream-owned incremental
-      // dictionary of its column; the memo tables grow with the dictionary
-      // and survive across batches.
-      state.scans.resize(lhs_cols.size());
-      for (size_t i = 0; i < lhs_cols.size(); ++i) {
-        if (state.resolved.lhs_matchers[i] == nullptr) continue;
-        const size_t col = lhs_cols[i];
-        if (dicts_[col] == nullptr) {
-          dicts_[col] = std::make_unique<ColumnDictionary>();
-        }
-        state.scans[i].dict = dicts_[col].get();
-      }
-
-      // An incremental index over each seed column narrows the per-batch
-      // candidate scan to the new rows in its postings.
-      if (state.constant || state.variable) {
-        const size_t col = lhs_cols[SeedCell(state.resolved)];
-        if (indexes_[col] == nullptr) {
-          indexes_[col] = std::make_unique<PatternIndex>(
-              relation_, col, dicts_[col].get(), options_.automata.get());
-        }
-      }
-      rows_.push_back(std::move(state));
-    }
+    state_.UseColumn(col, dicts_[col].get(), indexes_[col].get());
   }
-
-  // Multi-pattern dispatch (src/dispatch/): group every column's pattern
-  // cells into union automata so each batch classifies a *new distinct
-  // value* against all of them in one combined scan per prefix group. The
-  // verdict vectors feed the cell memos through `CellScan::preset_match`;
-  // a column without a union-friendly pattern keeps the per-pattern path.
-  dispatchers_.resize(schema.num_columns());
-  classified_values_.assign(schema.num_columns(), 0);
-  std::vector<std::vector<uint32_t>> slots(rows_.size());
-  for (size_t s = 0; s < rows_.size(); ++s) {
-    const ResolvedRow& row = rows_[s].resolved;
-    slots[s].assign(row.lhs_cols.size(), 0);
-    for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-      if (row.lhs_matchers[i] == nullptr) continue;
-      const size_t col = row.lhs_cols[i];
-      if (dispatchers_[col] == nullptr) {
-        dispatchers_[col] = std::make_unique<ColumnDispatcher>();
-      }
-      slots[s][i] = dispatchers_[col]->AddPattern(
-          row.row->lhs[i].pattern().EmbeddedPattern());
-    }
-  }
-  for (std::unique_ptr<ColumnDispatcher>& cd : dispatchers_) {
-    if (cd != nullptr && !cd->Compile(options_.automata.get())) {
-      cd.reset();  // no union-friendly pattern: per-pattern path
-    }
-  }
-  for (size_t s = 0; s < rows_.size(); ++s) {
-    RowState& state = rows_[s];
-    for (size_t i = 0; i < state.resolved.lhs_cols.size(); ++i) {
-      if (state.resolved.lhs_matchers[i] == nullptr) continue;
-      const ColumnDispatcher* cd =
-          dispatchers_[state.resolved.lhs_cols[i]].get();
-      // Verdict-vector addresses are stable: the outer vector is fixed
-      // at Compile, only the inner vectors grow per batch. Uncovered
-      // slots (leading unbounded class repeat) keep the lazy per-pattern
-      // memo.
-      if (cd != nullptr && cd->covers(slots[s][i])) {
-        state.scans[i].preset_match = cd->verdicts(slots[s][i]);
-      }
-    }
-  }
+  dirty_groups_.resize(state_.items().size());
   return Status::OK();
-}
-
-void DetectionStream::AbsorbRows(RowState& state, RowId first_row) {
-  ResolvedRow& row = state.resolved;
-  const size_t seed = SeedCell(row);
-
-  // New-row candidates: the seed column's incremental index returns the
-  // posting tail (only rows >= first_row), which is sub-linear in the batch
-  // for selective patterns. `MatchesLhs` is the exact test, memoized per
-  // distinct value, so only newly seen values pay automaton work.
-  const std::vector<RowId> seeded =
-      indexes_[row.lhs_cols[seed]]->CandidateSuperset(
-          row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
-  std::string key;
-  key.reserve(32 * row.lhs_cols.size());
-  std::vector<Group*> grown;
-  for (RowId r : seeded) {
-    if (!detect_internal::MatchesLhs(row, state.scans, r)) continue;
-    ++state.candidates;
-    if (state.constant) {
-      detect_internal::EmitConstantViolation(relation_, state.pfd_index,
-                                             state.row_index, row, r,
-                                             &state.violations);
-    } else if (detect_internal::RecordKey(relation_, row, state.scans, r,
-                                          &key)) {
-      Group& group = state.groups[key];
-      if (group.members.empty() || group.members.back() < first_row) {
-        grown.push_back(&group);
-      }
-      group.members.push_back(r);
-      group.by_stream[detect_internal::RhsValue(relation_, row, r)]
-          .push_back(r);
-    }
-  }
-
-  // Only the groups this batch grew can change their violations. Each
-  // violation depends only on its suspect and the majority block's first
-  // member, so a group resolved before under the same majority block keeps
-  // its violations and adds those of its new members.
-  for (Group* group : grown) {
-    const bool was_violating = !group->slice.violations.empty();
-    const std::string* majority =
-        &detect_internal::MajorityBlock(group->by_stream).first;
-    const RowId first_suspect =
-        was_violating && majority == group->majority ? first_row : 0;
-    if (first_suspect == 0) group->slice.violations.clear();
-    state.pairs_checked -= group->slice.stats.pairs_checked;
-    group->slice.stats.pairs_checked = 0;
-    detect_internal::ResolveGroup(relation_, state.pfd_index,
-                                  state.row_index, row, group->by_stream,
-                                  group->members.size(), first_suspect,
-                                  &group->slice);
-    state.pairs_checked += group->slice.stats.pairs_checked;
-    group->majority = majority;
-    if (!was_violating && !group->slice.violations.empty()) {
-      state.violating.push_back(group);
-    }
-  }
 }
 
 void DetectionStream::ReportConflict(StreamConflict conflict) {
@@ -321,9 +185,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
   //    cells, so their suggestions are computed directly from the batch
   //    against the stream's resolved rows.
   //  * Variable-rule suggestions come from the *cumulative* equivalence
-  //    groups: the absorbed members the stream already holds in
-  //    `RowState::groups` plus the batch's own members, resolved with the
-  //    same majority rule as one-shot group resolution (MajorityBlock).
+  //    groups: the absorbed members the detection state already holds in
+  //    `ItemState::groups` plus the batch's own members, resolved with the
+  //    same majority rule as detection (MajorityBlock).
   //
   // Per-distinct-value match/extraction verdicts are reused from the
   // stream's cross-batch memos when the value was already absorbed (looked
@@ -386,10 +250,10 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
   SuggestionFold dirty_fold;
 
   // ---- Constant rules -----------------------------------------------------
-  for (RowState& state : rows_) {
-    if (!state.constant) continue;
-    const ResolvedRow& row = state.resolved;
-    BatchLhsScan scan(batch, row, state.scans, cell_ids_of(row));
+  for (WorkItem& item : state_.items()) {
+    if (!item.constant) continue;
+    const ResolvedRow& row = item.row;
+    BatchLhsScan scan(batch, row, item.state.scans, cell_ids_of(row));
     for (RowId r = 0; r < nbatch; ++r) {
       if (!scan.Matches(r)) continue;
       // The suggestion EmitConstantViolation would attach: the first
@@ -405,11 +269,11 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       if (first_mismatch == row.rhs_cols.size()) continue;
       const CellRef suspect{
           r, static_cast<uint32_t>(row.rhs_cols[first_mismatch])};
-      fold.Add(suspect, row.rhs_constants[first_mismatch], state.pfd_index,
+      fold.Add(suspect, row.rhs_constants[first_mismatch], item.pfd_index,
                /*variable=*/false);
       if (clean_variable_rules_) {  // dirty_fold is only read for flips
         dirty_fold.Add(suspect, row.rhs_constants[first_mismatch],
-                       state.pfd_index, /*variable=*/false);
+                       item.pfd_index, /*variable=*/false);
       }
     }
   }
@@ -428,9 +292,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
     // consulted before flagging a retroactive-repair conflict).
     const auto oneshot_constant_conflict = [&](RowId a, uint32_t col,
                                                const std::string& value) {
-      for (const RowState& cs : rows_) {
-        if (!cs.constant) continue;
-        const ResolvedRow& crow = cs.resolved;
+      for (const WorkItem& constant : state_.items()) {
+        if (!constant.constant) continue;
+        const ResolvedRow& crow = constant.row;
         bool lhs_ok = true;
         for (size_t i = 0; i < crow.lhs_cols.size() && lhs_ok; ++i) {
           const ConstrainedMatcher* matcher = crow.lhs_matchers[i].get();
@@ -452,9 +316,11 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       }
       return false;
     };
-    for (RowState& state : rows_) {
-      if (!state.variable) continue;
-      const ResolvedRow& row = state.resolved;
+    for (size_t item_index = 0; item_index < state_.items().size();
+         ++item_index) {
+      WorkItem& item = state_.items()[item_index];
+      if (!item.variable) continue;
+      const ResolvedRow& row = item.row;
       const uint32_t rhs_front = static_cast<uint32_t>(row.rhs_cols.front());
       const auto batch_rhs = [&](RowId b) {
         return detect_internal::RhsValue(batch, row, b);
@@ -469,7 +335,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
         return value;
       };
 
-      BatchLhsScan scan(batch, row, state.scans, cell_ids_of(row));
+      BatchLhsScan scan(batch, row, item.state.scans, cell_ids_of(row));
       std::map<std::string, std::vector<RowId>> batch_groups;
       std::string key;
       key.reserve(32 * row.lhs_cols.size());
@@ -481,24 +347,29 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
 
       for (const auto& [gkey, brows] : batch_groups) {
         static const Group kNoGroup;
-        const auto git = state.groups.find(gkey);
-        Group* group = git == state.groups.end() ? nullptr : &git->second;
+        static const DirtyGroup kNoDirty;
+        const auto git = item.state.groups.find(gkey);
+        const Group* group =
+            git == item.state.groups.end() ? nullptr : &git->second;
         const Group& absorbed = group != nullptr ? *group : kNoGroup;
         const std::vector<RowId>& arows = absorbed.members;
         if (arows.size() + brows.size() < 2) continue;
 
         // The absorbed side of the group's dirty split, folded once per
         // member: absorbed rows are never retroactively edited, so their
-        // dirty RHS values are immutable. (The cleaned side, `by_stream`,
-        // is kept current by AbsorbRows.)
-        if (group != nullptr) {
-          for (size_t ai = group->dirty_of.size(); ai < arows.size(); ++ai) {
+        // dirty RHS values are immutable. (The cleaned side, `by_rhs`, is
+        // kept current by the detection state.)
+        DirtyGroup* dirty =
+            group != nullptr ? &dirty_groups_[item_index][gkey] : nullptr;
+        if (dirty != nullptr) {
+          for (size_t ai = dirty->dirty_of.size(); ai < arows.size(); ++ai) {
             const RowId a = arows[ai];
-            const auto it = group->by_dirty.try_emplace(dirty_rhs(a)).first;
+            const auto it = dirty->by_dirty.try_emplace(dirty_rhs(a)).first;
             it->second.push_back(a);
-            group->dirty_of.push_back(&it->first);
+            dirty->dirty_of.push_back(&it->first);
           }
         }
+        const DirtyGroup& absorbed_dirty = dirty != nullptr ? *dirty : kNoDirty;
 
         // The batch side of the split, in final stream coordinates. One
         // map serves both views: batch rows carry no dirty overrides yet,
@@ -555,9 +426,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
               m.violated = distinct > 1;
               return m;
             };
-        const Merged stream_m =
-            resolve_merged(absorbed.by_stream, batch_by_rhs);
-        const Merged dirty_m = resolve_merged(absorbed.by_dirty, batch_by_rhs);
+        const Merged stream_m = resolve_merged(absorbed.by_rhs, batch_by_rhs);
+        const Merged dirty_m =
+            resolve_merged(absorbed_dirty.by_dirty, batch_by_rhs);
         if (!stream_m.violated && !dirty_m.violated) continue;
 
         // Suggestions for the batch's own minority rows, against the
@@ -571,8 +442,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           // applies every variable suggestion that survives the fold too.
           for (size_t bi = 0; bi < brows.size(); ++bi) {
             if (brow_rhs[bi] == *stream_m.key) continue;
-            fold.Add(CellRef{brows[bi], rhs_front}, repair,
-                     state.pfd_index, /*variable=*/true);
+            fold.Add(CellRef{brows[bi], rhs_front}, repair, item.pfd_index,
+                     /*variable=*/true);
           }
         }
 
@@ -591,10 +462,10 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           for (size_t bi = 0; bi < brows.size(); ++bi) {
             if (brow_rhs[bi] == *dirty_m.key) continue;
             dirty_fold.Add(CellRef{brows[bi], rhs_front}, dirty_repair,
-                           state.pfd_index, /*variable=*/true);
+                           item.pfd_index, /*variable=*/true);
           }
         }
-        if (group == nullptr) continue;  // nothing absorbed to walk
+        if (dirty == nullptr) continue;  // nothing absorbed to walk
 
         // Walk the absorbed members whose verdict may have changed: all of
         // them when the dirty majority moved since the last walk, else
@@ -604,12 +475,12 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           majority = DirtyMajority{true, *dirty_m.key, dirty_repair};
         }
         const size_t from =
-            majority == group->examined_majority ? group->examined : 0;
+            majority == dirty->examined_majority ? dirty->examined : 0;
         for (size_t ai = from; ai < arows.size(); ++ai) {
           const CellRef cell{arows[ai], rhs_front};
           const std::string_view current =
               relation_.cell(cell.row, cell.column);
-          if (dirty_m.violated && *group->dirty_of[ai] != *dirty_m.key &&
+          if (dirty_m.violated && *dirty->dirty_of[ai] != *dirty_m.key &&
               !dirty_repair.empty()) {
             // The one-shot pass repairs this absorbed minority cell (empty
             // suggestions are never applied — SuggestionFold drops them —
@@ -624,7 +495,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                                             dirty_repair))) {
               ReportConflict(StreamConflict{
                   StreamConflict::Kind::kRetroactiveRepair, cell,
-                  std::string(current), dirty_repair, state.pfd_index,
+                  std::string(current), dirty_repair, item.pfd_index,
                   num_batches_});
             }
           } else if (variable_repaired_.count(cell) > 0 &&
@@ -636,11 +507,11 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                 StreamConflict::Kind::kRetroactiveRepair, cell,
                 std::string(current),
                 std::string(dirty_cell(cell.row, cell.column)),
-                state.pfd_index, num_batches_});
+                item.pfd_index, num_batches_});
           }
         }
-        group->examined = arows.size();
-        group->examined_majority = std::move(majority);
+        dirty->examined = arows.size();
+        dirty->examined_majority = std::move(majority);
       }
     }
   }
@@ -738,9 +609,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
     std::string clean_key;
     for (const AppliedRepair& applied : batch_repairs_) {
       const RowId b = applied.cell.row - base;
-      for (const RowState& state : rows_) {
-        if (!state.variable) continue;
-        const ResolvedRow& row = state.resolved;
+      for (const WorkItem& item : state_.items()) {
+        if (!item.variable) continue;
+        const ResolvedRow& row = item.row;
         if (std::find(row.lhs_cols.begin(), row.lhs_cols.end(),
                       static_cast<size_t>(applied.cell.column)) ==
             row.lhs_cols.end()) {
@@ -753,7 +624,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
             (dirty_member && dirty_key != clean_key)) {
           ReportConflict(StreamConflict{StreamConflict::Kind::kKeyDivergence,
                                         applied.cell, applied.after,
-                                        applied.before, state.pfd_index,
+                                        applied.before, item.pfd_index,
                                         num_batches_});
         }
       }
@@ -793,8 +664,7 @@ Result<DetectionResult> DetectionStream::AppendBatch(const Relation& batch) {
   }
   const RowId end_row = static_cast<RowId>(relation_.num_rows());
 
-  // Extend the incremental structures before fanning out: the per-row
-  // tasks read them concurrently.
+  // Extend the incremental structures before the state reads them.
   for (size_t c = 0; c < dicts_.size(); ++c) {
     if (dicts_[c] != nullptr) {
       dicts_[c]->Append(rows_in->column(c), first_row);
@@ -803,53 +673,8 @@ Result<DetectionResult> DetectionStream::AppendBatch(const Relation& batch) {
   for (size_t c = 0; c < indexes_.size(); ++c) {
     if (indexes_[c] != nullptr) indexes_[c]->AppendRows(first_row, end_row);
   }
-  // One combined scan per column classifies the batch's new distinct
-  // values — ids in [watermark, num_values) — against every pattern of the
-  // column at once, with the freshly extended pattern index as pre-filter;
-  // the per-row tasks then read the verdicts through `preset_match`.
-  for (size_t c = 0; c < dispatchers_.size(); ++c) {
-    if (dispatchers_[c] == nullptr) continue;
-    DispatchPrefilter candidates;
-    if (indexes_[c] != nullptr) {
-      candidates = [index = indexes_[c].get()](
-                       const std::vector<const Pattern*>& members,
-                       uint32_t first_id) {
-        return index->CandidateValueIds(members, first_id);
-      };
-    }
-    dispatchers_[c]->ClassifyValues(*dicts_[c], classified_values_[c],
-                                    candidates);
-    classified_values_[c] = static_cast<uint32_t>(dicts_[c]->num_values());
-  }
   ++num_batches_;
-
-  // Absorb the new rows; each task owns its RowState exclusively and reads
-  // the shared structures.
-  ParallelFor(options_.execution, rows_.size(), [&](size_t i) {
-    RowState& state = rows_[i];
-    if (state.constant || state.variable) AbsorbRows(state, first_row);
-  });
-
-  // The cumulative result: the cached constant violations and the group
-  // slices, in the one canonical order — byte-identical to a one-shot run
-  // at any thread count.
-  DetectionResult result;
-  result.stats.rows_scanned = relation_.num_rows() * pfds_.size();
-  for (const RowState& state : rows_) {
-    result.stats.candidate_rows += state.candidates;
-    result.stats.pairs_checked += state.pairs_checked;
-    result.violations.insert(result.violations.end(),
-                             state.violations.begin(),
-                             state.violations.end());
-    for (const Group* group : state.violating) {
-      result.violations.insert(result.violations.end(),
-                               group->slice.violations.begin(),
-                               group->slice.violations.end());
-    }
-  }
-  SortViolations(&result.violations);
-  result.stats.violations = result.violations.size();
-  return result;
+  return state_.Absorb(relation_, options_.execution, /*release=*/false);
 }
 
 Result<DetectionResult> DetectionStream::AppendRows(

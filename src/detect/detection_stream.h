@@ -5,12 +5,12 @@
 /// Streaming batch detection: a stateful detector over an append-only
 /// relation with a fixed PFD set (opened via `Engine::OpenStream`).
 ///
-/// One-shot `DetectErrors` pays the full pattern cost — dictionary builds,
-/// index builds, one match/extraction per distinct value — on every run. A
-/// `DetectionStream` pays it once per *newly seen distinct value*: each
-/// `AppendBatch` extends the per-column dictionaries and pattern-index
-/// postings incrementally and keeps per-tableau-cell match/extraction memos
-/// alive across batches, so append-heavy workloads (a feed of records
+/// The stream keeps one detection state (detector_internal.h), the one
+/// `DetectErrors` absorbs a whole relation through, and absorbs each batch
+/// into it. Its per-column dictionaries and pattern-index postings grow
+/// incrementally, each column's dispatcher classifies only the values new
+/// since the last batch, and the per-cell match/extraction memos live as
+/// long as the stream, so append-heavy workloads (a feed of records
 /// checked as they arrive, the demo GUI re-running after edits) do
 /// O(new distinct values) automaton work per batch instead of O(rows).
 ///
@@ -19,7 +19,8 @@
 /// `pairs_checked`, and a batch updates only the groups it grows: their
 /// new members join the split, and a group whose majority block did not
 /// move emits violations for those new members alone (a moved majority
-/// re-emits the group). Per batch the stream therefore does
+/// re-emits the group). Constant violations, which depend only on their
+/// own row, stay cached. Per batch the stream therefore does
 /// O(batch rows + distinct RHS values of the groups the batch touches +
 /// violations it emits) group work, plus the assembly of the cumulative
 /// result, which is linear in the violations reported — none of it grows
@@ -45,7 +46,7 @@
 ///    restores constant-only cleaning): each batch row joins its
 ///    equivalence group, and the suggestion is the *cumulative* group
 ///    majority — the absorbed rows the stream already holds in
-///    `RowState::groups` plus the batch's own members — exactly the
+///    `ItemState::groups` plus the batch's own members — exactly the
 ///    majority a one-shot constant+variable repair pass over the
 ///    concatenation would use, as long as that majority never flips.
 ///
@@ -200,7 +201,8 @@ class DetectionStream {
   DetectionStream(Schema schema, std::vector<Pfd> pfds,
                   DetectorOptions options);
 
-  /// Resolves tableau rows and allocates per-row state; called once.
+  /// Opens the detection state over the stream's incremental dictionaries
+  /// and indexes; called once.
   Status Init();
 
   /// A variable row's dirty-view majority as one flip walk saw it: the
@@ -216,62 +218,22 @@ class DetectionStream {
     }
   };
 
-  /// One equivalence group of a variable row. Absorbed rows are never
-  /// retroactively edited, so every split below only ever grows.
-  struct Group {
-    /// Absorbed members, ascending.
-    std::vector<RowId> members;
-    /// RHS value → members over the stream's relation; `AbsorbRows` keeps
-    /// it current. Detection resolves it, and clean-on-ingest reads it as
-    /// the cleaned view's side of each majority.
-    std::map<std::string, std::vector<RowId>> by_stream;
-    /// Clean-on-ingest: the same split over the dirty view (through
+  /// Clean-on-ingest's view of one absorbed equivalence group (the
+  /// state's `Group` with the same key). Absorbed rows are never
+  /// retroactively edited, so it only ever grows.
+  struct DirtyGroup {
+    /// RHS value → members over the dirty view (through
     /// `dirty_overrides_`), folded by `CleanBatch` for the members
     /// [0, dirty_of.size()).
     std::map<std::string, std::vector<RowId>> by_dirty;
     /// Per folded member (member order): its dirty RHS value, as a pointer
     /// to a `by_dirty` key.
     std::vector<const std::string*> dirty_of;
-    /// The group's share of the cumulative result: its pair violations
-    /// and `pairs_checked`, brought up to date whenever the group grows.
-    DetectionResult slice;
-    /// The `by_stream` key of the majority block `slice` was resolved
-    /// under.
-    const std::string* majority = nullptr;
     /// Flip watermark: the members [0, examined) were walked for conflicts
     /// under `examined_majority` (see the file comment).
     size_t examined = 0;
     DirtyMajority examined_majority;
   };
-
-  /// Per-(PFD, tableau row) state carried across batches.
-  struct RowState {
-    size_t pfd_index = 0;
-    size_t row_index = 0;
-    bool constant = false;
-    bool variable = false;
-    detect_internal::ResolvedRow resolved;
-    /// Persistent per-distinct-value memos (preset to the stream dicts).
-    std::vector<detect_internal::CellScan> scans;
-    /// Cumulative count of rows matching the full LHS.
-    size_t candidates = 0;
-    /// Constant rows: cumulative violations (violations of a constant row
-    /// depend only on that row's own cells, so they never change once
-    /// emitted; appended in ascending row order).
-    std::vector<Violation> violations;
-    /// Variable rows: cumulative key → group (append-only).
-    std::map<std::string, Group> groups;
-    /// Variable rows: the groups with violations, in the order they got
-    /// their first. A group whose members disagree keeps disagreeing, so
-    /// none ever leaves.
-    std::vector<const Group*> violating;
-    /// Variable rows: the sum of the groups' `pairs_checked` shares.
-    size_t pairs_checked = 0;
-  };
-
-  /// Folds the rows appended from `first_row` on into `state`, bringing
-  /// the groups they join up to date.
-  void AbsorbRows(RowState& state, RowId first_row);
 
   /// Computes the confident constant- and (when enabled) variable-rule
   /// repairs for `batch` and records them (clean-on-ingest), surfacing
@@ -297,18 +259,11 @@ class DetectionStream {
   /// batch they absorb the new rows' postings and seed each tableau row's
   /// new candidates sub-linearly.
   std::vector<std::unique_ptr<PatternIndex>> indexes_;
-  /// Multi-pattern dispatchers, one slot per column (null for columns with
-  /// no union-friendly pattern cell). Each batch
-  /// classifies only the column's *new* distinct values — ids in
-  /// `[classified_values_[c], num_values)` — in one combined scan per
-  /// prefix group, with the column's `PatternIndex` as pre-filter; the
-  /// verdict vectors feed every covered cell memo via
-  /// `CellScan::preset_match`.
-  std::vector<std::unique_ptr<ColumnDispatcher>> dispatchers_;
-  /// Per column: how many distinct values the dispatcher has classified
-  /// (the watermark the next batch's combined scan starts from).
-  std::vector<uint32_t> classified_values_;
-  std::vector<RowState> rows_;
+  /// The detector: per item, its candidates, groups and cached
+  /// violations; per column, its dispatcher and classification watermark.
+  detect_internal::DetectionState state_;
+  /// Per work item: group key → clean-on-ingest's view of that group.
+  std::vector<std::map<std::string, DirtyGroup>> dirty_groups_;
   bool clean_on_ingest_ = false;
   bool clean_variable_rules_ = true;
   std::vector<AppliedRepair> batch_repairs_;

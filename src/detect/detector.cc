@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,8 +14,7 @@
 namespace anmat {
 
 // ---------------------------------------------------------------------------
-// Shared internals (declared in detector_internal.h; the streaming detector
-// in detection_stream.cc drives the same definitions).
+// Internals declared in detector_internal.h
 // ---------------------------------------------------------------------------
 
 namespace detect_internal {
@@ -221,195 +221,17 @@ void ResolveGroup(const Relation& relation, size_t pfd_index,
   }
 }
 
-void ResolveGroups(const Relation& relation, size_t pfd_index,
-                   size_t row_index, const ResolvedRow& row,
-                   const std::vector<std::vector<RowId>>& groups,
-                   DetectionResult* result) {
-  for (const std::vector<RowId>& rows : groups) {
-    std::map<std::string, std::vector<RowId>> by_rhs;
-    for (RowId r : rows) {
-      by_rhs[RhsValue(relation, row, r)].push_back(r);
-    }
-    ResolveGroup(relation, pfd_index, row_index, row, by_rhs, rows.size(),
-                 /*first_suspect=*/0, result);
-  }
-}
-
 }  // namespace detect_internal
 
 // ---------------------------------------------------------------------------
-// One-shot detection
+// The detection state
 // ---------------------------------------------------------------------------
 
+namespace detect_internal {
 namespace {
 
-using detect_internal::CellScan;
-using detect_internal::ItemState;
-using detect_internal::ResolvedRow;
-
-/// Per-(work item, LHS cell) handle into a column dispatcher's verdicts.
-struct DispatchCell {
-  const ColumnDispatcher* dispatcher = nullptr;
-  uint32_t slot = 0;
-};
-
-/// One run's multi-pattern dispatch tables: a `ColumnDispatcher` per LHS
-/// column (union automata shared through the engine cache) plus the
-/// (item, cell) -> slot map the scan setup reads. Built once per
-/// detection run, then read-only across every task.
-struct DetectDispatch {
-  std::map<size_t, ColumnDispatcher> by_col;
-  std::vector<std::vector<DispatchCell>> cells;  ///< [item][lhs cell]
-
-  /// Column `col`'s patterns all classify through a compiled dispatcher
-  /// (its seed lookups never touch a PatternIndex). Partially-covered
-  /// columns still need the index for their uncovered slots.
-  bool Covers(size_t col) const {
-    auto it = by_col.find(col);
-    return it != by_col.end() && it->second.compiled() &&
-           it->second.fully_covered();
-  }
-};
-
-/// Shared context of one detection run (serial: one per run shared across
-/// PFDs; parallel: one per (PFD, tableau row) task; coverage: one per call).
-struct RunContext {
-  const Relation* relation;
-  AutomatonCache* automata;
-  DetectionResult* result;
-  // Lazily-built pattern indexes, one per column.
-  ColumnIndexes indexes;
-  // Pre-built indexes shared read-only across parallel tasks (may be null).
-  const ColumnIndexes* shared_indexes = nullptr;
-  // Pre-classified dispatch verdicts shared read-only (may be null).
-  const DetectDispatch* dispatch = nullptr;
-  // Rows matching some detected tableau row's LHS, set per candidate
-  // (`ComputeCoverage` only; null in detection runs).
-  std::vector<bool>* covered = nullptr;
-
-  const PatternIndex& IndexFor(size_t col) {
-    if (shared_indexes != nullptr) {
-      if (auto it = shared_indexes->find(col); it != shared_indexes->end()) {
-        return *it->second;
-      }
-    }
-    auto it = indexes.find(col);
-    if (it == indexes.end()) {
-      it = indexes
-               .emplace(col, std::make_unique<PatternIndex>(*relation, col,
-                                                            automata))
-               .first;
-    }
-    return *it->second;
-  }
-};
-
-std::vector<CellScan> MakeScans(RunContext& ctx, const ResolvedRow& row,
-                                size_t item) {
-  std::vector<CellScan> scans(row.lhs_cols.size());
-  for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    if (row.lhs_matchers[i] == nullptr) continue;
-    scans[i].dict = &ctx.relation->dictionary(row.lhs_cols[i]);
-    if (ctx.dispatch != nullptr) {
-      const DispatchCell& dc = ctx.dispatch->cells[item][i];
-      if (dc.dispatcher != nullptr && dc.dispatcher->compiled() &&
-          dc.dispatcher->covers(dc.slot)) {
-        scans[i].preset_match = dc.dispatcher->verdicts(dc.slot);
-        scans[i].preset_ids = dc.dispatcher->match_ids(dc.slot);
-      }
-    }
-  }
-  return scans;
-}
-
-/// Candidate rows matching every (non-wildcard) LHS cell of the row: seeded
-/// from the first pattern cell — the dispatcher's verdicts when its slot is
-/// covered, else the column's pattern index — and verified on the remaining
-/// cells (intersection).
-std::vector<RowId> CandidateRows(RunContext& ctx, const ResolvedRow& row,
-                                 std::vector<CellScan>& scans) {
-  std::vector<RowId> candidates;
-  const size_t seed_cell = detect_internal::SeedCell(row);
-  const CellScan& seed = scans[seed_cell];
-  if (seed.preset_ids != nullptr) {
-    // Dispatch verdicts: fan the matching distinct values out over their
-    // postings — the exact match set, identical to the index lookup.
-    for (const uint32_t id : *seed.preset_ids) {
-      const std::vector<RowId>& rows = seed.dict->rows(id);
-      candidates.insert(candidates.end(), rows.begin(), rows.end());
-    }
-    std::sort(candidates.begin(), candidates.end());
-  } else {
-    candidates = ctx.IndexFor(row.lhs_cols[seed_cell])
-                     .Lookup(row.row->lhs[seed_cell].pattern());
-  }
-
-  // Verify the remaining LHS cells (per distinct value, memoized).
-  std::vector<RowId> verified;
-  verified.reserve(candidates.size());
-  for (RowId r : candidates) {
-    if (detect_internal::MatchesLhs(row, scans, r, seed_cell)) {
-      verified.push_back(r);
-    }
-  }
-  if (ctx.covered != nullptr) {
-    for (RowId r : verified) (*ctx.covered)[r] = true;
-  }
-  return verified;
-}
-
-/// Detects a constant row, building `state` first when it is not built:
-/// the violations read the RHS cells live.
-void DetectConstantRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item,
-                       ItemState& state) {
-  if (!state.built) {
-    std::vector<CellScan> scans = MakeScans(ctx, row, item);
-    state.candidates = CandidateRows(ctx, row, scans);
-    state.candidate_rows = state.candidates.size();
-    state.built = true;
-  }
-  ctx.result->stats.candidate_rows += state.candidate_rows;
-
-  for (RowId r : state.candidates) {
-    detect_internal::EmitConstantViolation(*ctx.relation, pfd_index,
-                                           row_index, row, r,
-                                           &ctx.result->violations);
-  }
-}
-
-/// Detects a variable row, building `state` first when it is not built:
-/// the groups' RHS splits read the RHS cells live.
-void DetectVariableRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item,
-                       ItemState& state) {
-  if (!state.built) {
-    std::vector<CellScan> scans = MakeScans(ctx, row, item);
-    const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
-    std::map<std::string, std::vector<RowId>> groups;
-    std::string key;
-    // The reused key buffer is sized once for the row; map insertion copies
-    // it, so pre-sizing kills the grow-reallocs on every append below.
-    key.reserve(32 * row.lhs_cols.size());
-    for (RowId r : candidates) {
-      if (detect_internal::RecordKey(*ctx.relation, row, scans, r, &key)) {
-        groups[key].push_back(r);
-      }
-    }
-    for (auto& [group_key, rows] : groups) {
-      if (rows.size() >= 2) state.groups.push_back(std::move(rows));
-    }
-    state.candidate_rows = candidates.size();
-    state.built = true;
-  }
-  ctx.result->stats.candidate_rows += state.candidate_rows;
-  detect_internal::ResolveGroups(*ctx.relation, pfd_index, row_index, row,
-                                 state.groups, ctx.result);
-}
-
-/// One PFD resolved against the schema (column indices looked up once).
+/// One PFD's columns, looked up in the schema once.
 struct PfdPlan {
-  const Pfd* pfd;
   std::vector<size_t> lhs_cols;
   std::vector<size_t> rhs_cols;
 };
@@ -418,7 +240,6 @@ struct PfdPlan {
 Result<PfdPlan> PlanPfd(const Pfd& pfd, const Schema& schema) {
   ANMAT_RETURN_NOT_OK(pfd.Validate(schema));
   PfdPlan plan;
-  plan.pfd = &pfd;
   for (const std::string& a : pfd.lhs_attrs()) {
     ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
     plan.lhs_cols.push_back(idx);
@@ -430,228 +251,353 @@ Result<PfdPlan> PlanPfd(const Pfd& pfd, const Schema& schema) {
   return plan;
 }
 
-/// Detects one already-resolved tableau row into `ctx.result`, reusing
-/// `state` when it is built and building it otherwise. `item` is the
-/// work-item index (keys the dispatch cell table).
-void DetectResolvedRow(RunContext& ctx, const ResolvedRow& resolved,
-                       size_t pfd_index, size_t row_index, size_t item,
-                       ItemState& state) {
-  const TableauRow& trow = *resolved.row;
-  if (trow.IsConstantRow()) {
-    DetectConstantRow(ctx, pfd_index, row_index, resolved, item, state);
-  } else if (trow.IsVariableRow()) {
-    DetectVariableRow(ctx, pfd_index, row_index, resolved, item, state);
+bool Reads(const std::vector<size_t>& cols, size_t col) {
+  return std::find(cols.begin(), cols.end(), col) != cols.end();
+}
+
+/// Whether `item` absorbs rows up to `num_rows` in this run. Only constant
+/// and variable rows are detected; a row with a pattern-valued RHS
+/// constrains format only, which is the profiler's job.
+bool Absorbs(const WorkItem& item, RowId num_rows) {
+  return (item.constant || item.variable) && item.state.absorbed < num_rows;
+}
+
+/// Brings `group`'s slice up to date after it grew by the members from
+/// `first_row` on. A violation depends only on its suspect and the
+/// majority block's first member, so a group resolved before under the
+/// same majority block keeps its violations and adds those of its new
+/// members; a moved majority re-emits the group.
+void UpdateGroup(const Relation& relation, WorkItem& item, Group& group,
+                 RowId first_row) {
+  if (group.by_rhs.size() <= 1) return;  // the members agree
+  ItemState& state = item.state;
+  const bool was_violating = !group.slice.violations.empty();
+  const std::string* majority = &MajorityBlock(group.by_rhs).first;
+  const RowId first_suspect =
+      was_violating && majority == group.majority ? first_row : 0;
+  if (first_suspect == 0) group.slice.violations.clear();
+  state.pairs_checked -= group.slice.stats.pairs_checked;
+  group.slice.stats.pairs_checked = 0;
+  ResolveGroup(relation, item.pfd_index, item.row_index, item.row,
+               group.by_rhs, group.members.size(), first_suspect,
+               &group.slice);
+  state.pairs_checked += group.slice.stats.pairs_checked;
+  group.majority = majority;
+  if (!was_violating) state.violating.push_back(&group);
+}
+
+/// Re-emits `item`'s violations from the live cells after a write to one
+/// of its RHS columns: constant rows from their candidates, variable rows
+/// by re-splitting every group.
+void ReEmit(const Relation& relation, WorkItem& item) {
+  ItemState& state = item.state;
+  state.violations.clear();
+  for (RowId r : state.candidates) {
+    EmitConstantViolation(relation, item.pfd_index, item.row_index, item.row,
+                          r, &state.violations);
   }
-  // Rows that are neither (pattern-valued RHS) are treated as
-  // constraints on format only; format checking is the profiler's job.
+  state.violating.clear();
+  state.pairs_checked = 0;
+  for (auto& [key, group] : state.groups) {
+    group.by_rhs.clear();
+    for (RowId r : group.members) {
+      group.by_rhs[RhsValue(relation, item.row, r)].push_back(r);
+    }
+    group.slice = DetectionResult{};
+    group.majority = nullptr;
+    UpdateGroup(relation, item, group, 0);
+  }
+}
+
+/// Appends `from` to `to`, moving the violations out when `move`.
+void AppendViolations(std::vector<Violation>& from, bool move,
+                      std::vector<Violation>* to) {
+  if (move) {
+    to->insert(to->end(), std::make_move_iterator(from.begin()),
+               std::make_move_iterator(from.end()));
+  } else {
+    to->insert(to->end(), from.begin(), from.end());
+  }
 }
 
 }  // namespace
 
-namespace detect_internal {
-
-Result<DetectionResult> DetectErrorsKeepingState(
-    const Relation& relation, const std::vector<Pfd>& pfds,
-    const DetectorOptions& options, DetectionState* kept) {
-  // Validate and resolve every PFD up front (also what the parallel path
-  // needs: the first validation error must not depend on task timing).
+Status DetectionState::Open(const Schema& schema, const std::vector<Pfd>& pfds,
+                            AutomatonCache* automata, bool dispatch) {
+  assert(automata != nullptr && "entry points install a cache (WithAutomata)");
+  // Validate every PFD before resolving any, so the first error reported
+  // is the first PFD's.
   std::vector<PfdPlan> plans;
   plans.reserve(pfds.size());
   for (const Pfd& pfd : pfds) {
-    ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, relation.schema()));
+    ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, schema));
     plans.push_back(std::move(plan));
   }
-
-  DetectionResult result;
-  result.stats.rows_scanned = relation.num_rows() * pfds.size();
-
-  // Flatten the work list: one unit per (PFD, tableau row).
-  struct WorkItem {
-    size_t plan;
-    size_t row;
-  };
-  std::vector<WorkItem> items;
-  for (size_t pi = 0; pi < plans.size(); ++pi) {
-    for (size_t ri = 0; ri < plans[pi].pfd->tableau().size(); ++ri) {
-      items.push_back(WorkItem{pi, ri});
-    }
-  }
-
-  const bool parallel =
-      options.execution.EffectiveThreads() > 1 && items.size() > 1;
-  AutomatonCache* const automata = options.automata.get();
-  assert(automata != nullptr && "entry points install a cache (WithAutomata)");
-
-  // Resolve the tableau rows once per state lifetime (per call when the
-  // caller kept none): the repair fixpoint loop hands the same state back
-  // for every pass, so matchers are not rebuilt per pass. An item whose
-  // LHS columns were written since its state was built is rebuilt.
-  DetectionState local_state;
-  DetectionState& state = kept != nullptr ? *kept : local_state;
-  if (!state.resolved) {
-    state.rows.reserve(items.size());
-    for (const WorkItem& item : items) {
-      const PfdPlan& plan = plans[item.plan];
-      state.rows.push_back(
-          ResolveRow(plan.pfd->tableau().row(item.row), plan.lhs_cols,
-                     plan.rhs_cols, plan.pfd->lhs_attrs(),
-                     plan.pfd->rhs_attrs(), automata));
-    }
-    state.items.resize(items.size());
-    state.resolved = true;
-  }
-  const std::vector<ResolvedRow>& rows = state.rows;
-  for (size_t i = 0; i < items.size(); ++i) {
-    for (const size_t col : rows[i].lhs_cols) {
-      if (state.written_columns.count(col) > 0) {
-        state.items[i] = ItemState{};
-        break;
+  for (size_t pi = 0; pi < pfds.size(); ++pi) {
+    const Pfd& pfd = pfds[pi];
+    for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
+      const TableauRow& trow = pfd.tableau().row(ri);
+      WorkItem item;
+      item.pfd_index = pi;
+      item.row_index = ri;
+      item.constant = trow.IsConstantRow();
+      item.variable = trow.IsVariableRow();
+      item.row = ResolveRow(trow, plans[pi].lhs_cols, plans[pi].rhs_cols,
+                            pfd.lhs_attrs(), pfd.rhs_attrs(), automata);
+      item.slots.assign(trow.lhs.size(), 0);
+      for (size_t c = 0; c < trow.lhs.size(); ++c) {
+        if (item.row.lhs_matchers[c] != nullptr) {
+          columns_[item.row.lhs_cols[c]];
+        }
       }
-    }
-  }
-  state.written_columns.clear();
-
-  // The pattern columns of the items this run builds: only they need
-  // dispatch verdicts or a seed index.
-  std::set<size_t> build_cols;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (state.items[i].built) continue;
-    for (size_t c = 0; c < rows[i].lhs_cols.size(); ++c) {
-      if (rows[i].lhs_matchers[c] != nullptr) {
-        build_cols.insert(rows[i].lhs_cols[c]);
+      if (item.constant || item.variable) {
+        columns_[item.row.lhs_cols[SeedCell(item.row)]].seeds = true;
       }
+      items_.push_back(std::move(item));
+    }
+  }
+  automata_ = automata;
+  num_pfds_ = pfds.size();
+  dispatch_ = dispatch;
+  return Status::OK();
+}
+
+void DetectionState::UseColumn(size_t col, const ColumnDictionary* dict,
+                               const PatternIndex* index) {
+  const auto it = columns_.find(col);
+  if (it == columns_.end()) return;  // no pattern cell reads the column
+  it->second.external_dict = dict;
+  it->second.index = index;
+}
+
+void DetectionState::RecordWrite(size_t col) {
+  for (WorkItem& item : items_) {
+    if (Reads(item.row.lhs_cols, col)) {
+      item.state = ItemState{};
+    } else if (Reads(item.row.rhs_cols, col)) {
+      item.state.rhs_written = true;
+    }
+  }
+  const auto it = columns_.find(col);
+  if (it == columns_.end()) return;
+  ColumnState& column = it->second;
+  column.stale = true;
+  if (column.owned_index != nullptr) {
+    column.owned_index.reset();
+    column.index = nullptr;
+  }
+}
+
+void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
+                                    const ExecutionOptions& execution) {
+  // The pattern columns the absorbing items read.
+  std::set<size_t> read;
+  for (const WorkItem& item : items_) {
+    if (!Absorbs(item, num_rows)) continue;
+    for (size_t c = 0; c < item.row.lhs_cols.size(); ++c) {
+      if (item.row.lhs_matchers[c] != nullptr) read.insert(item.row.lhs_cols[c]);
     }
   }
 
-  // Multi-pattern dispatch: compile every LHS column's patterns into a few
-  // prefix-grouped union automata (shared through the cache) and classify
-  // each distinct value with one scan per group, instead of one automaton
+  // Multi-pattern dispatch: every pattern of a column, compiled into a few
+  // prefix-grouped union automata shared through the cache, classifies
+  // each distinct value with one scan per group instead of one automaton
   // walk per (pattern, value). Slots the unions do not cover keep the
-  // per-pattern path. Values are classified afresh on every run that
-  // builds an item on the column (a repair pass may have written it); a
-  // column whose items all reuse their state is skipped whole — dropping
-  // only some of its patterns would change the union key. The automata
-  // themselves compile once per cache lifetime.
-  std::unique_ptr<DetectDispatch> dispatch;
-  if (!build_cols.empty()) {
-    dispatch = std::make_unique<DetectDispatch>();
-    dispatch->cells.resize(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      const ResolvedRow& row = rows[i];
-      dispatch->cells[i].assign(row.lhs_cols.size(), DispatchCell{});
-      for (size_t c = 0; c < row.lhs_cols.size(); ++c) {
-        if (row.lhs_matchers[c] == nullptr ||
-            build_cols.count(row.lhs_cols[c]) == 0) {
-          continue;
+  // per-pattern path. A stale column (first run, or written) registers
+  // all its patterns again, so its union key never changes.
+  for (const size_t col : read) {
+    ColumnState& column = columns_.at(col);
+    if (!column.stale) continue;
+    column.stale = false;
+    column.classified = 0;
+    column.dispatcher.reset();
+    if (!dispatch_) continue;
+    auto dispatcher = std::make_unique<ColumnDispatcher>();
+    for (WorkItem& item : items_) {
+      for (size_t c = 0; c < item.row.lhs_cols.size(); ++c) {
+        if (item.row.lhs_matchers[c] != nullptr &&
+            item.row.lhs_cols[c] == col) {
+          item.slots[c] = dispatcher->AddPattern(
+              item.row.row->lhs[c].pattern().EmbeddedPattern());
         }
-        ColumnDispatcher& cd = dispatch->by_col[row.lhs_cols[c]];
-        dispatch->cells[i][c].dispatcher = &cd;
-        dispatch->cells[i][c].slot =
-            cd.AddPattern(row.row->lhs[c].pattern().EmbeddedPattern());
       }
     }
-    std::vector<std::pair<size_t, ColumnDispatcher*>> usable;
-    for (auto& [col, cd] : dispatch->by_col) {
-      if (cd.Compile(automata)) usable.emplace_back(col, &cd);
+    if (dispatcher->Compile(automata_)) column.dispatcher = std::move(dispatcher);
+  }
+
+  // One task per column: its dictionary, its seed index, and the new
+  // values' classification. A seed column builds an index unless its
+  // dispatcher covers every slot. A multi-group column pays one dictionary
+  // scan per group, so it builds one to narrow each group's scan to its
+  // members' candidates (a provable superset: skipped ids keep exact 0
+  // verdicts); any index a column has serves as that prefilter.
+  std::vector<std::pair<size_t, ColumnState*>> cols;
+  bool external = false;
+  for (const size_t col : read) {
+    cols.emplace_back(col, &columns_.at(col));
+    external = external || cols.back().second->external_dict != nullptr;
+  }
+  // Caller-grown columns hold built dictionaries and indexes, and classify
+  // only the values new since the last run: too little to fan out.
+  ParallelFor(external ? ExecutionOptions{} : execution, cols.size(),
+              [&](size_t i) {
+    const size_t col = cols[i].first;
+    ColumnState& column = *cols[i].second;
+    column.dict = column.external_dict != nullptr ? column.external_dict
+                                                  : &relation.dictionary(col);
+    ColumnDispatcher* dispatcher = column.dispatcher.get();
+    const uint32_t num_values = static_cast<uint32_t>(column.dict->num_values());
+    const bool classify =
+        dispatcher != nullptr && column.classified < num_values;
+    const bool seed_index = column.seeds && (dispatcher == nullptr ||
+                                             !dispatcher->fully_covered());
+    if (column.index == nullptr && column.external_dict == nullptr &&
+        (seed_index || (classify && dispatcher->num_groups() > 1))) {
+      column.owned_index =
+          std::make_unique<PatternIndex>(relation, col, automata_);
+      column.index = column.owned_index.get();
     }
-    if (usable.empty()) {
-      dispatch.reset();  // no union-friendly pattern: per-pattern path
-    } else {
-      // A multi-group column pays one full-dictionary scan per group; a
-      // pattern-index prefilter narrows each group's scan to its members'
-      // candidate union (a provable superset, so skipped ids keep exact 0
-      // verdicts). Single-group columns scan the dictionary once anyway —
-      // there the index build would be pure overhead.
-      const auto classify = [&](size_t i) {
-        const size_t col = usable[i].first;
-        ColumnDispatcher* cd = usable[i].second;
-        std::unique_ptr<PatternIndex> prefilter;
-        DispatchPrefilter candidates;
-        if (cd->num_groups() > 1) {
-          prefilter = std::make_unique<PatternIndex>(relation, col, automata);
-          candidates = [index = prefilter.get()](
-                           const std::vector<const Pattern*>& members,
-                           uint32_t first_id) {
-            return index->CandidateValueIds(members, first_id);
-          };
-        }
-        cd->ClassifyValues(relation.dictionary(col), 0, candidates);
+    if (!classify) return;
+    DispatchPrefilter candidates;
+    if (column.index != nullptr) {
+      candidates = [index = column.index](
+                       const std::vector<const Pattern*>& members,
+                       uint32_t first_id) {
+        return index->CandidateValueIds(members, first_id);
       };
-      if (parallel) {
-        ParallelFor(options.execution, usable.size(), classify);
-      } else {
-        for (size_t i = 0; i < usable.size(); ++i) classify(i);
+    }
+    dispatcher->ClassifyValues(*column.dict, column.classified, candidates);
+    column.classified = num_values;
+  });
+}
+
+void DetectionState::AbsorbItem(const Relation& relation, WorkItem& item,
+                                RowId num_rows, std::vector<bool>* covered) {
+  ItemState& state = item.state;
+  const ResolvedRow& row = item.row;
+  const RowId first_row = state.absorbed;
+  if (first_row == 0) state.scans.assign(row.lhs_cols.size(), CellScan{});
+  for (size_t c = 0; c < row.lhs_cols.size(); ++c) {
+    if (row.lhs_matchers[c] == nullptr) continue;
+    const ColumnState& column = columns_.at(row.lhs_cols[c]);
+    CellScan& scan = state.scans[c];
+    scan.dict = column.dict;
+    if (first_row == 0 && column.dispatcher != nullptr &&
+        column.dispatcher->covers(item.slots[c])) {
+      scan.preset_match = column.dispatcher->verdicts(item.slots[c]);
+      scan.preset_ids = column.dispatcher->match_ids(item.slots[c]);
+    }
+  }
+
+  // Candidates: from row 0, the rows matching the seed cell exactly — the
+  // dispatcher's matching values fanned out over their postings, else the
+  // index lookup — verified on the other cells; later rows come from the
+  // seed index's posting tails (a superset), verified on every cell.
+  const size_t seed = SeedCell(row);
+  const CellScan& seed_scan = state.scans[seed];
+  const PatternIndex* index = columns_.at(row.lhs_cols[seed]).index;
+  assert(index != nullptr ||
+         (first_row == 0 && seed_scan.preset_ids != nullptr));
+  std::vector<RowId> seeded;
+  size_t verified_seed = seed;
+  if (first_row > 0) {
+    seeded = index->CandidateSuperset(
+        row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
+    verified_seed = static_cast<size_t>(-1);
+  } else if (seed_scan.preset_ids != nullptr) {
+    for (const uint32_t id : *seed_scan.preset_ids) {
+      const std::vector<RowId>& rows = seed_scan.dict->rows(id);
+      seeded.insert(seeded.end(), rows.begin(), rows.end());
+    }
+    std::sort(seeded.begin(), seeded.end());
+  } else {
+    seeded = index->Lookup(row.row->lhs[seed].pattern());
+  }
+
+  std::string key;
+  key.reserve(32 * row.lhs_cols.size());
+  std::vector<Group*> grown;
+  for (const RowId r : seeded) {
+    if (!MatchesLhs(row, state.scans, r, verified_seed)) continue;
+    ++state.candidate_rows;
+    if (covered != nullptr) (*covered)[r] = true;
+    if (item.constant) {
+      state.candidates.push_back(r);
+      EmitConstantViolation(relation, item.pfd_index, item.row_index, row, r,
+                            &state.violations);
+    } else if (RecordKey(relation, row, state.scans, r, &key)) {
+      Group& group = state.groups[key];
+      if (group.members.empty() || group.members.back() < first_row) {
+        grown.push_back(&group);
       }
+      group.members.push_back(r);
+      group.by_rhs[RhsValue(relation, row, r)].push_back(r);
     }
   }
+  // Only the groups these rows grew can change their violations.
+  for (Group* group : grown) UpdateGroup(relation, item, *group, first_row);
+  state.absorbed = num_rows;
+}
 
-  // Runs item i on `row`; a one-shot run (no kept state) frees the item's
-  // candidates and groups as soon as its violations are out.
-  const auto run_item = [&](RunContext& ctx, const ResolvedRow& row,
-                            size_t i) {
-    DetectResolvedRow(ctx, row, items[i].plan, items[i].row, i,
-                      state.items[i]);
-    if (kept == nullptr) state.items[i] = ItemState{};
-  };
+DetectionResult DetectionState::Absorb(const Relation& relation,
+                                       const ExecutionOptions& execution,
+                                       bool release,
+                                       std::vector<bool>* covered) {
+  assert(covered == nullptr || execution.EffectiveThreads() == 1);
+  const RowId num_rows = static_cast<RowId>(relation.num_rows());
+  PrepareColumns(relation, num_rows, execution);
 
-  if (!parallel) {
-    RunContext ctx{&relation, automata, &result, {}, nullptr, dispatch.get()};
-    for (size_t i = 0; i < items.size(); ++i) run_item(ctx, rows[i], i);
-    SortViolations(&result.violations);
-    result.stats.violations = result.violations.size();
-    return result;
-  }
-
-  // Pre-build the seed-cell indexes the tasks will share (in parallel, one
-  // per distinct column; PatternIndex::Lookup on a const index is
-  // thread-safe). Dispatch-covered columns seed from preset verdicts and
-  // never probe an index, and items reusing their state never seed — skip
-  // both builds.
-  std::set<size_t> seed_cols;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (state.items[i].built) continue;
-    const size_t col = rows[i].lhs_cols[SeedCell(rows[i])];
-    if (dispatch == nullptr || !dispatch->Covers(col)) seed_cols.insert(col);
-  }
-  const ColumnIndexes shared_indexes = BuildColumnIndexes(
-      relation, std::vector<size_t>(seed_cols.begin(), seed_cols.end()),
-      automata, options.execution);
-
-  // One task per work item, each with its own result slot; slots are merged
-  // in item order, so the outcome is byte-identical to the serial loop.
-  // Frozen-backed rows are probed in place; a row holding a lazy fallback
-  // matcher is re-resolved privately by its task (lazy matchers memoize
-  // under the const interface and stay single-owner). Private rows still
-  // read the shared dispatch verdicts: those depend only on the (item,
-  // cell) patterns, identical in every resolution of the same work item,
-  // and keep their item's state: it holds rows, not matcher memos. Task i
-  // alone touches `state.items[i]`.
-  std::vector<DetectionResult> slots(items.size());
-  ParallelFor(options.execution, items.size(), [&](size_t i) {
-    RunContext ctx{&relation, automata,        &slots[i],
-                   {},        &shared_indexes, dispatch.get()};
-    if (rows[i].concurrent_safe()) {
-      run_item(ctx, rows[i], i);
-      return;
+  // One task per work item; task i alone touches item i (its matchers,
+  // memos and state). With `release` the task keeps only the item's share
+  // of the result.
+  ParallelFor(execution, items_.size(), [&](size_t i) {
+    WorkItem& item = items_[i];
+    ItemState& state = item.state;
+    if (state.rhs_written) {
+      ReEmit(relation, item);
+      state.rhs_written = false;
     }
-    const PfdPlan& plan = plans[items[i].plan];
-    const ResolvedRow resolved =
-        ResolveRow(plan.pfd->tableau().row(items[i].row), plan.lhs_cols,
-                   plan.rhs_cols, plan.pfd->lhs_attrs(),
-                   plan.pfd->rhs_attrs(), automata);
-    run_item(ctx, resolved, i);
+    if (Absorbs(item, num_rows)) AbsorbItem(relation, item, num_rows, covered);
+    if (release) {
+      ItemState share;
+      share.candidate_rows = state.candidate_rows;
+      share.pairs_checked = state.pairs_checked;
+      share.violations = std::move(state.violations);
+      for (Group* group : state.violating) {
+        AppendViolations(group->slice.violations, true, &share.violations);
+      }
+      state = std::move(share);
+    }
   });
 
-  for (DetectionResult& slot : slots) {
-    result.stats.candidate_rows += slot.stats.candidate_rows;
-    result.stats.pairs_checked += slot.stats.pairs_checked;
-    result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(slot.violations.begin()),
-                             std::make_move_iterator(slot.violations.end()));
+  // Merged in item order, then sorted: byte-identical at any thread count.
+  DetectionResult result;
+  result.stats.rows_scanned = relation.num_rows() * num_pfds_;
+  for (WorkItem& item : items_) {
+    ItemState& state = item.state;
+    result.stats.candidate_rows += state.candidate_rows;
+    result.stats.pairs_checked += state.pairs_checked;
+    AppendViolations(state.violations, release, &result.violations);
+    for (Group* group : state.violating) {
+      AppendViolations(group->slice.violations, release, &result.violations);
+    }
   }
   SortViolations(&result.violations);
   result.stats.violations = result.violations.size();
   return result;
+}
+
+Result<DetectionResult> DetectErrorsKeepingState(
+    const Relation& relation, const std::vector<Pfd>& pfds,
+    const DetectorOptions& options, DetectionState* kept) {
+  DetectionState one_shot;
+  DetectionState& state = kept != nullptr ? *kept : one_shot;
+  if (!state.opened()) {
+    ANMAT_RETURN_NOT_OK(state.Open(relation.schema(), pfds,
+                                   options.automata.get(), /*dispatch=*/true));
+  }
+  return state.Absorb(relation, options.execution,
+                      /*release=*/kept == nullptr);
 }
 
 DetectorOptions WithAutomata(const DetectorOptions& options) {
@@ -694,27 +640,27 @@ ColumnIndexes BuildColumnIndexes(const Relation& relation,
 Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
                                       AutomatonCache* automata,
                                       const ColumnIndexes* indexes) {
-  ANMAT_ASSIGN_OR_RETURN(PfdPlan plan, PlanPfd(pfd, relation.schema()));
   std::unique_ptr<AutomatonCache> private_cache;
   if (automata == nullptr) {
     private_cache = std::make_unique<AutomatonCache>();
     automata = private_cache.get();
   }
 
-  // The serial per-pattern path: index-seeded candidates and per-value
-  // memos, no union automata (a union compiled for one candidate PFD would
-  // never be probed again).
-  DetectionResult result;
-  std::vector<bool> covered(relation.num_rows(), false);
-  RunContext ctx{&relation, automata, &result, {}, indexes, nullptr,
-                 &covered};
-  for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
-    const detect_internal::ResolvedRow row = detect_internal::ResolveRow(
-        pfd.tableau().row(ri), plan.lhs_cols, plan.rhs_cols, pfd.lhs_attrs(),
-        pfd.rhs_attrs(), automata);
-    ItemState state;
-    DetectResolvedRow(ctx, row, /*pfd_index=*/0, ri, /*item=*/0, state);
+  // A serial run without union automata (a union compiled for one
+  // candidate PFD would never be probed again): index-seeded candidates
+  // and per-value memos.
+  const std::vector<Pfd> pfds = {pfd};
+  detect_internal::DetectionState state;
+  ANMAT_RETURN_NOT_OK(
+      state.Open(relation.schema(), pfds, automata, /*dispatch=*/false));
+  if (indexes != nullptr) {
+    for (const auto& [col, index] : *indexes) {
+      state.UseColumn(col, nullptr, index.get());
+    }
   }
+  std::vector<bool> covered(relation.num_rows(), false);
+  const DetectionResult result =
+      state.Absorb(relation, ExecutionOptions{}, /*release=*/true, &covered);
 
   std::vector<bool> violating(relation.num_rows(), false);
   for (const Violation& v : result.violations) violating[v.suspect.row] = true;

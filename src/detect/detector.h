@@ -15,6 +15,10 @@
 /// against the block majority, so only pairs inside conflicting blocks
 /// count as checked. The paper's full-scan and quadratic-pair algorithms
 /// are the test oracle in detect/reference_detector.h.
+///
+/// One detector serves every caller: `DetectErrors`, each `RepairErrors`
+/// pass, each `DetectionStream` batch and `ComputeCoverage` absorb rows
+/// through the same detection state (detector_internal.h).
 
 #include <map>
 #include <memory>
@@ -33,10 +37,11 @@ namespace anmat {
 /// \brief Detection options. There is one detection path; these only
 /// parallelize the run and share compiled automata.
 struct DetectorOptions {
-  /// Parallel execution. With more than one thread, detection fans out one
-  /// task per (PFD, tableau row) — the seed pattern indexes are pre-built
-  /// and shared read-only — and merges per-task results in task order, so
-  /// the output is byte-identical to a serial run.
+  /// Parallel execution. With more than one thread, detection prepares the
+  /// LHS columns (dictionary, dispatch verdicts, seed index) one task per
+  /// column, then runs one task per (PFD, tableau row) over them read-only,
+  /// and merges the results in item order, so the output is byte-identical
+  /// to a serial run.
   ExecutionOptions execution;
   /// Shared compile-once automaton cache (pattern/automaton_cache.h):
   /// tableau matchers, index verifiers and union automata come out of it

@@ -2,47 +2,43 @@
 #define ANMAT_DETECT_DETECTOR_INTERNAL_H_
 
 /// \file detector_internal.h
-/// Shared internals of the one-shot detector (detector.cc), which also
-/// backs discovery's coverage check (`ComputeCoverage`), and the streaming
-/// detector (detection_stream.cc): the resolved tableau rows, the
-/// detection state the repair loop keeps across its passes,
+/// Internals of the detector: the resolved tableau rows, the
+/// `DetectionState` that one-shot detection, the repair loop, discovery's
+/// coverage check and `DetectionStream` all absorb rows through,
 /// per-distinct-value match/extraction memos, record keys, and the group
-/// resolution that turns equivalence groups into variable violations.
+/// resolution that turns equivalence groups into variable violations. The
+/// reference oracle shares only `ResolveRow` and the emission helpers.
 ///
 /// Not part of the public API — include only from the detect layer.
 /// Definitions live in detector.cc.
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "detect/detector.h"
+#include "detect/pattern_index.h"
 #include "detect/violation.h"
+#include "dispatch/dispatch_plan.h"
 #include "pattern/matcher.h"
 #include "pfd/pfd.h"
 #include "pfd/tableau.h"
 #include "relation/relation.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace anmat {
-
-struct DetectionResult;
-struct DetectorOptions;
-class AutomatonCache;
 
 namespace detect_internal {
 
 /// One tableau row of one PFD, resolved against the relation's schema and
-/// pre-compiled for matching. Matchers compiled through an
-/// `AutomatonCache` are backed by shared frozen automata
-/// (`concurrent_safe()`) and the row may then be probed by any number of
-/// threads. A row holding a lazy matcher (the fallback for a pattern past
-/// the freeze cap, or the reference oracle's uncached matchers) must be
-/// used by one thread at a time: the one-shot detector re-resolves such a
-/// row inside its parallel task, the stream processes each row's state on a
-/// single task per batch.
+/// pre-compiled for matching. Its matchers may hold lazy automata (the
+/// fallback for a pattern past the freeze cap, or the reference oracle's
+/// uncached matchers), which memoize under the const interface: a resolved
+/// row is used by one thread at a time. A `DetectionState` runs each work
+/// item on a single task, which alone touches the item's row.
 struct ResolvedRow {
   const TableauRow* row;
   std::vector<size_t> lhs_cols;
@@ -54,14 +50,6 @@ struct ResolvedRow {
   std::vector<std::unique_ptr<ConstrainedMatcher>> lhs_matchers;
   // Constant RHS values (valid when the row is constant).
   std::vector<std::string> rhs_constants;
-
-  /// Every matcher frozen-backed: the row is shareable across threads.
-  bool concurrent_safe() const {
-    for (const std::unique_ptr<ConstrainedMatcher>& m : lhs_matchers) {
-      if (m != nullptr && !m->concurrent_safe()) return false;
-    }
-    return true;
-  }
 };
 
 /// Resolves `row`, compiling its matchers through `automata` (null gives
@@ -73,65 +61,13 @@ ResolvedRow ResolveRow(const TableauRow& row,
                        const std::vector<std::string>& rhs_attrs,
                        AutomatonCache* automata);
 
-/// What one work item's detection derives from its LHS columns alone, kept
-/// between runs over one relation (see `DetectionState`). A constant row
-/// keeps its verified candidates, a variable row the rows of its groups;
-/// a run re-emits violations from these by reading the RHS cells live.
-struct ItemState {
-  bool built = false;
-  /// The item's share of `DetectionStats::candidate_rows`.
-  size_t candidate_rows = 0;
-  /// Constant rows: the rows matching every LHS cell, ascending.
-  std::vector<RowId> candidates;
-  /// Variable rows: the members of every group of two or more rows, in
-  /// record-key order (singletons never violate and are dropped).
-  std::vector<std::vector<RowId>> groups;
-};
-
-/// Detection state of a fixed (pfds, relation) pair, kept across the runs
-/// of the repair fixpoint loop: the resolved rows, flattened in (PFD,
-/// tableau row) order — one entry per detection work item — and each
-/// item's `ItemState`. The loop calls `RecordWrite` for every column it
-/// writes. The next run rebuilds only the items with a written column among
-/// their LHS columns (wildcard cells count: `RecordKey` keys on their raw
-/// values); the others skip candidate generation and keying, and a column
-/// with no rebuilt item skips its seed-index build and dispatch
-/// classification. Writes are recorded, not inferred from a column's
-/// dictionary address: `set_cell` frees the dictionary and a new one may
-/// reuse the address. Violations and stats equal a fresh `DetectErrors` on
-/// the relation as it stands. Each run touches an item's state only from
-/// the one task that runs it.
-struct DetectionState {
-  std::vector<ResolvedRow> rows;
-  std::vector<ItemState> items;
-  bool resolved = false;
-  /// Columns written since the last run.
-  std::set<size_t> written_columns;
-
-  void RecordWrite(size_t col) { written_columns.insert(col); }
-};
-
-/// `options` with a private `AutomatonCache` installed when it has none.
-/// Each public entry point (`DetectErrors`, `RepairErrors`,
-/// `DetectionStream::Open`) calls this once; everything below it relies on
-/// a non-null cache.
-DetectorOptions WithAutomata(const DetectorOptions& options);
-
-/// `DetectErrors` with an optional cross-run `DetectionState`; `state` may
-/// be null (a one-shot run). `options.automata` must be set (see
-/// `WithAutomata`). Defined in detector.cc.
-Result<DetectionResult> DetectErrorsKeepingState(
-    const Relation& relation, const std::vector<Pfd>& pfds,
-    const DetectorOptions& options, DetectionState* state);
-
 /// The index of the seed cell (the first non-wildcard LHS cell), or
 /// lhs_cols.size() when every cell is a wildcard (a row `Pfd::Validate`
 /// rejects, so detection never sees one).
 size_t SeedCell(const ResolvedRow& row);
 
 /// The canonical violation order every detection result is reported in:
-/// by PFD, tableau row, then cells. One definition, shared by the one-shot
-/// and streaming detectors — their byte-identical contract depends on it.
+/// by PFD, tableau row, then cells.
 void SortViolations(std::vector<Violation>* violations);
 
 /// Appends the record-key fragment of `value` under `matcher` to `key`:
@@ -139,18 +75,16 @@ void SortViolations(std::vector<Violation>* violations);
 /// '\x1e'. The separators keep extractions that concatenate alike apart
 /// ({"ab","c"} vs {"a","bc"}). Returns false, appending nothing, when the
 /// value has no canonical extraction. The one definition of a pattern
-/// cell's share of a grouping key, for the one-shot and streaming
-/// detectors alike.
+/// cell's share of a grouping key, for absorbed rows and clean-on-ingest's
+/// batch rows alike.
 bool AppendKeyFragment(const ConstrainedMatcher& matcher,
                        std::string_view value, std::string* key);
 
 /// Per-LHS-cell memo of per-distinct-value results over one column
 /// dictionary: every match / key-fragment decision is computed once per
-/// *distinct* value and reused across the rows holding it. The one-shot
-/// detector points `dict` at the relation's dictionary for one run; the
-/// streaming detector points it at its incremental dictionary and keeps
-/// the memo alive across batches (tables grow with the dictionary; entries
-/// for already-seen values are never recomputed).
+/// *distinct* value and reused across the rows holding it. A memo lives as
+/// long as its item's state: tables grow with the dictionary, and entries
+/// for already-seen values are never recomputed.
 struct CellScan {
   const ColumnDictionary* dict = nullptr;  ///< not owned; must be set
   /// Pre-computed 0/1 match verdicts per distinct value, filled by a
@@ -158,8 +92,7 @@ struct CellScan {
   /// the lazy `match` memo for every id it covers. Not owned.
   const std::vector<int8_t>* preset_match = nullptr;
   /// The matching value ids of `preset_match`, ascending (the dispatcher's
-  /// `match_ids`); the one-shot detector seeds candidates from these. The
-  /// stream, which seeds from its index, leaves it null.
+  /// `match_ids`); a run absorbing from row 0 seeds candidates from these.
   const std::vector<uint32_t>* preset_ids = nullptr;
   std::vector<int8_t> match;       ///< -1 unknown, else Matches() verdict
   std::vector<int8_t> frag_state;  ///< -1 unknown, 0 no match, 1 cached
@@ -225,9 +158,9 @@ void EmitPairViolation(const Relation& relation, size_t pfd_index,
 /// The majority entry of one equivalence group's RHS-value → rows split:
 /// the entry with the strictly greatest row count; ties break toward the
 /// lexicographically smallest RHS value (map order). This single definition
-/// decides "the majority" for one-shot group resolution AND the streaming
-/// clean-on-ingest variable repairs — their agreement cell-for-cell depends
-/// on it. `by_rhs` must not be empty.
+/// decides "the majority" for detection, the reference oracle and the
+/// stream's clean-on-ingest variable repairs — their agreement
+/// cell-for-cell depends on it. `by_rhs` must not be empty.
 const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
     const std::map<std::string, std::vector<RowId>>& by_rhs);
 
@@ -236,19 +169,162 @@ const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
 /// the group's pairs into `result->stats.pairs_checked` and appends a pair
 /// violation for every minority member from `first_suspect` on against the
 /// first member of the majority block. The one emission of variable
-/// violations: one-shot detection resolves every group through it, the
-/// stream each group a batch grows.
+/// violations: a run resolves every group it grows or re-splits through
+/// it.
 void ResolveGroup(const Relation& relation, size_t pfd_index,
                   size_t row_index, const ResolvedRow& row,
                   const std::map<std::string, std::vector<RowId>>& by_rhs,
                   size_t size, RowId first_suspect, DetectionResult* result);
 
-/// One-shot group resolution: splits every group's rows by their live RHS
-/// value and runs `ResolveGroup` on it, in the given (record-key) order.
-void ResolveGroups(const Relation& relation, size_t pfd_index,
-                   size_t row_index, const ResolvedRow& row,
-                   const std::vector<std::vector<RowId>>& groups,
-                   DetectionResult* result);
+/// One equivalence group of a variable item: the candidates whose LHS
+/// cells share one grouping key.
+struct Group {
+  /// Members, ascending.
+  std::vector<RowId> members;
+  /// RHS value → members, over the relation's live cells. Absorbing rows
+  /// only adds to it; a write to one of the item's RHS columns re-splits
+  /// the group.
+  std::map<std::string, std::vector<RowId>> by_rhs;
+  /// The group's share of the result: its pair violations and
+  /// `pairs_checked`.
+  DetectionResult slice;
+  /// The `by_rhs` key of the majority block `slice` was resolved under.
+  const std::string* majority = nullptr;
+};
+
+/// What one work item — one tableau row of one PFD — has derived from the
+/// rows absorbed so far.
+struct ItemState {
+  /// Rows [0, absorbed) are in.
+  RowId absorbed = 0;
+  /// A write to one of the item's RHS columns since it last ran: its
+  /// violations must be re-emitted from the live cells.
+  bool rhs_written = false;
+  /// Per-LHS-cell memos over the columns' dictionaries.
+  std::vector<CellScan> scans;
+  /// The item's share of `DetectionStats::candidate_rows`.
+  size_t candidate_rows = 0;
+  /// Constant rows: the rows matching every LHS cell, ascending, and their
+  /// violations, in row order.
+  std::vector<RowId> candidates;
+  std::vector<Violation> violations;
+  /// Variable rows: grouping key → group, the groups with violations (in
+  /// the order they got their first; a disagreeing group only ever grows,
+  /// so none leaves until a re-split), and the sum of the groups'
+  /// `pairs_checked`.
+  std::map<std::string, Group> groups;
+  std::vector<Group*> violating;
+  size_t pairs_checked = 0;
+};
+
+/// One work item: a tableau row of one PFD, resolved, with its state.
+struct WorkItem {
+  size_t pfd_index = 0;
+  size_t row_index = 0;
+  bool constant = false;
+  bool variable = false;
+  ResolvedRow row;
+  /// Per LHS cell: its slot in the column's dispatcher.
+  std::vector<uint32_t> slots;
+  ItemState state;
+};
+
+/// What detection keeps per LHS pattern column.
+struct ColumnState {
+  /// The dictionary the next run reads: a caller-grown one (the stream's
+  /// incremental dictionaries), else `Relation::dictionary`, re-read on
+  /// every run because `set_cell` frees it.
+  const ColumnDictionary* external_dict = nullptr;
+  const ColumnDictionary* dict = nullptr;
+  /// Some detected item seeds its candidates from this column.
+  bool seeds = false;
+  /// The seed index: the caller's (`UseColumn`), else one built over the
+  /// relation when a seed column's dispatcher leaves a slot uncovered or a
+  /// multi-group dispatcher needs a prefilter.
+  const PatternIndex* index = nullptr;
+  std::unique_ptr<PatternIndex> owned_index;
+  /// The column's multi-pattern dispatcher (null: no union-friendly
+  /// pattern) and how many dictionary values it has classified.
+  std::unique_ptr<ColumnDispatcher> dispatcher;
+  uint32_t classified = 0;
+  /// The dispatcher must be (re)built: first run, or the column was
+  /// written.
+  bool stale = true;
+};
+
+/// The §3 detector over one relation and a fixed PFD list: constant rows
+/// seeded by a dispatcher or an index and verified on the other LHS cells,
+/// variable rows blocked on the canonical extraction key. It keeps, per
+/// work item, what the rows absorbed so far derived, and per LHS pattern
+/// column its dispatcher, classification watermark and seed index, so a
+/// run absorbs only rows it has not seen: one-shot detection absorbs every
+/// row once, the repair loop keeps one state across its passes, and
+/// `DetectionStream` absorbs each batch. Violations and stats always equal
+/// a fresh `DetectErrors` over the relation as it stands, provided it
+/// changes between runs only by recorded writes, or by appends to columns
+/// the caller grows (`UseColumn`).
+class DetectionState {
+ public:
+  /// Validates and resolves `pfds` against `schema`. `dispatch` false
+  /// leaves every pattern cell on the per-pattern path (no union
+  /// automata). `pfds` and `automata` must outlive the state.
+  Status Open(const Schema& schema, const std::vector<Pfd>& pfds,
+              AutomatonCache* automata, bool dispatch);
+  bool opened() const { return automata_ != nullptr; }
+
+  /// Column `col` reads `dict` (grown by the caller in step with the
+  /// relation; null: `Relation::dictionary`) and seeds from `index` (may
+  /// be null). Call after `Open`, before the first run.
+  void UseColumn(size_t col, const ColumnDictionary* dict,
+                 const PatternIndex* index);
+
+  /// Records a write to column `col`: the items reading it on their LHS
+  /// (wildcard cells included: `RecordKey` keys on their raw values)
+  /// start over, those reading it on their RHS re-emit from the live
+  /// cells, and the column's dispatcher and owned index are rebuilt.
+  /// Writes are recorded, not inferred from a dictionary's address:
+  /// `set_cell` frees the dictionary and a new one may reuse the address.
+  void RecordWrite(size_t col);
+
+  /// Absorbs rows [absorbed, relation.num_rows()) into every item, one
+  /// task per item, and returns the cumulative result in the canonical
+  /// order. With `release`, each item's state is freed as soon as its
+  /// share is out (a one-shot run; the state is spent). `covered`
+  /// (optional, serial runs only) is set for every candidate row.
+  DetectionResult Absorb(const Relation& relation,
+                         const ExecutionOptions& execution, bool release,
+                         std::vector<bool>* covered = nullptr);
+
+  std::vector<WorkItem>& items() { return items_; }
+  /// The LHS pattern columns, by column index.
+  const std::map<size_t, ColumnState>& columns() const { return columns_; }
+
+ private:
+  /// Brings the columns the absorbing items read up to date: dictionary,
+  /// dispatcher classification and seed index.
+  void PrepareColumns(const Relation& relation, RowId num_rows,
+                      const ExecutionOptions& execution);
+  void AbsorbItem(const Relation& relation, WorkItem& item, RowId num_rows,
+                  std::vector<bool>* covered);
+
+  AutomatonCache* automata_ = nullptr;
+  size_t num_pfds_ = 0;
+  bool dispatch_ = true;
+  std::vector<WorkItem> items_;
+  std::map<size_t, ColumnState> columns_;
+};
+
+/// `options` with a private `AutomatonCache` installed when it has none.
+/// Each public entry point (`DetectErrors`, `RepairErrors`,
+/// `DetectionStream::Open`) calls this once; everything below it relies on
+/// a non-null cache.
+DetectorOptions WithAutomata(const DetectorOptions& options);
+
+/// Detection through `state`, opened on first use; null runs a one-shot
+/// state. `options.automata` must be set (see `WithAutomata`).
+Result<DetectionResult> DetectErrorsKeepingState(
+    const Relation& relation, const std::vector<Pfd>& pfds,
+    const DetectorOptions& options, DetectionState* state);
 
 }  // namespace detect_internal
 }  // namespace anmat

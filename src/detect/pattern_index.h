@@ -16,8 +16,9 @@
 ///     token anchors (e.g. `(Donald)!` at token 1), candidates are narrowed
 ///     to rows containing that token.
 ///
-/// Retrieval is a superset of the true match set; every candidate is
-/// verified with the NFA matcher, so results are exact.
+/// Retrieval is a superset of the true match set; `Lookup` verifies every
+/// candidate with the automaton-backed `PatternMatcher`, so its results are
+/// exact.
 
 #include <atomic>
 #include <cstdint>

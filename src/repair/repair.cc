@@ -20,23 +20,21 @@ Result<RepairResult> RepairErrors(Relation* relation,
                                      // rule interactions across passes must
                                      // not oscillate a cell back and forth
 
-  // Tableau rows depend on (pfds, schema) only, not on the mutating cell
-  // data — resolve their matchers once and reuse them for every pass and
-  // the final verification. One cache serves every pass, so each pattern
-  // compiles once per repair. A work item's candidates and groups depend
-  // only on its LHS columns: every write is recorded, and a pass rebuilds
-  // only the items whose LHS columns earlier passes wrote.
+  // One detection state serves every pass: each pattern compiles once per
+  // repair, and a pass re-derives only what its writes touched (every
+  // write is recorded). The last pass's detection, after the last write,
+  // is the final one.
   const DetectorOptions detector = detect_internal::WithAutomata(
       options.detector);
   detect_internal::DetectionState state;
-
-  for (size_t pass = 0; pass < options.max_passes; ++pass) {
+  for (size_t pass = 0;; ++pass) {
     ANMAT_ASSIGN_OR_RETURN(
-        DetectionResult detection,
+        result.final_detection,
         detect_internal::DetectErrorsKeepingState(*relation, pfds, detector,
                                                   &state));
+    if (pass == options.max_passes) break;
     result.passes = pass + 1;
-    result.remaining_violations = detection.violations.size();
+    const DetectionResult& detection = result.final_detection;
     if (detection.violations.empty()) break;
 
     // Fold suggestions per cell (shared policy: equal merge, disagreement
@@ -86,12 +84,6 @@ Result<RepairResult> RepairErrors(Relation* relation,
     if (applied_this_pass == 0) break;
   }
 
-  // Final verification pass after the last mutation; kept in the result so
-  // callers need not re-detect over the repaired relation.
-  ANMAT_ASSIGN_OR_RETURN(
-      result.final_detection,
-      detect_internal::DetectErrorsKeepingState(*relation, pfds, detector,
-                                                &state));
   result.remaining_violations = result.final_detection.violations.size();
   std::sort(result.conflicted_cells.begin(), result.conflicted_cells.end());
   return result;

@@ -24,19 +24,18 @@
 /// because each pass either strictly reduces the number of violating cells
 /// or stops.
 ///
-/// The loop does not re-detect from scratch. Repair writes RHS cells, and a
-/// (PFD, tableau row)'s candidate rows (constant rows) and equivalence
-/// groups (variable rows) depend only on its LHS columns. The loop keeps
-/// them for its whole run and records every column it writes; a pass
-/// rebuilds only the rows with a written column on their LHS (a column
-/// that is one rule's RHS and another's LHS) and re-emits the others'
-/// violations from the live RHS cells. Every pass and the final
-/// verification equal a fresh `DetectErrors` on the relation as it stands,
-/// stats included.
+/// The loop does not re-detect from scratch. It keeps one detection state
+/// for its whole run and records every column it writes. A (PFD, tableau
+/// row)'s candidates and equivalence groups depend only on its LHS
+/// columns, its violations also on its RHS columns: a pass rebuilds only
+/// the rows with a written column on their LHS (a column that is one
+/// rule's RHS and another's LHS), re-emits the violations of the rows with
+/// one on their RHS from the live cells, and keeps the rest as they are.
+/// Every pass, and the final detection after the last write, equals a
+/// fresh `DetectErrors` on the relation as it stands, stats included.
 ///
-/// Execution: each pass's suggestion generation is a detection run, so
-/// `options.detector.execution` parallelizes it per (PFD, tableau row)
-/// with the detection fan-out; the suggestion fold and application steps
+/// Execution: `options.detector.execution` runs each pass's detection one
+/// task per (PFD, tableau row); the suggestion fold and application steps
 /// are deterministic, so parallel output is byte-identical to serial.
 /// `anmat::Engine::Repair` (anmat/engine.h) is the usual entry — it
 /// installs the engine's shared pool. For streaming workloads,
