@@ -36,7 +36,11 @@ Result<int64_t> ParamInt(const JsonValue& params, const char* key,
     return Status::InvalidArgument(std::string("param \"") + key +
                                    "\" must be a number");
   }
-  return v->as_int();
+  Result<int64_t> value = v->CheckedInt(key);
+  if (!value.ok()) {
+    return Status::InvalidArgument("param " + value.status().message());
+  }
+  return value;
 }
 
 Result<double> ParamDouble(const JsonValue& params, const char* key,
@@ -60,10 +64,12 @@ Result<std::vector<uint64_t>> ParamIds(const JsonValue& params) {
   std::vector<uint64_t> ids;
   ids.reserve(v->size());
   for (const JsonValue& item : v->items()) {
-    if (!item.is_number() || item.as_int() <= 0) {
-      return Status::InvalidArgument("not a rule id: " + item.Dump());
+    const Result<int64_t> id = item.CheckedInt("ids");
+    if (!id.ok() || id.value() <= 0) {
+      return Status::InvalidArgument("param \"ids\" holds a value that is "
+                                     "not a rule id: " + item.Dump());
     }
-    ids.push_back(static_cast<uint64_t>(item.as_int()));
+    ids.push_back(static_cast<uint64_t>(id.value()));
   }
   return ids;
 }

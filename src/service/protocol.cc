@@ -35,8 +35,9 @@ Result<ServiceRequest> ParseServiceRequest(std::string_view payload) {
   }
   ServiceRequest request;
   if (const JsonValue* id = parsed->Get("id");
-      id != nullptr && id->is_number() && id->as_int() >= 0) {
-    request.id = static_cast<uint64_t>(id->as_int());
+      id != nullptr && id->is_number()) {
+    ANMAT_ASSIGN_OR_RETURN(const int64_t value, id->CheckedInt("id"));
+    if (value >= 0) request.id = static_cast<uint64_t>(value);
   }
   const JsonValue* verb = parsed->Get("verb");
   if (verb == nullptr || !verb->is_string() || verb->as_string().empty()) {
@@ -95,8 +96,9 @@ Result<ServiceResponse> ParseServiceResponse(std::string_view payload) {
   }
   ServiceResponse response;
   if (const JsonValue* id = parsed->Get("id");
-      id != nullptr && id->is_number() && id->as_int() >= 0) {
-    response.id = static_cast<uint64_t>(id->as_int());
+      id != nullptr && id->is_number()) {
+    ANMAT_ASSIGN_OR_RETURN(const int64_t value, id->CheckedInt("id"));
+    if (value >= 0) response.id = static_cast<uint64_t>(value);
   }
   ANMAT_ASSIGN_OR_RETURN(response.ok, parsed->GetBool("ok"));
   if (response.ok) {

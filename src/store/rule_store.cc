@@ -350,8 +350,9 @@ Result<RuleSet> ParseRuleSet(std::string_view text) {
     rules.Restore(std::move(record));
   }
   if (const JsonValue* next_id = root.Get("next_id");
-      next_id != nullptr && next_id->is_number() && next_id->as_int() > 0) {
-    rules.RaiseNextId(static_cast<uint64_t>(next_id->as_int()));
+      next_id != nullptr && next_id->is_number()) {
+    ANMAT_ASSIGN_OR_RETURN(const int64_t next, next_id->CheckedInt("next_id"));
+    if (next > 0) rules.RaiseNextId(static_cast<uint64_t>(next));
   }
   return rules;
 }

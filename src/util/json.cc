@@ -43,7 +43,20 @@ Result<int64_t> JsonValue::GetInt(std::string_view key) const {
   if (!v->is_number()) {
     return Status::ParseError("JSON key is not a number: " + std::string(key));
   }
-  return v->as_int();
+  return v->CheckedInt(key);
+}
+
+Result<int64_t> JsonValue::CheckedInt(std::string_view key) const {
+  // -2^63 and 2^63 are exact doubles, and every integral double in
+  // [-2^63, 2^63) converts exactly; NaN fails both comparisons.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!is_number() || !(number_ >= -kLimit && number_ < kLimit) ||
+      std::trunc(number_) != number_) {
+    return Status::ParseError("\"" + std::string(key) +
+                              "\" is not an integer in the int64 range: " +
+                              Dump());
+  }
+  return static_cast<int64_t>(number_);
 }
 
 Result<double> JsonValue::GetDouble(std::string_view key) const {

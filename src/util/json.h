@@ -74,7 +74,13 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
+  /// A bare cast for numbers known to be integers: a fraction truncates,
+  /// and a value outside int64_t's range is undefined behaviour. Read
+  /// integers from input through `CheckedInt`.
   int64_t as_int() const { return static_cast<int64_t>(number_); }
+  /// This number as an int64_t, or a parse error naming `key` unless it is
+  /// a number that is integral and inside int64_t's range.
+  Result<int64_t> CheckedInt(std::string_view key) const;
   const std::string& as_string() const { return string_; }
 
   /// Array access.

@@ -40,6 +40,25 @@ TEST(JsonValueTest, TypedGetters) {
   EXPECT_EQ(obj.GetString("absent").status().code(), StatusCode::kNotFound);
 }
 
+TEST(JsonValueTest, IntegerReadsRejectFractionsAndOutOfRange) {
+  const JsonValue doc =
+      ParseJson("{\"frac\":2.7,\"huge\":1e300,\"two63\":9223372036854775807,"
+                "\"min\":-9223372036854775808,\"two53\":9007199254740992,"
+                "\"neg\":-3,\"whole\":4.0}")
+          .value();
+  for (const char* key : {"frac", "huge", "two63"}) {
+    const Result<int64_t> read = doc.GetInt(key);
+    ASSERT_FALSE(read.ok()) << key;
+    EXPECT_EQ(read.status().code(), StatusCode::kParseError) << key;
+    EXPECT_NE(read.status().message().find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(doc.GetInt("min").value(), INT64_MIN);
+  EXPECT_EQ(doc.GetInt("two53").value(), int64_t{1} << 53);
+  EXPECT_EQ(doc.GetInt("neg").value(), -3);
+  EXPECT_EQ(doc.GetInt("whole").value(), 4);
+  EXPECT_FALSE(JsonValue::String("1").CheckedInt("s").ok());
+}
+
 TEST(JsonDumpTest, Scalars) {
   EXPECT_EQ(JsonValue::Null().Dump(), "null");
   EXPECT_EQ(JsonValue::Bool(true).Dump(), "true");

@@ -184,6 +184,20 @@ TEST(ProtocolTest, RequestRejectsGarbage) {
   EXPECT_FALSE(ParseServiceRequest("{\"verb\":42}").ok());
 }
 
+TEST(ProtocolTest, IdsMustBeIntegersInRange) {
+  for (const char* id : {"1.5", "1e300", "9223372036854775807"}) {
+    const std::string request =
+        std::string("{\"id\":") + id + ",\"verb\":\"ping\"}";
+    const Result<ServiceRequest> parsed = ParseServiceRequest(request);
+    ASSERT_FALSE(parsed.ok()) << id;
+    EXPECT_NE(parsed.status().message().find("\"id\""), std::string::npos);
+    const std::string response = std::string("{\"id\":") + id +
+                                 ",\"ok\":true,\"result\":{}}";
+    EXPECT_FALSE(ParseServiceResponse(response).ok()) << id;
+  }
+  EXPECT_EQ(ParseServiceRequest("{\"id\":4.0,\"verb\":\"ping\"}")->id, 4u);
+}
+
 TEST(ProtocolTest, OkResponseRoundTrip) {
   JsonValue result = JsonValue::Object();
   result.Set("rows", JsonValue::Int(4));
@@ -951,6 +965,39 @@ class ParkJournalFsync : public FaultInjector {
 /// four-row table takes milliseconds, sanitizers included; a read that
 /// queues behind the parked writer never finishes on its own.
 constexpr std::chrono::seconds kReadBound{10};
+
+TEST(ProjectHostTest, IntegerParamsRejectFractionsAndOutOfRange) {
+  const std::string dir = FreshDir("int-params");
+  const std::string csv = WriteZipCsv("int-params");
+  SeedProject(dir, csv);
+  {
+    ProjectHost host(Project::Open(dir).value(), ProjectHost::Options());
+    const auto dispatch = [&host](const std::string& verb,
+                                  const std::string& params) {
+      return host.Dispatch(verb, ParseJson(params).value());
+    };
+    // A fraction is not a rule id: 1.7 must not confirm rule 1.
+    const std::string rules = dispatch("rules.list", "{}")->result.Dump();
+    const Result<VerbResult> confirm =
+        dispatch("rules.confirm", "{\"ids\":[1.7]}");
+    ASSERT_FALSE(confirm.ok());
+    EXPECT_EQ(confirm.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(confirm.status().message().find("\"ids\""), std::string::npos);
+    EXPECT_EQ(dispatch("rules.list", "{}")->result.Dump(), rules);
+    ASSERT_TRUE(dispatch("rules.confirm", "{\"all\":true}").ok());
+    // Past int64's range a bare cast is undefined; a fraction truncates.
+    for (const char* max : {"1e300", "9223372036854775807", "2.5"}) {
+      const Result<VerbResult> detect =
+          dispatch("detect", std::string("{\"max\":") + max + "}");
+      ASSERT_FALSE(detect.ok()) << max;
+      EXPECT_EQ(detect.status().code(), StatusCode::kInvalidArgument) << max;
+      EXPECT_NE(detect.status().message().find("\"max\""), std::string::npos)
+          << max;
+    }
+    EXPECT_TRUE(dispatch("detect", "{\"max\":2}").ok());
+  }
+  std::filesystem::remove_all(dir);
+}
 
 TEST(ProjectHostTest, ReadersNeverWaitOnAParkedWriter) {
   const std::string dir = FreshDir("parked");

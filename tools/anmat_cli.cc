@@ -242,8 +242,10 @@ std::string ValidateNumericFlags(const ParsedArgs& args) {
     errno = 0;
     const unsigned long parsed = std::strtoul(value.c_str(), nullptr, 10);
     // --lock-wait-ms becomes an int; a larger value would wrap negative.
+    // --max travels as a JSON number (a double), exact only up to 2^53.
     if (errno == ERANGE ||
-        (std::string(key) == "lock-wait-ms" && parsed > INT_MAX)) {
+        (std::string(key) == "lock-wait-ms" && parsed > INT_MAX) ||
+        (std::string(key) == "max" && parsed > (1UL << 53))) {
       return "invalid value for flag: --" + std::string(key) + ": \"" +
              value + "\" is out of range";
     }

@@ -176,6 +176,13 @@ grep -q -- 'invalid value for flag: --threads' err.txt \
   || fail "--lock-wait-ms past INT_MAX should exit 1"
 grep -q -- 'invalid value for flag: --lock-wait-ms: "3000000000" is out of range' \
   err.txt || fail "--lock-wait-ms range error names the flag"
+# --max travels as a JSON number: past 2^53 it is out of range, not rounded
+# on its way to the verb.
+[ "$("$ANMAT" detect --project proj --max 9223372036854775807 \
+      >/dev/null 2>err.txt; echo $?)" = 1 ] \
+  || fail "--max past 2^53 should exit 1"
+grep -q -- 'invalid value for flag: --max: "9223372036854775807" is out of range' \
+  err.txt || fail "--max range error names the flag"
 
 # rules confirm/reject render nothing, so --format is rejected there.
 if "$ANMAT" rules confirm all --project proj --format json 2>err.txt; then
@@ -373,6 +380,8 @@ wait "$writer_b" || fail "concurrent writer B failed"
   || fail "direct fsck json"
 "$ANMAT" detect --project proj_d --max 2 > direct_detect_max.txt \
   || fail "direct detect --max 2"
+"$ANMAT" detect --project proj_d --max 9007199254740992 >/dev/null \
+  || fail "direct detect --max 2^53 (exact as a JSON number)"
 "$ANMAT" stream --project proj_d --batch 2 --clean all \
   > direct_stream_all.txt || fail "direct stream --clean all"
 "$ANMAT" rules list --project proj_d > direct_rules.txt \
