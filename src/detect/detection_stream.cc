@@ -13,9 +13,8 @@ namespace anmat {
 
 using detect_internal::AppendKeyFragment;
 using detect_internal::CellScan;
-using detect_internal::ResolvedRow;
-using detect_internal::SeedCell;
 using detect_internal::Group;
+using detect_internal::ResolvedRow;
 using detect_internal::WorkItem;
 
 namespace {

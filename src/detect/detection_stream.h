@@ -91,7 +91,6 @@
 #include "detect/detector.h"
 #include "detect/detector_internal.h"
 #include "detect/pattern_index.h"
-#include "dispatch/dispatch_plan.h"
 #include "pfd/pfd.h"
 #include "relation/relation.h"
 #include "util/status.h"

@@ -395,7 +395,9 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
   for (const WorkItem& item : items_) {
     if (!Absorbs(item, num_rows)) continue;
     for (size_t c = 0; c < item.row.lhs_cols.size(); ++c) {
-      if (item.row.lhs_matchers[c] != nullptr) read.insert(item.row.lhs_cols[c]);
+      if (item.row.lhs_matchers[c] != nullptr) {
+        read.insert(item.row.lhs_cols[c]);
+      }
     }
   }
 
@@ -422,7 +424,9 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
         }
       }
     }
-    if (dispatcher->Compile(automata_)) column.dispatcher = std::move(dispatcher);
+    if (dispatcher->Compile(automata_)) {
+      column.dispatcher = std::move(dispatcher);
+    }
   }
 
   // One task per column: its dictionary, its seed index, and the new
@@ -439,14 +443,14 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
   }
   // Caller-grown columns hold built dictionaries and indexes, and classify
   // only the values new since the last run: too little to fan out.
-  ParallelFor(external ? ExecutionOptions{} : execution, cols.size(),
-              [&](size_t i) {
+  const ExecutionOptions serial;
+  ParallelFor(external ? serial : execution, cols.size(), [&](size_t i) {
     const size_t col = cols[i].first;
     ColumnState& column = *cols[i].second;
     column.dict = column.external_dict != nullptr ? column.external_dict
                                                   : &relation.dictionary(col);
     ColumnDispatcher* dispatcher = column.dispatcher.get();
-    const uint32_t num_values = static_cast<uint32_t>(column.dict->num_values());
+    const auto num_values = static_cast<uint32_t>(column.dict->num_values());
     const bool classify =
         dispatcher != nullptr && column.classified < num_values;
     const bool seed_index = column.seeds && (dispatcher == nullptr ||
