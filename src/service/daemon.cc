@@ -205,9 +205,13 @@ void Daemon::WriteTo(const std::shared_ptr<Connection>& conn) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n < 0 && errno == EINTR) continue;
-    // EPIPE etc.: the peer is gone; drop what we owed it.
+    // EPIPE etc.: the peer is gone; drop what we owed it. Kept, the
+    // unsent bytes would hold the connection (and a stop's drain) open
+    // while poll reports it writable on every turn.
     conn->input_closed = true;
     conn->failed = true;
+    conn->write_buf.clear();
+    conn->write_off = 0;
     return;
   }
   if (conn->write_off == conn->write_buf.size()) {

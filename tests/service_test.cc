@@ -719,6 +719,35 @@ TEST(DaemonTest, DisconnectMidRequestDiscardsTheResponse) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DaemonTest, PeerThatStopsReadingIsDroppedAndStopDrains) {
+  // A peer that shut its read side makes the answer's send fail with
+  // EPIPE. The daemon must drop the answer and reap the connection, not
+  // keep it (poll reports it writable on every turn, and a stop would wait
+  // for its flush forever).
+  const std::string socket_path = FreshSocket("stops-reading");
+  DaemonRunner runner(socket_path);
+  const int fd = RawConnect(socket_path);
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  const std::string frame =
+      EncodeFrame(SerializeServiceRequest(1, "ping", JsonValue::Object()));
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+
+  DaemonClient client = DaemonClient::Connect(socket_path).value();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int64_t connections = 0;
+  do {
+    connections = client.Call("stats", JsonValue::Object())
+                      .value()
+                      .result.GetInt("connections")
+                      .value();
+  } while (connections != 1 && std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(connections, 1);
+  ::close(fd);
+  runner.Stop();
+}
+
 TEST(DaemonTest, ConcurrentConfirmsSerializeWithNoLostEdit) {
   const std::string socket_path = FreshSocket("writers");
   const std::string dir = FreshDir("writers");
