@@ -165,7 +165,6 @@ Status DetectionStream::Init() {
     }
     state_.UseColumn(col, dicts_[col].get(), indexes_[col].get());
   }
-  dirty_groups_.resize(state_.items().size());
   return Status::OK();
 }
 
@@ -315,9 +314,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       }
       return false;
     };
-    for (size_t item_index = 0; item_index < state_.items().size();
-         ++item_index) {
-      WorkItem& item = state_.items()[item_index];
+    for (WorkItem& item : state_.items()) {
       if (!item.variable) continue;
       const ResolvedRow& row = item.row;
       const uint32_t rhs_front = static_cast<uint32_t>(row.rhs_cols.front());
@@ -358,8 +355,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
         // member: absorbed rows are never retroactively edited, so their
         // dirty RHS values are immutable. (The cleaned side, `by_rhs`, is
         // kept current by the detection state.)
-        DirtyGroup* dirty =
-            group != nullptr ? &dirty_groups_[item_index][gkey] : nullptr;
+        DirtyGroup* dirty = group != nullptr ? &dirty_groups_[group] : nullptr;
         if (dirty != nullptr) {
           for (size_t ai = dirty->dirty_of.size(); ai < arows.size(); ++ai) {
             const RowId a = arows[ai];

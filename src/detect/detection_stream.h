@@ -86,6 +86,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "detect/detector.h"
@@ -261,8 +262,10 @@ class DetectionStream {
   /// The detector: per item, its candidates, groups and cached
   /// violations; per column, its dispatcher and classification watermark.
   detect_internal::DetectionState state_;
-  /// Per work item: group key → clean-on-ingest's view of that group.
-  std::vector<std::map<std::string, DirtyGroup>> dirty_groups_;
+  /// Clean-on-ingest's view of each absorbed group a batch has touched.
+  /// Group addresses are stable: the stream never restarts an item.
+  std::unordered_map<const detect_internal::Group*, DirtyGroup>
+      dirty_groups_;
   bool clean_on_ingest_ = false;
   bool clean_variable_rules_ = true;
   std::vector<AppliedRepair> batch_repairs_;
