@@ -218,9 +218,9 @@ class DetectionStream {
     }
   };
 
-  /// Clean-on-ingest's view of one absorbed equivalence group (the
-  /// state's `Group` with the same key). Absorbed rows are never
-  /// retroactively edited, so it only ever grows.
+  /// Clean-on-ingest's view of one absorbed equivalence group (a state
+  /// `Group`). Absorbed rows are never retroactively edited, so it only
+  /// ever grows.
   struct DirtyGroup {
     /// RHS value → members over the dirty view (through
     /// `dirty_overrides_`), folded by `CleanBatch` for the members
