@@ -4,20 +4,23 @@
 // With R confirmed rules probing one column, the reference detector
 // (`ReferenceDetectErrors`) matches every row against R independent
 // automata. The dispatch subsystem (src/dispatch/) deduplicates the rules'
-// embedded patterns into slots, prefix-groups the slots (PatternTrie) into
-// a few lazy union automata shared through AutomatonCache::GetUnion, and
+// embedded patterns into slots, sorts the slots by signature and cuts them
+// into groups of at most `kMaxUnionMembers` (1,024), one lazy union
+// automaton per group shared through AutomatonCache::GetUnion, and
 // classifies each distinct value with ONE union-table scan per group — the
 // detectors then read exact 0/1 verdict vectors instead of walking R
 // automata.
 //
-// Content: detection wall-clock at 16 / 64 / 256 / 1024 constant rules on
-// one column, the per-rule, per-row reference vs `DetectErrors` (dispatch
-// over the value dictionary), with violations asserted byte-identical at
-// every size; dispatch must win at >= 256 rules (full mode). A repeated-run
-// pass proves the union automata compile once per engine lifetime (cache misses stay flat, further runs
+// Content: detection wall-clock at 16 / 64 / 256 / 1024 / 2048 constant
+// rules on one column (2048 spans two unions), the per-rule, per-row
+// reference vs `DetectErrors` (dispatch over the value dictionary), with
+// violations asserted byte-identical at every size; dispatch must win at
+// >= 256 rules (full mode). A repeated-run pass proves the union automata
+// compile once per engine lifetime (cache misses stay flat, further runs
 // are all hits). Performance: the same comparison as google-benchmark
 // timings (tools/bench.sh writes BENCH_A9.json). ANMAT_BENCH_QUICK=1
-// shrinks workloads and skips the timing gates (CI smoke).
+// shrinks workloads to 16 / 64 rules and skips the timing gates (CI
+// smoke).
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +33,7 @@
 #include "bench_util.h"
 #include "detect/detector.h"
 #include "detect/reference_detector.h"
+#include "dispatch/dispatch_plan.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/pattern.h"
 #include "pattern/pattern_parser.h"
@@ -122,10 +126,10 @@ void ReproduceContent() {
          "multi-pattern dispatch: union-automaton scan vs the per-rule, "
          "per-row reference");
   const double window = anmat_bench::QuickMode() ? 0.05 : 0.3;
-  const std::vector<size_t> rule_counts = anmat_bench::QuickMode()
-                                              ? std::vector<size_t>{16, 64}
-                                              : std::vector<size_t>{16, 64,
-                                                                    256, 1024};
+  const std::vector<size_t> rule_counts =
+      anmat_bench::QuickMode()
+          ? std::vector<size_t>{16, 64}
+          : std::vector<size_t>{16, 64, 256, 1024, 2048};
 
   anmat::TextTable table({"rules", "violations", "reference s/run",
                           "dispatch s/run", "speedup", "unions", "states"});
@@ -150,6 +154,11 @@ void ReproduceContent() {
     const anmat::DispatchStats dstats = dispatch.automata->dispatch_stats();
     CheckOrDie(dstats.probes > 0,
                std::to_string(rules) + " rules: union tables were consulted");
+    CheckOrDie(dstats.automata ==
+                   (rules + anmat::kMaxUnionMembers - 1) /
+                       anmat::kMaxUnionMembers,
+               std::to_string(rules) + " rules: one union per " +
+                   std::to_string(anmat::kMaxUnionMembers) + " slots");
 
     // Timed repeats until each side has run for a measurable window.
     const auto per_run = [&](const auto& detect) {

@@ -401,12 +401,13 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
     }
   }
 
-  // Multi-pattern dispatch: every pattern of a column, compiled into a few
-  // prefix-grouped union automata shared through the cache, classifies
-  // each distinct value with one scan per group instead of one automaton
-  // walk per (pattern, value). Slots the unions do not cover keep the
-  // per-pattern path. A stale column (first run, or written) registers
-  // all its patterns again, so its union key never changes.
+  // Multi-pattern dispatch: every pattern of a column, compiled into union
+  // automata over signature-sorted groups of slots shared through the
+  // cache, classifies each distinct value with one scan per group instead
+  // of one automaton walk per (pattern, value). Slots the unions do not
+  // cover keep the per-pattern path. A stale column (first run, or
+  // written) registers all its patterns again, so its union keys never
+  // change.
   for (const size_t col : read) {
     ColumnState& column = columns_.at(col);
     if (!column.stale) continue;
@@ -431,10 +432,7 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
 
   // One task per column: its dictionary, its seed index, and the new
   // values' classification. A seed column builds an index unless its
-  // dispatcher covers every slot. A multi-group column pays one dictionary
-  // scan per group, so it builds one to narrow each group's scan to its
-  // members' candidates (a provable superset: skipped ids keep exact 0
-  // verdicts); any index a column has serves as that prefilter.
+  // dispatcher covers every slot.
   std::vector<std::pair<size_t, ColumnState*>> cols;
   bool external = false;
   for (const size_t col : read) {
@@ -450,27 +448,16 @@ void DetectionState::PrepareColumns(const Relation& relation, RowId num_rows,
     column.dict = column.external_dict != nullptr ? column.external_dict
                                                   : &relation.dictionary(col);
     ColumnDispatcher* dispatcher = column.dispatcher.get();
-    const auto num_values = static_cast<uint32_t>(column.dict->num_values());
-    const bool classify =
-        dispatcher != nullptr && column.classified < num_values;
-    const bool seed_index = column.seeds && (dispatcher == nullptr ||
-                                             !dispatcher->fully_covered());
     if (column.index == nullptr && column.external_dict == nullptr &&
-        (seed_index || (classify && dispatcher->num_groups() > 1))) {
+        column.seeds &&
+        (dispatcher == nullptr || !dispatcher->fully_covered())) {
       column.owned_index =
           std::make_unique<PatternIndex>(relation, col, automata_);
       column.index = column.owned_index.get();
     }
-    if (!classify) return;
-    DispatchPrefilter candidates;
-    if (column.index != nullptr) {
-      candidates = [index = column.index](
-                       const std::vector<const Pattern*>& members,
-                       uint32_t first_id) {
-        return index->CandidateValueIds(members, first_id);
-      };
-    }
-    dispatcher->ClassifyValues(*column.dict, column.classified, candidates);
+    const auto num_values = static_cast<uint32_t>(column.dict->num_values());
+    if (dispatcher == nullptr || column.classified >= num_values) return;
+    dispatcher->ClassifyValues(*column.dict, column.classified);
     column.classified = num_values;
   });
 }
@@ -644,12 +631,6 @@ ColumnIndexes BuildColumnIndexes(const Relation& relation,
 Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
                                       AutomatonCache* automata,
                                       const ColumnIndexes* indexes) {
-  std::unique_ptr<AutomatonCache> private_cache;
-  if (automata == nullptr) {
-    private_cache = std::make_unique<AutomatonCache>();
-    automata = private_cache.get();
-  }
-
   // A serial run without union automata (a union compiled for one
   // candidate PFD would never be probed again): index-seeded candidates
   // and per-value memos.

@@ -121,13 +121,12 @@ ColumnIndexes BuildColumnIndexes(const Relation& relation,
 /// is covered when it is a candidate of some constant or variable tableau
 /// row, and violating when it is the suspect of one of its violations.
 /// Rows whose RHS is a non-literal pattern are skipped, as in detection.
-/// `automata` shares compiled automata across calls; null gives a private
-/// cache for this call. `indexes` (optional) supplies pre-built seed-column
-/// indexes over `relation`, so calls that probe one column share a single
-/// build; columns it lacks get a private index. Never compiles a union
-/// automaton.
+/// `automata` (required) shares compiled automata across calls.
+/// `indexes` (optional) supplies pre-built seed-column indexes over
+/// `relation`, so calls that probe one column share a single build;
+/// columns it lacks get a private index. Never compiles a union automaton.
 Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
-                                      AutomatonCache* automata = nullptr,
+                                      AutomatonCache* automata,
                                       const ColumnIndexes* indexes = nullptr);
 
 }  // namespace anmat

@@ -38,7 +38,8 @@ namespace detect_internal {
 /// fallback for a pattern past the freeze cap, or the reference oracle's
 /// uncached matchers), which memoize under the const interface: a resolved
 /// row is used by one thread at a time. A `DetectionState` runs each work
-/// item on a single task, which alone touches the item's row.
+/// item on a single task, which alone touches the item's row, so it never
+/// needs to know whether a row's automata are frozen or lazy.
 struct ResolvedRow {
   const TableauRow* row;
   std::vector<size_t> lhs_cols;
@@ -239,8 +240,7 @@ struct ColumnState {
   /// Some detected item seeds its candidates from this column.
   bool seeds = false;
   /// The seed index: the caller's (`UseColumn`), else one built over the
-  /// relation when a seed column's dispatcher leaves a slot uncovered or a
-  /// multi-group dispatcher needs a prefilter.
+  /// relation when a seed column's dispatcher leaves a slot uncovered.
   const PatternIndex* index = nullptr;
   std::unique_ptr<PatternIndex> owned_index;
   /// The column's multi-pattern dispatcher (null: no union-friendly

@@ -112,7 +112,6 @@ void PatternIndex::AppendRows(RowId first_row, RowId end_row) {
       auto [sig_it, sig_inserted] = by_signature_.try_emplace(sig);
       entry.signature = &sig_it->second;
       if (sig_inserted) signature_sample_.emplace(sig, cell);
-      signature_ids_[sig].push_back(id);
 
       value_tokens.clear();
       for (const Token& t : Tokenize(cell)) value_tokens.push_back(t.text);
@@ -161,7 +160,6 @@ PatternIndex::PatternIndex(const Relation& relation, size_t col,
     auto [it, inserted] = by_signature_.try_emplace(sig);
     it->second.insert(it->second.end(), rows.begin(), rows.end());
     if (inserted) signature_sample_.emplace(sig, cell);
-    signature_ids_[sig].push_back(id);
 
     value_tokens.clear();
     for (const Token& t : Tokenize(cell)) value_tokens.push_back(t.text);
@@ -295,53 +293,6 @@ std::vector<RowId> PatternIndex::CandidateSuperset(const Pattern& p,
   }
   if (provably_empty) return {};
   return SignatureCandidates(p, min_row);
-}
-
-std::vector<uint32_t> PatternIndex::CandidateValueIds(const Pattern& p,
-                                                      uint32_t min_id) const {
-  // The anchor strategy can prove global emptiness (a mandatory trigram
-  // occurs nowhere); its row-level posting bound does not translate to
-  // value ids, so the id filter itself is signature-compatibility only.
-  bool provably_empty = false;
-  BestAnchorPostings(p, &provably_empty);
-  if (provably_empty) return {};
-  std::vector<uint32_t> candidates;
-  for (const auto& [sig_text, ids] : signature_ids_) {
-    const Pattern sig = GeneralizeString(signature_sample_.at(sig_text),
-                                         GeneralizationLevel::kClassExact);
-    if (SignatureCompatible(p, sig)) {
-      // Per-signature id lists are ascending (appended in id order).
-      auto begin = min_id == 0
-                       ? ids.begin()
-                       : std::lower_bound(ids.begin(), ids.end(), min_id);
-      candidates.insert(candidates.end(), begin, ids.end());
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
-}
-
-std::vector<uint32_t> PatternIndex::CandidateValueIds(
-    const std::vector<const Pattern*>& patterns, uint32_t min_id) const {
-  std::vector<uint32_t> candidates;
-  for (const auto& [sig_text, ids] : signature_ids_) {
-    const Pattern sig = GeneralizeString(signature_sample_.at(sig_text),
-                                         GeneralizationLevel::kClassExact);
-    bool any = false;
-    for (const Pattern* p : patterns) {
-      if (SignatureCompatible(*p, sig)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
-    auto begin = min_id == 0
-                     ? ids.begin()
-                     : std::lower_bound(ids.begin(), ids.end(), min_id);
-    candidates.insert(candidates.end(), begin, ids.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
 }
 
 std::vector<RowId> PatternIndex::Lookup(const Pattern& p) const {

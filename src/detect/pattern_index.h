@@ -19,6 +19,13 @@
 /// Retrieval is a superset of the true match set; `Lookup` verifies every
 /// candidate with the automaton-backed `PatternMatcher`, so its results are
 /// exact.
+///
+/// Detection seeds candidates from the index where the multi-pattern
+/// dispatcher (dispatch/dispatch_plan.h) does not: a seed cell whose slot
+/// no union automaton covers, the rows a stream appends after its first
+/// batch (`CandidateSuperset` over posting tails), and discovery's coverage
+/// checks, which compile no unions. The dispatcher classifies every
+/// distinct value of its column itself.
 
 #include <atomic>
 #include <cstdint>
@@ -80,26 +87,6 @@ class PatternIndex {
   /// its own cross-batch memo instead of `Lookup`'s per-call verification.
   std::vector<RowId> CandidateSuperset(const Pattern& p, RowId min_row) const;
 
-  /// Value-id level pre-filter for the multi-pattern dispatcher: the
-  /// dictionary value ids (>= `min_id`, ascending) whose values could
-  /// possibly match `p` — a superset of the true match set (signature
-  /// length-compatibility, plus the mandatory-trigram emptiness proof).
-  /// Ids outside the result provably do not match, so a combined scan may
-  /// skip them.
-  std::vector<uint32_t> CandidateValueIds(const Pattern& p,
-                                          uint32_t min_id = 0) const;
-
-  /// The union of `CandidateValueIds` over `patterns` in one pass:
-  /// signature compatibility is decided once per (index signature, member)
-  /// with early exit, and each signature's (disjoint) id list is copied at
-  /// most once — O(signatures * patterns + result), not the
-  /// O(patterns * distinct) a member-by-member union would cost when the
-  /// signature filter cannot narrow. Used by
-  /// `ColumnDispatcher::ClassifyValues` to bound one union-automaton
-  /// group's scan.
-  std::vector<uint32_t> CandidateValueIds(
-      const std::vector<const Pattern*>& patterns, uint32_t min_id = 0) const;
-
   /// Statistics for benchmarking the §3 claim (index vs scan).
   size_t num_signatures() const { return by_signature_.size(); }
   size_t num_tokens() const { return by_token_.size(); }
@@ -147,9 +134,6 @@ class PatternIndex {
   /// signature text -> one sample value with that signature (for the
   /// signature-level compatibility test)
   std::unordered_map<std::string, std::string> signature_sample_;
-  /// signature text -> dictionary value ids with that signature, in id
-  /// order (the value-id analog of by_signature_, for `CandidateValueIds`).
-  std::unordered_map<std::string, std::vector<uint32_t>> signature_ids_;
   /// Streaming mode: per-value-id posting-list targets, so a row repeating a
   /// known value appends in O(#keys) pointer chases with no pattern work.
   /// Pointers into the node-based maps above stay valid across rehash.

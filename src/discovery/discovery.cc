@@ -21,7 +21,7 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
     const Relation& relation, const ColumnProfile& lhs_profile,
     const CandidateDependency& cand, const DiscoveryOptions& options,
     const ConstantMinerOptions& cm, const VariableMinerOptions& vm,
-    const ColumnIndexes& lhs_indexes) {
+    AutomatonCache* automata, const ColumnIndexes& lhs_indexes) {
   std::vector<DiscoveredPfd> out;
   const std::string& lhs_name = relation.schema().column(cand.lhs_col).name;
   const std::string& rhs_name = relation.schema().column(cand.rhs_col).name;
@@ -47,8 +47,7 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
                             std::move(tableau));
       ANMAT_ASSIGN_OR_RETURN(
           CoverageStats stats,
-          ComputeCoverage(pfd, relation, options.automata.get(),
-                          &lhs_indexes));
+          ComputeCoverage(pfd, relation, automata, &lhs_indexes));
       if (stats.Coverage() >= options.min_coverage &&
           stats.ViolationRate() <= options.allowed_violation_ratio) {
         out.push_back(DiscoveredPfd{std::move(pfd), stats,
@@ -77,8 +76,7 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
                             std::move(tableau));
       ANMAT_ASSIGN_OR_RETURN(
           CoverageStats stats,
-          ComputeCoverage(pfd, relation, options.automata.get(),
-                          &lhs_indexes));
+          ComputeCoverage(pfd, relation, automata, &lhs_indexes));
       if (stats.Coverage() >= options.min_coverage &&
           stats.ViolationRate() <= options.allowed_violation_ratio) {
         out.push_back(DiscoveredPfd{std::move(pfd), stats,
@@ -109,6 +107,12 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   VariableMinerOptions vm = options.variable_miner;
   vm.allowed_violation_ratio = options.allowed_violation_ratio;
 
+  // One automaton cache for the whole run, as detection's entry points
+  // install one: each distinct pattern compiles once across candidates.
+  const std::shared_ptr<AutomatonCache> automata =
+      options.automata != nullptr ? options.automata
+                                  : std::make_shared<AutomatonCache>();
+
   // One pattern index per LHS column, built once and shared read-only by
   // the coverage checks of every candidate on that column (the constant
   // and variable PFD of each).
@@ -116,7 +120,7 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   for (const CandidateDependency& c : candidates) lhs_cols.insert(c.lhs_col);
   const ColumnIndexes lhs_indexes = BuildColumnIndexes(
       relation, std::vector<size_t>(lhs_cols.begin(), lhs_cols.end()),
-      options.automata.get(), options.execution);
+      automata.get(), options.execution);
 
   // One task and one slot per candidate. Slots are merged in candidate
   // order and the final sort below is stable, so parallel output is
@@ -127,7 +131,8 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
   ParallelFor(options.execution, candidates.size(), [&](size_t i) {
     Result<std::vector<DiscoveredPfd>> mined =
         MineCandidate(relation, result.profiles[candidates[i].lhs_col],
-                      candidates[i], options, cm, vm, lhs_indexes);
+                      candidates[i], options, cm, vm, automata.get(),
+                      lhs_indexes);
     if (mined.ok()) {
       slots[i] = std::move(mined).value();
     } else {

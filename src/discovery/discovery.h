@@ -60,8 +60,8 @@ struct DiscoveryOptions {
   /// candidate, so with the cache installed (by `anmat::Engine`, like
   /// `execution`) each distinct pattern is compiled exactly once across
   /// all candidates — and shared with detection/repair afterwards. Null
-  /// gives each coverage call a private cache; results are byte-identical
-  /// either way.
+  /// gives the run one private cache; results are byte-identical either
+  /// way.
   std::shared_ptr<AutomatonCache> automata;
 
   ProfilerOptions profiler;

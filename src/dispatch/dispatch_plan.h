@@ -8,18 +8,17 @@
 /// distinct value of the cell's column matches the cell's pattern. With R
 /// rules on one column that is R independent automaton walks per distinct
 /// value. A `ColumnDispatcher` collects every embedded pattern probing one
-/// column, deduplicates by element-sequence signature into *slots*, groups
-/// the slots by shared prefixes (`PatternTrie`) into a few union automata
-/// (shared through `AutomatonCache::GetUnion`), and classifies each
-/// distinct value with ONE forward scan per group — filling an exact 0/1
-/// verdict vector per slot that the detection hot paths read instead of
-/// calling per-pattern matchers.
+/// column, deduplicates by element-sequence signature into *slots*, cuts
+/// the signature-sorted slots into groups of at most `kMaxUnionMembers`
+/// with one union automaton each (shared through
+/// `AutomatonCache::GetUnion`), and classifies each distinct value with
+/// ONE forward scan per group — filling an exact 0/1 verdict vector per
+/// slot that the detection hot paths read instead of calling per-pattern
+/// matchers.
 ///
 /// Verdicts are exact (a union automaton's accept set equals the member-
 /// by-member match decisions), so candidate sets, violations and stats are
-/// byte-identical to the per-pattern path. A `PatternIndex` can pre-filter
-/// classification: value ids outside a pattern's candidate superset
-/// provably do not match and keep verdict 0 without being scanned.
+/// byte-identical to the per-pattern path.
 ///
 /// The union automata are lazy (`MultiPatternDfa`): a group's scan
 /// materializes only the subset states its values walk, and the states
@@ -33,9 +32,8 @@
 /// column, daemon detects, streams) that share a union take turns on it.
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pattern/automaton_cache.h"
@@ -44,17 +42,11 @@
 
 namespace anmat {
 
-/// \brief Candidate prefilter for `ColumnDispatcher::ClassifyValues`:
-/// returns a provable superset of the value ids (>= `first_id`) that may
-/// match any of `members`. Ids outside the result are skipped and keep
-/// exact 0 verdicts. The detect layer binds `PatternIndex` through this,
-/// so dispatch stays independent of the index implementation.
-using DispatchPrefilter = std::function<std::vector<uint32_t>(
-    const std::vector<const Pattern*>& members, uint32_t first_id)>;
-
-/// Default cap on patterns per union automaton — deliberately large: one
-/// scan then classifies a value against (up to) every rule on the column.
-inline constexpr size_t kDefaultDispatchGroupSize = 1024;
+/// Most patterns one union automaton takes. A larger union walks more
+/// subset states per value and overruns the cache's state bound, flushing
+/// its memo over and over; 1,024 covers every rule set the paper's tables
+/// produce in one union.
+inline constexpr size_t kMaxUnionMembers = 1024;
 
 /// True when `p` may join a union automaton: its leading element is a
 /// literal or a bounded repeat. A leading unbounded class repeat (`\A+...`,
@@ -65,21 +57,22 @@ inline constexpr size_t kDefaultDispatchGroupSize = 1024;
 bool UnionFriendly(const Pattern& p);
 
 /// \brief One column's multi-pattern classifier: registered patterns
-/// (deduplicated into slots) -> prefix-grouped union automata -> per-slot
-/// verdict vectors over the column dictionary.
+/// (deduplicated into slots) -> one union automaton per group of
+/// signature-sorted slots -> per-slot verdict vectors over the column
+/// dictionary.
 class ColumnDispatcher {
  public:
   /// Registers `p` (copied) and returns its slot. Patterns with the same
   /// element-sequence signature share a slot. Must precede `Compile`.
   uint32_t AddPattern(const Pattern& p);
 
-  /// Groups the registered union-friendly slots by shared prefixes and
-  /// looks their lazy union automata up in `cache` (shared engine-wide;
-  /// one per signature set). Every union-friendly slot is covered; the
-  /// others keep the exact per-pattern path. Returns false — and leaves
-  /// the dispatcher unusable — only when no slot is union-friendly.
-  bool Compile(AutomatonCache* cache,
-               size_t max_group_size = kDefaultDispatchGroupSize);
+  /// Sorts the registered union-friendly slots by signature, cuts them
+  /// into consecutive groups of at most `kMaxUnionMembers` and looks each
+  /// group's lazy union automaton up in `cache` (shared engine-wide; one per
+  /// signature set). Every union-friendly slot is covered; the others keep
+  /// the exact per-pattern path. Returns false — and leaves the dispatcher
+  /// unusable — only when no slot is union-friendly.
+  bool Compile(AutomatonCache* cache);
 
   bool compiled() const { return compiled_; }
   /// True when slot `slot` classifies through a union automaton — only
@@ -88,17 +81,13 @@ class ColumnDispatcher {
   /// True when every registered slot is covered (callers may then skip
   /// per-pattern fallback structures for this column entirely).
   bool fully_covered() const { return num_covered_ == slots_.size(); }
-  size_t num_slots() const { return slots_.size(); }
   size_t num_groups() const { return groups_.size(); }
 
   /// Classifies dictionary values [first_id, dict.num_values()), extending
   /// every slot's verdict vector to dict.num_values(). One union-table
   /// scan per (value, group), holding the group's union mutex for the
-  /// group's whole scan. `prefilter` (optional, called before that lock is
-  /// taken) narrows each group's scan to the union of its members'
-  /// candidate value ids — ids outside provably do not match and stay 0.
-  void ClassifyValues(const ColumnDictionary& dict, uint32_t first_id,
-                      const DispatchPrefilter& prefilter = nullptr);
+  /// group's whole scan.
+  void ClassifyValues(const ColumnDictionary& dict, uint32_t first_id);
 
   /// Slot `slot`'s verdict vector (1 = value matches). The pointer is
   /// stable across `ClassifyValues` calls; entries are valid for every
@@ -119,12 +108,12 @@ class ColumnDispatcher {
  private:
   struct Group {
     std::shared_ptr<SharedUnion> automaton;
-    std::vector<uint32_t> slots;    ///< member slots, trie-group order
     std::vector<uint32_t> to_slot;  ///< automaton pattern id -> slot
   };
 
   std::vector<Pattern> slots_;  ///< one representative pattern per slot
-  std::unordered_map<std::string, uint32_t> slot_of_signature_;
+  /// Signature -> slot, iterated in signature order by `Compile`.
+  std::map<std::string, uint32_t> slot_of_signature_;
   std::vector<Group> groups_;
   /// Outer vectors fixed at Compile (stable inner addresses for
   /// `verdicts` / `match_ids`).

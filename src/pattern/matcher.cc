@@ -43,14 +43,6 @@ bool PatternMatcher::Matches(std::string_view s) const {
   return true;
 }
 
-bool PatternMatcher::concurrent_safe() const {
-  if (!dfa_.concurrent_safe()) return false;
-  for (const CompiledDfa& c : conjunct_dfas_) {
-    if (!c.concurrent_safe()) return false;
-  }
-  return true;
-}
-
 ConstrainedMatcher::ConstrainedMatcher(const ConstrainedPattern& pattern,
                                        AutomatonCache* cache)
     : pattern_(pattern), embedded_dfa_(pattern_.EmbeddedPattern(), cache) {
@@ -58,14 +50,6 @@ ConstrainedMatcher::ConstrainedMatcher(const ConstrainedPattern& pattern,
   for (const PatternSegment& seg : pattern.segments()) {
     segment_dfas_.emplace_back(seg.pattern, cache);
   }
-}
-
-bool ConstrainedMatcher::concurrent_safe() const {
-  if (!embedded_dfa_.concurrent_safe()) return false;
-  for (const CompiledDfa& seg : segment_dfas_) {
-    if (!seg.concurrent_safe()) return false;
-  }
-  return true;
 }
 
 bool ConstrainedMatcher::Matches(std::string_view s) const {

@@ -10,10 +10,13 @@
 ///
 /// Both matchers optionally compile through an `AutomatonCache`
 /// (pattern/automaton_cache.h): automata then come out as shared frozen
-/// tables, compiled once per cache lifetime, and a matcher whose slots are
-/// all frozen (`concurrent_safe()`) may be probed from many threads at
-/// once. Without a cache each matcher owns private lazy `Dfa`s, exactly
-/// the pre-cache behavior. Results are byte-identical either way.
+/// tables, compiled once per cache lifetime, and a matcher whose slots all
+/// froze may be probed from many threads at once. Without a cache, or for
+/// a pattern too large to freeze (the cache counts those in
+/// `fallbacks()`), a slot is a private lazy `Dfa` whose memo grows under
+/// the const interface, so only one thread may probe it. A matcher keeps no
+/// per-query state of its own (per-string scratch lives on the caller's
+/// stack). Results are byte-identical either way.
 
 #include <optional>
 #include <string>
@@ -40,11 +43,6 @@ class CompiledDfa {
   bool Matches(std::string_view s) const;
   size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out) const;
 
-  /// True when backed by a shared frozen automaton: probes are lock-free
-  /// and safe from any number of threads. A lazy fallback is single-owner
-  /// (its memo tables grow under the const interface).
-  bool concurrent_safe() const { return frozen_ != nullptr; }
-
  private:
   std::shared_ptr<const FrozenDfa> frozen_;
   std::optional<Dfa> lazy_;  ///< engaged iff `frozen_` is null
@@ -63,9 +61,6 @@ class PatternMatcher {
 
   /// s ↦ P : does the whole string match?
   bool Matches(std::string_view s) const;
-
-  /// All automata frozen: `Matches` is safe under concurrent callers.
-  bool concurrent_safe() const;
 
   const Pattern& pattern() const { return pattern_; }
 
@@ -93,10 +88,6 @@ class ConstrainedMatcher {
                               AutomatonCache* cache = nullptr);
 
   const ConstrainedPattern& pattern() const { return pattern_; }
-
-  /// All automata frozen: every query below is safe under concurrent
-  /// callers (the per-string scratch lives on the caller's stack).
-  bool concurrent_safe() const;
 
   /// s ↦ Q : does the string match the embedded pattern?
   bool Matches(std::string_view s) const;

@@ -43,10 +43,11 @@ Relation ZipRelation(const std::vector<std::pair<std::string, std::string>>&
 }
 
 TEST(CoverageTest, FullCoverageNoViolations) {
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"}, {"90002", "LA"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city", OneRowTableau("(900)!\\D{2}",
                                                           "LA"));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.total_rows, 2u);
   EXPECT_EQ(stats.covered_rows, 2u);
   EXPECT_EQ(stats.violating_rows, 0u);
@@ -55,21 +56,23 @@ TEST(CoverageTest, FullCoverageNoViolations) {
 }
 
 TEST(CoverageTest, PartialCoverage) {
+  AutomatonCache cache;
   Relation rel = ZipRelation(
       {{"90001", "LA"}, {"10001", "NY"}, {"90002", "LA"}, {"10002", "NY"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city", OneRowTableau("(900)!\\D{2}",
                                                           "LA"));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 2u);
   EXPECT_DOUBLE_EQ(stats.Coverage(), 0.5);
 }
 
 TEST(CoverageTest, ConstantViolationCounted) {
+  AutomatonCache cache;
   Relation rel = ZipRelation(
       {{"90001", "LA"}, {"90002", "LA"}, {"90003", "New York"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city", OneRowTableau("(900)!\\D{2}",
                                                           "LA"));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 3u);
   EXPECT_EQ(stats.violating_rows, 1u);
   EXPECT_NEAR(stats.ViolationRate(), 1.0 / 3.0, 1e-9);
@@ -77,6 +80,7 @@ TEST(CoverageTest, ConstantViolationCounted) {
 
 TEST(CoverageTest, VariablePfdMajorityRule) {
   // Keys "900xx": 2x LA, 1x NY -> 1 violating row. Keys "100xx": all NY.
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"},
                               {"90002", "LA"},
                               {"90003", "NY"},
@@ -84,16 +88,17 @@ TEST(CoverageTest, VariablePfdMajorityRule) {
                               {"10002", "NY"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city",
                         OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 5u);
   EXPECT_EQ(stats.violating_rows, 1u);
 }
 
 TEST(CoverageTest, VariablePfdSingletonGroupsNeverViolate) {
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"}, {"10001", "NY"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city",
                         OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 2u);
   EXPECT_EQ(stats.violating_rows, 0u);
 }
@@ -101,38 +106,43 @@ TEST(CoverageTest, VariablePfdSingletonGroupsNeverViolate) {
 TEST(CoverageTest, VariablePfdTieCountsMinoritySide) {
   // 1x LA vs 1x NY under the same key: a genuine conflict; exactly one side
   // (the lexicographically later one) is counted violating.
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"}, {"90002", "NY"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city",
                         OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.violating_rows, 1u);
 }
 
 TEST(CoverageTest, NonMatchingRowsNotCovered) {
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"}, {"not-a-zip", "LA"}});
   Pfd pfd = Pfd::Simple("Z", "zip", "city",
                         OneRowTableau("(\\D{3})!\\D{2}", nullptr));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 1u);
 }
 
 TEST(CoverageTest, EmptyRelation) {
+  AutomatonCache cache;
   Relation rel = ZipRelation({});
   Pfd pfd = Pfd::Simple("Z", "zip", "city", OneRowTableau("(900)!\\D{2}",
                                                           "LA"));
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.total_rows, 0u);
   EXPECT_DOUBLE_EQ(stats.Coverage(), 0.0);
   EXPECT_DOUBLE_EQ(stats.ViolationRate(), 0.0);
 }
 
 TEST(CoverageTest, InvalidPfdRejected) {
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "LA"}});
   Pfd pfd = Pfd::Simple("Z", "nope", "city", OneRowTableau("(9)!\\D", "LA"));
-  EXPECT_FALSE(ComputeCoverage(pfd, rel).ok());
+  EXPECT_FALSE(ComputeCoverage(pfd, rel, &cache).ok());
 }
 
 TEST(CoverageTest, MultiRowTableauUnionCoverage) {
+  AutomatonCache cache;
   Relation rel = ZipRelation(
       {{"90001", "LA"}, {"10001", "NY"}, {"60601", "Chicago"}});
   Tableau t;
@@ -149,12 +159,13 @@ TEST(CoverageTest, MultiRowTableauUnionCoverage) {
     t.AddRow(row);
   }
   Pfd pfd = Pfd::Simple("Z", "zip", "city", t);
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 2u);  // Chicago row not covered
   EXPECT_EQ(stats.violating_rows, 0u);
 }
 
 TEST(CoverageTest, MultiAttributeLhs) {
+  AutomatonCache cache;
   RelationBuilder builder(
       Schema::MakeText({"zip", "state", "city"}).value());
   EXPECT_TRUE(builder.AddRow({"90001", "CA", "LA"}).ok());
@@ -170,12 +181,13 @@ TEST(CoverageTest, MultiAttributeLhs) {
   t.AddRow(row);
   Pfd pfd("T", {"zip", "state"}, {"city"}, t);
 
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 2u);   // WA row fails the state cell
   EXPECT_EQ(stats.violating_rows, 1u);
 }
 
 TEST(CoverageTest, MultiAttributeVariableGroupsOnCompositeKey) {
+  AutomatonCache cache;
   RelationBuilder builder(
       Schema::MakeText({"code", "region", "label"}).value());
   // Key = (first digit of code, whole region). Same composite key must
@@ -194,20 +206,21 @@ TEST(CoverageTest, MultiAttributeVariableGroupsOnCompositeKey) {
   t.AddRow(row);
   Pfd pfd("T", {"code", "region"}, {"label"}, t);
 
-  CoverageStats stats = ComputeCoverage(pfd, rel).value();
+  CoverageStats stats = ComputeCoverage(pfd, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 4u);
   EXPECT_EQ(stats.violating_rows, 1u);
 }
 
 TEST(CoverageTest, PaperTable2Scenario) {
   // Table 2: λ3 (900\D{2} → Los Angeles) covers all 4 rows; s4 violates.
+  AutomatonCache cache;
   Relation rel = ZipRelation({{"90001", "Los Angeles"},
                               {"90002", "Los Angeles"},
                               {"90003", "Los Angeles"},
                               {"90004", "New York"}});
   Pfd lambda3 = Pfd::Simple("Zip", "zip", "city",
                             OneRowTableau("(900)!\\D{2}", "Los\\ Angeles"));
-  CoverageStats stats = ComputeCoverage(lambda3, rel).value();
+  CoverageStats stats = ComputeCoverage(lambda3, rel, &cache).value();
   EXPECT_EQ(stats.covered_rows, 4u);
   EXPECT_EQ(stats.violating_rows, 1u);
   EXPECT_DOUBLE_EQ(stats.Coverage(), 1.0);
@@ -218,13 +231,14 @@ TEST(CoverageTest, NonLiteralRhsRowIsSkippedLikeDetection) {
   // A row whose RHS is a pattern (neither a constant nor a wildcard)
   // constrains format only; detection skips it, and so does coverage: it
   // covers no row and flags none. Discovery never mines such rows.
+  AutomatonCache cache;
   Relation rel = ZipRelation(
       {{"90001", "LA"}, {"90002", "LA"}, {"90003", "NY"}, {"10001", "NY"}});
   Pfd pattern_rhs = Pfd::Simple(
       "Z", "zip", "city", OneRowTableau("(\\D{3})!\\D{2}", "\\LU{2}"));
   ASSERT_FALSE(pattern_rhs.tableau().row(0).IsConstantRow());
   ASSERT_FALSE(pattern_rhs.tableau().row(0).IsVariableRow());
-  CoverageStats stats = ComputeCoverage(pattern_rhs, rel).value();
+  CoverageStats stats = ComputeCoverage(pattern_rhs, rel, &cache).value();
   EXPECT_EQ(stats.total_rows, 4u);
   EXPECT_EQ(stats.covered_rows, 0u);
   EXPECT_EQ(stats.violating_rows, 0u);
@@ -232,7 +246,8 @@ TEST(CoverageTest, NonLiteralRhsRowIsSkippedLikeDetection) {
   // Beside a constant row, only the constant row counts.
   Tableau t = OneRowTableau("(100)!\\D{2}", "NY");
   t.AddRow(pattern_rhs.tableau().row(0));
-  stats = ComputeCoverage(Pfd::Simple("Z", "zip", "city", t), rel).value();
+  stats = ComputeCoverage(Pfd::Simple("Z", "zip", "city", t), rel, &cache)
+              .value();
   EXPECT_EQ(stats.covered_rows, 1u);
   EXPECT_EQ(stats.violating_rows, 0u);
 }
@@ -353,8 +368,9 @@ TEST_P(CoverageDifferentialTest, MatchesReferenceAndBruteForce) {
           << label;
 
       // A private cache per call gives the same statistics.
+      AutomatonCache private_cache;
       const CoverageStats private_stats =
-          ComputeCoverage(pfd, d.relation).value();
+          ComputeCoverage(pfd, d.relation, &private_cache).value();
       EXPECT_EQ(private_stats.covered_rows, stats.covered_rows) << label;
       EXPECT_EQ(private_stats.violating_rows, stats.violating_rows) << label;
 

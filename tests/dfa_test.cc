@@ -346,7 +346,7 @@ TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
     const Pattern p = RandomPattern(rng);
     const PatternMatcher lazy(p);
     const PatternMatcher cached(p, &cache);
-    EXPECT_TRUE(cached.concurrent_safe());
+    EXPECT_EQ(cache.fallbacks(), 0u) << p.ToString();  // frozen-backed
     for (int k = 0; k < 15; ++k) {
       const std::string s = RandomString(rng, p, /*noise=*/0.2);
       ASSERT_EQ(cached.Matches(s), lazy.Matches(s))
@@ -363,7 +363,7 @@ TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
     const ConstrainedPattern q = ParseConstrainedPattern(text).value();
     const ConstrainedMatcher lazy(q);
     const ConstrainedMatcher cached(q, &cache);
-    EXPECT_TRUE(cached.concurrent_safe());
+    EXPECT_EQ(cache.fallbacks(), 0u) << text;  // frozen-backed
     Rng inner(7);
     for (int k = 0; k < 200; ++k) {
       const std::string s =
@@ -388,7 +388,7 @@ TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
   AutomatonCache cache;
   const ConstrainedMatcher matcher(
       ParseConstrainedPattern("(\\D{3})!\\D{2}").value(), &cache);
-  ASSERT_TRUE(matcher.concurrent_safe());
+  ASSERT_EQ(cache.fallbacks(), 0u);  // frozen-backed: lock-free probes
 
   std::vector<std::string> inputs;
   Rng rng(77003);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,9 +12,7 @@
 #include "datagen/geo.h"
 #include "detect/detection_stream.h"
 #include "detect/detector.h"
-#include "detect/pattern_index.h"
 #include "dispatch/dispatch_plan.h"
-#include "dispatch/pattern_trie.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
 #include "pattern/pattern_parser.h"
@@ -308,57 +305,6 @@ TEST(SharedUnionTest, ConcurrentDispatchersShareOneUnionExactly) {
             static_cast<size_t>(kThreads) * kRounds);
 }
 
-// ----------------------------------------------------------- pattern trie
-
-TEST(PatternTrieTest, GroupsPartitionIdsAndKeepPrefixFamiliesTogether) {
-  PatternTrie trie;
-  // Three prefix families; family members differ only in a suffix element.
-  std::vector<std::string> texts;
-  for (const char* prefix : {"900", "606", "100"}) {
-    for (const char* suffix : {"\\D{2}", "\\D{3}", "a", "b\\LL*"}) {
-      texts.push_back(std::string(prefix) + suffix);
-    }
-  }
-  for (uint32_t id = 0; id < texts.size(); ++id) {
-    trie.Insert(id, P(texts[id].c_str()));
-  }
-  EXPECT_EQ(trie.num_patterns(), texts.size());
-
-  const std::vector<std::vector<uint32_t>> groups = trie.Groups(4);
-  std::set<uint32_t> seen;
-  for (const std::vector<uint32_t>& g : groups) {
-    EXPECT_LE(g.size(), 4u);
-    for (uint32_t id : g) EXPECT_TRUE(seen.insert(id).second) << id;
-  }
-  EXPECT_EQ(seen.size(), texts.size());
-  // Each 4-member family fits one group exactly, so no group mixes
-  // families (ids 0..3, 4..7, 8..11 share their leading literals).
-  for (const std::vector<uint32_t>& g : groups) {
-    std::set<uint32_t> families;
-    for (uint32_t id : g) families.insert(id / 4);
-    EXPECT_EQ(families.size(), 1u);
-  }
-}
-
-TEST(PatternTrieTest, OversizedFamilySplitsButCoversEveryId) {
-  PatternTrie trie;
-  for (uint32_t id = 0; id < 23; ++id) {
-    std::vector<PatternElement> elements;
-    elements.push_back(PatternElement::Literal('x'));
-    PatternElement e = PatternElement::Class(SymbolClass::kDigit);
-    e.min = e.max = 1 + id;  // distinct bounded repetitions, same prefix
-    elements.push_back(e);
-    trie.Insert(id, Pattern(std::move(elements)));
-  }
-  const std::vector<std::vector<uint32_t>> groups = trie.Groups(5);
-  size_t total = 0;
-  for (const std::vector<uint32_t>& g : groups) {
-    EXPECT_LE(g.size(), 5u);
-    total += g.size();
-  }
-  EXPECT_EQ(total, 23u);
-}
-
 // ------------------------------------------------- shared union automata
 
 TEST(AutomatonCacheTest, GetUnionCompilesOncePerSignatureSet) {
@@ -403,52 +349,64 @@ TEST(AutomatonCacheTest, GetUnionCompilesOncePerSignatureSet) {
 
 // ---------------------------------------------------- column dispatcher
 
-TEST(ColumnDispatcherTest, PrefilterKeepsVerdictsExact) {
-  Rng rng(11);
-  Relation rel(Schema::MakeText({"zip"}).value());
-  for (int i = 0; i < 400; ++i) {
-    const ZipRegion& region = rng.Choose(ZipRegions());
-    ASSERT_TRUE(rel.AppendRow({RandomZip(rng, region)}).ok());
-  }
+TEST(ColumnDispatcherTest, CutsSignatureSortedSlotsIntoCappedUnions) {
+  // One more slot than two full unions take, registered in shuffled
+  // order: "0\D{2}", "1\D{2}", ..., each leading with a literal.
+  const size_t n = 2 * kMaxUnionMembers + 1;
   std::vector<Pattern> patterns;
-  for (const ZipRegion& region : ZipRegions()) {
-    patterns.push_back(P((region.prefix + "\\D{2}").c_str()));
+  for (size_t i = 0; i < n; ++i) {
+    patterns.push_back(P((std::to_string(i) + "\\D{2}").c_str()));
   }
-  patterns.push_back(P("\\D{5}"));
-  patterns.push_back(P("\\LU\\LL+"));
+  Rng rng(25);
+  rng.Shuffle(&patterns);
+  Relation rel(Schema::MakeText({"code"}).value());
+  for (int i = 0; i < 300; ++i) {
+    const std::string value =
+        std::to_string(rng.NextBelow(n)) + rng.NextString(2, "0123456789x");
+    ASSERT_TRUE(rel.AppendRow({value}).ok());
+  }
+  const ColumnDictionary& dict = rel.dictionary(0);
 
   AutomatonCache cache;
-  PatternIndex index(rel, 0, &cache);
-  ColumnDispatcher with;
-  ColumnDispatcher without;
+  ColumnDispatcher cd;
   std::vector<uint32_t> slots;
-  for (const Pattern& p : patterns) {
-    const uint32_t slot = with.AddPattern(p);
-    ASSERT_EQ(without.AddPattern(p), slot);
-    slots.push_back(slot);
-  }
-  // Small groups: several unions, each scanning only its candidates.
-  ASSERT_TRUE(with.Compile(&cache, /*max_group_size=*/4));
-  ASSERT_GT(with.num_groups(), 1u);
-  ASSERT_TRUE(without.Compile(&cache));
-  const ColumnDictionary& dict = rel.dictionary(0);
-  with.ClassifyValues(dict, 0,
-                      [&index](const std::vector<const Pattern*>& members,
-                               uint32_t first_id) {
-                        return index.CandidateValueIds(members, first_id);
-                      });
-  without.ClassifyValues(dict, 0, /*prefilter=*/nullptr);
+  for (const Pattern& p : patterns) slots.push_back(cd.AddPattern(p));
+  ASSERT_TRUE(cd.Compile(&cache));
+  EXPECT_EQ(cd.num_groups(), 3u);
+  EXPECT_TRUE(cd.fully_covered());
+  // Every slot is a member of exactly one union: the three unions hold n
+  // patterns between them, and each slot is covered.
+  const DispatchStats stats = cache.dispatch_stats();
+  EXPECT_EQ(stats.automata, 3u);
+  EXPECT_EQ(stats.total_patterns, n);
 
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    const std::vector<int8_t>* a = with.verdicts(slots[i]);
-    const std::vector<int8_t>* b = without.verdicts(slots[i]);
-    ASSERT_EQ(*a, *b) << "pattern " << i;
-    Dfa dfa = Dfa::Compile(patterns[i]);
+  // The first union is the signature-sorted prefix.
+  std::vector<std::pair<std::string, const Pattern*>> by_signature;
+  for (const Pattern& p : patterns) {
+    by_signature.emplace_back(AutomatonCache::KeyOf(p), &p);
+  }
+  std::sort(by_signature.begin(), by_signature.end());
+  std::vector<const Pattern*> smallest;
+  for (size_t i = 0; i < kMaxUnionMembers; ++i) {
+    smallest.push_back(by_signature[i].second);
+  }
+  cache.GetUnion(smallest);
+  EXPECT_EQ(cache.dispatch_stats().hits, stats.hits + 1);
+  EXPECT_EQ(cache.dispatch_stats().misses, stats.misses);
+
+  cd.ClassifyValues(dict, 0);
+  size_t matches = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(cd.covers(slots[i])) << patterns[i].ToString();
+    const std::vector<int8_t>& verdicts = *cd.verdicts(slots[i]);
+    const Dfa dfa = Dfa::Compile(patterns[i]);
     for (uint32_t id = 0; id < dict.num_values(); ++id) {
-      ASSERT_EQ((*a)[id] != 0, dfa.Matches(dict.value(id)))
-          << "pattern " << i << " value " << dict.value(id);
+      ASSERT_EQ(verdicts[id] != 0, dfa.Matches(dict.value(id)))
+          << patterns[i].ToString() << " value " << dict.value(id);
+      matches += verdicts[id];
     }
   }
+  EXPECT_GT(matches, 0u);
 }
 
 // ------------------------------- detector / stream vs the reference oracle
@@ -499,13 +457,12 @@ std::vector<Pfd> ZipRulesWithLeadingRepeat() {
 }
 
 /// `ZipRulePerRegion` plus more constant rows than one union takes
-/// (`kDefaultDispatchGroupSize`), none of which matches a zip: the column
-/// splits into several unions, each classified through the pattern-index
-/// prefilter.
+/// (`kMaxUnionMembers`), none of which matches a zip: the column splits
+/// into several unions.
 std::vector<Pfd> ZipRulesPastOneGroup() {
   std::vector<Pfd> pfds = ZipRulePerRegion();
   Tableau t;
-  for (size_t i = 0; i < kDefaultDispatchGroupSize; ++i) {
+  for (size_t i = 0; i < kMaxUnionMembers; ++i) {
     const std::string code = std::to_string(i);
     TableauRow row;
     row.lhs.push_back(TableauCell::Of(
@@ -683,28 +640,36 @@ void FeedAndCheckAgainstReference(DetectionStream& stream,
 TEST(DispatchStreamTest, MatchesReferenceAfterEveryBatch) {
   const Dataset d = ZipCityStateDataset(1200, 33, 0.05);
   for (const DispatchShape& shape : DispatchShapes()) {
-    const DetectorOptions options = ShapeOptions(shape, 2);
-    auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
-                                        options);
-    ASSERT_TRUE(stream.ok()) << stream.status().message();
-    FeedAndCheckAgainstReference(*stream.value(), d.relation, 300,
-                                 shape.name);
-    // The per-batch combined scans consulted the shared tables.
-    EXPECT_GT(options.automata->dispatch_stats().probes, 0u) << shape.name;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const std::string label =
+          std::string(shape.name) + ", " + std::to_string(threads) +
+          " threads";
+      const DetectorOptions options = ShapeOptions(shape, threads);
+      auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
+                                          options);
+      ASSERT_TRUE(stream.ok()) << stream.status().message();
+      FeedAndCheckAgainstReference(*stream.value(), d.relation, 300, label);
+      // The per-batch combined scans consulted the shared tables.
+      EXPECT_GT(options.automata->dispatch_stats().probes, 0u) << label;
+    }
   }
 }
 
 TEST(DispatchStreamTest, CleanOnIngestMatchesReferenceOverCleanedRows) {
   const Dataset d = ZipCityStateDataset(900, 57, 0.08);
   for (const DispatchShape& shape : DispatchShapes()) {
-    auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
-                                        ShapeOptions(shape, 2));
-    ASSERT_TRUE(stream.ok()) << stream.status().message();
-    stream.value()->set_clean_on_ingest(true);
-    FeedAndCheckAgainstReference(*stream.value(), d.relation, 150,
-                                 shape.name);
-    // The workload has errors, so real repairs were applied.
-    EXPECT_GT(stream.value()->repairs().size(), 0u) << shape.name;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const std::string label =
+          std::string(shape.name) + ", " + std::to_string(threads) +
+          " threads";
+      auto stream = DetectionStream::Open(d.relation.schema(), shape.pfds,
+                                          ShapeOptions(shape, threads));
+      ASSERT_TRUE(stream.ok()) << stream.status().message();
+      stream.value()->set_clean_on_ingest(true);
+      FeedAndCheckAgainstReference(*stream.value(), d.relation, 150, label);
+      // The workload has errors, so real repairs were applied.
+      EXPECT_GT(stream.value()->repairs().size(), 0u) << label;
+    }
   }
 }
 

@@ -352,7 +352,8 @@ TEST_P(CoverageMonotonicityProperty, ErrorsOnlyAddViolations) {
   bool first = true;
   for (double rate : {0.0, 0.05, 0.15, 0.3}) {
     Dataset d = ZipCityStateDataset(300, seed, rate);
-    CoverageStats stats = ComputeCoverage(pfd, d.relation).value();
+    AutomatonCache cache;
+    CoverageStats stats = ComputeCoverage(pfd, d.relation, &cache).value();
     if (!first) {
       EXPECT_EQ(stats.covered_rows, prev.covered_rows);  // LHS untouched
       EXPECT_GE(stats.violating_rows, prev.violating_rows);
