@@ -1,4 +1,4 @@
-// A10 — zero-copy columnar ingest and vectorized scan kernels.
+// A10 — zero-copy columnar ingest and the scan prefilter.
 //
 // File ingest used to slurp the file into a std::string and then copy
 // every cell into its own owned std::string — two copies of every byte
@@ -6,18 +6,15 @@
 // the file, splits records with the SIMD structural-byte scanner
 // (simd::FindStructural) and stores unquoted cells as `string_view`s
 // straight into the mapping (the relation's arena adopts the map; escaped
-// cells are unescaped once into the arena). On the scan side the frozen
-// automata (frozen_dfa.h, multi_pattern_dfa.h) classify input 16 bytes per
-// iteration (simd::ClassifyBytes) and reject values missing their
-// mandatory literal with one memchr-anchored scan before touching the
-// transition table.
+// cells are unescaped once into the arena). On the scan side the automata
+// (dfa.h, multi_pattern_dfa.h) reject values missing their mandatory
+// literal with one memchr-anchored scan before touching the transition
+// table.
 //
 // Content: ingest throughput (MB/s) for the copying parser vs the
 // zero-copy reader on the same on-disk CSV — with cell-for-cell byte
 // identity and identical detection results asserted — plus peak-RSS
-// readings around each ingest, and scan throughput (values/s) for the
-// lazy DFA vs the frozen vectorized walk on short values, page-sized
-// values and a prefilter-heavy workload.
+// readings around each ingest.
 // Performance: the same comparisons as google-benchmark timings
 // (tools/bench.sh writes BENCH_A10.json). ANMAT_BENCH_QUICK=1 shrinks
 // workloads (CI smoke).
@@ -37,7 +34,6 @@
 #include "datagen/datasets.h"
 #include "detect/detector.h"
 #include "pattern/dfa.h"
-#include "pattern/frozen_dfa.h"
 #include "pattern/pattern_parser.h"
 #include "pfd/pfd.h"
 #include "util/fs.h"
@@ -122,24 +118,8 @@ std::string FingerprintViolations(const anmat::DetectionResult& d) {
   return out;
 }
 
-/// Measures `fn` over a fixed wall-clock window, returning calls/sec of
-/// the inner unit count.
-template <typename Fn>
-double Throughput(double window_secs, size_t units_per_call, Fn&& fn) {
-  size_t units = 0;
-  const auto start = std::chrono::steady_clock::now();
-  do {
-    fn();
-    units += units_per_call;
-  } while (SecondsSince(start) < window_secs);
-  return static_cast<double>(units) / SecondsSince(start);
-}
-
 void ReproduceContent() {
-  Banner("A10",
-         "zero-copy mmap ingest vs copying parse; vectorized frozen scans "
-         "and literal prefilters");
-  const double window = anmat_bench::QuickMode() ? 0.1 : 0.5;
+  Banner("A10", "zero-copy mmap ingest vs copying parse; literal prefilter");
   const std::string path = "/tmp/anmat_bench_a10.csv";
   const size_t rows = Sized(400000, 8000);
   const size_t file_bytes = WriteWorkloadCsv(path, rows);
@@ -194,84 +174,6 @@ void ReproduceContent() {
             << " identical violations\n";
   std::remove(path.c_str());
 
-  // ---- scan kernels: lazy walk vs frozen vectorized walk ----
-  struct ScanWorkload {
-    std::string name;
-    std::string pattern;
-    std::vector<std::string> values;
-  };
-  std::vector<ScanWorkload> workloads;
-  {
-    ScanWorkload w;
-    w.name = "zip (short values)";
-    w.pattern = "\\D{5}";
-    const anmat::Dataset d =
-        anmat::ZipCityStateDataset(Sized(20000, 2000), 7, 0.02);
-    w.values.assign(d.relation.column(0).begin(),
-                    d.relation.column(0).end());
-    workloads.push_back(std::move(w));
-  }
-  {
-    // Page-sized values: the chunked ClassifyBytes path dominates.
-    ScanWorkload w;
-    w.name = "digits (4KiB values)";
-    w.pattern = "\\D+";
-    anmat::Rng rng(11);
-    for (size_t i = 0; i < Sized(200, 40); ++i) {
-      std::string v;
-      for (size_t j = 0; j < 4096; ++j) {
-        v.push_back(static_cast<char>('0' + rng.NextBelow(10)));
-      }
-      if (i % 8 == 0) v[rng.NextBelow(v.size())] = 'x';  // some rejects
-      w.values.push_back(std::move(v));
-    }
-    workloads.push_back(std::move(w));
-  }
-  {
-    // Prefilter-heavy: most values lack the mandatory "CHEMBL" literal,
-    // so the frozen walk rejects them without touching the table.
-    ScanWorkload w;
-    w.name = "code (prefilter miss)";
-    w.pattern = "CHEMBL\\D{1,7}";
-    const anmat::Dataset d =
-        anmat::ZipCityStateDataset(Sized(20000, 2000), 13, 0.02);
-    w.values.assign(d.relation.column(1).begin(),
-                    d.relation.column(1).end());
-    for (size_t i = 0; i < w.values.size(); i += 50) {
-      w.values[i] = "CHEMBL" + std::to_string(i);
-    }
-    workloads.push_back(std::move(w));
-  }
-
-  anmat::TextTable stable({"workload", "pattern", "lazy values/s",
-                           "frozen values/s", "frozen/lazy"});
-  for (const ScanWorkload& w : workloads) {
-    const anmat::Pattern p = anmat::ParsePattern(w.pattern).value();
-    const anmat::Dfa lazy = anmat::Dfa::Compile(p);
-    auto frozen = lazy.Freeze();
-    CheckOrDie(frozen != nullptr, w.name + ": pattern freezes");
-    size_t lazy_matches = 0, frozen_matches = 0;
-    for (const std::string& v : w.values) {
-      lazy_matches += lazy.Matches(v);
-      frozen_matches += frozen->Matches(v);
-    }
-    CheckOrDie(lazy_matches == frozen_matches,
-               w.name + ": frozen decisions byte-identical to lazy");
-    const double lazy_tput = Throughput(window, w.values.size(), [&] {
-      size_t m = 0;
-      for (const std::string& v : w.values) m += lazy.Matches(v);
-      benchmark::DoNotOptimize(m);
-    });
-    const double frozen_tput = Throughput(window, w.values.size(), [&] {
-      size_t m = 0;
-      for (const std::string& v : w.values) m += frozen->Matches(v);
-      benchmark::DoNotOptimize(m);
-    });
-    stable.AddRow({w.name, w.pattern, std::to_string(size_t(lazy_tput)),
-                   std::to_string(size_t(frozen_tput)),
-                   std::to_string(frozen_tput / lazy_tput)});
-  }
-  std::cout << stable.Render();
   std::cout << "simd level: " << anmat::simd::LevelName() << "\n";
 }
 
@@ -306,45 +208,24 @@ void BM_IngestCopying(benchmark::State& state) {
 BENCHMARK(BM_IngestZeroCopy)->Arg(20000)->Arg(100000);
 BENCHMARK(BM_IngestCopying)->Arg(20000)->Arg(100000);
 
-void BM_ClassifyBytes(benchmark::State& state) {
-  // \D+ stays live across the whole 64KiB buffer, so the walk covers every
-  // byte (a bounded pattern would dead-state after a few transitions).
-  const anmat::Dfa dfa =
-      anmat::Dfa::Compile(anmat::ParsePattern("\\D+").value());
-  auto frozen = dfa.Freeze();
-  std::string input;
-  anmat::Rng rng(3);
-  for (int i = 0; i < 1 << 16; ++i) {
-    input.push_back(static_cast<char>('0' + rng.NextBelow(10)));
-  }
-  for (auto _ : state) {
-    size_t m = frozen->Matches(input) ? 1 : 0;
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(input.size()));
-}
-
 void BM_PrefilterReject(benchmark::State& state) {
-  // Values that lack the mandatory literal: the frozen walk is one
-  // memchr-backed scan per value.
-  auto frozen =
-      anmat::Dfa::Compile(anmat::ParsePattern("CHEMBL\\D{1,7}").value())
-          .Freeze();
+  // Values that lack the mandatory literal: the walk is one memchr-backed
+  // scan per value.
+  const anmat::Dfa dfa =
+      anmat::Dfa::Compile(anmat::ParsePattern("CHEMBL\\D{1,7}").value());
   std::vector<std::string> values;
   for (int i = 0; i < 4096; ++i) {
     values.push_back("plain value " + std::to_string(i));
   }
   for (auto _ : state) {
     size_t m = 0;
-    for (const std::string& v : values) m += frozen->Matches(v);
+    for (const std::string& v : values) m += dfa.Matches(v);
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(values.size()));
 }
 
-BENCHMARK(BM_ClassifyBytes);
 BENCHMARK(BM_PrefilterReject);
 
 }  // namespace

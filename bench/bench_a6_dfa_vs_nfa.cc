@@ -1,22 +1,20 @@
-// A6 — lazy-DFA matching engine vs the NFA reference, frozen shared
-// automata vs the lazy DFA, and value-dictionary detection vs the per-row
-// reference detector.
+// A6 — lazy-DFA matching engine vs the NFA reference, and value-dictionary
+// detection vs the per-row reference detector.
 //
 // The NFA simulation (nfa.cc) allocates/sorts/epsilon-closes a state set per
 // input character; the lazy DFA (dfa.h) compresses the byte alphabet into
 // symbol classes and memoizes subset construction, so a match is one table
-// lookup per byte. The frozen DFA (frozen_dfa.h) runs subset construction
-// eagerly into an immutable flat table — no lazy-edge check per byte, safe
-// for lock-free sharing — and the engine-wide AutomatonCache
-// (automaton_cache.h) compiles each distinct pattern exactly once, so
-// repeated detect/repair runs amortize all compilation. The column value
-// dictionary (relation.h) lets detection match each *distinct* value once
-// instead of once per row, as `ReferenceDetectErrors` does.
+// lookup per byte. The engine-wide AutomatonCache (automaton_cache.h)
+// compiles each distinct pattern exactly once and hands every matcher a
+// private copy, so repeated detect/repair runs amortize all compilation.
+// The column value dictionary (relation.h) lets detection match each
+// *distinct* value once instead of once per row, as `ReferenceDetectErrors`
+// does.
 //
-// Content: match throughput (values/sec) for NFA vs lazy DFA vs frozen DFA
-// on the synthetic code/phone/zip generators (DFA expected >= 5x NFA,
-// frozen expected >= lazy), matcher-compilation amortization with a shared
-// cache, wall-clock constant-rule detection on a duplicate-heavy column,
+// Content: match throughput (values/sec) for NFA vs lazy DFA on the
+// synthetic code/phone/zip generators (DFA expected >= 5x NFA),
+// matcher-construction amortization (a cached copy vs a compile each
+// time), wall-clock constant-rule detection on a duplicate-heavy column,
 // production vs the row-at-a-time reference, and repeated detection with a
 // shared automaton cache vs a private cache per call.
 // Performance: the same comparisons as google-benchmark timings (JSON via
@@ -38,7 +36,6 @@
 #include "detect/reference_detector.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
-#include "pattern/frozen_dfa.h"
 #include "pattern/matcher.h"
 #include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
@@ -142,38 +139,28 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 void ReproduceContent() {
-  Banner("A6",
-         "lazy-DFA vs NFA; frozen shared automata; value-dictionary "
-         "detection");
+  Banner("A6", "lazy-DFA vs NFA; cached automata; value-dictionary detection");
   const double window = anmat_bench::QuickMode() ? 0.1 : 0.5;
 
-  // ---- match throughput, values/sec: NFA vs lazy DFA vs frozen DFA ----
+  // ---- match throughput, values/sec: NFA vs lazy DFA ----
   anmat::TextTable table({"workload", "pattern", "NFA values/s",
-                          "lazy DFA values/s", "frozen values/s",
-                          "DFA/NFA", "frozen/lazy"});
+                          "DFA values/s", "DFA/NFA"});
   const std::vector<MatchWorkload> workloads =
       MatchWorkloads(Sized(20000, 4000));
-  auto cache = std::make_shared<anmat::AutomatonCache>();
   for (const MatchWorkload& w : workloads) {
     const anmat::Pattern p = anmat::ParsePattern(w.pattern).value();
     const anmat::Nfa nfa = anmat::Nfa::Compile(p);
-    const anmat::PatternMatcher dfa(p);  // lazy DFA-backed
-    const anmat::PatternMatcher frozen(p, cache.get());  // frozen table
-    CheckOrDie(cache->fallbacks() == 0,
-               w.name + ": pattern froze (below the state cap)");
+    const anmat::PatternMatcher dfa(p);
 
-    // Correctness first: all three engines must agree on every value.
-    size_t per_pass_nfa = 0, per_pass_dfa = 0, per_pass_frozen = 0;
+    // Correctness first: both engines must agree on every value.
+    size_t per_pass_nfa = 0, per_pass_dfa = 0;
     for (const std::string& v : w.values) {
       per_pass_nfa += nfa.Matches(v);
       per_pass_dfa += dfa.Matches(v);
-      per_pass_frozen += frozen.Matches(v);
     }
     CheckOrDie(per_pass_nfa > 0, w.name + ": workload has matching values");
     CheckOrDie(per_pass_nfa == per_pass_dfa,
                w.name + ": NFA and DFA agree on the match count");
-    CheckOrDie(per_pass_dfa == per_pass_frozen,
-               w.name + ": lazy and frozen DFA agree on the match count");
 
     // Repeat passes until each side has run for a measurable window.
     const auto throughput = [&](auto&& matches_fn) {
@@ -191,24 +178,11 @@ void ReproduceContent() {
         throughput([&](const std::string& v) { return nfa.Matches(v); });
     const double dfa_tput =
         throughput([&](const std::string& v) { return dfa.Matches(v); });
-    const double frozen_tput =
-        throughput([&](const std::string& v) { return frozen.Matches(v); });
     const double speedup = dfa_tput / nfa_tput;
-    const double frozen_ratio = frozen_tput / dfa_tput;
     table.AddRow({w.name, w.pattern, std::to_string(size_t(nfa_tput)),
-                  std::to_string(size_t(dfa_tput)),
-                  std::to_string(size_t(frozen_tput)),
-                  std::to_string(speedup), std::to_string(frozen_ratio)});
+                  std::to_string(size_t(dfa_tput)), std::to_string(speedup)});
     CheckOrDie(speedup >= 5.0,
                w.name + ": DFA is >=5x the NFA match throughput");
-    // The frozen flat table must keep up with (and usually beat) the lazy
-    // walk; 0.9 guards against timer noise. Quick mode's 0.1s windows on
-    // shared CI runners are too noisy to gate two near-equal engines on —
-    // there the ratio is reported but not enforced.
-    if (!anmat_bench::QuickMode()) {
-      CheckOrDie(frozen_ratio >= 0.9,
-                 w.name + ": frozen table matches at >= lazy-DFA throughput");
-    }
   }
   std::cout << table.Render();
 
@@ -235,7 +209,7 @@ void ReproduceContent() {
     ctable.AddRow({"lazy (compile each)", std::to_string(kCompiles),
                    std::to_string(lazy_secs),
                    std::to_string(1e6 * lazy_secs / kCompiles)});
-    ctable.AddRow({"cached (compile once)", std::to_string(kCompiles),
+    ctable.AddRow({"cached (copy of one compile)", std::to_string(kCompiles),
                    std::to_string(cached_secs),
                    std::to_string(1e6 * cached_secs / kCompiles)});
     std::cout << ctable.Render();
@@ -349,25 +323,9 @@ void BM_DfaMatch(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 
-void BM_FrozenDfaMatch(benchmark::State& state) {
-  const std::vector<MatchWorkload> workloads = MatchWorkloads(10000);
-  const MatchWorkload& w = workloads[static_cast<size_t>(state.range(0))];
-  anmat::AutomatonCache cache;
-  const anmat::PatternMatcher matcher(anmat::ParsePattern(w.pattern).value(),
-                                      &cache);
-  for (auto _ : state) {
-    size_t matches = 0;
-    for (const std::string& v : w.values) matches += matcher.Matches(v);
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetItemsProcessed(state.iterations() * w.values.size());
-  state.SetLabel(w.name);
-}
-
 // 0 = zip, 1 = phone, 2 = code.
 BENCHMARK(BM_NfaMatch)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_DfaMatch)->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK(BM_FrozenDfaMatch)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MatcherCompileLazy(benchmark::State& state) {
   const anmat::Pattern p = anmat::ParsePattern("CHEMBL\\D{1,7}").value();

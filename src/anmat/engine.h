@@ -35,10 +35,10 @@
 ///
 /// The engine also owns the engine-wide `AutomatonCache`
 /// (pattern/automaton_cache.h) and installs it into every stage's options:
-/// each distinct pattern is compiled and frozen exactly once per engine
-/// lifetime, and every stage, task, repair pass and stream probes the
-/// shared immutable automata lock-free. Union automata are shared the same
-/// way and grow lazily under their own locks.
+/// each distinct pattern is compiled exactly once per engine lifetime, and
+/// every matcher of every stage, task, repair pass and stream walks its own
+/// copy of that automaton. Union automata are shared engine-wide and grow
+/// lazily under their own locks.
 ///
 /// \code
 ///   anmat::Engine engine(anmat::ExecutionOptions{/*num_threads=*/0});

@@ -44,10 +44,10 @@ struct DetectorOptions {
   /// to a serial run.
   ExecutionOptions execution;
   /// Shared compile-once automaton cache (pattern/automaton_cache.h):
-  /// tableau matchers, index verifiers and union automata come out of it
-  /// as shared frozen automata, each distinct pattern compiled once per
-  /// cache lifetime and probed lock-free by every task and pass. Null
-  /// (default) makes `DetectErrors`, `RepairErrors` (all passes) and
+  /// tableau matchers, index verifiers and union automata come out of it,
+  /// each distinct pattern compiled once per cache lifetime (every matcher
+  /// walks its own copy; unions are shared). Null (default) makes
+  /// `DetectErrors`, `RepairErrors` (all passes) and
   /// `DetectionStream::Open` create a private cache for the call or stream;
   /// results are byte-identical either way. `anmat::Engine` installs its
   /// engine-wide cache here.

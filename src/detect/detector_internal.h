@@ -34,12 +34,10 @@ namespace anmat {
 namespace detect_internal {
 
 /// One tableau row of one PFD, resolved against the relation's schema and
-/// pre-compiled for matching. Its matchers may hold lazy automata (the
-/// fallback for a pattern past the freeze cap, or the reference oracle's
-/// uncached matchers), which memoize under the const interface: a resolved
-/// row is used by one thread at a time. A `DetectionState` runs each work
-/// item on a single task, which alone touches the item's row, so it never
-/// needs to know whether a row's automata are frozen or lazy.
+/// pre-compiled for matching. Its matchers own lazy automata, which memoize
+/// under the const interface: a resolved row is used by one thread at a
+/// time. A `DetectionState` runs each work item on a single task, which
+/// alone touches the item's row.
 struct ResolvedRow {
   const TableauRow* row;
   std::vector<size_t> lhs_cols;

@@ -53,7 +53,7 @@ class PatternIndex {
  public:
   /// Builds the index for column `col` of `relation` in one pass over the
   /// column dictionary. `automata` (optional, not owned, must outlive the
-  /// index) backs `Lookup`'s verification matchers with shared frozen
+  /// index) backs `Lookup`'s verification matchers with copies of cached
   /// automata so repeated lookups of one pattern compile it exactly once.
   PatternIndex(const Relation& relation, size_t col,
                AutomatonCache* automata = nullptr);

@@ -12,26 +12,29 @@ std::string AutomatonCache::KeyOf(const Pattern& p) {
   return key;
 }
 
-std::shared_ptr<const FrozenDfa> AutomatonCache::Get(const Pattern& p) {
+Dfa AutomatonCache::Get(const Pattern& p) {
   std::string key = KeyOf(p);
+  const Dfa* prototype = nullptr;
   {
     MutexLock lock(&mu_);
     auto it = dfas_.find(key);
     if (it != dfas_.end()) {
       ++hits_;
-      return it->second;
+      prototype = &it->second;
     }
   }
-  // Compile outside the lock so first-touches of *distinct* patterns do not
-  // serialize; a same-pattern race compiles twice and the first publish
-  // wins (the loser's automaton is discarded).
-  std::shared_ptr<const FrozenDfa> frozen =
-      Dfa::Compile(p).Freeze(max_frozen_states_);
-  MutexLock lock(&mu_);
-  auto [it, inserted] = dfas_.emplace(std::move(key), std::move(frozen));
-  ++misses_;
-  if (inserted && it->second == nullptr) ++fallbacks_;
-  return it->second;
+  if (prototype == nullptr) {
+    // Compile outside the lock so first-touches of *distinct* patterns do
+    // not serialize; a same-pattern race compiles twice and the first
+    // publish wins (the loser's automaton is discarded).
+    Dfa compiled = Dfa::Compile(p, max_states_);
+    MutexLock lock(&mu_);
+    prototype = &dfas_.emplace(std::move(key), std::move(compiled))
+                     .first->second;
+    ++misses_;
+  }
+  // Nobody walks a prototype, so the copy only reads it.
+  return *prototype;
 }
 
 UnionAutomaton AutomatonCache::GetUnion(
@@ -77,7 +80,7 @@ UnionAutomaton AutomatonCache::GetUnion(
       members[result.slot_of[i]] = patterns[i];
     }
   }
-  auto built = std::make_shared<SharedUnion>(members, max_frozen_states_);
+  auto built = std::make_shared<SharedUnion>(members, max_states_);
   MutexLock lock(&mu_);
   auto [it, inserted] = unions_.emplace(std::move(key), std::move(built));
   ++union_misses_;
@@ -123,11 +126,6 @@ size_t AutomatonCache::hits() const {
 size_t AutomatonCache::misses() const {
   MutexLock lock(&mu_);
   return misses_;
-}
-
-size_t AutomatonCache::fallbacks() const {
-  MutexLock lock(&mu_);
-  return fallbacks_;
 }
 
 }  // namespace anmat

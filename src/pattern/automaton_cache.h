@@ -2,17 +2,18 @@
 #define ANMAT_PATTERN_AUTOMATON_CACHE_H_
 
 /// \file automaton_cache.h
-/// Engine-wide compile-once cache of frozen and union automata.
+/// Engine-wide compile-once cache of single-pattern and union automata.
 ///
 /// The pipeline probes millions of cell values against a small, heavily
 /// repeated set of patterns: every tableau cell, every conjunct, every
 /// index verification and every repair pass needs the same handful of
 /// automata. `AutomatonCache` maps a pattern's canonical element-sequence
-/// signature to its `FrozenDfa` (pattern/frozen_dfa.h), compiling and
-/// freezing on first use and handing out `shared_ptr<const FrozenDfa>`
-/// afterwards — each distinct pattern is compiled exactly once per cache
-/// (i.e. once per `anmat::Engine` lifetime), and the frozen automata are
-/// probed concurrently without locks.
+/// signature to a compiled lazy `Dfa` prototype (pattern/dfa.h) that
+/// nobody walks. `Get` compiles it on first use and returns a copy of it
+/// by value afterwards, so each distinct pattern is compiled exactly once
+/// per cache (i.e. once per `anmat::Engine` lifetime) and each matcher slot
+/// owns a private automaton whose memo grows without locks. The copies
+/// carry the cache's state bound.
 ///
 /// Keying: a `Dfa` compiles exactly a pattern's *element sequence*
 /// (conjuncts are separate automata, flattened by the matchers), so the
@@ -29,18 +30,15 @@
 /// materialized. The per-call member ordering is translated through the
 /// returned slot map. A union never fails: it materializes only the states
 /// classified values walk and flushes its memo at the state bound
-/// (`max_frozen_states`), so every union-friendly rule set gets one.
-///
-/// Unfreezable single patterns (reachable states above the freeze cap) are
-/// negatively cached: `Get` returns null and callers fall back to private
-/// lazy `Dfa` copies, one per owner, exactly the pre-cache behavior.
+/// (`max_states`), so every union-friendly rule set gets one.
 ///
 /// Thread safety: `Get` and `GetUnion` may be called concurrently (lookups
 /// take a mutex; compilation runs outside it, and a same-key race
-/// publishes first-wins). A union's lazy tables grow under its own
-/// `SharedUnion::mu`, held by a caller for as long as it classifies. The
-/// stats counters are monotone and approximate only in the sense that a
-/// racing miss may count twice.
+/// publishes first-wins). A prototype is never walked, so copying it needs
+/// no lock. A union's lazy tables grow under its own `SharedUnion::mu`,
+/// held by a caller for as long as it classifies. The stats counters are
+/// monotone and approximate only in the sense that a racing miss may count
+/// twice.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,7 +49,6 @@
 
 #include "pattern/multi_pattern_dfa.h"
 #include "pattern/dfa.h"
-#include "pattern/frozen_dfa.h"
 #include "pattern/pattern.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -89,22 +86,21 @@ struct DispatchStats {
   size_t misses = 0;         ///< GetUnion lookups that compiled
 };
 
-/// \brief Compile-once store of frozen automata, keyed by the pattern's
+/// \brief Compile-once store of lazy automata, keyed by the pattern's
 /// canonical element-sequence signature.
 class AutomatonCache {
  public:
-  /// `max_frozen_states` caps a frozen single-pattern automaton and bounds
-  /// each union's lazy memo.
-  explicit AutomatonCache(size_t max_frozen_states = kDefaultMaxFrozenStates)
-      : max_frozen_states_(max_frozen_states) {}
+  /// `max_states` bounds the memo of every automaton handed out: each
+  /// `Get` copy and each union.
+  explicit AutomatonCache(size_t max_states = kDefaultMaxStates)
+      : max_states_(max_states) {}
 
   AutomatonCache(const AutomatonCache&) = delete;
   AutomatonCache& operator=(const AutomatonCache&) = delete;
 
-  /// The frozen automaton for `p`'s element sequence, compiling + freezing
-  /// it on first use. Returns null when the pattern is unfreezable (state
-  /// cap); the verdict is cached either way.
-  std::shared_ptr<const FrozenDfa> Get(const Pattern& p);
+  /// A private, unwalked copy of the automaton for `p`'s element sequence,
+  /// compiled on first use.
+  Dfa Get(const Pattern& p);
 
   /// The shared lazy union automaton over `patterns`' element sequences,
   /// built on first sight of this signature *set* (the key is
@@ -116,15 +112,18 @@ class AutomatonCache {
   /// (conjuncts excluded — they are separate automata).
   static std::string KeyOf(const Pattern& p);
 
-  /// Distinct patterns seen (frozen or negatively cached).
+  /// Distinct patterns compiled.
   size_t entries() const;
-  /// Lookups answered from the cache. Every hit is one avoided NFA compile
-  /// + subset construction.
+  /// Lookups answered from the prototype map. Every hit is one avoided NFA
+  /// compile.
   size_t hits() const;
-  /// Lookups that compiled (first sight of a pattern).
+  /// Lookups that compiled into the prototype map (first sight of a
+  /// pattern).
   size_t misses() const;
-  /// Misses whose pattern exceeded the freeze cap (lazy fallback).
-  size_t fallbacks() const;
+  /// Always 0: every pattern compiles, so no lookup falls back. Kept
+  /// because the end-to-end benchmark and the daemon `stats` verb report
+  /// it.
+  size_t fallbacks() const { return 0; }
 
   /// Aggregated union-automaton statistics: tables held, materialized
   /// states, flushes and lifetime probe counters summed over every union.
@@ -132,18 +131,16 @@ class AutomatonCache {
   DispatchStats dispatch_stats() const;
 
  private:
-  const size_t max_frozen_states_;
+  const size_t max_states_;
   mutable Mutex mu_;
-  /// Signature -> frozen automaton; a null value is the negative cache for
-  /// unfreezable patterns.
-  std::unordered_map<std::string, std::shared_ptr<const FrozenDfa>> dfas_
-      ANMAT_GUARDED_BY(mu_);
+  /// Signature -> unwalked prototype. Entries are never erased, and the
+  /// map's nodes do not move, so a prototype may be copied outside `mu_`.
+  std::unordered_map<std::string, Dfa> dfas_ ANMAT_GUARDED_BY(mu_);
   /// Sorted-signature-set key -> shared lazy union automaton.
   std::unordered_map<std::string, std::shared_ptr<SharedUnion>> unions_
       ANMAT_GUARDED_BY(mu_);
   size_t hits_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t misses_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t fallbacks_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t union_hits_ ANMAT_GUARDED_BY(mu_) = 0;
   size_t union_misses_ ANMAT_GUARDED_BY(mu_) = 0;
 };

@@ -64,22 +64,29 @@ void SubsetTable::Clear() {
   buckets_.clear();
 }
 
-Dfa Dfa::Compile(const Pattern& p) {
-  Dfa dfa(Nfa::Compile(p));
+Dfa Dfa::Compile(const Pattern& p, size_t max_states) {
+  Dfa dfa(Nfa::Compile(p), max_states);
   dfa.required_literal_ = RequiredLiteralSubstring(p.elements());
   return dfa;
 }
 
-Dfa::Dfa(Nfa nfa) : nfa_(std::move(nfa)) {
+Dfa::Dfa(Nfa nfa, size_t max_states)
+    : nfa_(std::make_shared<const Nfa>(std::move(nfa))),
+      max_states_(max_states) {
   BuildAlphabet();
+  start_set_ = {nfa_->start()};
+  nfa_->EpsilonClosure(&start_set_);
+  ResetMemo();
+}
+
+void Dfa::ResetMemo() const {
+  nfa_sets_.Clear();
   // State 0 is the dead state (empty NFA set): all edges loop on itself and
   // never need lazy materialization.
   nfa_sets_.Intern({});
-  accept_.push_back(0);
+  accept_.assign(1, 0);
   transitions_.assign(num_classes_, kDead);
-  std::vector<uint32_t> start{nfa_.start()};
-  nfa_.EpsilonClosure(&start);
-  start_state_ = AddDfaState(std::move(start));
+  start_state_ = AddDfaState(start_set_);
 }
 
 void Dfa::BuildAlphabet() {
@@ -89,7 +96,7 @@ void Dfa::BuildAlphabet() {
   // the pattern mentions), so the fingerprint of byte b is its tree class
   // plus, when the pattern uses b as a literal, b itself.
   bool is_literal[256] = {};
-  for (const Nfa::State& state : nfa_.states()) {
+  for (const Nfa::State& state : nfa_->states()) {
     for (const Nfa::Transition& t : state.transitions) {
       if (t.cls == SymbolClass::kLiteral) {
         is_literal[static_cast<unsigned char>(t.literal)] = true;
@@ -114,7 +121,7 @@ void Dfa::BuildAlphabet() {
 
 uint32_t Dfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
   const bool accepting =
-      std::binary_search(nfa_set.begin(), nfa_set.end(), nfa_.accept());
+      std::binary_search(nfa_set.begin(), nfa_set.end(), nfa_->accept());
   bool inserted = false;
   const uint32_t id = nfa_sets_.Intern(std::move(nfa_set), &inserted);
   if (inserted) {
@@ -131,7 +138,7 @@ uint32_t Dfa::Transition(uint32_t from, uint32_t cls) const {
   std::vector<uint32_t> to;
   // Any byte of the class drives the NFA identically; use the
   // representative. Step() sorts, dedupes and epsilon-closes.
-  nfa_.Step(nfa_sets_.set(from), class_rep_[cls], &to);
+  nfa_->Step(nfa_sets_.set(from), class_rep_[cls], &to);
   const uint32_t id = to.empty() ? kDead : AddDfaState(std::move(to));
   transitions_[idx] = id;  // AddDfaState may grow transitions_; re-index is
                            // safe because idx addresses an existing slot.
@@ -145,6 +152,7 @@ bool Dfa::Matches(std::string_view s) const {
       !simd::ContainsLiteral(s, required_literal_)) {
     return false;
   }
+  if (nfa_sets_.size() >= max_states_) ResetMemo();
   uint32_t state = start_state_;
   for (const char c : s) {
     state = Transition(state, byte_class_[static_cast<unsigned char>(c)]);
@@ -156,6 +164,7 @@ bool Dfa::Matches(std::string_view s) const {
 size_t Dfa::ScanPrefixes(std::string_view s,
                          std::vector<uint32_t>* out) const {
   out->clear();
+  if (nfa_sets_.size() >= max_states_) ResetMemo();
   uint32_t state = start_state_;
   if (accept_[state]) out->push_back(0);
   for (size_t i = 0; i < s.size(); ++i) {

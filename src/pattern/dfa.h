@@ -22,12 +22,17 @@
 /// Only states reachable from the inputs actually seen are ever built, so
 /// construction stays cheap even for patterns whose full DFA would be
 /// large. Accept membership is a per-state bit, which makes
-/// `MatchingPrefixLengths` a single forward scan.
+/// `MatchingPrefixLengths` a single forward scan. Memory is bounded by
+/// `max_states`: once the memo holds that many states, the next `Matches`
+/// or `ScanPrefixes` first drops every state but the dead and start states
+/// and carries on — exact, because states are pure functions of their NFA
+/// sets (the same flush as `MultiPatternDfa`).
 ///
 /// The memo tables grow lazily behind a const interface (`mutable`); a
 /// `Dfa` is therefore NOT safe for concurrent use from multiple threads.
-/// For shared concurrent probing, `Freeze()` (pattern/frozen_dfa.h) runs
-/// the subset construction eagerly and emits an immutable `FrozenDfa`.
+/// Each owner probes its own copy: `AutomatonCache::Get` compiles a pattern
+/// once and hands every matcher slot a private copy of the unwalked
+/// automaton.
 
 #include <cstdint>
 #include <memory>
@@ -39,12 +44,10 @@
 
 namespace anmat {
 
-class FrozenDfa;
-
-/// Default cap on eagerly materialized states in `Dfa::Freeze` — far above
-/// anything the paper's pattern language produces (tens of states), so it
-/// only guards against pathological inputs.
-inline constexpr size_t kDefaultMaxFrozenStates = 4096;
+/// Default bound on the states a lazy automaton's memo holds before it is
+/// dropped — far above anything the paper's pattern language walks (tens
+/// of states), so it only guards against pathological inputs.
+inline constexpr size_t kDefaultMaxStates = 4096;
 
 /// \brief The subset-construction memo shared by `Dfa` and
 /// `MultiPatternDfa`: interns sorted, epsilon-closed NFA state sets as
@@ -75,12 +78,14 @@ class SubsetTable {
 class Dfa {
  public:
   /// Compiles the element sequence of `p` (via `Nfa::Compile`).
-  static Dfa Compile(const Pattern& p);
+  /// `max_states` bounds the memo (see the file comment).
+  static Dfa Compile(const Pattern& p, size_t max_states = kDefaultMaxStates);
 
   /// Wraps an already-compiled NFA.
-  explicit Dfa(Nfa nfa);
+  explicit Dfa(Nfa nfa, size_t max_states = kDefaultMaxStates);
 
-  /// Full-string match: one table lookup per byte.
+  /// Full-string match: one table lookup per byte. Drops the memo first
+  /// when it holds `max_states` states.
   bool Matches(std::string_view s) const;
 
   /// All prefix lengths L such that s[0, L) is accepted, ascending — the
@@ -89,22 +94,14 @@ class Dfa {
 
   /// Allocation-free variant: clears `*out` and fills it with the matching
   /// prefix lengths. Returns the number of lengths found. Callers in tight
-  /// loops reuse the scratch vector.
+  /// loops reuse the scratch vector. Flushes like `Matches`.
   size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out) const;
-
-  /// Eagerly materializes every reachable DFA state (bounded subset
-  /// construction) and emits an immutable `FrozenDfa` safe for lock-free
-  /// concurrent probes, with accept decisions and prefix sets identical to
-  /// this automaton's. Returns null when more than `max_states` states are
-  /// reachable — callers keep using (per-thread) lazy automata then.
-  /// Defined in frozen_dfa.cc.
-  std::shared_ptr<const FrozenDfa> Freeze(
-      size_t max_states = kDefaultMaxFrozenStates) const;
 
   /// Single-step interface for walks over a product of automata
   /// (containment.cc). States are ids; `kDead` is the state without a
   /// continuation, and it loops on every byte. `Next` materializes the edge
-  /// on first use, like `Matches`. Bytes with equal `ByteClass` drive every
+  /// on first use, like `Matches`, but never flushes: the caller holds
+  /// state ids across calls. Bytes with equal `ByteClass` drive every
   /// transition identically.
   static constexpr uint32_t kDead = 0;  ///< DFA state for the empty set
   uint32_t start_state() const { return start_state_; }
@@ -123,14 +120,15 @@ class Dfa {
   /// The mandatory-literal prefilter needle (see
   /// `RequiredLiteralSubstring`): non-empty only when compiled from a
   /// `Pattern` whose element sequence guarantees the substring. `Matches`
-  /// rejects inputs lacking it without touching the automaton; `Freeze`
-  /// copies it into the frozen table.
+  /// rejects inputs lacking it without touching the automaton.
   const std::string& required_literal() const { return required_literal_; }
 
  private:
   static constexpr uint32_t kUnset = 0xFFFFFFFFu;  ///< lazy-edge sentinel
 
   void BuildAlphabet();
+  /// Drops every state, then re-adds the dead and start states.
+  void ResetMemo() const;
   /// Interns an epsilon-closed NFA set, returning its DFA state id (const:
   /// touches only the mutable lazy tables).
   uint32_t AddDfaState(std::vector<uint32_t> nfa_set) const;
@@ -139,7 +137,12 @@ class Dfa {
   /// newly-discovered DFA state) on first use.
   uint32_t Transition(uint32_t from, uint32_t cls) const;
 
-  Nfa nfa_;
+  /// Immutable after construction and shared by every copy, so a copy
+  /// allocates only its own memo.
+  std::shared_ptr<const Nfa> nfa_;
+  size_t max_states_ = kDefaultMaxStates;
+  /// The epsilon-closed NFA start set (re-interned by every flush).
+  std::vector<uint32_t> start_set_;
 
   /// Mandatory-literal prefilter needle (empty = no prefilter).
   std::string required_literal_;
@@ -157,7 +160,7 @@ class Dfa {
   /// The epsilon-closed NFA set of each materialized DFA state.
   mutable SubsetTable nfa_sets_;
 
-  uint32_t start_state_ = kDead;
+  mutable uint32_t start_state_ = kDead;
 };
 
 /// \brief Recursively flattens `p`'s conjunct tree into `*out` (the pattern

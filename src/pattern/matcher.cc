@@ -4,40 +4,34 @@
 #include <set>
 
 #include "pattern/automaton_cache.h"
-#include "pattern/frozen_dfa.h"
 
 namespace anmat {
 
-CompiledDfa::CompiledDfa(const Pattern& p, AutomatonCache* cache) {
-  if (cache != nullptr) frozen_ = cache->Get(p);
-  if (frozen_ == nullptr) lazy_.emplace(Dfa::Compile(p));
+namespace {
+
+/// A private automaton for `p`'s element sequence: a copy of the cache's
+/// prototype, or a fresh compile without a cache.
+Dfa CompileSlot(const Pattern& p, AutomatonCache* cache) {
+  return cache != nullptr ? cache->Get(p) : Dfa::Compile(p);
 }
 
-bool CompiledDfa::Matches(std::string_view s) const {
-  return frozen_ != nullptr ? frozen_->Matches(s) : lazy_->Matches(s);
-}
-
-size_t CompiledDfa::ScanPrefixes(std::string_view s,
-                                 std::vector<uint32_t>* out) const {
-  return frozen_ != nullptr ? frozen_->ScanPrefixes(s, out)
-                            : lazy_->ScanPrefixes(s, out);
-}
+}  // namespace
 
 PatternMatcher::PatternMatcher(const Pattern& pattern, AutomatonCache* cache)
-    : pattern_(pattern), dfa_(pattern_, cache) {
+    : pattern_(pattern), dfa_(CompileSlot(pattern_, cache)) {
   // Conjuncts at any depth are an AND over independent automata; flatten
   // the tree once so Matches() is a flat loop.
   std::vector<const Pattern*> conjuncts;
   FlattenConjuncts(pattern_, &conjuncts);
   conjunct_dfas_.reserve(conjuncts.size());
   for (const Pattern* c : conjuncts) {
-    conjunct_dfas_.emplace_back(*c, cache);
+    conjunct_dfas_.push_back(CompileSlot(*c, cache));
   }
 }
 
 bool PatternMatcher::Matches(std::string_view s) const {
   if (!dfa_.Matches(s)) return false;
-  for (const CompiledDfa& c : conjunct_dfas_) {
+  for (const Dfa& c : conjunct_dfas_) {
     if (!c.Matches(s)) return false;
   }
   return true;
@@ -45,10 +39,11 @@ bool PatternMatcher::Matches(std::string_view s) const {
 
 ConstrainedMatcher::ConstrainedMatcher(const ConstrainedPattern& pattern,
                                        AutomatonCache* cache)
-    : pattern_(pattern), embedded_dfa_(pattern_.EmbeddedPattern(), cache) {
+    : pattern_(pattern),
+      embedded_dfa_(CompileSlot(pattern_.EmbeddedPattern(), cache)) {
   segment_dfas_.reserve(pattern.segments().size());
   for (const PatternSegment& seg : pattern.segments()) {
-    segment_dfas_.emplace_back(seg.pattern, cache);
+    segment_dfas_.push_back(CompileSlot(seg.pattern, cache));
   }
 }
 

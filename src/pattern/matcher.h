@@ -8,17 +8,14 @@
 /// then answer queries over many strings — the shape discovery and
 /// detection need (one pattern, a column of values).
 ///
-/// Both matchers optionally compile through an `AutomatonCache`
-/// (pattern/automaton_cache.h): automata then come out as shared frozen
-/// tables, compiled once per cache lifetime, and a matcher whose slots all
-/// froze may be probed from many threads at once. Without a cache, or for
-/// a pattern too large to freeze (the cache counts those in
-/// `fallbacks()`), a slot is a private lazy `Dfa` whose memo grows under
-/// the const interface, so only one thread may probe it. A matcher keeps no
-/// per-query state of its own (per-string scratch lives on the caller's
-/// stack). Results are byte-identical either way.
+/// Every automaton slot is a private lazy `Dfa`. With an `AutomatonCache`
+/// (pattern/automaton_cache.h) the slot is a copy of the cache's prototype,
+/// compiled once per cache lifetime; without one the matcher compiles it
+/// itself. Either way the slot's memo grows under the const interface, so
+/// only one thread may probe a matcher at a time. A matcher keeps no other
+/// per-query state (per-string scratch lives on the caller's stack).
+/// Results are byte-identical either way.
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,23 +27,6 @@
 namespace anmat {
 
 class AutomatonCache;
-class FrozenDfa;
-
-/// \brief One automaton slot of a matcher: a shared immutable `FrozenDfa`
-/// out of the cache when available, a private lazy `Dfa` otherwise.
-class CompiledDfa {
- public:
-  /// Compiles `p`'s element sequence — through `cache` when non-null (and
-  /// the pattern freezes), privately otherwise.
-  CompiledDfa(const Pattern& p, AutomatonCache* cache);
-
-  bool Matches(std::string_view s) const;
-  size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out) const;
-
- private:
-  std::shared_ptr<const FrozenDfa> frozen_;
-  std::optional<Dfa> lazy_;  ///< engaged iff `frozen_` is null
-};
 
 /// \brief Compiled matcher for a plain pattern (including conjuncts).
 ///
@@ -66,8 +46,8 @@ class PatternMatcher {
 
  private:
   Pattern pattern_;
-  CompiledDfa dfa_;
-  std::vector<CompiledDfa> conjunct_dfas_;
+  Dfa dfa_;
+  std::vector<Dfa> conjunct_dfas_;
 };
 
 /// \brief The tuple of substrings covered by the constrained segments in one
@@ -125,8 +105,8 @@ class ConstrainedMatcher {
                        std::vector<Extraction>* out, size_t cap) const;
 
   ConstrainedPattern pattern_;
-  std::vector<CompiledDfa> segment_dfas_;
-  CompiledDfa embedded_dfa_;
+  std::vector<Dfa> segment_dfas_;
+  Dfa embedded_dfa_;
 };
 
 /// \brief One-shot helpers (compile + query); prefer the classes for loops.

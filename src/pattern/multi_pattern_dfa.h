@@ -59,7 +59,7 @@ class MultiPatternDfa {
   /// construction). Conjuncts are ignored, exactly like `Dfa::Compile`.
   /// `max_states` bounds the memo (see the file comment).
   explicit MultiPatternDfa(const std::vector<const Pattern*>& patterns,
-                           size_t max_states = kDefaultMaxFrozenStates);
+                           size_t max_states = kDefaultMaxStates);
 
   size_t num_patterns() const { return num_patterns_; }
 
@@ -133,7 +133,7 @@ class MultiPatternDfa {
   bool AppendAccepted(uint32_t state, std::vector<uint32_t>* out) const;
 
   size_t num_patterns_ = 0;
-  size_t max_states_ = kDefaultMaxFrozenStates;
+  size_t max_states_ = kDefaultMaxStates;
   uint32_t accept_words_per_state_ = 1;  ///< (num_patterns_ + 63) / 64
 
   /// Mandatory-literal needle shared by every member (empty = no filter).

@@ -378,6 +378,7 @@ JsonValue ProjectHost::CacheStatsJson() {
             JsonValue::Int(static_cast<int64_t>(engine_.automata().hits())));
   stats.Set("misses", JsonValue::Int(
                           static_cast<int64_t>(engine_.automata().misses())));
+  // Always 0 (see AutomatonCache::fallbacks); the key stays for readers.
   stats.Set("fallbacks",
             JsonValue::Int(
                 static_cast<int64_t>(engine_.automata().fallbacks())));

@@ -13,7 +13,7 @@
 ///
 ///  * a warm `anmat::Engine` — its shared `ThreadPool` and engine-wide
 ///    `AutomatonCache` live as long as the host, so each distinct pattern
-///    is compiled and frozen once per daemon lifetime instead of once per
+///    is compiled once per daemon lifetime instead of once per
 ///    CLI run (`bench_a8_daemon` measures the amortization; the cache
 ///    stats are exposed through the daemon's `stats` verb);
 ///  * the open `Project`, published as an immutable snapshot. The host

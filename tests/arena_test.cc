@@ -100,51 +100,7 @@ TEST(RelationArenaTest, SliceKeepsCellsAliveAfterParentDies) {
   EXPECT_EQ(slice.cell(2, 0), "value-4");
 }
 
-// -- SIMD kernels backing the frozen scan path -----------------------------
-
-TEST(SimdTest, ClassifyBytesMatchesScalarTable) {
-  // An arbitrary ASCII-varied table with a uniform high half (the shape
-  // every automaton alphabet here has).
-  uint8_t table[256];
-  for (int b = 0; b < 256; ++b) {
-    table[b] = b < 128 ? static_cast<uint8_t>((b * 7 + 3) % 11) : 9;
-  }
-  simd::ByteClassifier classifier;
-  simd::BuildByteClassifier(table, &classifier);
-
-  std::string input;
-  for (int i = 0; i < 1000; ++i) {
-    input.push_back(static_cast<char>((i * 31 + 17) % 256));
-  }
-  // Every length from 0 to 128 plus the full buffer, so vector bodies and
-  // scalar tails are both exercised.
-  for (size_t len : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                     size_t{17}, size_t{64}, size_t{127}, size_t{128},
-                     input.size()}) {
-    std::vector<uint8_t> out(len + 1, 0xAA);
-    simd::ClassifyBytes(classifier, input.data(), len, out.data());
-    for (size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(out[i], table[static_cast<unsigned char>(input[i])])
-          << "len " << len << " pos " << i;
-    }
-    EXPECT_EQ(out[len], 0xAA);  // no overwrite past the requested range
-  }
-}
-
-TEST(SimdTest, NonUniformHighHalfFallsBackExactly) {
-  uint8_t table[256];
-  for (int b = 0; b < 256; ++b) table[b] = static_cast<uint8_t>(b % 13);
-  simd::ByteClassifier classifier;
-  simd::BuildByteClassifier(table, &classifier);
-  EXPECT_FALSE(classifier.shuffle_ok);
-  std::string input;
-  for (int i = 0; i < 300; ++i) input.push_back(static_cast<char>(i % 256));
-  std::vector<uint8_t> out(input.size());
-  simd::ClassifyBytes(classifier, input.data(), input.size(), out.data());
-  for (size_t i = 0; i < input.size(); ++i) {
-    EXPECT_EQ(out[i], table[static_cast<unsigned char>(input[i])]);
-  }
-}
+// -- SIMD byte-search kernels ---------------------------------------------
 
 TEST(SimdTest, FindStructuralFindsFirstOfFour) {
   const std::string hay =

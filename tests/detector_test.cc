@@ -418,19 +418,19 @@ TEST(DetectorTest, KeptStateMatchesFreshDetectAfterEveryWrite) {
   struct Config {
     std::string label;
     size_t threads;
-    size_t max_frozen_states;  // 0: the default cache
+    size_t max_states;  // 0: the default cache
   };
   const Config configs[] = {{"1 thread", 1, 0},
                             {"2 threads", 2, 0},
                             {"4 threads", 4, 0},
-                            {"forced fallback, 4 threads", 4, 3}};
+                            {"3-state bound, 4 threads", 4, 3}};
   for (const Config& config : configs) {
     DetectorOptions options;
     options.execution.num_threads = config.threads;
-    options.automata = config.max_frozen_states == 0
+    options.automata = config.max_states == 0
                            ? std::make_shared<AutomatonCache>()
                            : std::make_shared<AutomatonCache>(
-                                 config.max_frozen_states);
+                                 config.max_states);
     Relation relation = initial;
     detect_internal::DetectionState state;
     std::string previous;
@@ -460,8 +460,9 @@ TEST(DetectorTest, KeptStateMatchesFreshDetectAfterEveryWrite) {
       state.RecordWrite(w.col);
       check(w.what, true);
     }
-    if (config.max_frozen_states != 0) {
-      EXPECT_GT(options.automata->fallbacks(), 0u) << config.label;
+    if (config.max_states != 0) {
+      EXPECT_GT(options.automata->dispatch_stats().flushes, 0u)
+          << config.label;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -10,7 +11,6 @@
 #include "datagen/datasets.h"
 #include "detect/detector.h"
 #include "pattern/automaton_cache.h"
-#include "pattern/frozen_dfa.h"
 #include "pattern/matcher.h"
 #include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
@@ -222,121 +222,141 @@ TEST(DfaDifferentialTest, BoundedRepetitionEdgeCases) {
   }
 }
 
-// ------------------------------------------------------- frozen automata
-
-TEST(FrozenDfaTest, FreezeMatchesBasicPatterns) {
-  for (const char* text : {"\\D{5}", "\\LU\\LL+", "a{1,3}", "\\A*",
-                           "CHEMBL\\D{1,7}", "a{0,3}b+"}) {
-    const Dfa dfa = CompileDfa(text);
-    auto frozen = dfa.Freeze();
-    ASSERT_NE(frozen, nullptr) << text;
-    EXPECT_EQ(frozen->num_symbol_classes(), dfa.num_symbol_classes());
-    // Freeze materialized every reachable state eagerly.
-    EXPECT_EQ(frozen->num_states(), dfa.num_materialized_states()) << text;
-  }
-  auto frozen = CompileDfa("\\D{5}").Freeze();
-  EXPECT_TRUE(frozen->Matches("90001"));
-  EXPECT_FALSE(frozen->Matches("9000"));
-  EXPECT_FALSE(frozen->Matches("9000a"));
-  EXPECT_EQ(CompileDfa("a+").Freeze()->MatchingPrefixLengths("aaab"),
-            (std::vector<uint32_t>{1, 2, 3}));
-  EXPECT_EQ(CompileDfa("a{0,2}b?").Freeze()->MatchingPrefixLengths("aab"),
-            (std::vector<uint32_t>{0, 1, 2, 3}));
-  EXPECT_TRUE(Dfa::Compile(Pattern()).Freeze()->Matches(""));
-  EXPECT_FALSE(Dfa::Compile(Pattern()).Freeze()->Matches("a"));
-}
-
-TEST(FrozenDfaTest, PrefilterLiteralCarriesOverAndStaysExact) {
-  // CHEMBL\D{1,7}: the mandatory prefix becomes the prefilter needle on
-  // both the lazy and frozen automata.
+TEST(DfaTest, PrefilterLiteralStaysExact) {
+  // CHEMBL\D{1,7}: the mandatory prefix becomes the prefilter needle.
   const Dfa dfa = CompileDfa("CHEMBL\\D{1,7}");
   EXPECT_EQ(dfa.required_literal(), "CHEMBL");
-  auto frozen = dfa.Freeze();
-  ASSERT_NE(frozen, nullptr);
-  EXPECT_EQ(frozen->prefilter_literal(), "CHEMBL");
   // Values without the needle are rejected by the filter; values with it
   // still go through the full walk — decisions stay exact either way.
-  EXPECT_TRUE(frozen->Matches("CHEMBL25"));
-  EXPECT_FALSE(frozen->Matches("25"));
-  EXPECT_FALSE(frozen->Matches("CHEMBL"));    // needle present, walk rejects
-  EXPECT_FALSE(frozen->Matches("xCHEMBL25"));  // needle present, walk rejects
+  EXPECT_TRUE(dfa.Matches("CHEMBL25"));
+  EXPECT_FALSE(dfa.Matches("25"));
+  EXPECT_FALSE(dfa.Matches("CHEMBL"));     // needle present, walk rejects
+  EXPECT_FALSE(dfa.Matches("xCHEMBL25"));  // needle present, walk rejects
   // Class-only patterns have no needle and skip the filter entirely.
   EXPECT_EQ(CompileDfa("\\D{5}").required_literal(), "");
 
-  // ScanPrefixes early-outs identically: no needle in the string means no
-  // accepted prefix.
   std::vector<uint32_t> lengths;
-  EXPECT_EQ(frozen->ScanPrefixes("9000", &lengths), 0u);
+  EXPECT_EQ(dfa.ScanPrefixes("9000", &lengths), 0u);
   EXPECT_TRUE(lengths.empty());
-  EXPECT_EQ(frozen->ScanPrefixes("CHEMBL123", &lengths), 3u);
+  EXPECT_EQ(dfa.ScanPrefixes("CHEMBL123", &lengths), 3u);
   EXPECT_EQ(lengths, (std::vector<uint32_t>{7, 8, 9}));
 }
 
-TEST(FrozenDfaTest, LongValuesUseChunkedClassifyExactly) {
-  // 16+ byte values take the SIMD class-buffer path; decisions must be
-  // identical to short-string walks, including across the 256-byte chunk
-  // boundary.
-  auto frozen = CompileDfa("a+b").Freeze();
-  ASSERT_NE(frozen, nullptr);
+TEST(DfaTest, LongValuesMatchExactly) {
+  const Dfa dfa = CompileDfa("a+b");
   for (size_t len : {size_t{15}, size_t{16}, size_t{17}, size_t{255},
                      size_t{256}, size_t{257}, size_t{1000}}) {
     const std::string yes = std::string(len, 'a') + "b";
     const std::string no = std::string(len, 'a') + "c";
-    EXPECT_TRUE(frozen->Matches(yes)) << len;
-    EXPECT_FALSE(frozen->Matches(no)) << len;
+    EXPECT_TRUE(dfa.Matches(yes)) << len;
+    EXPECT_FALSE(dfa.Matches(no)) << len;
   }
 }
 
-TEST(FrozenDfaTest, StateCapFallsBackToNull) {
-  // \D{5} needs 7 states (dead + start + 5 digits); a cap of 3 must refuse.
-  EXPECT_EQ(CompileDfa("\\D{5}").Freeze(/*max_states=*/3), nullptr);
-  EXPECT_NE(CompileDfa("\\D{5}").Freeze(/*max_states=*/64), nullptr);
-}
+// ------------------------------------------------------------ state bound
 
-TEST(FrozenDfaDifferentialTest, RandomPatternsAgreeWithLazyAndNfa) {
-  Rng rng(77001);
-  size_t positives = 0;
-  for (int iter = 0; iter < 300; ++iter) {
-    const Pattern p = RandomPattern(rng, /*allow_conjunct=*/false);
-    const Nfa nfa = Nfa::Compile(p);
-    const Dfa lazy = Dfa::Compile(p);
-    auto frozen = Dfa::Compile(p).Freeze();
-    ASSERT_NE(frozen, nullptr) << p.ToString();
-    for (int k = 0; k < 20; ++k) {
-      const std::string s = RandomString(rng, p, /*noise=*/0.2);
+TEST(DfaBoundTest, BlowUpPatternStaysWithinBound) {
+  // "an 'a' twelve lowercase letters before the end": the full subset
+  // automaton has 2^13 states, so random lowercase inputs keep creating
+  // new ones. Each Matches / ScanPrefixes call drops the memo on entry
+  // once it holds the bound, so the memo never exceeds the bound plus one
+  // input's length, and decisions stay those of the NFA.
+  const Pattern p = ParsePattern("\\LL*a\\LL{12}").value();
+  const Nfa nfa = Nfa::Compile(p);
+  for (const size_t bound : {kDefaultMaxStates, size_t{64}, size_t{3}}) {
+    const Dfa dfa = Dfa::Compile(p, bound);
+    Rng rng(77004);
+    size_t positives = 0, drops = 0, previous = dfa.num_materialized_states();
+    const auto check_memo = [&](const std::string& s) {
+      EXPECT_LE(dfa.num_materialized_states(), bound + s.size()) << bound;
+      if (dfa.num_materialized_states() < previous) ++drops;
+      previous = dfa.num_materialized_states();
+    };
+    std::vector<uint32_t> lengths;
+    for (int k = 0; k < 600; ++k) {
+      const std::string s = rng.NextString(12 + rng.NextBelow(30), "ab");
       const bool expected = nfa.Matches(s);
-      ASSERT_EQ(frozen->Matches(s), expected)
-          << "pattern=" << p.ToString() << " input=\"" << s << "\"";
-      ASSERT_EQ(lazy.Matches(s), expected);
-      ASSERT_EQ(frozen->MatchingPrefixLengths(s),
-                nfa.MatchingPrefixLengths(s))
-          << "pattern=" << p.ToString() << " input=\"" << s << "\"";
+      ASSERT_EQ(dfa.Matches(s), expected) << bound << " " << s;
+      check_memo(s);
+      dfa.ScanPrefixes(s, &lengths);
+      ASSERT_EQ(lengths, nfa.MatchingPrefixLengths(s)) << bound << " " << s;
+      check_memo(s);
       if (expected) ++positives;
     }
+    EXPECT_GT(positives, 100u) << bound;
+    EXPECT_GT(drops, 0u) << bound;  // the bound was actually reached
   }
-  EXPECT_GT(positives, 800u);
 }
+
+TEST(DfaDifferentialTest, RandomPatternsAgreeWithNfaAtEveryBound) {
+  // Accept decisions and prefix-length sets at the default bound and at a
+  // three-state bound, which drops the memo before nearly every call.
+  for (const size_t bound : {kDefaultMaxStates, size_t{3}}) {
+    Rng rng(77001);
+    size_t positives = 0;
+    for (int iter = 0; iter < 300; ++iter) {
+      const Pattern p = RandomPattern(rng, /*allow_conjunct=*/false);
+      const Nfa nfa = Nfa::Compile(p);
+      const Dfa dfa = Dfa::Compile(p, bound);
+      for (int k = 0; k < 20; ++k) {
+        const std::string s = RandomString(rng, p, /*noise=*/0.2);
+        const bool expected = nfa.Matches(s);
+        ASSERT_EQ(dfa.Matches(s), expected)
+            << "bound=" << bound << " pattern=" << p.ToString()
+            << " input=\"" << s << "\"";
+        ASSERT_EQ(dfa.MatchingPrefixLengths(s), nfa.MatchingPrefixLengths(s))
+            << "bound=" << bound << " pattern=" << p.ToString()
+            << " input=\"" << s << "\"";
+        if (expected) ++positives;
+      }
+    }
+    EXPECT_GT(positives, 800u) << bound;
+  }
+}
+
+// --------------------------------------------------------- automaton cache
 
 TEST(AutomatonCacheTest, CompilesEachDistinctPatternOnce) {
   AutomatonCache cache;
   const Pattern p = ParsePattern("\\D{5}").value();
-  auto first = cache.Get(p);
-  ASSERT_NE(first, nullptr);
+  const Dfa first = cache.Get(p);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
-  // Same element sequence → same shared automaton, no recompilation.
-  auto second = cache.Get(ParsePattern("\\D{5}").value());
-  EXPECT_EQ(first.get(), second.get());
+  // Same element sequence → a copy of the same prototype, no recompile.
+  const Dfa second = cache.Get(ParsePattern("\\D{5}").value());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   // Conjuncts are separate automata: the main-sequence key ignores them.
   Pattern with_conjunct = ParsePattern("\\D{5}").value();
   with_conjunct.AddConjunct(ParsePattern("\\A*").value());
-  EXPECT_EQ(cache.Get(with_conjunct).get(), first.get());
+  cache.Get(with_conjunct);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.Get(ParsePattern("\\A*").value()).get() == first.get(),
-            false);
+  EXPECT_EQ(cache.misses(), 1u);
+  cache.Get(ParsePattern("\\A*").value());
   EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.fallbacks(), 0u);
+
+  // Copies are private and come out unwalked: walking one leaves the
+  // other's memo (and the prototype, copied again below) untouched.
+  const size_t unwalked = second.num_materialized_states();
+  EXPECT_TRUE(first.Matches("90001"));
+  EXPECT_GT(first.num_materialized_states(), unwalked);
+  EXPECT_EQ(second.num_materialized_states(), unwalked);
+  EXPECT_EQ(cache.Get(p).num_materialized_states(), unwalked);
+}
+
+TEST(AutomatonCacheTest, CopiesCarryTheCacheBound) {
+  AutomatonCache bounded(/*max_states=*/3);
+  const Pattern p = ParsePattern("\\LL*a\\LL{12}").value();
+  const Dfa copy = bounded.Get(p);
+  const Nfa nfa = Nfa::Compile(p);
+  for (const char* s : {"abababababababab", "bbbbbbbbbbbbbbbbbbba",
+                        "aaaaaaaaaaaaaaaaa"}) {
+    EXPECT_EQ(copy.Matches(s), nfa.Matches(s)) << s;
+    EXPECT_LE(copy.num_materialized_states(), 3 + std::strlen(s)) << s;
+  }
 }
 
 TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
@@ -346,7 +366,6 @@ TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
     const Pattern p = RandomPattern(rng);
     const PatternMatcher lazy(p);
     const PatternMatcher cached(p, &cache);
-    EXPECT_EQ(cache.fallbacks(), 0u) << p.ToString();  // frozen-backed
     for (int k = 0; k < 15; ++k) {
       const std::string s = RandomString(rng, p, /*noise=*/0.2);
       ASSERT_EQ(cached.Matches(s), lazy.Matches(s))
@@ -356,14 +375,13 @@ TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
   EXPECT_GT(cache.hits() + cache.misses(), 0u);
 
   // Constrained matchers: match + canonical extraction + full extraction
-  // sets must agree (the split plan runs over frozen ScanPrefixes).
+  // sets must agree (the split plan runs over ScanPrefixes).
   for (const char* text :
        {"(\\D{3})!\\D{2}", "(900)!\\D{2}", "(\\LU\\LL+)!\\ (\\LU\\LL+)!",
         "(\\D+)!-\\D+"}) {
     const ConstrainedPattern q = ParseConstrainedPattern(text).value();
     const ConstrainedMatcher lazy(q);
     const ConstrainedMatcher cached(q, &cache);
-    EXPECT_EQ(cache.fallbacks(), 0u) << text;  // frozen-backed
     Rng inner(7);
     for (int k = 0; k < 200; ++k) {
       const std::string s =
@@ -379,20 +397,17 @@ TEST(CachedMatcherDifferentialTest, CachedMatchersIdenticalToLazy) {
   }
 }
 
-// Exercised under -DANMAT_SANITIZE=thread: one frozen automaton and one
-// cache shared by many threads, probed lock-free with no synchronization
-// beyond the cache's own mutex.
-TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
-  auto frozen = CompileDfa("\\D{3}\\LU{0,2}a+").Freeze();
-  ASSERT_NE(frozen, nullptr);
+// Exercised under -DANMAT_SANITIZE=thread: one cache shared by many
+// threads, each taking its own copies concurrently and probing them with
+// no synchronization beyond the cache's own mutex.
+TEST(AutomatonCacheConcurrencyTest, ConcurrentCopiesProbeAlike) {
   AutomatonCache cache;
-  const ConstrainedMatcher matcher(
-      ParseConstrainedPattern("(\\D{3})!\\D{2}").value(), &cache);
-  ASSERT_EQ(cache.fallbacks(), 0u);  // frozen-backed: lock-free probes
+  const Pattern gen = ParsePattern("\\D{3}\\LU{0,2}a+").value();
+  const ConstrainedPattern q =
+      ParseConstrainedPattern("(\\D{3})!\\D{2}").value();
 
   std::vector<std::string> inputs;
   Rng rng(77003);
-  const Pattern gen = ParsePattern("\\D{3}\\LU{0,2}a+").value();
   for (int i = 0; i < 200; ++i) {
     inputs.push_back(RandomString(rng, gen, /*noise=*/0.3));
     inputs.push_back(RandomString(rng, ParsePattern("\\D{5}").value(), 0.2));
@@ -406,12 +421,12 @@ TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
     threads.emplace_back([&, t] {
       std::vector<uint32_t> scratch;
       for (int round = 0; round < 20; ++round) {
+        const Dfa dfa = cache.Get(gen);
+        const ConstrainedMatcher matcher(q, &cache);
         for (const std::string& s : inputs) {
-          if (frozen->Matches(s)) ++matches[t];
-          prefix_totals[t] += frozen->ScanPrefixes(s, &scratch);
+          if (dfa.Matches(s)) ++matches[t];
+          prefix_totals[t] += dfa.ScanPrefixes(s, &scratch);
           if (matcher.Matches(s)) ++matches[t];
-          // Concurrent cache lookups must be safe too.
-          if (cache.Get(gen) == nullptr) ++matches[t];  // never taken
         }
       }
     });
@@ -422,6 +437,11 @@ TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
     EXPECT_EQ(prefix_totals[t], prefix_totals[0]);
   }
   EXPECT_GT(matches[0], 0u);
+  // Every distinct signature was compiled into the map once.
+  AutomatonCache serial;
+  serial.Get(gen);
+  const ConstrainedMatcher matcher(q, &serial);
+  EXPECT_EQ(cache.entries(), serial.entries());
 }
 
 // ------------------------- dictionary detection vs row-at-a-time oracle

@@ -205,7 +205,7 @@ TEST(MultiPatternDfaDifferentialTest, MatchesIndependentDfaWalks) {
   // flush-forcing bound (three states: nearly every value drops the memo
   // and re-determinizes from the start state) against N single walks.
   Rng rng(20240817);
-  AutomatonCache bounded_cache(/*max_frozen_states=*/3);
+  AutomatonCache bounded_cache(/*max_states=*/3);
   for (int round = 0; round < 60; ++round) {
     std::vector<Pattern> patterns;
     const size_t n = 2 + rng.NextBelow(15);
@@ -496,7 +496,7 @@ ColumnDispatcher ZipDispatcher(const std::vector<Pfd>& pfds,
 struct DispatchShape {
   const char* name;
   std::vector<Pfd> pfds;
-  size_t max_frozen_states;
+  size_t max_states;
 };
 
 /// Fully covered (one union), partly covered (a leading `\A+` slot left to
@@ -505,37 +505,37 @@ struct DispatchShape {
 /// that the union's walked states overrun, so it drops its memo between
 /// values).
 std::vector<DispatchShape> DispatchShapes() {
-  return {{"fully covered", ZipRulePerRegion(), kDefaultMaxFrozenStates},
+  return {{"fully covered", ZipRulePerRegion(), kDefaultMaxStates},
           {"partly covered", ZipRulesWithLeadingRepeat(),
-           kDefaultMaxFrozenStates},
-          {"multi-group", ZipRulesPastOneGroup(), kDefaultMaxFrozenStates},
+           kDefaultMaxStates},
+          {"multi-group", ZipRulesPastOneGroup(), kDefaultMaxStates},
           {"flushing", ZipRulePerRegion(), 8}};
 }
 
 /// Options compiling through a fresh cache with `shape`'s state bound.
 DetectorOptions ShapeOptions(const DispatchShape& shape, size_t threads) {
   DetectorOptions options;
-  options.automata = std::make_shared<AutomatonCache>(shape.max_frozen_states);
+  options.automata = std::make_shared<AutomatonCache>(shape.max_states);
   options.execution.num_threads = threads;
   return options;
 }
 
 TEST(DispatchDetectorTest, ShapesCoverWhatTheyClaim) {
   const std::vector<DispatchShape> shapes = DispatchShapes();
-  AutomatonCache full_cache(shapes[0].max_frozen_states);
+  AutomatonCache full_cache(shapes[0].max_states);
   const ColumnDispatcher full = ZipDispatcher(shapes[0].pfds, &full_cache);
   EXPECT_TRUE(full.fully_covered());
   EXPECT_EQ(full.num_groups(), 1u);
-  AutomatonCache part_cache(shapes[1].max_frozen_states);
+  AutomatonCache part_cache(shapes[1].max_states);
   const ColumnDispatcher part = ZipDispatcher(shapes[1].pfds, &part_cache);
   EXPECT_FALSE(part.fully_covered());
   EXPECT_EQ(part.num_groups(), 1u);
-  AutomatonCache multi_cache(shapes[2].max_frozen_states);
+  AutomatonCache multi_cache(shapes[2].max_states);
   const ColumnDispatcher multi = ZipDispatcher(shapes[2].pfds, &multi_cache);
   EXPECT_TRUE(multi.fully_covered());
   EXPECT_GT(multi.num_groups(), 1u);
   // A union cannot fail: at any state bound every slot is covered.
-  AutomatonCache flush_cache(shapes[3].max_frozen_states);
+  AutomatonCache flush_cache(shapes[3].max_states);
   const ColumnDispatcher flush = ZipDispatcher(shapes[3].pfds, &flush_cache);
   EXPECT_TRUE(flush.fully_covered());
   EXPECT_EQ(flush.num_groups(), 1u);
@@ -559,35 +559,33 @@ TEST(DispatchDetectorTest, MatchesReferenceAtAnyThreadCount) {
       const DispatchStats stats = options.automata->dispatch_stats();
       EXPECT_GT(stats.probes, 0u)
           << shape.name << ", " << threads << " threads";
-      if (shape.max_frozen_states < kDefaultMaxFrozenStates) {
+      if (shape.max_states < kDefaultMaxStates) {
         EXPECT_GT(stats.flushes, 0u) << shape.name;
       }
     }
   }
 }
 
-TEST(DispatchDetectorTest, ForcedFallbackMatchesReference) {
-  // A three-state freeze cap leaves every pattern unfreezable: matchers
-  // fall back to private lazy automata and each parallel task re-resolves
-  // its row. Dispatch still runs: the lazy union flushes its memo before
-  // nearly every value.
+TEST(DispatchDetectorTest, ThreeStateBoundMatchesReference) {
+  // A three-state bound makes every private matcher automaton and the
+  // lazy union drop their memos before nearly every value, and each
+  // parallel task re-resolves its row.
   const Dataset d = ZipCityStateDataset(1500, 78, 0.05);
   const std::vector<Pfd> pfds = ZipRulesWithLeadingRepeat();
   DetectorOptions options;
   options.automata = std::make_shared<AutomatonCache>(3);
   options.execution.num_threads = 4;
-  ExpectDetectMatchesReference(d.relation, pfds, options, "forced fallback");
-  EXPECT_GT(options.automata->fallbacks(), 0u);
+  ExpectDetectMatchesReference(d.relation, pfds, options, "3-state bound");
   EXPECT_GT(options.automata->dispatch_stats().probes, 0u);
   EXPECT_GT(options.automata->dispatch_stats().flushes, 0u);
 
   // The repair loop reuses those rows across passes; it must match the
   // default-cache run cell for cell.
-  Relation fallback_relation = d.relation;
-  RepairOptions fallback;
-  fallback.detector = options;
+  Relation bounded_relation = d.relation;
+  RepairOptions bounded;
+  bounded.detector = options;
   const RepairResult a =
-      RepairErrors(&fallback_relation, pfds, fallback).value();
+      RepairErrors(&bounded_relation, pfds, bounded).value();
   Relation default_relation = d.relation;
   const RepairResult b = RepairErrors(&default_relation, pfds).value();
   ASSERT_EQ(a.repairs.size(), b.repairs.size());
@@ -597,8 +595,8 @@ TEST(DispatchDetectorTest, ForcedFallbackMatchesReference) {
     EXPECT_EQ(a.repairs[i].after, b.repairs[i].after);
   }
   ExpectSameAsReference(a.final_detection,
-                        ReferenceDetectErrors(fallback_relation, pfds).value(),
-                        "forced fallback, after repair");
+                        ReferenceDetectErrors(bounded_relation, pfds).value(),
+                        "3-state bound, after repair");
 }
 
 TEST(DispatchDetectorTest, RepeatedRunsCompileUnionsOnce) {

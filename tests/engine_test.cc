@@ -403,7 +403,7 @@ TEST(EngineParallelTest, ZeroMeansHardwareThreads) {
 
 // -- Shared cached automata == uncached reference -------------------------
 
-// Acceptance: detection through a caller-shared cache (frozen automata +
+// Acceptance: detection through a caller-shared cache (cached automata +
 // resolved-row reuse) is byte-identical to the uncached reference oracle,
 // and repair through it to a repair with its own private cache, at
 // 1/2/4/8 threads.
@@ -648,14 +648,14 @@ TEST(DetectionStreamTest, AppendBatchMatchesReferenceOnEveryCleaningTable) {
   // The six tables the end-to-end cleaning benchmark runs (phone and
   // compound at 1k rows, web at its 50), split at random, with and without
   // clean-on-ingest, at 1/2/4 threads and through a cache whose state
-  // bound leaves every single pattern unfrozen and flushes every union.
+  // bound flushes every matcher automaton and every union.
   std::vector<Dataset> datasets = TestDatasets();
   datasets.push_back(PhoneStateDataset(1000, 221, 0.02));
   datasets.push_back(CompoundDataset(1000, 222, 0.02));
   datasets.push_back(WebAccountDataset(50, 223, 0.02));
   struct Config {
     size_t threads;
-    size_t max_frozen_states;  // 0: the engine's cache
+    size_t max_states;  // 0: the engine's cache
   };
   const Config configs[] = {{1, 0}, {2, 0}, {4, 0}, {4, 3}};
   for (const Dataset& d : datasets) {
@@ -664,19 +664,19 @@ TEST(DetectionStreamTest, AppendBatchMatchesReferenceOnEveryCleaningTable) {
     for (const Config& config : configs) {
       SCOPED_TRACE(d.name + ", " + std::to_string(config.threads) +
                    " threads, state bound " +
-                   std::to_string(config.max_frozen_states));
+                   std::to_string(config.max_states));
       DetectorOptions options;
       options.execution.num_threads = config.threads;
-      if (config.max_frozen_states != 0) {
+      if (config.max_states != 0) {
         options.automata =
-            std::make_shared<AutomatonCache>(config.max_frozen_states);
+            std::make_shared<AutomatonCache>(config.max_states);
       }
       for (const bool clean : {false, true}) {
         CheckStreamEquivalence(d.relation, rules, options,
                                230 + config.threads, clean);
       }
-      if (config.max_frozen_states != 0) {
-        EXPECT_GT(options.automata->fallbacks(), 0u);
+      if (config.max_states != 0) {
+        EXPECT_GT(options.automata->dispatch_stats().flushes, 0u);
       }
     }
   }
