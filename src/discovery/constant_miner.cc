@@ -1,9 +1,8 @@
 #include "discovery/constant_miner.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
+#include <string_view>
 
 #include "pattern/containment.h"
 #include "pattern/generalizer.h"
@@ -14,49 +13,39 @@ namespace anmat {
 
 namespace {
 
-/// Splits each posting's LHS cell into (prefix, key, suffix) around the key
-/// occurrence and generalizes prefixes/suffixes across the entry group.
+/// An accepted entry's context pieces: each posted value split around its
+/// key, and the row-order sequence of those values over the entry's rows
+/// with a non-blank RHS (the rows a row-at-a-time split visited).
 struct ContextParts {
-  std::vector<std::string> prefixes;
-  std::vector<std::string> suffixes;
-  bool valid = true;
+  std::vector<std::string_view> prefixes;  ///< one per posting
+  std::vector<std::string_view> suffixes;
+  std::vector<uint32_t> sequence;  ///< piece index per row, row order
 };
 
-ContextParts SplitContexts(const Relation& relation, size_t lhs_col,
-                           const TokenKey& key,
-                           const std::vector<Posting>& postings,
-                           TokenMode mode) {
+ContextParts SplitContexts(const KeyEntry& entry, const PairCounts& counts) {
+  const ColumnDictionary& lhs = counts.lhs();
+  const ColumnDictionary& rhs = counts.rhs();
   ContextParts parts;
-  std::set<RowId> seen;
-  for (const Posting& p : postings) {
-    if (!seen.insert(p.row).second) continue;  // one occurrence per row
-    const std::string_view cell = relation.cell(p.row, lhs_col);
-    size_t offset;
-    if (mode == TokenMode::kTokens) {
-      // Recover the character offset of the key token in this row's cell.
-      const std::vector<Token> tokens = Tokenize(cell);
-      if (key.position >= tokens.size() ||
-          tokens[key.position].text != key.text) {
-        parts.valid = false;
-        return parts;
-      }
-      offset = tokens[key.position].offset;
-    } else {
-      offset = key.position;  // n-gram positions are character offsets
-      if (cell.compare(offset, key.text.size(), key.text) != 0) {
-        parts.valid = false;
-        return parts;
-      }
+  std::vector<std::pair<RowId, uint32_t>> rows;
+  for (const Posting& p : entry.postings) {
+    const std::string_view value = lhs.value(p.value_id);
+    const auto piece = static_cast<uint32_t>(parts.prefixes.size());
+    parts.prefixes.push_back(value.substr(0, p.offset));
+    parts.suffixes.push_back(value.substr(p.offset + entry.text.size()));
+    for (const RowId r : lhs.rows(p.value_id)) {
+      if (!counts.rhs_blank(rhs.value_id(r))) rows.emplace_back(r, piece);
     }
-    parts.prefixes.emplace_back(cell.substr(0, offset));
-    parts.suffixes.emplace_back(cell.substr(offset + key.text.size()));
   }
+  std::sort(rows.begin(), rows.end());
+  parts.sequence.reserve(rows.size());
+  for (const auto& [row, piece] : rows) parts.sequence.push_back(piece);
   return parts;
 }
 
-Pattern GeneralizeContext(const std::vector<std::string>& pieces,
+Pattern GeneralizeContext(const std::vector<std::string_view>& pieces,
+                          const std::vector<uint32_t>& sequence,
                           ContextStyle style) {
-  Pattern p = GeneralizeValues(pieces, GeneralizationLevel::kClassExact);
+  Pattern p = GeneralizeSequence(pieces, sequence);
   if (style == ContextStyle::kAnyRuns) p = FlattenToAnyRuns(p);
   return p;
 }
@@ -79,6 +68,24 @@ ConstrainedPattern BuildLhsPattern(const Pattern& prefix,
 
 }  // namespace
 
+ColumnKeyLists::ColumnKeyLists(TokenMode mode,
+                               const ConstantMinerOptions& options)
+    : mode(mode),
+      gram_lengths(mode == TokenMode::kTokens ? std::vector<size_t>{0}
+                                              : options.gram_lengths),
+      grams(gram_lengths.size()) {}
+
+void ColumnKeyLists::BuildSlot(const ColumnDictionary& dict, size_t slot,
+                               const ConstantMinerOptions& options) {
+  if (slot < grams.size()) {
+    grams[slot] = BuildKeyList(dict, mode, gram_lengths[slot],
+                               options.max_value_length);
+  } else if (options.mine_signatures) {
+    signatures = BuildSignatureList(dict, options.max_value_length,
+                                    &signature_patterns);
+  }
+}
+
 Result<std::vector<MinedRow>> MineConstantRows(
     const Relation& relation, size_t lhs_col, size_t rhs_col, TokenMode mode,
     const ConstantMinerOptions& options) {
@@ -88,13 +95,29 @@ Result<std::vector<MinedRow>> MineConstantRows(
   if (lhs_col == rhs_col) {
     return Status::InvalidArgument("LHS and RHS columns must differ");
   }
+  ColumnKeyLists lists(mode, options);
+  for (size_t slot = 0; slot < lists.num_slots(); ++slot) {
+    lists.BuildSlot(relation.dictionary(lhs_col), slot, options);
+  }
+  return MineConstantRows(lists, PairCounts(relation, lhs_col, rhs_col),
+                          options);
+}
+
+Result<std::vector<MinedRow>> MineConstantRows(
+    const ColumnKeyLists& lists, const PairCounts& counts,
+    const ConstantMinerOptions& options) {
+  if (lists.mode == TokenMode::kPrefix) {
+    return Status::InvalidArgument(
+        "the constant miner takes tokens or n-grams");
+  }
 
   std::vector<MinedRow> mined;
 
   // Support floor scaled by the column's non-null size (see header).
+  const ColumnDictionary& lhs = counts.lhs();
   size_t non_null = 0;
-  for (std::string_view cell : relation.column(lhs_col)) {
-    if (!TrimView(cell).empty()) ++non_null;
+  for (uint32_t id = 0; id < lhs.num_values(); ++id) {
+    if (!TrimView(lhs.value(id)).empty()) non_null += lhs.rows(id).size();
   }
   DecisionOptions decision_options = options.decision;
   decision_options.min_support = std::max(
@@ -102,38 +125,44 @@ Result<std::vector<MinedRow>> MineConstantRows(
       static_cast<size_t>(options.min_support_ratio *
                           static_cast<double>(non_null)));
 
-  std::vector<size_t> gram_lengths = options.gram_lengths;
-  if (mode == TokenMode::kTokens) gram_lengths = {0};  // single pass
-
-  for (size_t gram_len : gram_lengths) {
-    const InvertedList list =
-        BuildInvertedList(relation, lhs_col, rhs_col, mode, gram_len,
-                          options.max_value_length);
-    for (const auto* entry : list.SortedEntries()) {
-      const TokenKey& key = entry->first;
-      const std::vector<Posting>& postings = entry->second;
-
-      const Decision decision =
-          DecideConstantEntry(postings, decision_options);
-      if (!decision.accept) continue;
-
-      const ContextParts parts =
-          SplitContexts(relation, lhs_col, key, postings, mode);
-      if (!parts.valid) continue;
-
-      const ContextStyle style = mode == TokenMode::kTokens
-                                     ? options.token_context
-                                     : options.gram_context;
-      const Pattern prefix = GeneralizeContext(parts.prefixes, style);
-      const Pattern suffix = GeneralizeContext(parts.suffixes, style);
+  const ContextStyle style = lists.mode == TokenMode::kTokens
+                                 ? options.token_context
+                                 : options.gram_context;
+  for (const KeyList& list : lists.grams) {
+    // Accepted entries in support order (support desc, then text, then
+    // position); an entry whose rows cannot reach the floor is cut before
+    // any counting.
+    std::vector<std::pair<const KeyEntry*, Decision>> accepted;
+    for (const KeyEntry& entry : list) {
+      if (entry.rows < decision_options.min_support) continue;
+      Decision decision =
+          DecideConstantEntry(entry.postings, counts, decision_options);
+      if (decision.accept) accepted.emplace_back(&entry, std::move(decision));
+    }
+    std::sort(accepted.begin(), accepted.end(),
+              [](const auto& a, const auto& b) {
+                if (a.second.support != b.second.support) {
+                  return a.second.support > b.second.support;
+                }
+                if (a.first->text != b.first->text) {
+                  return a.first->text < b.first->text;
+                }
+                return a.first->position < b.first->position;
+              });
+    for (const auto& [entry, decision] : accepted) {
+      const ContextParts parts = SplitContexts(*entry, counts);
+      const Pattern prefix =
+          GeneralizeContext(parts.prefixes, parts.sequence, style);
+      const Pattern suffix =
+          GeneralizeContext(parts.suffixes, parts.sequence, style);
 
       MinedRow m;
       m.row.lhs.push_back(
-          TableauCell::Of(BuildLhsPattern(prefix, key.text, suffix)));
+          TableauCell::Of(BuildLhsPattern(prefix, entry->text, suffix)));
       m.row.rhs.push_back(TableauCell::Of(ConstrainedPattern::Unconstrained(
           LiteralPattern(decision.dominant_rhs))));
-      m.key_text = key.text;
-      m.key_position = key.position;
+      m.key_text = entry->text;
+      m.key_position = entry->position;
       m.support = decision.support;
       m.agreeing = decision.agreeing;
       m.violation_ratio = decision.violation_ratio;
@@ -141,46 +170,27 @@ Result<std::vector<MinedRow>> MineConstantRows(
     }
   }
 
-  // Signature pass: group rows by the class-run signature of the whole LHS
-  // cell and apply the same decision function. The "key" of such a rule is
-  // the signature text itself; the LHS tableau cell constrains the whole
+  // Signature pass: the values grouped by the class-run signature of the
+  // whole value, decided the same way. The "key" of such a rule is the
+  // signature text itself; the LHS tableau cell constrains the whole
   // (pattern-shaped) value.
-  if (options.mine_signatures) {
-    std::map<std::string, std::vector<Posting>> by_signature;
-    std::map<std::string, Pattern> signature_patterns;
-    const auto& lhs_values = relation.column(lhs_col);
-    const auto& rhs_values = relation.column(rhs_col);
-    for (RowId r = 0; r < relation.num_rows(); ++r) {
-      if (TrimView(lhs_values[r]).empty() || TrimView(rhs_values[r]).empty()) {
-        continue;
-      }
-      if (options.max_value_length > 0 &&
-          lhs_values[r].size() > options.max_value_length) {
-        continue;
-      }
-      Pattern sig =
-          GeneralizeString(lhs_values[r], GeneralizationLevel::kClassExact);
-      std::string sig_text = sig.ToString();
-      by_signature[sig_text].push_back(
-          Posting{r, 0, std::string(rhs_values[r])});
-      signature_patterns.try_emplace(std::move(sig_text), std::move(sig));
-    }
-    for (const auto& [sig_text, postings] : by_signature) {
-      const Decision decision =
-          DecideConstantEntry(postings, decision_options);
-      if (!decision.accept) continue;
-      MinedRow m;
-      m.row.lhs.push_back(TableauCell::Of(
-          ConstrainedPattern::WholePattern(signature_patterns.at(sig_text))));
-      m.row.rhs.push_back(TableauCell::Of(ConstrainedPattern::Unconstrained(
-          LiteralPattern(decision.dominant_rhs))));
-      m.key_text = sig_text;
-      m.key_position = 0;
-      m.support = decision.support;
-      m.agreeing = decision.agreeing;
-      m.violation_ratio = decision.violation_ratio;
-      mined.push_back(std::move(m));
-    }
+  for (size_t i = 0; i < lists.signatures.size(); ++i) {
+    const KeyEntry& entry = lists.signatures[i];
+    if (entry.rows < decision_options.min_support) continue;
+    const Decision decision =
+        DecideConstantEntry(entry.postings, counts, decision_options);
+    if (!decision.accept) continue;
+    MinedRow m;
+    m.row.lhs.push_back(TableauCell::Of(
+        ConstrainedPattern::WholePattern(lists.signature_patterns[i])));
+    m.row.rhs.push_back(TableauCell::Of(ConstrainedPattern::Unconstrained(
+        LiteralPattern(decision.dominant_rhs))));
+    m.key_text = entry.text;
+    m.key_position = 0;
+    m.support = decision.support;
+    m.agreeing = decision.agreeing;
+    m.violation_ratio = decision.violation_ratio;
+    mined.push_back(std::move(m));
   }
 
   // Rank: support desc, then *anchored* keys first (position 0 — the shape

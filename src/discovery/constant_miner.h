@@ -5,16 +5,21 @@
 /// Mining *constant* PFD tableau rows (Figure 2 instantiated with the
 /// constant decision function).
 ///
-/// For one candidate dependency `A → B`, the miner builds the inverted list
-/// of `A`'s tokens or n-grams, runs the decision function on every entry,
-/// and turns each accepted entry into a tableau row whose LHS is the key
-/// kept literal with its context generalized from the entry's own cells:
+/// For one candidate dependency `A → B`, the miner reads the key lists of
+/// `A`'s tokens or n-grams (built once per column over its value
+/// dictionary, `ColumnKeyLists`), runs the decision function on every
+/// entry against the candidate's (LHS id, RHS id) row counts, and turns
+/// each accepted entry into a tableau row whose LHS is the key kept literal
+/// with its context generalized from the entry's own values:
 ///
 ///   postings of ("Donald" @ token 1) over a Full-Name column
 ///     → `\A*,\ (Donald)!\A*  ->  M`
 ///   postings of ("900" @ offset 0) over a zip column
 ///     → `(900)!\D{2}  ->  Los Angeles`
 ///
+/// Splitting a value around its key and generalizing the context run once
+/// per distinct value; the context fold visits the values in row order,
+/// as a row-at-a-time fold would (see `GeneralizeSequence`).
 /// Redundant rows (an LHS whose language is contained in another accepted
 /// row's LHS with the same RHS) are pruned, preferring the more general row.
 
@@ -80,9 +85,41 @@ struct MinedRow {
   double violation_ratio = 0.0;
 };
 
-/// \brief Mines constant tableau rows for `lhs_col → rhs_col` of `relation`
-/// using `mode` (kTokens or kNGrams; kPrefix behaves as n-grams restricted
-/// to offset 0).
+/// \brief The key lists the constant miner reads for one LHS column: one
+/// per gram length (a single token list in token mode) and the signature
+/// list. They depend on the column alone, so every candidate dependency on
+/// the column shares them read-only.
+struct ColumnKeyLists {
+  /// Sizes the lists for `mode` (kTokens or kNGrams) without building
+  /// them.
+  ColumnKeyLists(TokenMode mode, const ConstantMinerOptions& options);
+
+  /// Lists to build: one per gram length, then the signature list.
+  size_t num_slots() const { return gram_lengths.size() + 1; }
+
+  /// Builds list `slot` over `dict` (empty for the signature slot unless
+  /// `options.mine_signatures`). Each slot writes only its own list, so the
+  /// slots of one column may be built concurrently.
+  void BuildSlot(const ColumnDictionary& dict, size_t slot,
+                 const ConstantMinerOptions& options);
+
+  TokenMode mode;
+  std::vector<size_t> gram_lengths;  ///< option order; {0} in token mode
+  std::vector<KeyList> grams;        ///< parallel to `gram_lengths`
+  KeyList signatures;                ///< ascending signature text
+  std::vector<Pattern> signature_patterns;  ///< parallel to `signatures`
+};
+
+/// \brief Mines constant tableau rows for a candidate `A → B` from `A`'s
+/// key lists (built with the same `options`) and the candidate's pair
+/// counts.
+Result<std::vector<MinedRow>> MineConstantRows(
+    const ColumnKeyLists& lists, const PairCounts& counts,
+    const ConstantMinerOptions& options = {});
+
+/// \brief Mines constant tableau rows for `lhs_col → rhs_col` of
+/// `relation`, building the key lists and pair counts first. `mode` is
+/// kTokens or kNGrams.
 Result<std::vector<MinedRow>> MineConstantRows(
     const Relation& relation, size_t lhs_col, size_t rhs_col, TokenMode mode,
     const ConstantMinerOptions& options = {});

@@ -4,11 +4,12 @@
 /// \file decision.h
 /// The decision function `f` of the discovery algorithm (Figure 2, line 11).
 ///
-/// Given an inverted-list entry (one LHS token/n-gram key and its postings),
-/// `f` decides whether the entry can form a meaningful tableau row. The
-/// knobs mirror §4 "Parameter Setting": a minimum support and an allowed
-/// violation ratio (the data is assumed dirty, so a bounded fraction of
-/// disagreeing postings is tolerated and later reported as errors).
+/// Given a key-list entry (one LHS token/n-gram key and its postings) and
+/// the candidate's (LHS id, RHS id) row counts, `f` decides whether the
+/// entry can form a meaningful tableau row. The knobs mirror §4 "Parameter
+/// Setting": a minimum support and an allowed violation ratio (the data is
+/// assumed dirty, so a bounded fraction of disagreeing rows is tolerated
+/// and later reported as errors).
 
 #include <cstddef>
 #include <string>
@@ -20,12 +21,12 @@ namespace anmat {
 
 /// \brief Parameters of the decision function.
 struct DecisionOptions {
-  /// Minimum number of postings for an entry to be considered at all.
+  /// Minimum number of voting rows for an entry to be considered at all.
   size_t min_support = 2;
-  /// Allowed fraction of postings disagreeing with the dominant RHS value
+  /// Allowed fraction of voting rows disagreeing with the dominant RHS value
   /// (0.0 = strict FD semantics, 0.1 = tolerate 10% dirty cells).
   double allowed_violation_ratio = 0.1;
-  /// The dominant RHS must additionally reach this share of postings
+  /// The dominant RHS must additionally reach this share of voting rows
   /// (guards against keys with many distinct RHS values where even the
   /// most frequent one is not a real dependency).
   double min_dominance = 0.5;
@@ -35,20 +36,20 @@ struct DecisionOptions {
 struct Decision {
   bool accept = false;
   std::string dominant_rhs;     ///< the RHS constant the entry determines
-  size_t support = 0;           ///< total postings
-  size_t agreeing = 0;          ///< postings with the dominant RHS
+  size_t support = 0;           ///< voting rows (non-blank RHS)
+  size_t agreeing = 0;          ///< voting rows with the dominant RHS
   double violation_ratio = 0.0; ///< 1 - agreeing/support
-
-  /// Rows that disagree (become error candidates during detection).
-  std::vector<RowId> disagreeing_rows;
 };
 
 /// \brief The default decision function: the entry forms a (constant)
 /// pattern tuple iff its postings overwhelmingly share one RHS value.
 ///
-/// Distinct rows are counted once even if the key occurs multiple times in
-/// one cell (a repeated token in the same cell is one vote).
+/// The entry's votes are the rows of its postings' values whose RHS is not
+/// blank, counted by RHS value from `counts`. A value posted more than once
+/// (consecutively, as lists are built) votes once. Ties for the dominant
+/// RHS break on the RHS string, smallest first, not on its id.
 Decision DecideConstantEntry(const std::vector<Posting>& postings,
+                             const PairCounts& counts,
                              const DecisionOptions& options);
 
 }  // namespace anmat

@@ -1,7 +1,9 @@
 #include "discovery/discovery.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <utility>
 
 namespace anmat {
 
@@ -13,6 +15,11 @@ std::string ConstantProvenance(const MinedRow& m) {
          std::to_string(m.support);
 }
 
+/// §4: n-grams for single-token columns (codes/ids), word tokens otherwise.
+TokenMode ModeOf(const ColumnProfile& profile) {
+  return profile.single_token ? TokenMode::kNGrams : TokenMode::kTokens;
+}
+
 /// Mines one candidate dependency end-to-end (constant + variable rows,
 /// coverage filtering) — the per-task unit of the candidate-parallel
 /// fan-out. Returns the 0..2 surviving PFDs in constant-before-variable
@@ -21,21 +28,20 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
     const Relation& relation, const ColumnProfile& lhs_profile,
     const CandidateDependency& cand, const DiscoveryOptions& options,
     const ConstantMinerOptions& cm, const VariableMinerOptions& vm,
-    AutomatonCache* automata, const ColumnIndexes& lhs_indexes) {
+    AutomatonCache* automata, const ColumnIndexes& lhs_indexes,
+    const std::optional<ColumnKeyLists>& key_lists) {
   std::vector<DiscoveredPfd> out;
   const std::string& lhs_name = relation.schema().column(cand.lhs_col).name;
   const std::string& rhs_name = relation.schema().column(cand.rhs_col).name;
-
-  // §4: n-grams for single-token columns (codes/ids), word tokens
-  // otherwise.
-  const TokenMode mode =
-      lhs_profile.single_token ? TokenMode::kNGrams : TokenMode::kTokens;
+  // The RHS side of both miners: one row pass over the candidate's pair of
+  // columns.
+  const PairCounts counts(relation, cand.lhs_col, cand.rhs_col);
 
   // ---- Constant PFD for this dependency --------------------------------
   if (options.mine_constant) {
     ANMAT_ASSIGN_OR_RETURN(
         std::vector<MinedRow> rows,
-        MineConstantRows(relation, cand.lhs_col, cand.rhs_col, mode, cm));
+        MineConstantRows(*key_lists, counts, cm));
     if (!rows.empty()) {
       Tableau tableau;
       std::vector<std::string> provenance;
@@ -60,7 +66,7 @@ Result<std::vector<DiscoveredPfd>> MineCandidate(
   if (options.mine_variable) {
     ANMAT_ASSIGN_OR_RETURN(
         std::vector<MinedVariableRow> rows,
-        MineVariableRows(relation, cand.lhs_col, cand.rhs_col, mode, vm));
+        MineVariableRows(ModeOf(lhs_profile), counts, vm));
     if (rows.size() > options.max_variable_rows) {
       rows.resize(options.max_variable_rows);
     }
@@ -122,6 +128,24 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
       relation, std::vector<size_t>(lhs_cols.begin(), lhs_cols.end()),
       automata.get(), options.execution);
 
+  // The constant miner's key lists: one task per (LHS column, list), built
+  // over the column's dictionary and shared read-only by every candidate
+  // on the column.
+  std::vector<std::optional<ColumnKeyLists>> key_lists(relation.num_columns());
+  if (options.mine_constant) {
+    std::vector<std::pair<size_t, size_t>> tasks;
+    for (const size_t col : lhs_cols) {
+      key_lists[col].emplace(ModeOf(result.profiles[col]), cm);
+      for (size_t slot = 0; slot < key_lists[col]->num_slots(); ++slot) {
+        tasks.emplace_back(col, slot);
+      }
+    }
+    ParallelFor(options.execution, tasks.size(), [&](size_t t) {
+      const auto [col, slot] = tasks[t];
+      key_lists[col]->BuildSlot(relation.dictionary(col), slot, cm);
+    });
+  }
+
   // One task and one slot per candidate. Slots are merged in candidate
   // order and the final sort below is stable, so parallel output is
   // byte-identical to the serial loop; the first mining error (in candidate
@@ -132,7 +156,7 @@ Result<DiscoveryResult> DiscoverPfds(const Relation& relation,
     Result<std::vector<DiscoveredPfd>> mined =
         MineCandidate(relation, result.profiles[candidates[i].lhs_col],
                       candidates[i], options, cm, vm, automata.get(),
-                      lhs_indexes);
+                      lhs_indexes, key_lists[candidates[i].lhs_col]);
     if (mined.ok()) {
       slots[i] = std::move(mined).value();
     } else {

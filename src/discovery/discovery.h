@@ -7,8 +7,10 @@
 /// Pipeline per candidate dependency `A → B` (from the profiler):
 ///   1. pick the token mode for `A` (word tokens vs n-grams — §4: n-grams
 ///      for single-token code/id columns),
-///   2. mine constant rows (inverted list + decision function) and variable
-///      rows (candidate segmentations),
+///   2. mine constant rows (the column's key lists, built once per LHS
+///      column over its value dictionary, + decision function) and variable
+///      rows (candidate segmentations), both counting the RHS by dictionary
+///      id,
 ///   3. assemble tableaux, compute coverage on detection's serial
 ///      per-pattern path (`ComputeCoverage`, detect/detector.h), and keep
 ///      PFDs whose coverage meets the user's minimum coverage `γ` (Figure 2,
@@ -47,9 +49,10 @@ struct DiscoveryOptions {
   /// candidates win).
   size_t max_variable_rows = 1;
 
-  /// Parallel execution: discovery fans out one task per candidate
-  /// dependency (each task mines constant + variable rows and computes
-  /// coverage), merges per-candidate slots in candidate order and then
+  /// Parallel execution: discovery builds the key lists in one task per
+  /// (LHS column, list), then fans out one task per candidate dependency
+  /// (each task mines constant + variable rows and computes coverage),
+  /// merges per-candidate slots in candidate order and then
   /// applies the canonical stable sort — byte-identical to a serial run.
   /// Also propagated into `profiler.execution` for the profiling pass.
   /// Overridden by `anmat::Engine` with its own configuration.

@@ -1,89 +1,90 @@
 #include "discovery/variable_miner.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "pattern/generalizer.h"
 #include "util/string_util.h"
+#include "util/tokenizer.h"
 
 namespace anmat {
 
 namespace {
 
-/// A candidate segmentation of the LHS values: each non-null cell either
-/// yields an extracted key (plus its surrounding context pieces) or is not
-/// covered by the candidate.
+/// A candidate segmentation of the LHS values: each non-blank distinct value
+/// either yields an extracted key (plus its surrounding context pieces) or
+/// is not covered by the candidate. Pieces view the dictionary's values.
 struct CandidateExtraction {
-  // Parallel vectors over covered rows.
-  std::vector<RowId> rows;
-  std::vector<std::string> keys;
-  std::vector<std::string> prefixes;  // context before the key
-  std::vector<std::string> suffixes;  // context after the key
+  // Parallel vectors over covered distinct values, ascending value id.
+  std::vector<uint32_t> values;
+  std::vector<std::string_view> keys;
+  std::vector<std::string_view> prefixes;  // context before the key
+  std::vector<std::string_view> suffixes;  // context after the key
+  size_t covered_rows = 0;
   std::string description;
   int specificity = 0;
+
+  void Add(const ColumnDictionary& dict, uint32_t id, size_t offset,
+           size_t length) {
+    const std::string_view value = dict.value(id);
+    values.push_back(id);
+    keys.push_back(value.substr(offset, length));
+    prefixes.push_back(value.substr(0, offset));
+    suffixes.push_back(value.substr(offset + length));
+    covered_rows += dict.rows(id).size();
+  }
 };
 
 /// Token-at-index-k extraction (k = kLastToken means the last token).
 constexpr uint32_t kLastToken = 0xFFFFFFFFu;
 
-CandidateExtraction ExtractTokenCandidate(const Relation& relation,
-                                          size_t lhs_col, uint32_t index,
-                                          size_t max_value_length) {
-  CandidateExtraction out;
-  out.description = index == kLastToken
-                        ? "last token"
-                        : "token " + std::to_string(index);
-  out.specificity = index == kLastToken ? 100 : static_cast<int>(index);
-  const auto& values = relation.column(lhs_col);
-  for (RowId r = 0; r < values.size(); ++r) {
-    const std::string_view cell = values[r];
-    if (TrimView(cell).empty()) continue;
-    if (max_value_length > 0 && cell.size() > max_value_length) continue;
-    const std::vector<Token> tokens = Tokenize(cell);
+/// Token candidates for `indexes` (kLastToken allowed), each distinct value
+/// tokenized once for all of them.
+std::vector<CandidateExtraction> ExtractTokenCandidates(
+    const ColumnDictionary& dict, const std::vector<uint32_t>& indexes,
+    size_t max_value_length) {
+  std::vector<CandidateExtraction> out(indexes.size());
+  for (size_t c = 0; c < indexes.size(); ++c) {
+    const uint32_t index = indexes[c];
+    out[c].description = index == kLastToken
+                             ? "last token"
+                             : "token " + std::to_string(index);
+    out[c].specificity = index == kLastToken ? 100 : static_cast<int>(index);
+  }
+  for (uint32_t id = 0; id < dict.num_values(); ++id) {
+    if (!CarriesKeys(dict.value(id), max_value_length)) continue;
+    const std::vector<Token> tokens = Tokenize(dict.value(id));
     // Keying on "the" first/last token is only meaningful when there are at
     // least two tokens (otherwise the key is the whole value and the PFD
     // degenerates to a plain FD).
     if (tokens.size() < 2) continue;
-    uint32_t idx = index == kLastToken
-                       ? static_cast<uint32_t>(tokens.size() - 1)
-                       : index;
-    if (idx >= tokens.size()) continue;
-    const Token& tok = tokens[idx];
-    out.rows.push_back(r);
-    out.keys.push_back(tok.text);
-    out.prefixes.emplace_back(cell.substr(0, tok.offset));
-    out.suffixes.emplace_back(cell.substr(tok.offset + tok.text.size()));
+    for (size_t c = 0; c < indexes.size(); ++c) {
+      const uint32_t idx = indexes[c] == kLastToken
+                               ? static_cast<uint32_t>(tokens.size() - 1)
+                               : indexes[c];
+      if (idx >= tokens.size()) continue;
+      out[c].Add(dict, id, tokens[idx].offset, tokens[idx].text.size());
+    }
   }
   return out;
 }
 
 /// First-k / last-k characters extraction for single-token code columns.
-CandidateExtraction ExtractGramCandidate(const Relation& relation,
-                                         size_t lhs_col, size_t k,
-                                         bool suffix_key,
+CandidateExtraction ExtractGramCandidate(const ColumnDictionary& dict,
+                                         size_t k, bool suffix_key,
                                          size_t max_value_length) {
   CandidateExtraction out;
   out.description = (suffix_key ? "suffix " : "prefix ") + std::to_string(k);
   out.specificity = static_cast<int>(k) + (suffix_key ? 1000 : 0);
-  const auto& values = relation.column(lhs_col);
-  for (RowId r = 0; r < values.size(); ++r) {
-    const std::string_view cell = values[r];
-    if (TrimView(cell).empty()) continue;
-    if (max_value_length > 0 && cell.size() > max_value_length) continue;
+  for (uint32_t id = 0; id < dict.num_values(); ++id) {
+    const std::string_view value = dict.value(id);
+    if (!CarriesKeys(value, max_value_length)) continue;
     // The key must be a strict part of the value, or the PFD would
     // degenerate to a plain FD on the whole value.
-    if (cell.size() <= k) continue;
-    out.rows.push_back(r);
-    if (suffix_key) {
-      out.keys.emplace_back(cell.substr(cell.size() - k));
-      out.prefixes.emplace_back(cell.substr(0, cell.size() - k));
-      out.suffixes.push_back("");
-    } else {
-      out.keys.emplace_back(cell.substr(0, k));
-      out.prefixes.push_back("");
-      out.suffixes.emplace_back(cell.substr(k));
-    }
+    if (value.size() <= k) continue;
+    out.Add(dict, id, suffix_key ? value.size() - k : 0, k);
   }
   return out;
 }
@@ -98,20 +99,32 @@ struct FunctionalScore {
 };
 
 FunctionalScore ScoreCandidate(const CandidateExtraction& cand,
-                               const Relation& relation, size_t rhs_col) {
+                               const PairCounts& counts) {
   FunctionalScore score;
-  score.covered = cand.rows.size();
-  std::map<std::string, std::map<std::string, size_t>> groups;
-  for (size_t i = 0; i < cand.rows.size(); ++i) {
-    const std::string_view rhs = relation.cell(cand.rows[i], rhs_col);
-    ++groups[cand.keys[i]][std::string(rhs)];
+  score.covered = cand.covered_rows;
+  // Group the covered values by key, then sum each group's (RHS id, rows)
+  // pairs.
+  std::unordered_map<std::string_view, uint32_t> group_of;
+  std::vector<std::vector<uint32_t>> groups;
+  for (size_t i = 0; i < cand.values.size(); ++i) {
+    auto [it, inserted] = group_of.try_emplace(
+        cand.keys[i], static_cast<uint32_t>(groups.size()));
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(cand.values[i]);
   }
-  for (const auto& [key, by_rhs] : groups) {
+  std::vector<PairCounts::Pair> pairs;
+  for (const std::vector<uint32_t>& members : groups) {
+    pairs.clear();
+    for (const uint32_t id : members) {
+      const auto of = counts.of(id);
+      pairs.insert(pairs.end(), of.begin(), of.end());
+    }
+    PairCounts::SumByRhs(&pairs);
     size_t total = 0;
     size_t best = 0;
-    for (const auto& [rhs, n] : by_rhs) {
-      total += n;
-      best = std::max(best, n);
+    for (const PairCounts::Pair& p : pairs) {
+      total += p.rows;
+      best = std::max<size_t>(best, p.rows);
     }
     if (total >= 2) {
       ++score.multi_groups;
@@ -128,14 +141,23 @@ FunctionalScore ScoreCandidate(const CandidateExtraction& cand,
 
 /// Builds the constrained pattern `prefix (key-signature)! suffix` where the
 /// key signature generalizes the extracted keys and the contexts generalize
-/// the surrounding pieces.
-ConstrainedPattern BuildVariableLhs(const CandidateExtraction& cand) {
-  const Pattern key_sig =
-      GeneralizeValues(cand.keys, GeneralizationLevel::kClassExact);
-  const Pattern prefix =
-      GeneralizeValues(cand.prefixes, GeneralizationLevel::kClassExact);
-  const Pattern suffix =
-      GeneralizeValues(cand.suffixes, GeneralizationLevel::kClassExact);
+/// the surrounding pieces, each folded over the covered rows in row order.
+ConstrainedPattern BuildVariableLhs(const CandidateExtraction& cand,
+                                    const ColumnDictionary& dict) {
+  constexpr uint32_t kUncovered = 0xFFFFFFFFu;
+  std::vector<uint32_t> piece_of(dict.num_values(), kUncovered);
+  for (size_t i = 0; i < cand.values.size(); ++i) {
+    piece_of[cand.values[i]] = static_cast<uint32_t>(i);
+  }
+  std::vector<uint32_t> sequence;
+  sequence.reserve(cand.covered_rows);
+  for (RowId r = 0; r < dict.num_rows(); ++r) {
+    const uint32_t piece = piece_of[dict.value_id(r)];
+    if (piece != kUncovered) sequence.push_back(piece);
+  }
+  const Pattern key_sig = GeneralizeSequence(cand.keys, sequence);
+  const Pattern prefix = GeneralizeSequence(cand.prefixes, sequence);
+  const Pattern suffix = GeneralizeSequence(cand.suffixes, sequence);
 
   std::vector<PatternSegment> segments;
   if (!prefix.elements().empty()) {
@@ -159,45 +181,46 @@ Result<std::vector<MinedVariableRow>> MineVariableRows(
   if (lhs_col == rhs_col) {
     return Status::InvalidArgument("LHS and RHS columns must differ");
   }
+  return MineVariableRows(mode, PairCounts(relation, lhs_col, rhs_col),
+                          options);
+}
 
-  // Count non-null rows for the coverage denominator.
+Result<std::vector<MinedVariableRow>> MineVariableRows(
+    TokenMode mode, const PairCounts& counts,
+    const VariableMinerOptions& options) {
+  // Non-blank rows: the coverage denominator.
+  const ColumnDictionary& dict = counts.lhs();
   size_t non_null = 0;
-  for (std::string_view cell : relation.column(lhs_col)) {
-    if (!TrimView(cell).empty()) ++non_null;
+  for (uint32_t id = 0; id < dict.num_values(); ++id) {
+    if (!TrimView(dict.value(id)).empty()) non_null += dict.rows(id).size();
   }
   if (non_null < 2) return std::vector<MinedVariableRow>{};
 
   std::vector<CandidateExtraction> candidates;
   if (mode == TokenMode::kTokens) {
-    for (uint32_t idx : options.token_positions) {
-      candidates.push_back(ExtractTokenCandidate(relation, lhs_col, idx,
-                                                 options.max_value_length));
-    }
-    if (options.probe_last_token) {
-      candidates.push_back(ExtractTokenCandidate(
-          relation, lhs_col, kLastToken, options.max_value_length));
-    }
+    std::vector<uint32_t> indexes = options.token_positions;
+    if (options.probe_last_token) indexes.push_back(kLastToken);
+    candidates =
+        ExtractTokenCandidates(dict, indexes, options.max_value_length);
   } else {
     for (size_t k : options.prefix_lengths) {
-      candidates.push_back(
-          ExtractGramCandidate(relation, lhs_col, k, /*suffix_key=*/false,
-                               options.max_value_length));
+      candidates.push_back(ExtractGramCandidate(
+          dict, k, /*suffix_key=*/false, options.max_value_length));
       if (options.probe_suffixes) {
-        candidates.push_back(
-            ExtractGramCandidate(relation, lhs_col, k, /*suffix_key=*/true,
-                                 options.max_value_length));
+        candidates.push_back(ExtractGramCandidate(
+            dict, k, /*suffix_key=*/true, options.max_value_length));
       }
     }
   }
 
   std::vector<MinedVariableRow> passing;
   for (const CandidateExtraction& cand : candidates) {
-    if (cand.rows.empty()) continue;
+    if (cand.values.empty()) continue;
     const double coverage =
-        static_cast<double>(cand.rows.size()) / static_cast<double>(non_null);
+        static_cast<double>(cand.covered_rows) / static_cast<double>(non_null);
     if (coverage < options.min_key_coverage) continue;
 
-    const FunctionalScore score = ScoreCandidate(cand, relation, rhs_col);
+    const FunctionalScore score = ScoreCandidate(cand, counts);
     if (score.multi_groups < options.min_multi_groups) continue;
     if (score.tested == 0 ||
         static_cast<double>(score.tested) /
@@ -208,7 +231,7 @@ Result<std::vector<MinedVariableRow>> MineVariableRows(
     if (score.violation_ratio > options.allowed_violation_ratio) continue;
 
     MinedVariableRow m;
-    m.row.lhs.push_back(TableauCell::Of(BuildVariableLhs(cand)));
+    m.row.lhs.push_back(TableauCell::Of(BuildVariableLhs(cand, dict)));
     m.row.rhs.push_back(TableauCell::Wildcard());
     m.description = cand.description;
     m.covered = score.covered;

@@ -15,10 +15,13 @@
 ///   * n-gram mode  — "the first k characters determine B" (λ5: the first 3
 ///     digits of a zip code), and "the last k characters determine B".
 ///
-/// For each candidate it groups the covered rows by the extracted key and
-/// measures how functional the grouping is, tolerating the configured
-/// violation ratio; the most general passing candidate (smallest k /
-/// earliest token) wins.
+/// Each candidate extracts its key from every distinct LHS value once
+/// (`Relation::dictionary`), groups the covered values by key and measures
+/// how functional the grouping is from the candidate's (LHS id, RHS id)
+/// row counts (`PairCounts`), tolerating the configured violation ratio;
+/// the most general passing candidate (smallest k / earliest token) wins.
+/// The LHS pattern of a passing candidate folds its keys and contexts over
+/// the covered rows in row order, one signature per distinct value.
 
 #include <string>
 #include <vector>
@@ -67,7 +70,14 @@ struct MinedVariableRow {
   int specificity = 0;
 };
 
-/// \brief Mines variable tableau rows for `lhs_col → rhs_col`.
+/// \brief Mines variable tableau rows for a candidate `A → B` from its
+/// pair counts, `A` read in `mode`.
+Result<std::vector<MinedVariableRow>> MineVariableRows(
+    TokenMode mode, const PairCounts& counts,
+    const VariableMinerOptions& options = {});
+
+/// \brief Mines variable tableau rows for `lhs_col → rhs_col` of
+/// `relation`, counting the pairs first.
 Result<std::vector<MinedVariableRow>> MineVariableRows(
     const Relation& relation, size_t lhs_col, size_t rhs_col, TokenMode mode,
     const VariableMinerOptions& options = {});

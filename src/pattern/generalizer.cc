@@ -1,6 +1,8 @@
 #include "pattern/generalizer.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/string_util.h"
@@ -104,16 +106,18 @@ Pattern Lgg(const Pattern& a, const Pattern& b) {
   const size_t n = ea.size();
   const size_t m = eb.size();
 
-  // Needleman-Wunsch DP over (n+1) x (m+1).
-  std::vector<std::vector<int>> score(n + 1, std::vector<int>(m + 1, 0));
-  for (size_t i = 1; i <= n; ++i) score[i][0] = score[i - 1][0] + kGapCost;
-  for (size_t j = 1; j <= m; ++j) score[0][j] = score[0][j - 1] + kGapCost;
+  // Needleman-Wunsch DP over one flat (n+1) x (m+1) table, row-major.
+  const size_t width = m + 1;
+  std::vector<int> score((n + 1) * width, 0);
+  auto at = [&](size_t i, size_t j) -> int& { return score[i * width + j]; };
+  for (size_t i = 1; i <= n; ++i) at(i, 0) = at(i - 1, 0) + kGapCost;
+  for (size_t j = 1; j <= m; ++j) at(0, j) = at(0, j - 1) + kGapCost;
   for (size_t i = 1; i <= n; ++i) {
     for (size_t j = 1; j <= m; ++j) {
-      const int match = score[i - 1][j - 1] + PairScore(ea[i - 1], eb[j - 1]);
-      const int del = score[i - 1][j] + kGapCost;
-      const int ins = score[i][j - 1] + kGapCost;
-      score[i][j] = std::max({match, del, ins});
+      const int match = at(i - 1, j - 1) + PairScore(ea[i - 1], eb[j - 1]);
+      const int del = at(i - 1, j) + kGapCost;
+      const int ins = at(i, j - 1) + kGapCost;
+      at(i, j) = std::max({match, del, ins});
     }
   }
 
@@ -123,11 +127,11 @@ Pattern Lgg(const Pattern& a, const Pattern& b) {
   size_t j = m;
   while (i > 0 || j > 0) {
     if (i > 0 && j > 0 &&
-        score[i][j] == score[i - 1][j - 1] + PairScore(ea[i - 1], eb[j - 1])) {
+        at(i, j) == at(i - 1, j - 1) + PairScore(ea[i - 1], eb[j - 1])) {
       rev.push_back(JoinElements(ea[i - 1], eb[j - 1]));
       --i;
       --j;
-    } else if (i > 0 && score[i][j] == score[i - 1][j] + kGapCost) {
+    } else if (i > 0 && at(i, j) == at(i - 1, j) + kGapCost) {
       rev.push_back(WidenToOptional(ea[i - 1]));
       --i;
     } else {
@@ -180,6 +184,49 @@ Pattern GeneralizeValues(const std::vector<std::string>& values,
       first = false;
     } else {
       acc = Lgg(acc, sig);
+    }
+  }
+  return acc;
+}
+
+Pattern GeneralizeSequence(const std::vector<std::string_view>& values,
+                           const std::vector<uint32_t>& sequence,
+                           GeneralizationLevel level) {
+  // Values with equal signatures share one slot. `fixed_at[s]` is the
+  // accumulator version at which folding slot s last left it unchanged:
+  // repeating that step cannot change it either.
+  constexpr uint32_t kUnseen = ~uint32_t{0};
+  constexpr uint64_t kNever = ~uint64_t{0};
+  std::vector<uint32_t> slot_of(values.size(), kUnseen);
+  std::unordered_map<std::string, uint32_t> slot_by_text;
+  std::vector<Pattern> signatures;
+  std::vector<uint64_t> fixed_at;
+  uint64_t version = 0;
+  Pattern acc;
+  for (const uint32_t v : sequence) {
+    if (slot_of[v] == kUnseen) {
+      Pattern sig = GeneralizeString(values[v], level);
+      auto [it, inserted] = slot_by_text.try_emplace(
+          sig.ToString(), static_cast<uint32_t>(signatures.size()));
+      if (inserted) {
+        signatures.push_back(std::move(sig));
+        fixed_at.push_back(kNever);
+      }
+      slot_of[v] = it->second;
+    }
+    const uint32_t slot = slot_of[v];
+    if (fixed_at[slot] == version) continue;
+    if (version == 0) {
+      acc = signatures[slot];
+      ++version;
+      continue;
+    }
+    Pattern joined = Lgg(acc, signatures[slot]);
+    if (joined == acc) {
+      fixed_at[slot] = version;
+    } else {
+      acc = std::move(joined);
+      ++version;
     }
   }
   return acc;

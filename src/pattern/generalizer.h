@@ -16,6 +16,7 @@
 /// of values, giving the tightest pattern in our language covering all of
 /// them.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,22 @@ Pattern Lgg(const Pattern& a, const Pattern& b);
 /// Returns an empty pattern when `values` is empty.
 Pattern GeneralizeValues(const std::vector<std::string>& values,
                          GeneralizationLevel level = GeneralizationLevel::kClassExact);
+
+/// \brief `GeneralizeValues` over the sequence `values[sequence[0]]`,
+/// `values[sequence[1]]`, ... in which values repeat (a column's value ids
+/// in row order).
+///
+/// Each value is generalized once, values with equal signatures share one
+/// fold step, and a step is skipped when the same signature already left
+/// the current accumulator unchanged (`Lgg` is a pure function), so a
+/// repeat costs a lookup instead of an alignment. The result equals
+/// `GeneralizeValues` over the expanded sequence. Folding the
+/// distinct values alone would not: `Lgg` is not idempotent under repeats
+/// once other values have been folded in between.
+Pattern GeneralizeSequence(
+    const std::vector<std::string_view>& values,
+    const std::vector<uint32_t>& sequence,
+    GeneralizationLevel level = GeneralizationLevel::kClassExact);
 
 /// \brief Collapses every maximal run of class/letter/digit elements into a
 /// single `\A+` (or `\A*` when the run can be empty), keeping *symbol

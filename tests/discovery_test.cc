@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "datagen/datasets.h"
+#include "store/rule_store.h"
 
 namespace anmat {
 namespace {
@@ -158,6 +159,68 @@ TEST(DiscoveryTest, EmployeeDatasetFindsIdStructure) {
     }
   }
   EXPECT_TRUE(id_to_dept);
+}
+
+// ---- Slices and thread counts ----------------------------------------------
+//
+// The miners read each column's value dictionary. A slice's dictionary
+// indexes rows that start at the slice's first row of the source, so
+// discovery on `Slice(1000, 3000)` must give the rules it gives on a
+// relation built afresh from the same rows, at every thread count.
+
+std::string RulesJson(const Relation& relation, size_t threads) {
+  DiscoveryOptions options;
+  options.min_coverage = 0.4;
+  options.execution.num_threads = threads;
+  const DiscoveryResult result = DiscoverPfds(relation, options).value();
+  std::vector<Pfd> pfds;
+  std::string stats;
+  for (const DiscoveredPfd& d : result.pfds) {
+    pfds.push_back(d.pfd);
+    stats += std::to_string(d.stats.covered_rows) + "/" +
+             std::to_string(d.stats.violating_rows) + "\n";
+    for (const std::string& line : d.provenance) stats += line + "\n";
+  }
+  return SerializeRuleSet(pfds) + stats;
+}
+
+Relation Rebuilt(const Relation& relation, RowId begin, RowId end) {
+  RelationBuilder builder(relation.schema());
+  for (RowId r = begin; r < end; ++r) {
+    EXPECT_TRUE(builder.AddRow(relation.Row(r)).ok());
+  }
+  return builder.Build();
+}
+
+std::vector<std::pair<std::string, Dataset>> SliceSources() {
+  return {{"phone", PhoneStateDataset(3000, 21, 0.02)},
+          {"name", NameGenderDataset(3000, 22, 0.02)},
+          {"zip", ZipCityStateDataset(3000, 23, 0.02)},
+          {"employee", EmployeeDataset(3000, 24, 0.02)},
+          {"compound", CompoundDataset(3000, 25, 0.02)},
+          {"web", WebAccountDataset(3000, 26, 0.02)}};
+}
+
+TEST(DiscoverySliceTest, SliceMatchesAFreshRelationOfTheSameRows) {
+  for (const auto& [label, data] : SliceSources()) {
+    SCOPED_TRACE(label);
+    const Relation slice = data.relation.Slice(1000, 3000).value();
+    const Relation fresh = Rebuilt(data.relation, 1000, 3000);
+    const std::string json = RulesJson(slice, 1);
+    EXPECT_EQ(json, RulesJson(fresh, 1));
+    if (label != "web") EXPECT_NE(json.find("\"tableau\""), std::string::npos);
+  }
+}
+
+TEST(DiscoverySliceTest, RulesIdenticalAtEveryThreadCount) {
+  for (const auto& [label, data] : SliceSources()) {
+    SCOPED_TRACE(label);
+    const Relation slice = data.relation.Slice(1000, 3000).value();
+    const std::string serial = RulesJson(slice, 1);
+    for (const size_t threads : {2, 4, 8}) {
+      EXPECT_EQ(RulesJson(slice, threads), serial) << threads << " threads";
+    }
+  }
 }
 
 // ---- Golden output ---------------------------------------------------------

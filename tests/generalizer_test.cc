@@ -140,6 +140,39 @@ TEST(GeneralizeValuesTest, SingleValue) {
   EXPECT_EQ(GeneralizeValues({"90001"}).ToString(), "\\D{5}");
 }
 
+TEST(GeneralizeSequenceTest, EmptySequence) {
+  EXPECT_TRUE(GeneralizeSequence({"90001"}, {}).empty());
+}
+
+TEST(GeneralizeSequenceTest, FollowsTheRowFoldNotTheDistinctFold) {
+  // A repeat of "Ab" after other values changes the fold: the row-order
+  // sequence and its distinct values generalize differently.
+  const std::vector<std::string> rows = {"Ab", "12", "a1", "Ab"};
+  EXPECT_EQ(GeneralizeValues(rows).ToString(), "\\LU{0,1}\\A{1,3}");
+  EXPECT_EQ(GeneralizeValues({"Ab", "12", "a1"}).ToString(), "\\A{1,3}");
+  const std::vector<std::string_view> values = {"Ab", "12", "a1"};
+  EXPECT_EQ(GeneralizeSequence(values, {0, 1, 2, 0}), GeneralizeValues(rows));
+}
+
+TEST(GeneralizeSequenceTest, EqualsTheExpandedFold) {
+  const std::vector<std::string_view> values = {
+      "90001", "AB-12", "x", "", "John Smith", "60603-6263", "a1", "Ab", "12"};
+  uint32_t state = 7;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<uint32_t> sequence;
+    std::vector<std::string> expanded;
+    const size_t length = 1 + trial % 12;
+    for (size_t i = 0; i < length; ++i) {
+      state = state * 1103515245u + 12345u;
+      const uint32_t v = (state >> 16) % values.size();
+      sequence.push_back(v);
+      expanded.emplace_back(values[v]);
+    }
+    EXPECT_EQ(GeneralizeSequence(values, sequence), GeneralizeValues(expanded))
+        << "trial " << trial;
+  }
+}
+
 TEST(FlattenToAnyRunsTest, KeepsSymbolAnchors) {
   // \LU\LL{7},\ \LU\LL{5}\ \LU. -> \A+,\ \A+\ \A+. — wait, '.' is a symbol
   // literal so it stays; spaces stay.

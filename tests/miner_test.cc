@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+
+#include "datagen/datasets.h"
+#include "pattern/generalizer.h"
 #include "pattern/matcher.h"
+#include "util/string_util.h"
+#include "util/tokenizer.h"
 
 namespace anmat {
 namespace {
@@ -240,6 +247,147 @@ TEST(ConstantMinerTest, MonsterPatternsSkipContainmentButDedupe) {
       EXPECT_FALSE(rows.value()[i].row == rows.value()[j].row);
     }
   }
+}
+
+TEST(ConstantMinerTest, PrefixModeRejected) {
+  Relation rel = ZipCityRelation();
+  EXPECT_FALSE(MineConstantRows(rel, 0, 1, TokenMode::kPrefix, {}).ok());
+}
+
+TEST(ConstantMinerTest, SharedKeyListsServeEveryRhsColumn) {
+  // One column's key lists, built once, mine the same rows for each RHS as
+  // a run that builds its own.
+  const Dataset data = ZipCityStateDataset(600, 11, 0.02);
+  const Relation& rel = data.relation;
+  const ConstantMinerOptions opts;
+  ColumnKeyLists lists(TokenMode::kNGrams, opts);
+  for (size_t slot = 0; slot < lists.num_slots(); ++slot) {
+    lists.BuildSlot(rel.dictionary(0), slot, opts);
+  }
+  for (size_t rhs = 1; rhs < rel.num_columns(); ++rhs) {
+    const std::vector<MinedRow> own =
+        MineConstantRows(rel, 0, rhs, TokenMode::kNGrams, opts).value();
+    const std::vector<MinedRow> shared =
+        MineConstantRows(lists, PairCounts(rel, 0, rhs), opts).value();
+    ASSERT_EQ(own.size(), shared.size());
+    for (size_t i = 0; i < own.size(); ++i) {
+      EXPECT_TRUE(own[i].row == shared[i].row);
+      EXPECT_EQ(own[i].support, shared[i].support);
+    }
+  }
+}
+
+// ---- Context generalization: row order vs distinct values -------------------
+//
+// The miners generalize contexts and variable keys by folding `Lgg` over
+// the values of the rows an entry covers, in row order. They now visit each
+// distinct value once and pass the row-order sequence of value ids to
+// `GeneralizeSequence`. Folding the distinct values alone, in first-
+// occurrence order, would be cheaper still, but it is not the same fold:
+// `Lgg` does not ignore a repeat once other values were folded in between.
+// This test pins both facts on every datagen generator.
+
+struct FoldCheck {
+  size_t checks = 0;
+  size_t sequence_mismatches = 0;
+  size_t distinct_mismatches = 0;
+};
+
+/// Folds `pieces` (one per row, row order) three ways and compares them.
+void CheckFolds(const std::vector<std::string>& pieces, FoldCheck* out) {
+  ++out->checks;
+  const Pattern by_rows = GeneralizeValues(pieces);
+  std::vector<std::string_view> distinct;
+  std::vector<uint32_t> sequence;
+  std::unordered_map<std::string_view, uint32_t> id_of;
+  for (const std::string& p : pieces) {
+    auto [it, inserted] =
+        id_of.try_emplace(p, static_cast<uint32_t>(distinct.size()));
+    if (inserted) distinct.push_back(p);
+    sequence.push_back(it->second);
+  }
+  if (!(GeneralizeSequence(distinct, sequence) == by_rows)) {
+    ++out->sequence_mismatches;
+  }
+  std::vector<std::string> firsts(distinct.begin(), distinct.end());
+  if (!(GeneralizeValues(firsts) == by_rows)) ++out->distinct_mismatches;
+}
+
+void CheckColumnFolds(const Relation& rel, size_t col, FoldCheck* out) {
+  const auto& cells = rel.column(col);
+  auto usable = [](std::string_view v) {
+    return !TrimView(v).empty() && v.size() <= 256;
+  };
+  // Constant-miner contexts: the prefix and suffix of every key.
+  for (const size_t gram : {0, 2, 3, 4}) {
+    std::map<std::pair<std::string, uint32_t>,
+             std::pair<std::vector<std::string>, std::vector<std::string>>>
+        contexts;
+    for (RowId r = 0; r < cells.size(); ++r) {
+      const std::string_view v = cells[r];
+      if (!usable(v)) continue;
+      for (const Token& t : gram == 0 ? Tokenize(v) : NGrams(v, gram)) {
+        auto& [prefixes, suffixes] = contexts[{t.text, t.position}];
+        prefixes.emplace_back(v.substr(0, t.offset));
+        suffixes.emplace_back(v.substr(t.offset + t.text.size()));
+      }
+    }
+    for (const auto& [key, pieces] : contexts) {
+      if (pieces.first.size() < 2) continue;
+      CheckFolds(pieces.first, out);
+      CheckFolds(pieces.second, out);
+    }
+  }
+  // Variable-miner keys and contexts: token 0/1/last, prefix/suffix 1..5.
+  for (const int index : {0, 1, -1}) {
+    std::vector<std::string> keys, prefixes, suffixes;
+    for (RowId r = 0; r < cells.size(); ++r) {
+      const std::string_view v = cells[r];
+      if (!usable(v)) continue;
+      const std::vector<Token> tokens = Tokenize(v);
+      if (tokens.size() < 2) continue;
+      const size_t i = index < 0 ? tokens.size() - 1 : index;
+      if (i >= tokens.size()) continue;
+      keys.push_back(tokens[i].text);
+      prefixes.emplace_back(v.substr(0, tokens[i].offset));
+      suffixes.emplace_back(v.substr(tokens[i].offset + tokens[i].text.size()));
+    }
+    if (keys.empty()) continue;
+    CheckFolds(keys, out);
+    CheckFolds(prefixes, out);
+    CheckFolds(suffixes, out);
+  }
+  for (size_t k = 1; k <= 5; ++k) {
+    std::vector<std::string> heads, tails;
+    for (RowId r = 0; r < cells.size(); ++r) {
+      const std::string_view v = cells[r];
+      if (!usable(v) || v.size() <= k) continue;
+      heads.emplace_back(v.substr(0, k));
+      tails.emplace_back(v.substr(k));
+    }
+    if (heads.empty()) continue;
+    CheckFolds(heads, out);
+    CheckFolds(tails, out);
+  }
+}
+
+TEST(ContextFoldTest, SequenceFoldEqualsRowFoldOnEveryGenerator) {
+  const std::vector<Dataset> datasets = {
+      PhoneStateDataset(2000, 1, 0.02),  NameGenderDataset(2000, 1, 0.02),
+      ZipCityStateDataset(2000, 1, 0.02), EmployeeDataset(2000, 1, 0.02),
+      CompoundDataset(2000, 1, 0.02),    WebAccountDataset(200, 1, 0.02),
+      PaperNameTable(),                  PaperZipTable()};
+  FoldCheck check;
+  for (const Dataset& data : datasets) {
+    for (size_t col = 0; col < data.relation.num_columns(); ++col) {
+      CheckColumnFolds(data.relation, col, &check);
+    }
+  }
+  EXPECT_GT(check.checks, 10000u);
+  EXPECT_EQ(check.sequence_mismatches, 0u);
+  // If this ever reads 0, `Lgg` ignores repeats on this data and the miners
+  // could fold the distinct values alone.
+  EXPECT_GT(check.distinct_mismatches, 0u);
 }
 
 TEST(VariableMinerTest, MinesZipPrefixDependency) {
