@@ -1,10 +1,44 @@
 #include "anmat/engine.h"
 
+#include <utility>
+
+#include "detect/detector_internal.h"
+#include "util/mutex.h"
+
 namespace anmat {
+
+namespace {
+
+/// What `Engine::Detect` keeps for the next `Engine::Repair`.
+struct KeptDetection {
+  /// `Relation::version()` of the relation the state absorbed.
+  uint64_t version = 0;
+  /// The rules the state was opened on. Its resolved rows point into
+  /// them, so the vector is never copied or moved once the state is open.
+  std::vector<Pfd> pfds;
+  detect_internal::DetectionState state;
+};
+
+}  // namespace
+
+/// The engine's one kept detection, shared by its copies.
+struct Engine::KeptSlot {
+  /// Stores `next` and returns what was kept before, which the caller
+  /// frees outside the lock (or repairs from).
+  std::unique_ptr<KeptDetection> Swap(std::unique_ptr<KeptDetection> next) {
+    MutexLock lock(&mu);
+    std::swap(kept, next);
+    return next;
+  }
+
+  Mutex mu;
+  std::unique_ptr<KeptDetection> kept ANMAT_GUARDED_BY(mu);
+};
 
 Engine::Engine(ExecutionOptions execution)
     : execution_(std::move(execution)),
-      automata_(std::make_shared<AutomatonCache>()) {
+      automata_(std::make_shared<AutomatonCache>()),
+      kept_(std::make_shared<KeptSlot>()) {
   const size_t threads = execution_.EffectiveThreads();
   execution_.pool =
       threads > 1 ? std::make_shared<ThreadPool>(threads) : nullptr;
@@ -28,7 +62,18 @@ Result<DetectionResult> Engine::Detect(const Relation& relation,
                                        DetectorOptions options) {
   options.execution = execution_;
   options.automata = automata_;
-  return DetectErrors(relation, pfds, options);
+  // One kept state per engine: the last one is freed before this run
+  // builds its own.
+  kept_->Swap(nullptr);
+  auto kept = std::make_unique<KeptDetection>();
+  kept->version = relation.version();
+  kept->pfds = pfds;
+  ANMAT_ASSIGN_OR_RETURN(
+      DetectionResult result,
+      detect_internal::DetectErrorsKeepingState(relation, kept->pfds, options,
+                                                &kept->state));
+  kept_->Swap(std::move(kept));
+  return result;
 }
 
 Result<RepairResult> Engine::Repair(Relation* relation,
@@ -42,6 +87,14 @@ Result<RepairResult> Engine::Repair(Relation* relation,
   // byte-identical to serial RepairErrors.
   options.detector.execution = execution_;
   options.detector.automata = automata_;
+  // The last Detect's state serves only the relation object it absorbed,
+  // unmutated since, under equal rules; it is taken either way.
+  const std::unique_ptr<KeptDetection> kept = kept_->Swap(nullptr);
+  if (kept != nullptr && relation != nullptr &&
+      kept->version == relation->version() && kept->pfds == pfds) {
+    return repair_internal::RepairFromState(relation, kept->pfds, options,
+                                            &kept->state);
+  }
   return RepairErrors(relation, pfds, options);
 }
 

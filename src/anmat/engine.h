@@ -14,10 +14,13 @@
 ///      │  fans out via ParallelFor(…)
 ///      ├─ Profile   → ProfileRelation   one task per column
 ///      ├─ Discover  → DiscoverPfds      one task per candidate dependency
-///      ├─ Detect    → DetectErrors      one task per (PFD, tableau row)
+///      ├─ Detect    → DetectErrors      one task per (PFD, tableau row);
+///      │                                the engine keeps the run's state
 ///      ├─ Repair    → RepairErrors      one detection state kept across
-///      │                                its passes: each pass re-runs
-///      │                                only the work items its writes
+///      │                                its passes, the last Detect's
+///      │                                when it ran on the same relation
+///      │                                and rules: each pass re-runs only
+///      │                                the work items its writes
 ///      │                                touched, one task per item
 ///      └─ OpenStream → DetectionStream  incremental batch detection: each
 ///                                       batch is absorbed by the same
@@ -71,7 +74,9 @@ namespace anmat {
 /// The execution block is fixed at construction. Stage calls
 /// (Profile/Discover/Detect/Repair/OpenStream) may run concurrently from
 /// several threads, as long as each call uses a distinct relation. Copies
-/// share the pool and the cache.
+/// share the pool, the cache and the kept detection: the state of the last
+/// `Detect`, which the next `Repair` of the same unchanged relation under
+/// equal rules starts from (see `Detect` and `Repair`).
 class Engine {
  public:
   /// `execution.num_threads`: 1 = serial (default), 0 = one per hardware
@@ -89,6 +94,15 @@ class Engine {
                                    DiscoveryOptions options = {});
 
   /// (PFD, tableau row)-parallel detection (Figure 5).
+  ///
+  /// The engine keeps the run's detection state, with its own copy of
+  /// `pfds` and `relation.version()`, for the next `Repair`: the repair
+  /// of a cleaning workflow that shows the violations first then starts
+  /// from this detection instead of running it again. Bound: one state
+  /// per engine (and its copies). The kept state is dropped before the
+  /// run starts and freed by the next `Detect` or `Repair`, or with the
+  /// engine; it may outlive `relation`, and is never used after that.
+  /// `Detect` itself never reads the kept state: every call detects.
   Result<DetectionResult> Detect(const Relation& relation,
                                  const std::vector<Pfd>& pfds,
                                  DetectorOptions options = {});
@@ -101,6 +115,14 @@ class Engine {
   /// thread count (differentially tested at 2/4/8 threads in
   /// engine_test.cc). The engine's execution block overrides
   /// `options.detector.execution`.
+  ///
+  /// When the last `Detect` ran on this relation object, unmutated since
+  /// (`Relation::version()`), with rules equal to `pfds`
+  /// (`Pfd::operator==`, in order), the passes start from its kept state:
+  /// pass 0 absorbs no row and only merges the violations it holds. Any
+  /// other call starts from a fresh state. Either way the kept state is
+  /// taken, so the engine holds none after a `Repair`, and the result is
+  /// byte-identical.
   Result<RepairResult> Repair(Relation* relation,
                               const std::vector<Pfd>& pfds,
                               RepairOptions options = {});
@@ -124,6 +146,11 @@ class Engine {
   ExecutionOptions execution_;
   /// Engine-wide automaton cache, co-owned by streams the same way.
   std::shared_ptr<AutomatonCache> automata_;
+  /// The kept detection of the last `Detect`, shared by engine copies
+  /// (engine.cc). Declared after `automata_`: a kept state points into
+  /// the cache, so it goes first.
+  struct KeptSlot;
+  std::shared_ptr<KeptSlot> kept_;
 };
 
 }  // namespace anmat

@@ -9,8 +9,9 @@
 /// resolution that turns equivalence groups into variable violations. The
 /// reference oracle shares only `ResolveRow` and the emission helpers.
 ///
-/// Not part of the public API — include only from the detect layer.
-/// Definitions live in detector.cc.
+/// Not part of the public API — include only from the detect layer, the
+/// repair loop and the engine, which keeps a `Detect`'s state for the next
+/// `Repair`. Definitions live in detector.cc.
 
 #include <map>
 #include <memory>
@@ -256,9 +257,10 @@ struct ColumnState {
 /// work item, what the rows absorbed so far derived, and per LHS pattern
 /// column its dispatcher, classification watermark and seed index, so a
 /// run absorbs only rows it has not seen: one-shot detection absorbs every
-/// row once, the repair loop keeps one state across its passes, and
-/// `DetectionStream` absorbs each batch. Violations and stats always equal
-/// a fresh `DetectErrors` over the relation as it stands, provided it
+/// row once, the repair loop keeps one state across its passes (starting
+/// from the state of `Engine::Detect` when it ran on the same relation),
+/// and `DetectionStream` absorbs each batch. Violations and stats always
+/// equal a fresh `DetectErrors` over the relation as it stands, provided it
 /// changes between runs only by recorded writes, or by appends to columns
 /// the caller grows (`UseColumn`).
 class DetectionState {
@@ -319,7 +321,9 @@ class DetectionState {
 DetectorOptions WithAutomata(const DetectorOptions& options);
 
 /// Detection through `state`, opened on first use; null runs a one-shot
-/// state. `options.automata` must be set (see `WithAutomata`).
+/// state, released as it goes. A kept state holds every item's state after
+/// the run, for the next run over the same relation. `options.automata`
+/// must be set (see `WithAutomata`).
 Result<DetectionResult> DetectErrorsKeepingState(
     const Relation& relation, const std::vector<Pfd>& pfds,
     const DetectorOptions& options, DetectionState* state);

@@ -1,5 +1,6 @@
 #include "relation/relation.h"
 
+#include <atomic>
 #include <cassert>
 #include <string_view>
 #include <unordered_map>
@@ -71,6 +72,11 @@ const ColumnDictionary& Relation::dictionary(size_t col) const {
   return *dictionaries_[col];
 }
 
+uint64_t Relation::NextVersion() {
+  static std::atomic<uint64_t> counter{0};
+  return ++counter;
+}
+
 Arena& Relation::arena() const {
   // arena_ is only null in a moved-from relation; reviving it is a
   // mutation and so (per the class contract) externally synchronized.
@@ -102,6 +108,7 @@ Relation& Relation::operator=(const Relation& other) {
   schema_ = other.schema_;
   columns_ = other.columns_;
   num_rows_ = other.num_rows_;
+  version_ = NextVersion();
   std::vector<std::shared_ptr<const ColumnDictionary>> snapshot;
   std::shared_ptr<Arena> arena_snapshot;
   {
@@ -123,6 +130,7 @@ Relation::Relation(Relation&& other) noexcept
   arena_ = std::move(other.arena_);
   dictionaries_ = std::move(other.dictionaries_);
   other.num_rows_ = 0;
+  other.version_ = NextVersion();
 }
 
 Relation& Relation::operator=(Relation&& other) noexcept {
@@ -131,6 +139,8 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   columns_ = std::move(other.columns_);
   num_rows_ = other.num_rows_;
   other.num_rows_ = 0;
+  version_ = NextVersion();
+  other.version_ = NextVersion();
   std::vector<std::shared_ptr<const ColumnDictionary>> snapshot;
   std::shared_ptr<Arena> arena_snapshot;
   {
@@ -156,6 +166,7 @@ Status Relation::AppendRow(const std::vector<std::string>& cells) {
     columns_[c].push_back(arena.Intern(cells[c]));
   }
   ++num_rows_;
+  version_ = NextVersion();
   MutexLock lock(&dict_mu_);
   dictionaries_.clear();
   return Status::OK();
@@ -172,6 +183,7 @@ Status Relation::AppendRowViews(const std::vector<std::string_view>& cells) {
     columns_[c].push_back(cells[c]);
   }
   ++num_rows_;
+  version_ = NextVersion();
   MutexLock lock(&dict_mu_);
   dictionaries_.clear();
   return Status::OK();
@@ -201,6 +213,7 @@ void Relation::InferColumnTypes() {
     }
     schema_.SetColumnType(c, type);
   }
+  version_ = NextVersion();
 }
 
 Result<Relation> Relation::Slice(RowId begin, RowId end) const {

@@ -169,7 +169,18 @@ class Relation {
     // strings, and views must outlive them.
     columns_[col][row] = arena().Intern(value);
     InvalidateDictionary(col);
+    version_ = NextVersion();
   }
+
+  /// A stamp unique across the process: every relation takes a fresh one
+  /// when it is constructed, copied or assigned (a move restamps both
+  /// sides), and again on every mutation (`set_cell`, `AppendRow`,
+  /// `AppendRowViews`, `InferColumnTypes`). No two relations ever share a
+  /// stamp, so an unchanged stamp means the same object, unmutated since:
+  /// `Engine::Repair` checks it to reuse the state of the `Engine::Detect`
+  /// that ran on this relation. Reading the relation (cells, dictionaries,
+  /// slices, copies made from it) leaves it as it was.
+  uint64_t version() const { return version_; }
 
   /// The (lazily built, cached) dictionary of column `col`. Safe to call
   /// from concurrent readers: construction is guarded per relation, and a
@@ -223,9 +234,13 @@ class Relation {
     dictionaries_[col].reset();
   }
 
+  /// The next stamp of the process-wide counter behind `version()`.
+  static uint64_t NextVersion();
+
   Schema schema_;
   std::vector<std::vector<std::string_view>> columns_;
   size_t num_rows_ = 0;
+  uint64_t version_ = NextVersion();
   /// Byte storage behind the cell views; shared by copies and slices,
   /// append-only (internally synchronized). Never null except transiently
   /// in a moved-from relation (revived on next use). The pointer itself

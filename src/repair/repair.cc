@@ -11,6 +11,19 @@ namespace anmat {
 Result<RepairResult> RepairErrors(Relation* relation,
                                   const std::vector<Pfd>& pfds,
                                   const RepairOptions& options) {
+  RepairOptions with_automata = options;
+  with_automata.detector = detect_internal::WithAutomata(options.detector);
+  detect_internal::DetectionState state;
+  return repair_internal::RepairFromState(relation, pfds, with_automata,
+                                          &state);
+}
+
+namespace repair_internal {
+
+Result<RepairResult> RepairFromState(Relation* relation,
+                                     const std::vector<Pfd>& pfds,
+                                     const RepairOptions& options,
+                                     detect_internal::DetectionState* state) {
   if (relation == nullptr) {
     return Status::InvalidArgument("relation must not be null");
   }
@@ -24,14 +37,11 @@ Result<RepairResult> RepairErrors(Relation* relation,
   // repair, and a pass re-derives only what its writes touched (every
   // write is recorded). The last pass's detection, after the last write,
   // is the final one.
-  const DetectorOptions detector = detect_internal::WithAutomata(
-      options.detector);
-  detect_internal::DetectionState state;
   for (size_t pass = 0;; ++pass) {
     ANMAT_ASSIGN_OR_RETURN(
         result.final_detection,
-        detect_internal::DetectErrorsKeepingState(*relation, pfds, detector,
-                                                  &state));
+        detect_internal::DetectErrorsKeepingState(*relation, pfds,
+                                                  options.detector, state));
     if (pass == options.max_passes) break;
     result.passes = pass + 1;
     const DetectionResult& detection = result.final_detection;
@@ -75,7 +85,7 @@ Result<RepairResult> RepairErrors(Relation* relation,
       const std::string before(relation->cell(cell.row, cell.column));
       if (before == suggestion.value) continue;
       relation->set_cell(cell.row, cell.column, suggestion.value);
-      state.RecordWrite(cell.column);
+      state->RecordWrite(cell.column);
       repaired_cells.insert(cell);
       result.repairs.push_back(AppliedRepair{cell, before, suggestion.value,
                                              pass, suggestion.pfd_index});
@@ -89,4 +99,5 @@ Result<RepairResult> RepairErrors(Relation* relation,
   return result;
 }
 
+}  // namespace repair_internal
 }  // namespace anmat

@@ -38,11 +38,14 @@
 /// task per (PFD, tableau row); the suggestion fold and application steps
 /// are deterministic, so parallel output is byte-identical to serial.
 /// `anmat::Engine::Repair` (anmat/engine.h) is the usual entry — it
-/// installs the engine's shared pool. For streaming workloads,
-/// `DetectionStream::set_clean_on_ingest` applies confident constant-rule
-/// and cumulative-majority variable-rule repairs per appended batch,
-/// through the same suggestion fold and confidence policy as this module
-/// (detect/suggestion_policy.h; detect/detection_stream.h).
+/// installs the engine's shared pool, and starts the loop from the state
+/// of the engine's last `Detect` when that ran on the same unchanged
+/// relation under equal rules, so pass 0 does not detect again. For
+/// streaming workloads, `DetectionStream::set_clean_on_ingest` applies
+/// confident constant-rule and cumulative-majority variable-rule repairs
+/// per appended batch, through the same suggestion fold and confidence
+/// policy as this module (detect/suggestion_policy.h;
+/// detect/detection_stream.h).
 
 #include <cstddef>
 #include <vector>
@@ -85,6 +88,26 @@ struct RepairResult {
 Result<RepairResult> RepairErrors(Relation* relation,
                                   const std::vector<Pfd>& pfds,
                                   const RepairOptions& options = {});
+
+namespace detect_internal {
+class DetectionState;  // detect/detector_internal.h
+}  // namespace detect_internal
+
+namespace repair_internal {
+
+/// The repair passes of `RepairErrors`, run from `state`. A state not yet
+/// opened is the fresh run `RepairErrors` makes; `anmat::Engine::Repair`
+/// hands in the state of the `Engine::Detect` that absorbed exactly
+/// `*relation` under `pfds` (unmutated since, not released), so pass 0
+/// absorbs no row and only merges what the state holds. The state is
+/// spent afterwards. `options.detector.automata` must be set and be the
+/// cache the state was opened with. Not part of the public API.
+Result<RepairResult> RepairFromState(Relation* relation,
+                                     const std::vector<Pfd>& pfds,
+                                     const RepairOptions& options,
+                                     detect_internal::DetectionState* state);
+
+}  // namespace repair_internal
 
 }  // namespace anmat
 

@@ -208,7 +208,9 @@ TEST(DiscoverySliceTest, SliceMatchesAFreshRelationOfTheSameRows) {
     const Relation fresh = Rebuilt(data.relation, 1000, 3000);
     const std::string json = RulesJson(slice, 1);
     EXPECT_EQ(json, RulesJson(fresh, 1));
-    if (label != "web") EXPECT_NE(json.find("\"tableau\""), std::string::npos);
+    if (label != "web") {
+      EXPECT_NE(json.find("\"tableau\""), std::string::npos);
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "datagen/datasets.h"
 #include "detect/detection_stream.h"
 #include "detect/detector.h"
+#include "detect/detector_internal.h"
 #include "detect/reference_detector.h"
 #include "detect/suggestion_policy.h"
 #include "discovery/discovery.h"
@@ -121,6 +123,16 @@ std::vector<Dataset> TestDatasets() {
   datasets.push_back(ZipCityStateDataset(1200, 101, 0.03));
   datasets.push_back(NameGenderDataset(800, 102, 0.05));
   datasets.push_back(EmployeeDataset(600, 103, 0.04));
+  return datasets;
+}
+
+/// TestDatasets() plus small versions of the other three tables the
+/// end-to-end cleaning benchmark runs (web at its 50 rows): all six kinds.
+std::vector<Dataset> CleaningTables() {
+  std::vector<Dataset> datasets = TestDatasets();
+  datasets.push_back(PhoneStateDataset(1000, 221, 0.02));
+  datasets.push_back(CompoundDataset(1000, 222, 0.02));
+  datasets.push_back(WebAccountDataset(50, 223, 0.02));
   return datasets;
 }
 
@@ -585,6 +597,270 @@ TEST(EngineAutomatonCacheTest, ConcurrentDetectsShareUnionsByteIdentically) {
   EXPECT_GT(engine.automata().dispatch_stats().probes, 0u);
 }
 
+// -- Detect -> Repair hand-off ----------------------------------------------
+
+/// Everything a repair hands back, and the relation it repaired.
+std::string Fingerprint(const RepairResult& result, const Relation& repaired) {
+  return Fingerprint(result) + Fingerprint(result.final_detection) +
+         Fingerprint(repaired);
+}
+
+/// A fresh `RepairErrors` over a copy of `relation`.
+std::string FreshRepair(const Relation& relation,
+                        const std::vector<Pfd>& rules) {
+  Relation copy = relation;
+  const RepairResult result = RepairErrors(&copy, rules).value();
+  return Fingerprint(result, copy);
+}
+
+/// Lookups the engine's automaton cache has answered: opening a detection
+/// state resolves every tableau row through it.
+size_t Lookups(Engine& engine) {
+  return engine.automata().hits() + engine.automata().misses();
+}
+
+TEST(EngineHandOffTest, DetectThenRepairMatchesFreshRepair) {
+  // Repair right after Detect on the same relation and rules starts from
+  // the kept state; its repairs, passes, conflicts, final detection and
+  // repaired bytes equal a fresh RepairErrors on a copy, at 1/2/4 threads
+  // and, through the same internal entry points, under a cache whose
+  // state bound flushes every matcher automaton and every union.
+  for (const Dataset& d : CleaningTables()) {
+    SCOPED_TRACE(d.name);
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty());
+    const std::string detected =
+        Fingerprint(DetectErrors(d.relation, rules).value());
+    const std::string expected = FreshRepair(d.relation, rules);
+    for (const size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      Engine engine(ExecutionOptions{threads, true, nullptr});
+      Relation relation = d.relation;
+      auto detection = engine.Detect(relation, rules);
+      ASSERT_TRUE(detection.ok());
+      EXPECT_EQ(Fingerprint(detection.value()), detected);
+      auto repair = engine.Repair(&relation, rules);
+      ASSERT_TRUE(repair.ok());
+      EXPECT_EQ(Fingerprint(repair.value(), relation), expected);
+    }
+
+    DetectorOptions bounded;
+    bounded.execution.num_threads = 4;
+    bounded.automata = std::make_shared<AutomatonCache>(3);
+    Relation relation = d.relation;
+    detect_internal::DetectionState state;
+    auto detection = detect_internal::DetectErrorsKeepingState(
+        relation, rules, bounded, &state);
+    ASSERT_TRUE(detection.ok());
+    EXPECT_EQ(Fingerprint(detection.value()), detected);
+    RepairOptions options;
+    options.detector = bounded;
+    auto repair =
+        repair_internal::RepairFromState(&relation, rules, options, &state);
+    ASSERT_TRUE(repair.ok());
+    EXPECT_EQ(Fingerprint(repair.value(), relation), expected);
+    EXPECT_GT(bounded.automata->dispatch_stats().flushes, 0u);
+  }
+}
+
+TEST(EngineHandOffTest, RepairAfterDetectReDetectsNothing) {
+  // With no pass to run, a Repair after a matching Detect only merges what
+  // the kept state holds: no automaton lookup, no union probe. The same
+  // call without a kept state resolves and classifies everything again.
+  size_t fresh_lookups = 0;
+  for (const Dataset& d : CleaningTables()) {
+    SCOPED_TRACE(d.name);
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty());
+    Engine engine(ExecutionOptions{2, true, nullptr});
+    Relation relation = d.relation;
+    auto detection = engine.Detect(relation, rules);
+    ASSERT_TRUE(detection.ok());
+    const size_t lookups = Lookups(engine);
+    const uint64_t probes = engine.automata().dispatch_stats().probes;
+
+    RepairOptions no_passes;
+    no_passes.max_passes = 0;
+    auto repair = engine.Repair(&relation, rules, no_passes);
+    ASSERT_TRUE(repair.ok());
+    EXPECT_EQ(Lookups(engine), lookups);
+    EXPECT_EQ(engine.automata().dispatch_stats().probes, probes);
+    EXPECT_EQ(repair->passes, 0u);
+    EXPECT_EQ(Fingerprint(repair->final_detection),
+              Fingerprint(detection.value()));
+
+    // The Repair took the kept state: the next one starts fresh.
+    ASSERT_TRUE(engine.Repair(&relation, rules, no_passes).ok());
+    fresh_lookups += Lookups(engine) - lookups;
+  }
+  EXPECT_GT(fresh_lookups, 0u);
+}
+
+TEST(EngineHandOffTest, RepairOfAnotherRelationOrRulesStartsFresh) {
+  // Anything but the detected relation object, unmutated, under equal
+  // rules in the same order makes Repair start from a fresh state (it
+  // resolves the tableau rows again), and the result stays byte-identical
+  // to a fresh RepairErrors over the relation as it stands.
+  const Dataset d = ZipCityStateDataset(1000, 241, 0.03);
+  const std::vector<Pfd> rules = DiscoverRules(d.relation);
+  ASSERT_GE(rules.size(), 2u);
+  const std::vector<Pfd> reordered(rules.rbegin(), rules.rend());
+  const std::vector<Pfd> subset(rules.begin(), rules.end() - 1);
+
+  // Detects `rules` on a copy of the table, runs `between`, which returns
+  // the relation to repair (the detected one or `other`), and repairs it
+  // with `repair_rules`.
+  using Between =
+      std::function<Relation*(Engine&, Relation& detected, Relation& other)>;
+  const auto check = [&](const std::string& label, const Between& between,
+                         const std::vector<Pfd>& repair_rules) {
+    SCOPED_TRACE(label);
+    Engine engine(ExecutionOptions{2, true, nullptr});
+    Relation relation = d.relation;
+    Relation other;
+    ASSERT_TRUE(engine.Detect(relation, rules).ok());
+    Relation* target = between(engine, relation, other);
+    const std::string expected = FreshRepair(*target, repair_rules);
+    const size_t lookups = Lookups(engine);
+    auto repair = engine.Repair(target, repair_rules);
+    ASSERT_TRUE(repair.ok());
+    EXPECT_GT(Lookups(engine), lookups);
+    EXPECT_EQ(Fingerprint(repair.value(), *target), expected);
+  };
+  const auto same = [](Engine&, Relation& detected, Relation&) {
+    return &detected;
+  };
+
+  check("set_cell", [](Engine&, Relation& detected, Relation&) {
+    detected.set_cell(0, 1, "Nowhere");
+    return &detected;
+  }, rules);
+  check("AppendRow", [](Engine&, Relation& detected, Relation&) {
+    EXPECT_TRUE(detected.AppendRow(detected.Row(0)).ok());
+    return &detected;
+  }, rules);
+  check("copy", [](Engine&, Relation& detected, Relation& other) {
+    other = detected;
+    return &other;
+  }, rules);
+  check("moved-to", [](Engine&, Relation& detected, Relation& other) {
+    other = std::move(detected);
+    return &other;
+  }, rules);
+  check("reordered rules", same, reordered);
+  check("subset of the rules", same, subset);
+  check("another relation detected since",
+        [&](Engine& engine, Relation& detected, Relation& other) {
+          other = detected;
+          EXPECT_TRUE(engine.Detect(other, rules).ok());
+          return &detected;
+        },
+        rules);
+}
+
+TEST(EngineHandOffTest, ConcurrentDetectRepairOnOneEngineMatchesSerial) {
+  // Two callers share one engine, each detecting then repairing its own
+  // relation round after round, so each Repair may find its own kept
+  // state, the other caller's, or none (run under TSan via
+  // tools/verify.sh thread). Every round must equal a serial run's bytes.
+  const std::vector<Dataset> datasets = {ZipCityStateDataset(600, 251, 0.03),
+                                         NameGenderDataset(500, 252, 0.05)};
+  std::vector<std::vector<Pfd>> rules;
+  std::vector<std::string> expected;
+  for (const Dataset& d : datasets) {
+    rules.push_back(DiscoverRules(d.relation));
+    ASSERT_FALSE(rules.back().empty()) << d.name;
+    expected.push_back(
+        Fingerprint(DetectErrors(d.relation, rules.back()).value()) +
+        FreshRepair(d.relation, rules.back()));
+  }
+
+  Engine engine(ExecutionOptions{2, true, nullptr});
+  constexpr size_t kRounds = 8;
+  std::vector<std::vector<std::string>> got(datasets.size());
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < datasets.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        Relation relation = datasets[t].relation;
+        auto detection = engine.Detect(relation, rules[t]);
+        auto repair = engine.Repair(&relation, rules[t]);
+        got[t].push_back(detection.ok() && repair.ok()
+                             ? Fingerprint(detection.value()) +
+                                   Fingerprint(repair.value(), relation)
+                             : "failed");
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (size_t t = 0; t < datasets.size(); ++t) {
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (size_t round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(got[t][round], expected[t])
+          << datasets[t].name << ", round " << round;
+    }
+  }
+}
+
+/// A relation holding `source`'s rows in an arena and dictionaries of its
+/// own, so destroying it frees everything a detection over it points into.
+Relation Rebuilt(const Relation& source) {
+  Relation out(source.schema());
+  for (RowId r = 0; r < source.num_rows(); ++r) {
+    EXPECT_TRUE(out.AppendRow(source.Row(r)).ok());
+  }
+  return out;
+}
+
+TEST(EngineHandOffTest, KeptStateOutlivesItsRelation) {
+  // A kept state points into the dictionaries of the relation it absorbed
+  // and may outlive it; it is never used after that (run under ASan).
+  // Engine copies share the kept state and the cache it points into.
+  const Dataset d = ZipCityStateDataset(800, 261, 0.03);
+  const std::vector<Pfd> rules = DiscoverRules(d.relation);
+  ASSERT_FALSE(rules.empty());
+  const std::string expected = FreshRepair(d.relation, rules);
+  const std::string detected =
+      Fingerprint(DetectErrors(d.relation, rules).value());
+
+  auto engine = std::make_unique<Engine>(ExecutionOptions{2, true, nullptr});
+  {
+    const Relation doomed = Rebuilt(d.relation);
+    ASSERT_TRUE(engine->Detect(doomed, rules).ok());
+  }
+  Relation other = Rebuilt(d.relation);
+  auto repair = engine->Repair(&other, rules);
+  ASSERT_TRUE(repair.ok());
+  EXPECT_EQ(Fingerprint(repair.value(), other), expected);
+
+  {
+    const Relation doomed = Rebuilt(d.relation);
+    ASSERT_TRUE(engine->Detect(doomed, rules).ok());
+  }
+  Relation last = Rebuilt(d.relation);
+  auto detection = engine->Detect(last, rules);
+  ASSERT_TRUE(detection.ok());
+  EXPECT_EQ(Fingerprint(detection.value()), detected);
+
+  // The copy starts from the state the destroyed original kept.
+  Engine copy = *engine;
+  engine.reset();
+  const size_t lookups = Lookups(copy);
+  RepairOptions no_passes;
+  no_passes.max_passes = 0;
+  auto merged = copy.Repair(&last, rules, no_passes);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(Lookups(copy), lookups);
+  EXPECT_EQ(Fingerprint(merged->final_detection), detected);
+
+  ASSERT_TRUE(copy.Detect(last, rules).ok());
+  repair = copy.Repair(&last, rules);
+  ASSERT_TRUE(repair.ok());
+  EXPECT_EQ(Fingerprint(repair.value(), last), expected);
+  // Destroying the last engine frees the state this Detect keeps.
+  ASSERT_TRUE(copy.Detect(last, rules).ok());
+}
+
 // -- Streaming == one-shot -------------------------------------------------
 
 /// Splits `relation` into randomized chunk sizes, appends each to a stream,
@@ -649,16 +925,12 @@ TEST(DetectionStreamTest, AppendBatchMatchesReferenceOnEveryCleaningTable) {
   // compound at 1k rows, web at its 50), split at random, with and without
   // clean-on-ingest, at 1/2/4 threads and through a cache whose state
   // bound flushes every matcher automaton and every union.
-  std::vector<Dataset> datasets = TestDatasets();
-  datasets.push_back(PhoneStateDataset(1000, 221, 0.02));
-  datasets.push_back(CompoundDataset(1000, 222, 0.02));
-  datasets.push_back(WebAccountDataset(50, 223, 0.02));
   struct Config {
     size_t threads;
     size_t max_states;  // 0: the engine's cache
   };
   const Config configs[] = {{1, 0}, {2, 0}, {4, 0}, {4, 3}};
-  for (const Dataset& d : datasets) {
+  for (const Dataset& d : CleaningTables()) {
     const std::vector<Pfd> rules = DiscoverRules(d.relation);
     ASSERT_FALSE(rules.empty()) << d.name;
     for (const Config& config : configs) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "relation/value.h"
 
 namespace anmat {
@@ -114,6 +120,66 @@ TEST(RelationTest, DetachedCopyInternsIntoItsOwnArena) {
   EXPECT_EQ(copy.cell(2, 1), "New York");
   EXPECT_EQ(source.cell(0, 1), "Los Angeles");
   EXPECT_EQ(source.arena().bytes_used(), shared_bytes);
+}
+
+TEST(RelationTest, VersionIsFreshAfterEveryMutationCopyMoveAndAssignment) {
+  std::set<uint64_t> seen;
+  const auto unseen = [&](const Relation& r) {
+    return seen.insert(r.version()).second;
+  };
+  Relation rel(Schema::MakeText({"zip", "city"}).value());
+  EXPECT_TRUE(unseen(rel));
+  ASSERT_TRUE(rel.AppendRow({"90001", "Los Angeles"}).ok());
+  EXPECT_TRUE(unseen(rel));
+  ASSERT_TRUE(rel.AppendRowViews({"10001", "New York"}).ok());
+  EXPECT_TRUE(unseen(rel));
+  rel.set_cell(0, 1, "LA");
+  EXPECT_TRUE(unseen(rel));
+  rel.InferColumnTypes();
+  EXPECT_TRUE(unseen(rel));
+
+  // Reading, and copying from it, leave the source's stamp as it was.
+  const uint64_t stamp = rel.version();
+  EXPECT_EQ(rel.cell(1, 0), "10001");
+  EXPECT_EQ(rel.dictionary(1).num_values(), 2u);
+  Relation slice = rel.Slice(0, 1).value();
+  Relation copy = rel;
+  Relation assigned;
+  EXPECT_TRUE(unseen(assigned));
+  assigned = rel;
+  EXPECT_EQ(rel.version(), stamp);
+  EXPECT_TRUE(unseen(slice));
+  EXPECT_TRUE(unseen(copy));
+  EXPECT_TRUE(unseen(assigned));
+
+  // A move restamps both sides.
+  Relation moved(std::move(copy));
+  EXPECT_TRUE(unseen(moved));
+  EXPECT_TRUE(unseen(copy));
+  Relation move_assigned;
+  EXPECT_TRUE(unseen(move_assigned));
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(unseen(move_assigned));
+  EXPECT_TRUE(unseen(moved));
+  EXPECT_EQ(rel.version(), stamp);
+}
+
+TEST(RelationTest, VersionsAreUniqueAcrossThreads) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRelations = 500;
+  std::vector<std::vector<uint64_t>> stamps(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&stamps, t] {
+      for (size_t i = 0; i < kRelations; ++i) {
+        stamps[t].push_back(Relation().version());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::set<uint64_t> all;
+  for (const std::vector<uint64_t>& s : stamps) all.insert(s.begin(), s.end());
+  EXPECT_EQ(all.size(), kThreads * kRelations);
 }
 
 TEST(RelationTest, ColumnByName) {
