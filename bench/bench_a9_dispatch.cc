@@ -62,7 +62,9 @@ std::string PrefixOf(size_t i) {
   return std::string(4 - p.size(), '0') + p;
 }
 
-std::string LabelOf(size_t i) { return "L" + std::to_string(i); }
+std::string LabelOf(size_t i) {
+  return std::string("L").append(std::to_string(i));
+}
 
 /// One constant tableau row per rule: "(<prefix>)!\D{2}" on `code`
 /// determines the literal label on `label`.
@@ -71,7 +73,8 @@ anmat::Pfd RulesPfd(size_t num_rules) {
   for (size_t i = 0; i < num_rules; ++i) {
     anmat::TableauRow row;
     row.lhs.push_back(anmat::TableauCell::Of(
-        anmat::ParseConstrainedPattern("(" + PrefixOf(i) + ")!\\D{2}")
+        anmat::ParseConstrainedPattern(
+            std::string("(").append(PrefixOf(i)).append(")!\\D{2}"))
             .value()));
     row.rhs.push_back(anmat::TableauCell::Of(
         anmat::ConstrainedPattern::Unconstrained(
@@ -106,10 +109,11 @@ std::string Fingerprint(const std::vector<Violation>& violations) {
     s += std::to_string(static_cast<int>(v.kind)) + "|";
     s += std::to_string(v.pfd_index) + "|" + std::to_string(v.tableau_row);
     for (const anmat::CellRef& c : v.cells) {
-      s += "," + std::to_string(c.row) + ":" + std::to_string(c.column);
+      s.append(",").append(std::to_string(c.row)).append(":");
+      s += std::to_string(c.column);
     }
-    s += "|" + std::to_string(v.suspect.row) + ":" +
-         std::to_string(v.suspect.column);
+    s.append("|").append(std::to_string(v.suspect.row)).append(":");
+    s += std::to_string(v.suspect.column);
     s += "|" + v.suggested_repair + "|" + v.explanation + "\n";
   }
   return s;

@@ -1,7 +1,6 @@
 #include "anmat/project.h"
 
 #include <filesystem>
-#include <fstream>
 
 #include "util/fs.h"
 
@@ -10,42 +9,6 @@ namespace anmat {
 namespace {
 
 constexpr int kCatalogVersion = 1;
-
-/// Fingerprints a CSV's header without loading the whole file: parses the
-/// first record out of a bounded prefix, falling back to one full read
-/// only when the header itself overruns the prefix (or is cut inside a
-/// quoted field). Empty on any failure — the entry then attaches without
-/// a load-time schema check, like catalogs from earlier releases.
-std::string FingerprintCsvHeader(const std::string& path,
-                                 const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  constexpr size_t kPrefixBytes = 1 << 20;
-  std::string prefix(kPrefixBytes, '\0');
-  in.read(prefix.data(), static_cast<std::streamsize>(kPrefixBytes));
-  prefix.resize(static_cast<size_t>(in.gcount()));
-  const bool whole_file = in.eof();
-
-  auto records = ParseCsvRecords(prefix, options);
-  // Need the header record provably complete: either the whole file was
-  // in the prefix, or a second record started (so a separator ended the
-  // first). Otherwise pay the full read once.
-  if (!records.ok() || records->empty() ||
-      (!whole_file && records->size() < 2)) {
-    if (whole_file) return "";
-    auto relation = ReadCsvFile(path, options);
-    return relation.ok() ? SchemaFingerprint(relation->schema()) : "";
-  }
-  std::vector<std::string> names = std::move(records->front());
-  if (!options.has_header) {
-    // Mirror ReadCsvString's generated names.
-    for (size_t i = 0; i < names.size(); ++i) {
-      names[i] = "c" + std::to_string(i);
-    }
-  }
-  auto schema = Schema::MakeText(names);
-  return schema.ok() ? SchemaFingerprint(schema.value()) : "";
-}
 
 }  // namespace
 
@@ -133,9 +96,12 @@ Status Project::AttachDataset(std::string name, std::string path,
   const std::filesystem::path absolute = std::filesystem::absolute(path, ec);
   if (!ec) path = absolute.lexically_normal().string();
   // Fingerprint the schema as it looks right now (header record only); a
-  // file that cannot be read yet attaches without one (and therefore
-  // without load-time checking) rather than failing the attach.
-  std::string fingerprint = FingerprintCsvHeader(path, options);
+  // file that cannot be probed — missing, unreadable, or not a regular
+  // file — attaches without one (and therefore without load-time checking)
+  // rather than failing the attach.
+  auto schema = ReadCsvSchema(path, options);
+  std::string fingerprint =
+      schema.ok() ? SchemaFingerprint(schema.value()) : "";
   for (size_t i = 0; i < datasets_.size(); ++i) {
     if (datasets_[i].name == name) {
       // Re-attaching re-points the entry and promotes it back to default.

@@ -154,13 +154,14 @@ class Project {
   const std::vector<DatasetEntry>& datasets() const { return datasets_; }
 
   /// Adds (or re-points) a catalog entry. The most recently attached
-  /// dataset becomes the project default. If the CSV is readable, its
-  /// schema fingerprint is recorded (from the header record only — the
-  /// file is not fully parsed) so later loads can detect a changed file;
-  /// an unreadable file still attaches (with no fingerprint) and fails at
-  /// load time like before. Pass the same `options` the dataset will be
-  /// loaded with — a different header parse (delimiter, trim) would
-  /// yield a different fingerprint and a spurious mismatch.
+  /// dataset becomes the project default. If the CSV is a readable
+  /// regular file, its schema fingerprint is recorded (from the header
+  /// record only, `ReadCsvSchema`) so later loads can detect a changed
+  /// file; any other path still attaches (with no fingerprint) and is not
+  /// opened, so a pipe keeps its bytes for the load. Pass the same
+  /// `options` the dataset will be loaded with — a different header parse
+  /// (delimiter, has_header) would yield a different fingerprint and a
+  /// spurious mismatch.
   Status AttachDataset(std::string name, std::string path,
                        const CsvOptions& options = CsvOptions());
 

@@ -52,9 +52,15 @@ std::string RenderDiscoveredPfdsView(
   }
   for (size_t i = 0; i < discovered.size(); ++i) {
     const DiscoveredPfd& d = discovered[i];
-    out += "[" + std::to_string(i) + "] " + d.pfd.Summary() +
-           "  coverage=" + FormatDouble(d.stats.Coverage()) +
-           "  violations=" + FormatDouble(d.stats.ViolationRate()) + "\n";
+    out.append("[")
+        .append(std::to_string(i))
+        .append("] ")
+        .append(d.pfd.Summary())
+        .append("  coverage=")
+        .append(FormatDouble(d.stats.Coverage()))
+        .append("  violations=")
+        .append(FormatDouble(d.stats.ViolationRate()))
+        .append("\n");
     out += d.pfd.ToString();
     if (!d.provenance.empty()) {
       out += "  provenance:\n";
@@ -232,8 +238,12 @@ std::string RenderRuleSetView(const RuleSet& rules) {
     return out;
   }
   for (const RuleRecord& r : rules.records()) {
-    out += "[" + std::to_string(r.id) + "] " +
-           std::string(RuleStatusName(r.status)) + "  " + r.pfd.Summary();
+    out.append("[")
+        .append(std::to_string(r.id))
+        .append("] ")
+        .append(RuleStatusName(r.status))
+        .append("  ")
+        .append(r.pfd.Summary());
     if (!r.provenance.source.empty()) {
       out += "  source=" + r.provenance.source;
     }

@@ -15,10 +15,6 @@ struct CsvOptions {
   char delimiter = ',';     ///< field separator
   char quote = '"';         ///< quote character; doubled to escape
   bool has_header = true;   ///< first record holds column names
-  bool trim_fields = false; ///< strip surrounding whitespace from fields
-  /// When true, records with the wrong field count are skipped instead of
-  /// failing the whole read.
-  bool skip_bad_rows = false;
 
   /// Validates internal consistency (delimiter != quote, printable, ...).
   Status Validate() const;

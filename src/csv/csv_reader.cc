@@ -1,129 +1,26 @@
 #include "csv/csv_reader.h"
 
 #include <cstring>
-#include <optional>
+#include <filesystem>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "util/arena.h"
-#include "util/fs.h"
 #include "util/mmap_file.h"
 #include "util/simd.h"
-#include "util/string_util.h"
 
 namespace anmat {
 
 namespace {
 
-/// State machine over the input text. RFC 4180 with two liberal extensions:
-/// a quote inside an unquoted field is taken literally, and a lone CR is
-/// treated as a record separator.
-class CsvScanner {
- public:
-  CsvScanner(std::string_view text, const CsvOptions& options)
-      : text_(text), options_(options) {}
-
-  Result<std::vector<std::vector<std::string>>> ScanAll() {
-    std::vector<std::vector<std::string>> records;
-    while (pos_ < text_.size()) {
-      ANMAT_ASSIGN_OR_RETURN(std::vector<std::string> record, ScanRecord());
-      // A trailing newline produces one empty single-field record; drop it.
-      if (record.size() == 1 && record[0].empty() && AtEnd()) break;
-      records.push_back(std::move(record));
-    }
-    return records;
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-
-  /// Consumes one record (ending at a record separator or EOF).
-  Result<std::vector<std::string>> ScanRecord() {
-    std::vector<std::string> fields;
-    while (true) {
-      ANMAT_ASSIGN_OR_RETURN(std::string field, ScanField());
-      if (options_.trim_fields) field = Trim(field);
-      fields.push_back(std::move(field));
-      if (AtEnd()) break;
-      char c = text_[pos_];
-      if (c == options_.delimiter) {
-        ++pos_;
-        continue;
-      }
-      // Record separator: \r\n, \n, or \r.
-      if (c == '\r') {
-        ++pos_;
-        if (!AtEnd() && text_[pos_] == '\n') ++pos_;
-        break;
-      }
-      if (c == '\n') {
-        ++pos_;
-        break;
-      }
-      return Status::Internal("CSV scanner desynchronized at offset " +
-                              std::to_string(pos_));
-    }
-    return fields;
-  }
-
-  /// Consumes one field, leaving the cursor at the delimiter/separator/EOF.
-  Result<std::string> ScanField() {
-    if (!AtEnd() && text_[pos_] == options_.quote) {
-      return ScanQuotedField();
-    }
-    size_t start = pos_;
-    while (!AtEnd()) {
-      char c = text_[pos_];
-      if (c == options_.delimiter || c == '\n' || c == '\r') break;
-      ++pos_;
-    }
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  Result<std::string> ScanQuotedField() {
-    ++pos_;  // opening quote
-    std::string out;
-    while (true) {
-      if (AtEnd()) {
-        return Status::ParseError(
-            "unterminated quoted CSV field starting before offset " +
-            std::to_string(pos_));
-      }
-      char c = text_[pos_++];
-      if (c == options_.quote) {
-        if (!AtEnd() && text_[pos_] == options_.quote) {
-          out += options_.quote;  // doubled quote -> literal quote
-          ++pos_;
-        } else {
-          break;  // closing quote
-        }
-      } else {
-        out += c;
-      }
-    }
-    // After the closing quote, only delimiter / separator / EOF may follow;
-    // tolerate (append) stray text to be liberal in what we accept.
-    while (!AtEnd()) {
-      char c = text_[pos_];
-      if (c == options_.delimiter || c == '\n' || c == '\r') break;
-      out += c;
-      ++pos_;
-    }
-    return out;
-  }
-
-  std::string_view text_;
-  const CsvOptions& options_;
-  size_t pos_ = 0;
-};
-
-/// Zero-copy analog of `CsvScanner`: yields fields as `string_view`s into
-/// the input text, skipping runs of ordinary bytes with the SIMD/SWAR
-/// structural-byte kernel instead of the per-char state machine. Only
-/// quoted fields that actually need unescaping (doubled quotes, stray
-/// trailing text) materialize bytes — into `arena`, so their views are as
-/// durable as the input buffer. Semantics — field boundaries, separator
-/// handling, trimming, every error message — are byte-identical to
-/// `CsvScanner`, which the quoted/escaped paths fall back to in spirit.
+/// RFC 4180 record scanner with two liberal extensions: a quote inside an
+/// unquoted field is taken literally, and a lone CR is a record separator.
+/// Yields fields as `string_view`s into the input text, skipping runs of
+/// ordinary bytes with the SIMD/SWAR structural-byte kernel. Only quoted
+/// fields that actually need unescaping (doubled quotes, stray trailing
+/// text) materialize bytes — into `arena`, so their views are as durable
+/// as the input buffer.
 class ZeroCopyScanner {
  public:
   ZeroCopyScanner(std::string_view text, const CsvOptions& options,
@@ -139,7 +36,6 @@ class ZeroCopyScanner {
     while (true) {
       std::string_view field;
       ANMAT_ASSIGN_OR_RETURN(field, ScanField());
-      if (options_.trim_fields) field = TrimView(field);
       fields->push_back(field);
       if (AtEnd()) break;
       char c = text_[pos_];
@@ -214,8 +110,8 @@ class ZeroCopyScanner {
     }
   }
 
-  /// The exact `CsvScanner::ScanQuotedField` unescaping loop, restarted at
-  /// the field's content and interning the result.
+  /// The unescaping loop, restarted at the field's content; interns the
+  /// result.
   Result<std::string_view> ScanQuotedFieldSlow(size_t content_start) {
     pos_ = content_start;
     std::string out;
@@ -252,138 +148,98 @@ class ZeroCopyScanner {
   size_t pos_ = 0;
 };
 
-/// Shared record-stream -> Relation assembly for the zero-copy path.
-/// `adopt` is invoked once, right after the schema is known, to hand the
-/// text's backing buffers to the relation's arena.
-template <typename AdoptFn>
-Result<Relation> BuildRelationZeroCopy(std::string_view text,
-                                       const CsvOptions& options,
-                                       Arena* escape_arena, AdoptFn adopt) {
-  ANMAT_RETURN_NOT_OK(options.Validate());
-  ZeroCopyScanner scanner(text, options, escape_arena);
-  std::optional<RelationBuilder> builder;
+/// Scans the first record into `*record`; ParseError when there is none.
+Status ScanFirstRecord(ZeroCopyScanner& scanner,
+                       std::vector<std::string_view>* record) {
+  if (!scanner.AtEnd()) {
+    ANMAT_RETURN_NOT_OK(scanner.ScanRecord(record));
+    // A lone trailing newline scans as one empty single-field record.
+    if (record->size() != 1 || !(*record)[0].empty() || !scanner.AtEnd()) {
+      return Status::OK();
+    }
+  }
+  return Status::ParseError("CSV input contains no records");
+}
+
+/// The schema the first record gives: with a header its cells name the
+/// columns, otherwise the columns are named c0, c1, ....
+Result<Schema> SchemaOf(const std::vector<std::string_view>& first,
+                        const CsvOptions& options) {
   std::vector<std::string> names;
-  std::vector<std::string_view> record;
-  size_t record_index = 0;  // counts header + data, like ReadCsvString
-  while (!scanner.AtEnd()) {
-    ANMAT_RETURN_NOT_OK(scanner.ScanRecord(&record));
-    // A trailing newline produces one empty single-field record; drop it.
-    if (record.size() == 1 && record[0].empty() && scanner.AtEnd()) break;
-    if (!builder.has_value()) {
-      if (options.has_header) {
-        names.assign(record.begin(), record.end());
-      } else {
-        for (size_t i = 0; i < record.size(); ++i) {
-          names.push_back("c" + std::to_string(i));
-        }
-      }
-      ANMAT_ASSIGN_OR_RETURN(Schema schema, Schema::MakeText(names));
-      builder.emplace(std::move(schema));
-      adopt(builder->relation().arena());
-      if (!options.has_header) {
-        ANMAT_RETURN_NOT_OK(builder->AddRowViews(record));
-      }
+  for (size_t i = 0; i < first.size(); ++i) {
+    if (options.has_header) {
+      names.emplace_back(first[i]);
     } else {
-      if (record.size() != names.size()) {
-        if (!options.skip_bad_rows) {
-          return Status::ParseError(
-              "CSV record " + std::to_string(record_index) + " has " +
-              std::to_string(record.size()) + " fields, expected " +
-              std::to_string(names.size()));
-        }
-      } else {
-        ANMAT_RETURN_NOT_OK(builder->AddRowViews(record));
-      }
+      names.emplace_back("c");
+      names.back() += std::to_string(i);
     }
-    ++record_index;
   }
-  if (!builder.has_value()) {
-    return Status::ParseError("CSV input contains no records");
-  }
-  return builder->Build();
+  return Schema::MakeText(names);
 }
 
-}  // namespace
-
-Result<std::vector<std::vector<std::string>>> ParseCsvRecords(
-    std::string_view text, const CsvOptions& options) {
+/// Parses `text`, whose bytes `owner` keeps alive. The relation's arena
+/// adopts `owner`, so cells are views into `text`.
+Result<Relation> ParseCsv(std::shared_ptr<const void> owner,
+                          std::string_view text, const CsvOptions& options) {
   ANMAT_RETURN_NOT_OK(options.Validate());
-  return CsvScanner(text, options).ScanAll();
-}
-
-Result<Relation> ReadCsvString(std::string_view text,
-                               const CsvOptions& options) {
-  ANMAT_ASSIGN_OR_RETURN(auto records, ParseCsvRecords(text, options));
-  if (records.empty()) {
-    return Status::ParseError("CSV input contains no records");
-  }
-
-  std::vector<std::string> names;
-  size_t first_data = 0;
-  if (options.has_header) {
-    names = records[0];
-    first_data = 1;
-  } else {
-    for (size_t i = 0; i < records[0].size(); ++i) {
-      names.push_back("c" + std::to_string(i));
-    }
-  }
-  ANMAT_ASSIGN_OR_RETURN(Schema schema, Schema::MakeText(names));
-
+  // Cells that need unescaping are interned here; the relation's arena
+  // adopts this arena too.
+  auto escapes = std::make_shared<Arena>();
+  ZeroCopyScanner scanner(text, options, escapes.get());
+  std::vector<std::string_view> record;
+  ANMAT_RETURN_NOT_OK(ScanFirstRecord(scanner, &record));
+  ANMAT_ASSIGN_OR_RETURN(Schema schema, SchemaOf(record, options));
+  const size_t width = record.size();
   RelationBuilder builder(std::move(schema));
-  for (size_t i = first_data; i < records.size(); ++i) {
-    if (records[i].size() != names.size()) {
-      if (options.skip_bad_rows) continue;
+  builder.relation().arena().AdoptBuffer(std::move(owner));
+  builder.relation().arena().AdoptBuffer(std::move(escapes));
+  if (!options.has_header) ANMAT_RETURN_NOT_OK(builder.AddRowViews(record));
+  // Records are numbered from 0, the header included.
+  for (size_t index = 1; !scanner.AtEnd(); ++index) {
+    ANMAT_RETURN_NOT_OK(scanner.ScanRecord(&record));
+    if (record.size() == 1 && record[0].empty() && scanner.AtEnd()) break;
+    if (record.size() != width) {
       return Status::ParseError(
-          "CSV record " + std::to_string(i) + " has " +
-          std::to_string(records[i].size()) + " fields, expected " +
-          std::to_string(names.size()));
+          "CSV record " + std::to_string(index) + " has " +
+          std::to_string(record.size()) + " fields, expected " +
+          std::to_string(width));
     }
-    ANMAT_RETURN_NOT_OK(builder.AddRow(std::move(records[i])));
+    ANMAT_RETURN_NOT_OK(builder.AddRowViews(record));
   }
   return builder.Build();
 }
 
-Result<Relation> ReadCsvFileZeroCopy(const std::string& path,
-                                     const CsvOptions& options) {
-  ANMAT_ASSIGN_OR_RETURN(MmapFile map, MmapFile::Open(path));
-  auto mapping = std::move(map).Share();
-  const std::string_view text = mapping->view();
-  // Escaped/repaired cells are interned here; the relation's arena adopts
-  // both this arena and the mapping, so every cell view survives the read.
-  auto escape_arena = std::make_shared<Arena>();
-  return BuildRelationZeroCopy(
-      text, options, escape_arena.get(), [&](Arena& arena) {
-        arena.AdoptBuffer(mapping);
-        arena.AdoptBuffer(escape_arena);
-      });
+}  // namespace
+
+Result<Relation> ReadCsvString(std::string_view text,
+                               const CsvOptions& options) {
+  auto copy = std::make_shared<const std::string>(text);
+  const std::string_view view = *copy;
+  return ParseCsv(std::move(copy), view, options);
 }
 
 Result<Relation> ReadCsvFile(const std::string& path,
                              const CsvOptions& options) {
-  Result<Relation> zero_copy = ReadCsvFileZeroCopy(path, options);
-  if (zero_copy.ok() ||
-      zero_copy.status().code() != StatusCode::kIoError) {
-    return zero_copy;
+  ANMAT_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+  auto shared = std::move(file).Share();
+  const std::string_view view = shared->view();
+  return ParseCsv(std::move(shared), view, options);
+}
+
+Result<Schema> ReadCsvSchema(const std::string& path,
+                             const CsvOptions& options) {
+  ANMAT_RETURN_NOT_OK(options.Validate());
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IoError("cannot read the header of " + path +
+                           ": not a regular file");
   }
-  // mmap unavailable (pipe, special file, exotic fs): one read into
-  // memory, then the identical zero-copy parse over the in-memory bytes.
-  // Unreadable files fail loudly here with the errno-carrying IoError.
-  Result<std::string> slurped = ReadFileToString(path);
-  if (!slurped.ok()) {
-    if (slurped.status().code() == StatusCode::kNotFound) {
-      return zero_copy.status();  // the open error names the path + cause
-    }
-    return slurped.status();
-  }
-  auto body = std::make_shared<const std::string>(std::move(slurped).value());
-  const std::string_view text = *body;
-  auto escape_arena = std::make_shared<Arena>();
-  return BuildRelationZeroCopy(
-      text, options, escape_arena.get(), [&](Arena& arena) {
-        arena.AdoptBuffer(body);
-        arena.AdoptBuffer(escape_arena);
-      });
+  ANMAT_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+  Arena escapes;
+  ZeroCopyScanner scanner(file.view(), options, &escapes);
+  std::vector<std::string_view> record;
+  ANMAT_RETURN_NOT_OK(ScanFirstRecord(scanner, &record));
+  return SchemaOf(record, options);
 }
 
 }  // namespace anmat

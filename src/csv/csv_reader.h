@@ -8,19 +8,16 @@
 /// and embedded newlines), CRLF and LF record separators, and an optional
 /// header record. Column types are inferred after loading.
 ///
-/// File ingest is zero-copy by default: `ReadCsvFile` memory-maps the
-/// input and parses cells as `string_view`s straight out of the mapping
-/// (`ReadCsvFileZeroCopy`), with the relation's arena adopting the mapping
-/// so views outlive the reader. The record splitter finds structural bytes
-/// (delimiter / quote / CR / LF) with the SIMD/SWAR kernel in util/simd.h
-/// and only materializes bytes for quoted fields that need unescaping.
-/// Inputs mmap cannot serve (pipes, special files) fall back to a single
-/// read into memory — semantics are byte-identical either way, and
-/// identical to `ReadCsvString` on the same bytes.
+/// There is one scanner. It finds structural bytes (delimiter / quote /
+/// CR / LF) with the SIMD/SWAR kernel in util/simd.h and yields cells as
+/// `string_view`s into a buffer the relation's arena adopts, so views
+/// outlive the reader; only quoted fields that need unescaping copy bytes.
+/// `ReadCsvFile` memory-maps a regular file; a pipe or FIFO is read once,
+/// to EOF; `ReadCsvString` parses one copy of its text. Errors name the
+/// first defect in input order.
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "csv/csv_options.h"
 #include "relation/relation.h"
@@ -28,34 +25,26 @@
 
 namespace anmat {
 
-/// \brief Parses CSV text into raw records (vectors of fields).
-///
-/// This is the low-level entry point; most callers want `ReadCsvString` /
-/// `ReadCsvFile`, which also build the schema.
-Result<std::vector<std::vector<std::string>>> ParseCsvRecords(
-    std::string_view text, const CsvOptions& options = CsvOptions());
-
 /// \brief Parses CSV text into a `Relation`.
 ///
 /// With `options.has_header`, the first record names the columns; otherwise
-/// columns are named "c0", "c1", .... Ragged rows are an error unless
-/// `options.skip_bad_rows` is set.
+/// columns are named "c0", "c1", .... A record whose field count differs
+/// from the first record's is a ParseError.
 Result<Relation> ReadCsvString(std::string_view text,
                                const CsvOptions& options = CsvOptions());
 
-/// \brief Reads and parses a CSV file from disk. Prefers the zero-copy
-/// mmap path; falls back to a single in-memory read when the file cannot
-/// be mapped. Unreadable files fail with a loud IoError naming the cause.
+/// \brief Reads and parses a CSV file: a regular file is memory-mapped, a
+/// pipe or FIFO is read once. Missing or unreadable paths, directories,
+/// devices and sockets fail with an IoError naming the path.
 Result<Relation> ReadCsvFile(const std::string& path,
                              const CsvOptions& options = CsvOptions());
 
-/// \brief Zero-copy file ingest: memory-maps `path` and parses cells as
-/// views into the mapping (adopted by the relation's arena). Quoted fields
-/// needing unescaping are the only cells that copy. Byte-identical in
-/// result — schema, cells, types — to `ReadCsvString` over the file's
-/// bytes. Fails with IoError when the file cannot be opened or mapped.
-Result<Relation> ReadCsvFileZeroCopy(const std::string& path,
-                                     const CsvOptions& options = CsvOptions());
+/// \brief The schema `ReadCsvFile` would give the regular file `path`, read
+/// from its first record only (column types stay text). Anything but a
+/// regular file fails with IoError and is not opened: probing a pipe would
+/// consume the bytes the real read needs.
+Result<Schema> ReadCsvSchema(const std::string& path,
+                             const CsvOptions& options = CsvOptions());
 
 }  // namespace anmat
 

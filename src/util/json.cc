@@ -52,9 +52,11 @@ Result<int64_t> JsonValue::CheckedInt(std::string_view key) const {
   constexpr double kLimit = 9223372036854775808.0;
   if (!is_number() || !(number_ >= -kLimit && number_ < kLimit) ||
       std::trunc(number_) != number_) {
-    return Status::ParseError("\"" + std::string(key) +
-                              "\" is not an integer in the int64 range: " +
-                              Dump());
+    std::string message = "\"";
+    message.append(key)
+        .append("\" is not an integer in the int64 range: ")
+        .append(Dump());
+    return Status::ParseError(message);
   }
   return static_cast<int64_t>(number_);
 }

@@ -2,13 +2,20 @@
 #define ANMAT_UTIL_MMAP_FILE_H_
 
 /// \file mmap_file.h
-/// RAII read-only memory mapping for zero-copy file ingest.
+/// RAII read-only view of a whole file for zero-copy ingest.
 ///
-/// `MmapFile::Open` maps a whole file `PROT_READ`/`MAP_PRIVATE` and hands
+/// `MmapFile::Open` maps a regular file `PROT_READ`/`MAP_PRIVATE` and hands
 /// out a `std::string_view` over the mapping. The CSV reader parses cells
 /// straight out of that view — no slurp, no per-cell copy — and the
-/// relation's arena adopts the mapping (via the `shared_ptr` returned by
-/// `Share`) so cell views outlive the `MmapFile` handle itself.
+/// relation's arena adopts the handle (via the `shared_ptr` returned by
+/// `Share`) so cell views outlive the `MmapFile` itself.
+///
+/// The kind of file is decided with stat(2) before anything is opened. A
+/// pipe or FIFO cannot be mapped: it is opened once and read to EOF into
+/// memory the handle owns (opening it twice would lose what the first open
+/// consumed). Directories, devices and sockets fail with an IoError naming
+/// the path and are never opened, so a path like /dev/zero cannot make a
+/// reader run forever.
 ///
 /// Empty files map nothing (mmap of length 0 is an error on Linux) and
 /// expose an empty view; that is still a successful open. Errors carry
@@ -22,12 +29,13 @@
 
 namespace anmat {
 
-/// \brief A read-only mapped file. Move-only handle; `Share()` converts to
-/// shared ownership for adoption by an `Arena`.
+/// \brief A read-only mapped (or, for a pipe, read) file. Move-only handle;
+/// `Share()` converts to shared ownership for adoption by an `Arena`.
 class MmapFile {
  public:
-  /// Maps `path` read-only. Fails with IoError (open/fstat/mmap reason)
-  /// for unreadable or unmappable files — directories included.
+  /// Maps the regular file `path`, or reads the pipe or FIFO `path` to EOF.
+  /// Fails with IoError for a missing or unreadable path and for every
+  /// other kind of file.
   static Result<MmapFile> Open(const std::string& path);
 
   MmapFile() = default;
@@ -37,22 +45,21 @@ class MmapFile {
   MmapFile& operator=(const MmapFile&) = delete;
   ~MmapFile();
 
-  /// The mapped bytes (empty for an empty file).
+  /// The file's bytes (empty for an empty file).
   std::string_view view() const {
+    if (data_ == nullptr) return piped_;
     return std::string_view(static_cast<const char*>(data_), size_);
   }
 
-  bool valid() const { return data_ != nullptr || size_ == 0; }
-  size_t size() const { return size_; }
-
-  /// Moves this mapping into a shared handle whose destructor unmaps; the
+  /// Moves this handle into a shared one whose destructor unmaps; the
   /// contained view stays valid as long as any copy lives. `this` is left
   /// empty.
   std::shared_ptr<const MmapFile> Share() &&;
 
  private:
-  void* data_ = nullptr;  ///< nullptr for an empty (zero-length) mapping
+  void* data_ = nullptr;  ///< nullptr for an empty mapping or a pipe
   size_t size_ = 0;
+  std::string piped_;     ///< a pipe's bytes, read once at open
 };
 
 }  // namespace anmat

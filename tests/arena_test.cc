@@ -58,16 +58,18 @@ TEST(ArenaTest, ConcurrentInternIsSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&arena, &out, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        out[t].push_back(
-            arena.Intern("t" + std::to_string(t) + ":" + std::to_string(i)));
+        std::string value = "t";
+        value.append(std::to_string(t)).append(":").append(std::to_string(i));
+        out[t].push_back(arena.Intern(value));
       }
     });
   }
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < 4; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      EXPECT_EQ(out[t][i],
-                "t" + std::to_string(t) + ":" + std::to_string(i));
+      std::string value = "t";
+      value.append(std::to_string(t)).append(":").append(std::to_string(i));
+      EXPECT_EQ(out[t][i], value);
     }
   }
 }

@@ -1,14 +1,46 @@
 #include "csv/csv_reader.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "csv/csv_writer.h"
+#include "csv_reference.h"
 
 namespace anmat {
 namespace {
+
+using Records = std::vector<std::vector<std::string>>;
+
+Records RowsOf(const Relation& relation) {
+  Records rows;
+  for (RowId r = 0; r < relation.num_rows(); ++r) {
+    rows.push_back(relation.Row(r));
+  }
+  return rows;
+}
+
+/// Reads `text` as header-less records through `ReadCsvString` and through
+/// `ReadCsvFile` over the same bytes; the two must agree exactly. Returns
+/// the records, or the failure both report.
+Result<Records> ParseRecords(const std::string& text,
+                             CsvOptions options = CsvOptions()) {
+  options.has_header = false;
+  const std::string path = ::testing::TempDir() + "/anmat_csv_parse.csv";
+  WriteBytes(path, text);
+  auto from_string = ReadCsvString(text, options);
+  auto from_file = ReadCsvFile(path, options);
+  std::remove(path.c_str());
+  EXPECT_EQ(from_string.status(), from_file.status()) << text;
+  if (!from_string.ok()) return from_string.status();
+  EXPECT_TRUE(from_file.ok()) << text;
+  if (from_file.ok()) {
+    EXPECT_EQ(RowsOf(*from_file), RowsOf(*from_string));
+  }
+  return RowsOf(*from_string);
+}
 
 TEST(CsvOptionsTest, Validation) {
   CsvOptions opts;
@@ -24,7 +56,7 @@ TEST(CsvOptionsTest, Validation) {
 }
 
 TEST(CsvParseTest, SimpleRecords) {
-  auto r = ParseCsvRecords("a,b\n1,2\n");
+  auto r = ParseRecords("a,b\n1,2\n");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 2u);
   EXPECT_EQ(r.value()[0], (std::vector<std::string>{"a", "b"}));
@@ -32,13 +64,13 @@ TEST(CsvParseTest, SimpleRecords) {
 }
 
 TEST(CsvParseTest, NoTrailingNewline) {
-  auto r = ParseCsvRecords("a,b\n1,2");
+  auto r = ParseRecords("a,b\n1,2");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().size(), 2u);
 }
 
 TEST(CsvParseTest, CrlfAndLoneCr) {
-  auto r = ParseCsvRecords("a,b\r\n1,2\r3,4\n");
+  auto r = ParseRecords("a,b\r\n1,2\r3,4\n");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 3u);
   EXPECT_EQ(r.value()[1], (std::vector<std::string>{"1", "2"}));
@@ -46,33 +78,33 @@ TEST(CsvParseTest, CrlfAndLoneCr) {
 }
 
 TEST(CsvParseTest, QuotedFieldWithDelimiter) {
-  auto r = ParseCsvRecords("\"Los Angeles, CA\",90001\n");
+  auto r = ParseRecords("\"Los Angeles, CA\",90001\n");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value()[0][0], "Los Angeles, CA");
   EXPECT_EQ(r.value()[0][1], "90001");
 }
 
 TEST(CsvParseTest, DoubledQuoteEscape) {
-  auto r = ParseCsvRecords("\"say \"\"hi\"\"\",x\n");
+  auto r = ParseRecords("\"say \"\"hi\"\"\",x\n");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value()[0][0], "say \"hi\"");
 }
 
 TEST(CsvParseTest, QuotedFieldWithNewline) {
-  auto r = ParseCsvRecords("\"line1\nline2\",x\n");
+  auto r = ParseRecords("\"line1\nline2\",x\n");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 1u);
   EXPECT_EQ(r.value()[0][0], "line1\nline2");
 }
 
 TEST(CsvParseTest, EmptyFields) {
-  auto r = ParseCsvRecords(",,\n");
+  auto r = ParseRecords(",,\n");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value()[0], (std::vector<std::string>{"", "", ""}));
 }
 
 TEST(CsvParseTest, UnterminatedQuoteFails) {
-  auto r = ParseCsvRecords("\"oops,x\n");
+  auto r = ParseRecords("\"oops,x\n");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
@@ -80,15 +112,7 @@ TEST(CsvParseTest, UnterminatedQuoteFails) {
 TEST(CsvParseTest, CustomDelimiter) {
   CsvOptions opts;
   opts.delimiter = ';';
-  auto r = ParseCsvRecords("a;b\n", opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value()[0], (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(CsvParseTest, TrimFields) {
-  CsvOptions opts;
-  opts.trim_fields = true;
-  auto r = ParseCsvRecords(" a , b \n", opts);
+  auto r = ParseRecords("a;b\n", opts);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value()[0], (std::vector<std::string>{"a", "b"}));
 }
@@ -97,7 +121,7 @@ TEST(CsvParseTest, TrailingCrOnLastRecord) {
   // A final record terminated by a lone \r at EOF (a CRLF file truncated
   // mid-separator) must not leak the \r into the field or produce a
   // phantom empty record.
-  auto r = ParseCsvRecords("zip,city\r\n90001,Los Angeles\r");
+  auto r = ParseRecords("zip,city\r\n90001,Los Angeles\r");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 2u);
   EXPECT_EQ(r.value()[1],
@@ -107,7 +131,7 @@ TEST(CsvParseTest, TrailingCrOnLastRecord) {
 TEST(CsvParseTest, QuotedFieldWithCrlfInside) {
   // CRLF inside quotes is field content, not a record separator; the CRLF
   // after the closing quote is.
-  auto r = ParseCsvRecords("\"line1\r\nline2\",x\r\ny,z\r\n");
+  auto r = ParseRecords("\"line1\r\nline2\",x\r\ny,z\r\n");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 2u);
   EXPECT_EQ(r.value()[0][0], "line1\r\nline2");
@@ -116,7 +140,7 @@ TEST(CsvParseTest, QuotedFieldWithCrlfInside) {
 }
 
 TEST(CsvParseTest, QuotedFieldEndsAtTrailingCrEof) {
-  auto r = ParseCsvRecords("\"Los Angeles, CA\",90001\r");
+  auto r = ParseRecords("\"Los Angeles, CA\",90001\r");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 1u);
   EXPECT_EQ(r.value()[0][0], "Los Angeles, CA");
@@ -175,13 +199,19 @@ TEST(CsvReadTest, RaggedRowFailsByDefault) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(CsvReadTest, SkipBadRows) {
-  CsvOptions opts;
-  opts.skip_bad_rows = true;
-  auto r = ReadCsvString("a,b\n1\n2,3\n", opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().num_rows(), 1u);
-  EXPECT_EQ(r.value().cell(0, 0), "2");
+TEST(CsvReadTest, FirstDefectInInputOrderIsReported) {
+  // The ragged record 1 comes before the unterminated quote in record 2.
+  const std::string text = "a,b\n1\n\"open";
+  const std::string path = ::testing::TempDir() + "/anmat_csv_defect.csv";
+  WriteBytes(path, text);
+  for (const auto& r : {ReadCsvString(text), ReadCsvFile(path)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find("CSV record 1 has 1 fields"),
+              std::string::npos)
+        << r.status();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CsvReadTest, EmptyInputFails) {
@@ -238,43 +268,25 @@ TEST(CsvFileTest, WriteThenReadFile) {
   std::remove(path.c_str());
 }
 
-// -- Zero-copy file reader: byte-identity with the string parser ----------
+// -- Both readers against the reference parser -------------------------
 //
-// The mmap'd reader must agree with `ReadCsvString` on every byte it
-// stores — same schema, same cells, same errors — for any input,
-// including the awkward ones below.
+// `ReadCsvString` and the mapped `ReadCsvFile` must store the oracle's
+// schema and cells, byte for byte, for any input — including the awkward
+// ones below — and fail where it finds the input malformed.
 
 class ZeroCopyIdentityTest : public ::testing::Test {
  protected:
-  /// Writes `bytes` verbatim, reads it back through both paths and checks
-  /// cell-for-cell byte identity (or identical failure codes).
+  /// Writes `bytes` verbatim and checks both readers against the oracle.
   void ExpectIdentical(const std::string& bytes,
                        const CsvOptions& options = CsvOptions()) {
     const std::string path =
         ::testing::TempDir() + "/anmat_zero_copy_identity.csv";
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    auto from_string = ReadCsvString(bytes, options);
-    auto from_file = ReadCsvFileZeroCopy(path, options);
+    WriteBytes(path, bytes);
+    ExpectMatchesReference(bytes, options, ReadCsvString(bytes, options),
+                           "ReadCsvString");
+    ExpectMatchesReference(bytes, options, ReadCsvFile(path, options),
+                           "ReadCsvFile");
     std::remove(path.c_str());
-    ASSERT_EQ(from_string.ok(), from_file.ok()) << bytes;
-    if (!from_string.ok()) {
-      EXPECT_EQ(from_string.status().code(), from_file.status().code());
-      return;
-    }
-    const Relation& a = from_string.value();
-    const Relation& b = from_file.value();
-    ASSERT_EQ(a.num_columns(), b.num_columns());
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      EXPECT_EQ(a.schema().column(c).name, b.schema().column(c).name);
-      for (RowId r = 0; r < a.num_rows(); ++r) {
-        EXPECT_EQ(a.cell(r, c), b.cell(r, c))
-            << "row " << r << " col " << c;
-      }
-    }
   }
 };
 
@@ -313,27 +325,25 @@ TEST_F(ZeroCopyIdentityTest, UnterminatedQuoteFailsIdentically) {
   ExpectIdentical("a,b\n\"no close");
 }
 
-TEST_F(ZeroCopyIdentityTest, RaggedAndSkipBadRows) {
+TEST_F(ZeroCopyIdentityTest, RaggedRowFails) {
   ExpectIdentical("a,b\n1\n2,3\n");
-  CsvOptions skip;
-  skip.skip_bad_rows = true;
-  ExpectIdentical("a,b\n1\n2,3\n", skip);
 }
 
-TEST(CsvZeroCopyTest, MissingFileIsIoError) {
-  auto r = ReadCsvFileZeroCopy("/nonexistent/path/data.csv");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+TEST_F(ZeroCopyIdentityTest, WithoutHeader) {
+  CsvOptions no_header;
+  no_header.has_header = false;
+  ExpectIdentical("\"x\"\"y\",1\r\n\"a\"tail,2\n", no_header);
 }
 
 TEST(CsvZeroCopyTest, ViewsSurviveSetCellOnOtherCells) {
-  // Zero-copy views must stay stable while sibling cells are rewritten.
+  // Views into the mapping must stay stable while sibling cells are
+  // rewritten.
   const std::string path = ::testing::TempDir() + "/anmat_zc_setcell.csv";
   {
     std::ofstream out(path, std::ios::binary);
     out << "zip,city\n90001,LA\n10001,NY\n";
   }
-  auto r = ReadCsvFileZeroCopy(path);
+  auto r = ReadCsvFile(path);
   std::remove(path.c_str());
   ASSERT_TRUE(r.ok());
   Relation rel = std::move(r).value();
@@ -342,6 +352,58 @@ TEST(CsvZeroCopyTest, ViewsSurviveSetCellOnOtherCells) {
   EXPECT_EQ(rel.cell(0, 1), "Los Angeles");
   EXPECT_EQ(rel.cell(1, 1), before);
   EXPECT_EQ(rel.cell(1, 1), "NY");
+}
+
+TEST(CsvPipeTest, PipeIsReadOnceLikeAString) {
+  // Written in full and closed before the read: under the 64 KiB pipe
+  // buffer, so the write cannot block and the read sees EOF.
+  const std::string bytes = "zip,city\n90001,\"Los Angeles, CA\"\n90004,NY\n";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  auto piped = ReadCsvFile("/dev/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  ASSERT_TRUE(piped.ok()) << piped.status();
+  auto expected = ReadCsvString(bytes);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(piped->schema(), expected->schema());
+  EXPECT_EQ(RowsOf(*piped), RowsOf(*expected));
+}
+
+TEST(CsvPipeTest, DevicesAreRefused) {
+  auto r = ReadCsvFile("/dev/null");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("/dev/null"), std::string::npos);
+}
+
+TEST(CsvSchemaTest, HeaderRecordGivesTheReadersSchemaNames) {
+  const std::string path = ::testing::TempDir() + "/anmat_csv_schema.csv";
+  WriteBytes(path, "\"zip code\",\"c\"\"ity\"\r\n1,x\n2,\"open");
+  auto schema = ReadCsvSchema(path);
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  EXPECT_EQ(*schema, Schema::MakeText({"zip code", "c\"ity"}).value());
+  CsvOptions no_header;
+  no_header.has_header = false;
+  auto generated = ReadCsvSchema(path, no_header);
+  ASSERT_TRUE(generated.ok());
+  EXPECT_EQ(generated->column(1).name, "c1");
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadCsvSchema(path).status().code(), StatusCode::kIoError);
+}
+
+TEST(CsvSchemaTest, PipeIsRefusedWithoutBeingRead) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], "a,b\n", 4), 4);
+  ::close(fds[1]);
+  auto schema = ReadCsvSchema("/dev/fd/" + std::to_string(fds[0]));
+  EXPECT_EQ(schema.status().code(), StatusCode::kIoError);
+  char left[8];
+  EXPECT_EQ(::read(fds[0], left, sizeof left), 4);  // still unread
+  ::close(fds[0]);
 }
 
 }  // namespace

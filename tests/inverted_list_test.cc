@@ -274,7 +274,9 @@ TEST(DecisionTest, RejectsLowSupport) {
 
 TEST(DecisionTest, ToleratesBoundedViolations) {
   std::vector<std::pair<std::string, std::string>> rows;
-  for (int r = 0; r < 9; ++r) rows.emplace_back("k" + std::to_string(r), "F");
+  for (int r = 0; r < 9; ++r) {
+    rows.emplace_back(std::string("k").append(std::to_string(r)), "F");
+  }
   rows.emplace_back("k9", "M");
   Relation rel = TwoColumns(rows);
   DecisionOptions opts;

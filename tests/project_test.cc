@@ -340,5 +340,55 @@ TEST(ProjectTest, MissingFingerprintSkipsSchemaCheck) {
   std::remove(csv.c_str());
 }
 
+TEST(ProjectTest, FingerprintOfHeaderLongerThanAMebibyte) {
+  const std::string dir = FreshDir("longheader");
+  const std::string csv =
+      ::testing::TempDir() + "/anmat_project_longheader.csv";
+  {
+    std::ofstream out(csv);
+    out << "\"" << std::string((1 << 20) + 100, 'h') << "\",b\n1,2\n";
+  }
+  Project project = Project::Init(dir, "long").value();
+  ASSERT_TRUE(project.AttachDataset("wide", csv).ok());
+  auto read = ReadCsvFile(csv);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(project.FindDataset("wide")->fingerprint,
+            SchemaFingerprint(read->schema()));
+  std::remove(csv.c_str());
+}
+
+TEST(ProjectTest, BrokenBodyKeepsHeaderFingerprintAndFailsToParse) {
+  const std::string dir = FreshDir("brokenbody");
+  const std::string csv =
+      ::testing::TempDir() + "/anmat_project_brokenbody.csv";
+  {
+    std::ofstream out(csv);
+    out << "zip,city\n90001,\"Los Angeles\n";
+  }
+  Project project = Project::Init(dir, "broken").value();
+  ASSERT_TRUE(project.AttachDataset("zips", csv).ok());
+  EXPECT_EQ(project.FindDataset("zips")->fingerprint,
+            SchemaFingerprint(Schema::MakeText({"zip", "city"}).value()));
+  auto load = project.LoadDataset("zips");
+  ASSERT_FALSE(load.ok());
+  EXPECT_EQ(load.status().code(), StatusCode::kParseError);
+  std::remove(csv.c_str());
+}
+
+TEST(ProjectTest, FingerprintWithoutHeaderUsesGeneratedNames) {
+  const std::string dir = FreshDir("noheader");
+  const std::string csv = WriteZipCsv("noheader");
+  CsvOptions no_header;
+  no_header.has_header = false;
+  Project project = Project::Init(dir, "noheader").value();
+  ASSERT_TRUE(project.AttachDataset("zips", csv, no_header).ok());
+  auto read = ReadCsvFile(csv, no_header);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(project.FindDataset("zips")->fingerprint,
+            SchemaFingerprint(read->schema()));
+  EXPECT_TRUE(project.LoadDataset("zips", no_header).ok());
+  std::remove(csv.c_str());
+}
+
 }  // namespace
 }  // namespace anmat

@@ -101,13 +101,15 @@ TEST(FramingTest, ByteAtATimeDelivery) {
 
 TEST(FramingTest, ManyFramesInOneFeed) {
   std::string wire;
-  for (int i = 0; i < 100; ++i) wire += EncodeFrame("p" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    wire += EncodeFrame(std::string("p").append(std::to_string(i)));
+  }
   FrameDecoder decoder;
   decoder.Feed(wire.data(), wire.size());
   std::string payload;
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(decoder.Next(&payload).value()) << "frame " << i;
-    EXPECT_EQ(payload, "p" + std::to_string(i));
+    EXPECT_EQ(payload, std::string("p").append(std::to_string(i)));
   }
   EXPECT_FALSE(decoder.Next(&payload).value());
 }

@@ -169,6 +169,14 @@ if "$ANMAT" profile zips.csv --threads ' -3' 2>err.txt; then
 fi
 grep -q -- 'invalid value for flag: --threads' err.txt \
   || fail "whitespace-negative --threads named"
+# A pipe cannot be mapped; it is read once and profiles like the file.
+"$ANMAT" profile zips.csv > profile_file.txt || fail "profile zips.csv"
+"$ANMAT" profile <(cat zips.csv) > profile_pipe.txt \
+  || fail "profile of a process substitution"
+diff profile_file.txt profile_pipe.txt || fail "profile of a pipe differs"
+cat zips.csv | "$ANMAT" profile /dev/stdin > profile_stdin.txt \
+  || fail "profile of /dev/stdin"
+diff profile_file.txt profile_stdin.txt || fail "profile of stdin differs"
 # --lock-wait-ms is held as an int: a value past INT_MAX is out of range,
 # not a wrapped negative wait.
 [ "$("$ANMAT" rules list --project proj --lock-wait-ms 3000000000 \
