@@ -52,8 +52,15 @@ void ReproduceContent() {
 void BM_DetectNameGender(benchmark::State& state) {
   const ConfirmedD2 d = DiscoverD2(static_cast<size_t>(state.range(0)), 72);
   anmat::Engine engine;
+  anmat::Relation relation;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Detect(d.relation, d.rules));
+    // A copy takes a fresh stamp (sharing the built dictionaries), so the
+    // last iteration's kept detection cannot answer: every iteration
+    // times a detection.
+    state.PauseTiming();
+    relation = d.relation;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine.Detect(relation, d.rules));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -9,8 +9,15 @@ namespace anmat {
 
 namespace {
 
-/// What `Engine::Detect` keeps for the next `Engine::Repair`.
+/// What `Engine::Detect` keeps for the next `Engine::Detect` or
+/// `Engine::Repair`.
 struct KeptDetection {
+  /// Whether the state answers for `relation` under `rules`: it absorbed
+  /// this relation object, unmutated since, under equal rules.
+  bool Serves(const Relation& relation, const std::vector<Pfd>& rules) const {
+    return version == relation.version() && pfds == rules;
+  }
+
   /// `Relation::version()` of the relation the state absorbed.
   uint64_t version = 0;
   /// The rules the state was opened on. Its resolved rows point into
@@ -62,12 +69,16 @@ Result<DetectionResult> Engine::Detect(const Relation& relation,
                                        DetectorOptions options) {
   options.execution = execution_;
   options.automata = automata_;
-  // One kept state per engine: the last one is freed before this run
-  // builds its own.
-  kept_->Swap(nullptr);
-  auto kept = std::make_unique<KeptDetection>();
-  kept->version = relation.version();
-  kept->pfds = pfds;
+  // The last Detect's state answers again for the relation and rules it
+  // absorbed: it absorbs no row and only assembles the result. Any other
+  // call frees it before building its own (one kept state per engine).
+  std::unique_ptr<KeptDetection> kept = kept_->Swap(nullptr);
+  if (kept == nullptr || !kept->Serves(relation, pfds)) {
+    kept.reset();
+    kept = std::make_unique<KeptDetection>();
+    kept->version = relation.version();
+    kept->pfds = pfds;
+  }
   ANMAT_ASSIGN_OR_RETURN(
       DetectionResult result,
       detect_internal::DetectErrorsKeepingState(relation, kept->pfds, options,
@@ -90,8 +101,7 @@ Result<RepairResult> Engine::Repair(Relation* relation,
   // The last Detect's state serves only the relation object it absorbed,
   // unmutated since, under equal rules; it is taken either way.
   const std::unique_ptr<KeptDetection> kept = kept_->Swap(nullptr);
-  if (kept != nullptr && relation != nullptr &&
-      kept->version == relation->version() && kept->pfds == pfds) {
+  if (kept != nullptr && relation != nullptr && kept->Serves(*relation, pfds)) {
     return repair_internal::RepairFromState(relation, kept->pfds, options,
                                             &kept->state);
   }

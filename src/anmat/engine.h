@@ -15,7 +15,9 @@
 ///      ├─ Profile   → ProfileRelation   one task per column
 ///      ├─ Discover  → DiscoverPfds      one task per candidate dependency
 ///      ├─ Detect    → DetectErrors      one task per (PFD, tableau row);
-///      │                                the engine keeps the run's state
+///      │                                the engine keeps the run's state,
+///      │                                and a repeat of the same relation
+///      │                                and rules answers from it
 ///      ├─ Repair    → RepairErrors      one detection state kept across
 ///      │                                its passes, the last Detect's
 ///      │                                when it ran on the same relation
@@ -73,10 +75,12 @@ namespace anmat {
 ///
 /// The execution block is fixed at construction. Stage calls
 /// (Profile/Discover/Detect/Repair/OpenStream) may run concurrently from
-/// several threads, as long as each call uses a distinct relation. Copies
-/// share the pool, the cache and the kept detection: the state of the last
-/// `Detect`, which the next `Repair` of the same unchanged relation under
-/// equal rules starts from (see `Detect` and `Repair`).
+/// several threads, as long as each call uses a distinct relation (or
+/// reads one only: `Detect`s of one const relation may run concurrently).
+/// Copies share the pool, the cache and the kept detection: the state of
+/// the last `Detect`, which the next `Detect` of the same unchanged
+/// relation under equal rules answers from, and the next such `Repair`
+/// starts from (see `Detect` and `Repair`).
 class Engine {
  public:
   /// `execution.num_threads`: 1 = serial (default), 0 = one per hardware
@@ -96,13 +100,23 @@ class Engine {
   /// (PFD, tableau row)-parallel detection (Figure 5).
   ///
   /// The engine keeps the run's detection state, with its own copy of
-  /// `pfds` and `relation.version()`, for the next `Repair`: the repair
-  /// of a cleaning workflow that shows the violations first then starts
-  /// from this detection instead of running it again. Bound: one state
-  /// per engine (and its copies). The kept state is dropped before the
-  /// run starts and freed by the next `Detect` or `Repair`, or with the
-  /// engine; it may outlive `relation`, and is never used after that.
-  /// `Detect` itself never reads the kept state: every call detects.
+  /// `pfds` and `relation.version()`, for the next `Detect` or `Repair`.
+  /// When the kept state absorbed this relation object, unmutated since
+  /// (`Relation::version()`), under rules equal to `pfds`
+  /// (`Pfd::operator==`, in order), the call absorbs through it again:
+  /// no row is absorbed and no automaton is looked up, only the result is
+  /// assembled, and the state is kept again. The result is byte-identical
+  /// to a fresh detection; its stats describe the detection, not the work
+  /// this call did. Any other call frees the kept state before detecting
+  /// afresh. So a service re-detecting an unchanged dataset pays the
+  /// detection once, and the repair of a cleaning workflow that shows the
+  /// violations first starts from it instead of running it again.
+  ///
+  /// Bound: one state per engine (and its copies). A concurrent caller
+  /// that finds the state taken by another detects afresh. The kept state
+  /// is freed by the next `Detect` of another relation or rules, by the
+  /// next `Repair`, or with the engine; it may outlive `relation`, and is
+  /// never used after that (no later relation shares its stamp).
   Result<DetectionResult> Detect(const Relation& relation,
                                  const std::vector<Pfd>& pfds,
                                  DetectorOptions options = {});

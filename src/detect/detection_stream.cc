@@ -150,7 +150,7 @@ Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
 Status DetectionStream::Init() {
   ANMAT_RETURN_NOT_OK(state_.Open(relation_.schema(), pfds_,
                                   options_.automata.get(),
-                                  /*dispatch=*/true));
+                                  /*dispatch=*/true, /*writable=*/false));
   // Stream-owned incremental dictionaries for every pattern column, and
   // incremental indexes over the seed columns: the state reads these in
   // place of `Relation::dictionary`, and seeds each batch's candidates from

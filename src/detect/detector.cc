@@ -323,7 +323,8 @@ void AppendViolations(std::vector<Violation>& from, bool move,
 }  // namespace
 
 Status DetectionState::Open(const Schema& schema, const std::vector<Pfd>& pfds,
-                            AutomatonCache* automata, bool dispatch) {
+                            AutomatonCache* automata, bool dispatch,
+                            bool writable) {
   assert(automata != nullptr && "entry points install a cache (WithAutomata)");
   // Validate every PFD before resolving any, so the first error reported
   // is the first PFD's.
@@ -359,6 +360,7 @@ Status DetectionState::Open(const Schema& schema, const std::vector<Pfd>& pfds,
   automata_ = automata;
   num_pfds_ = pfds.size();
   dispatch_ = dispatch;
+  writable_ = writable;
   return Status::OK();
 }
 
@@ -371,6 +373,7 @@ void DetectionState::UseColumn(size_t col, const ColumnDictionary* dict,
 }
 
 void DetectionState::RecordWrite(size_t col) {
+  assert(writable_ && "only a writable state keeps what ReEmit reads");
   for (WorkItem& item : items_) {
     if (Reads(item.row.lhs_cols, col)) {
       item.state = ItemState{};
@@ -513,7 +516,7 @@ void DetectionState::AbsorbItem(const Relation& relation, WorkItem& item,
     ++state.candidate_rows;
     if (covered != nullptr) (*covered)[r] = true;
     if (item.constant) {
-      state.candidates.push_back(r);
+      if (writable_) state.candidates.push_back(r);
       EmitConstantViolation(relation, item.pfd_index, item.row_index, row, r,
                             &state.violations);
     } else if (RecordKey(relation, row, state.scans, r, &key)) {
@@ -585,7 +588,8 @@ Result<DetectionResult> DetectErrorsKeepingState(
   DetectionState& state = kept != nullptr ? *kept : one_shot;
   if (!state.opened()) {
     ANMAT_RETURN_NOT_OK(state.Open(relation.schema(), pfds,
-                                   options.automata.get(), /*dispatch=*/true));
+                                   options.automata.get(), /*dispatch=*/true,
+                                   /*writable=*/kept != nullptr));
   }
   return state.Absorb(relation, options.execution,
                       /*release=*/kept == nullptr);
@@ -636,8 +640,8 @@ Result<CoverageStats> ComputeCoverage(const Pfd& pfd, const Relation& relation,
   // and per-value memos.
   const std::vector<Pfd> pfds = {pfd};
   detect_internal::DetectionState state;
-  ANMAT_RETURN_NOT_OK(
-      state.Open(relation.schema(), pfds, automata, /*dispatch=*/false));
+  ANMAT_RETURN_NOT_OK(state.Open(relation.schema(), pfds, automata,
+                                 /*dispatch=*/false, /*writable=*/false));
   if (indexes != nullptr) {
     for (const auto& [col, index] : *indexes) {
       state.UseColumn(col, nullptr, index.get());

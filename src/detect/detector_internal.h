@@ -11,7 +11,7 @@
 ///
 /// Not part of the public API — include only from the detect layer, the
 /// repair loop and the engine, which keeps a `Detect`'s state for the next
-/// `Repair`. Definitions live in detector.cc.
+/// `Detect` or `Repair`. Definitions live in detector.cc.
 
 #include <map>
 #include <memory>
@@ -204,8 +204,9 @@ struct ItemState {
   std::vector<CellScan> scans;
   /// The item's share of `DetectionStats::candidate_rows`.
   size_t candidate_rows = 0;
-  /// Constant rows: the rows matching every LHS cell, ascending, and their
-  /// violations, in row order.
+  /// Constant rows: the rows matching every LHS cell, ascending (kept only
+  /// by a writable state: `ReEmit` reads them after a recorded write), and
+  /// their violations, in row order.
   std::vector<RowId> candidates;
   std::vector<Violation> violations;
   /// Variable rows: grouping key → group, the groups with violations (in
@@ -267,9 +268,11 @@ class DetectionState {
  public:
   /// Validates and resolves `pfds` against `schema`. `dispatch` false
   /// leaves every pattern cell on the per-pattern path (no union
-  /// automata). `pfds` and `automata` must outlive the state.
+  /// automata). `writable` false promises that `RecordWrite` is never
+  /// called, so constant rows keep no candidate lists. `pfds` and
+  /// `automata` must outlive the state.
   Status Open(const Schema& schema, const std::vector<Pfd>& pfds,
-              AutomatonCache* automata, bool dispatch);
+              AutomatonCache* automata, bool dispatch, bool writable);
   bool opened() const { return automata_ != nullptr; }
 
   /// Column `col` reads `dict` (grown by the caller in step with the
@@ -284,6 +287,7 @@ class DetectionState {
   /// cells, and the column's dispatcher and owned index are rebuilt.
   /// Writes are recorded, not inferred from a dictionary's address:
   /// `set_cell` frees the dictionary and a new one may reuse the address.
+  /// Only a state opened writable may be written.
   void RecordWrite(size_t col);
 
   /// Absorbs rows [absorbed, relation.num_rows()) into every item, one
@@ -310,6 +314,7 @@ class DetectionState {
   AutomatonCache* automata_ = nullptr;
   size_t num_pfds_ = 0;
   bool dispatch_ = true;
+  bool writable_ = false;
   std::vector<WorkItem> items_;
   std::map<size_t, ColumnState> columns_;
 };
@@ -320,10 +325,10 @@ class DetectionState {
 /// a non-null cache.
 DetectorOptions WithAutomata(const DetectorOptions& options);
 
-/// Detection through `state`, opened on first use; null runs a one-shot
-/// state, released as it goes. A kept state holds every item's state after
-/// the run, for the next run over the same relation. `options.automata`
-/// must be set (see `WithAutomata`).
+/// Detection through `state`, opened writable on first use; null runs a
+/// one-shot state, released as it goes. A kept state holds every item's
+/// state after the run, for the next run over the same relation.
+/// `options.automata` must be set (see `WithAutomata`).
 Result<DetectionResult> DetectErrorsKeepingState(
     const Relation& relation, const std::vector<Pfd>& pfds,
     const DetectorOptions& options, DetectionState* state);

@@ -15,7 +15,11 @@
 ///    `AutomatonCache` live as long as the host, so each distinct pattern
 ///    is compiled once per daemon lifetime instead of once per
 ///    CLI run (`bench_a8_daemon` measures the amortization; the cache
-///    stats are exposed through the daemon's `stats` verb);
+///    stats are exposed through the daemon's `stats` verb). Its kept
+///    detection (engine.h) answers a detect of the same warm relation
+///    under the same confirmed rules as the last detect without detecting
+///    again; a confirm, reject, reload or eviction makes the next detect
+///    a full one;
 ///  * the open `Project`, published as an immutable snapshot. The host
 ///    keeps the project's lock for its lifetime (a writable project holds
 ///    the whole-project `flock` — cross-*process* exclusion). Within the
@@ -36,8 +40,9 @@
 ///    reloads it through `Project::LoadDataset`, so a changed schema
 ///    still fails loudly. A rewrite that keeps the size and lands within
 ///    the filesystem clock's granularity of the load keeps the mtime too,
-///    and is not seen. `kMaxWarmDatasetBytes` bounds what one host keeps,
-///    oldest load evicted first; a larger dataset is loaded per call;
+///    and is not seen: its detects keep the old result.
+///    `kMaxWarmDatasetBytes` bounds what one host keeps, oldest load
+///    evicted first; a larger dataset is loaded per call;
 ///  * a registry of live `DetectionStream`s addressable by stream id from
 ///    any connection — a hot feed opens a stream once and appends batches
 ///    over the socket, getting cumulative violations (and, with

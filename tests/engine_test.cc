@@ -861,6 +861,164 @@ TEST(EngineHandOffTest, KeptStateOutlivesItsRelation) {
   ASSERT_TRUE(copy.Detect(last, rules).ok());
 }
 
+// -- Detect -> Detect reuse -------------------------------------------------
+
+TEST(EngineReuseTest, RepeatDetectAnswersFromTheKeptState) {
+  // A second Detect of the same relation object, unmutated, under equal
+  // rules returns the first one's bytes without an automaton lookup.
+  for (const Dataset& d : CleaningTables()) {
+    SCOPED_TRACE(d.name);
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty());
+    const std::string expected =
+        Fingerprint(DetectErrors(d.relation, rules).value());
+    for (const size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      Engine engine(ExecutionOptions{threads, true, nullptr});
+      auto first = engine.Detect(d.relation, rules);
+      ASSERT_TRUE(first.ok());
+      EXPECT_EQ(Fingerprint(first.value()), expected);
+      const size_t hits = engine.automata().hits();
+      const size_t misses = engine.automata().misses();
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        auto again = engine.Detect(d.relation, rules);
+        ASSERT_TRUE(again.ok());
+        EXPECT_EQ(Fingerprint(again.value()), expected);
+      }
+      EXPECT_EQ(engine.automata().hits(), hits);
+      EXPECT_EQ(engine.automata().misses(), misses);
+    }
+  }
+}
+
+TEST(EngineReuseTest, AnyChangeMakesTheNextDetectAFreshOne) {
+  // Each change between two Detects makes the second a fresh detection
+  // (it resolves the tableau rows again) equal to the reference oracle
+  // over the relation as it stands.
+  const Dataset d = ZipCityStateDataset(1000, 271, 0.03);
+  const std::vector<Pfd> rules = DiscoverRules(d.relation);
+  ASSERT_GE(rules.size(), 2u);
+  const std::vector<Pfd> reordered(rules.rbegin(), rules.rend());
+  const std::vector<Pfd> subset(rules.begin(), rules.end() - 1);
+
+  // Detects `rules` on a copy of the table, runs `between`, which returns
+  // the relation to detect again (the detected one or `other`), and
+  // detects it with `next_rules`.
+  using Between =
+      std::function<Relation*(Engine&, Relation& detected, Relation& other)>;
+  const auto check = [&](const std::string& label, const Between& between,
+                         const std::vector<Pfd>& next_rules) {
+    SCOPED_TRACE(label);
+    Engine engine(ExecutionOptions{2, true, nullptr});
+    Relation relation = d.relation;
+    Relation other;
+    ASSERT_TRUE(engine.Detect(relation, rules).ok());
+    const Relation* target = between(engine, relation, other);
+    const size_t lookups = Lookups(engine);
+    auto detection = engine.Detect(*target, next_rules);
+    ASSERT_TRUE(detection.ok());
+    EXPECT_GT(Lookups(engine), lookups);
+    ExpectSameAsReference(detection.value(),
+                          ReferenceDetectErrors(*target, next_rules).value(),
+                          label);
+  };
+  const auto same = [](Engine&, Relation& detected, Relation&) {
+    return &detected;
+  };
+
+  check("set_cell", [](Engine&, Relation& detected, Relation&) {
+    detected.set_cell(0, 1, "Nowhere");
+    return &detected;
+  }, rules);
+  check("AppendRow", [](Engine&, Relation& detected, Relation&) {
+    EXPECT_TRUE(detected.AppendRow(detected.Row(0)).ok());
+    return &detected;
+  }, rules);
+  check("copy", [](Engine&, Relation& detected, Relation& other) {
+    other = detected;
+    return &other;
+  }, rules);
+  check("moved-to", [](Engine&, Relation& detected, Relation& other) {
+    other = std::move(detected);
+    return &other;
+  }, rules);
+  check("moved-from", [](Engine&, Relation& detected, Relation& other) {
+    other = std::move(detected);
+    detected = other;
+    return &detected;
+  }, rules);
+  check("reordered rules", same, reordered);
+  check("different rules", same, subset);
+  check("a Repair in between",
+        [&](Engine& engine, Relation& detected, Relation&) {
+          Relation copy = detected;
+          EXPECT_TRUE(engine.Repair(&copy, rules).ok());
+          return &detected;
+        },
+        rules);
+}
+
+TEST(EngineReuseTest, DetectDetectRepairMatchesFreshRepair) {
+  // The repeated Detect puts the kept state back, so the Repair still
+  // starts from it (a pass-free one resolves nothing), with the passes,
+  // repairs, conflicts and bytes of a fresh RepairErrors.
+  for (const Dataset& d : CleaningTables()) {
+    SCOPED_TRACE(d.name);
+    const std::vector<Pfd> rules = DiscoverRules(d.relation);
+    ASSERT_FALSE(rules.empty());
+    const std::string expected = FreshRepair(d.relation, rules);
+    Engine engine(ExecutionOptions{2, true, nullptr});
+    Relation relation = d.relation;
+    ASSERT_TRUE(engine.Detect(relation, rules).ok());
+    ASSERT_TRUE(engine.Detect(relation, rules).ok());
+    auto repair = engine.Repair(&relation, rules);
+    ASSERT_TRUE(repair.ok());
+    EXPECT_EQ(Fingerprint(repair.value(), relation), expected);
+
+    Relation again = d.relation;
+    ASSERT_TRUE(engine.Detect(again, rules).ok());
+    ASSERT_TRUE(engine.Detect(again, rules).ok());
+    const size_t lookups = Lookups(engine);
+    RepairOptions no_passes;
+    no_passes.max_passes = 0;
+    ASSERT_TRUE(engine.Repair(&again, rules, no_passes).ok());
+    EXPECT_EQ(Lookups(engine), lookups);
+  }
+}
+
+TEST(EngineReuseTest, ConcurrentRepeatDetectsAgree) {
+  // Four callers detect one const relation on one shared engine, so each
+  // call may find the kept state, find it taken by another caller and
+  // detect afresh, or put its own back over another's (run under TSan via
+  // tools/verify.sh thread). Every result equals a serial run's bytes.
+  const Dataset d = ZipCityStateDataset(800, 281, 0.03);
+  const std::vector<Pfd> rules = DiscoverRules(d.relation);
+  ASSERT_FALSE(rules.empty());
+  const std::string expected =
+      Fingerprint(DetectErrors(d.relation, rules).value());
+
+  const Relation& relation = d.relation;
+  Engine engine(ExecutionOptions{2, true, nullptr});
+  constexpr size_t kCallers = 4;
+  constexpr size_t kDetects = 20;
+  std::vector<std::vector<std::string>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t i = 0; i < kDetects; ++i) {
+        auto result = engine.Detect(relation, rules);
+        got[t].push_back(result.ok() ? Fingerprint(result.value())
+                                     : result.status().ToString());
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (size_t t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(got[t], std::vector<std::string>(kDetects, expected))
+        << "caller " << t;
+  }
+}
+
 // -- Streaming == one-shot -------------------------------------------------
 
 /// Splits `relation` into randomized chunk sizes, appends each to a stream,

@@ -37,6 +37,7 @@
 #include "anmat/project.h"
 #include "anmat/report.h"
 #include "csv/csv_reader.h"
+#include "detect/detector.h"
 #include "pattern/pattern_parser.h"
 #include "service/client.h"
 #include "service/framing.h"
@@ -286,6 +287,27 @@ void SeedProject(const std::string& dir, const std::string& csv) {
   ASSERT_TRUE(project.Save().ok());
 }
 
+/// Hand-records a second rule in the seeded project at `dir`, a constant
+/// zip -> city PFD that New York violates (AddDiscoveredRule dedupes equal
+/// pfds, so re-discovery won't do).
+void AddSecondRule(const std::string& dir) {
+  Project project = Project::Open(dir).value();
+  DiscoveredPfd extra;
+  Tableau tableau;
+  TableauRow row;
+  row.lhs.push_back(
+      TableauCell::Of(ParseConstrainedPattern("(900)!\\D{2}").value()));
+  row.rhs.push_back(
+      TableauCell::Of(ParseConstrainedPattern("Los\\ Angeles").value()));
+  tableau.AddRow(row);
+  extra.pfd = Pfd::Simple("Zip", "zip", "city", tableau);
+  extra.stats.total_rows = 4;
+  extra.stats.covered_rows = 3;
+  project.AddDiscoveredRule(extra, "manual");
+  ASSERT_GE(project.rules().size(), 2u);
+  ASSERT_TRUE(project.Save().ok());
+}
+
 JsonValue ConfirmAllParams(const std::string& dir) {
   JsonValue params = JsonValue::Object();
   params.Set("project", JsonValue::String(dir));
@@ -387,18 +409,26 @@ TEST(DaemonTest, WorkflowVerbsMatchReportJson) {
   EXPECT_EQ(first.result.Dump(), expected_detect);
   EXPECT_NE(first.text.find("=== Violations ==="), std::string::npos);
 
-  // Again on the warm engine: identical bytes, and the automaton cache
-  // has hits to show for it.
+  const auto cache_counters = [&client] {
+    ServiceResponse stats = client.Call("stats", JsonValue::Object()).value();
+    const JsonValue& cache =
+        *stats.result.Get("project_stats")->at(0).Get("automaton_cache");
+    return std::make_pair(cache.GetInt("hits").value(),
+                          cache.GetInt("misses").value());
+  };
+  const std::pair<int64_t, int64_t> after_first = cache_counters();
+
+  // Again on the warm engine: identical bytes, answered from the kept
+  // detection of the first call, so the automaton cache sees no lookup.
   JsonValue again = JsonValue::Object();
   again.Set("project", JsonValue::String(dir));
   ServiceResponse second = client.Call("detect", std::move(again)).value();
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(second.result.Dump(), expected_detect);
+  EXPECT_GT(after_first.first, 0);
+  EXPECT_EQ(cache_counters(), after_first);
 
   ServiceResponse stats = client.Call("stats", JsonValue::Object()).value();
-  const JsonValue& cache =
-      *stats.result.Get("project_stats")->at(0).Get("automaton_cache");
-  EXPECT_GT(cache.GetInt("hits").value(), 0);
   const JsonValue& warm =
       *stats.result.Get("project_stats")->at(0).Get("warm_datasets");
   EXPECT_EQ(warm.GetInt("entries").value(), 1);
@@ -755,25 +785,8 @@ TEST(DaemonTest, ConcurrentConfirmsSerializeWithNoLostEdit) {
   const std::string dir = FreshDir("writers");
   const std::string csv = WriteZipCsv("writers");
   SeedProject(dir, csv);
-  {
-    // The race needs two distinct rules; hand-record a second one
-    // (AddDiscoveredRule dedupes equal pfds, so re-discovery won't do).
-    Project project = Project::Open(dir).value();
-    DiscoveredPfd extra;
-    Tableau tableau;
-    TableauRow row;
-    row.lhs.push_back(
-        TableauCell::Of(ParseConstrainedPattern("(900)!\\D{2}").value()));
-    row.rhs.push_back(
-        TableauCell::Of(ParseConstrainedPattern("Los\\ Angeles").value()));
-    tableau.AddRow(row);
-    extra.pfd = Pfd::Simple("Zip", "zip", "city", tableau);
-    extra.stats.total_rows = 4;
-    extra.stats.covered_rows = 3;
-    project.AddDiscoveredRule(extra, "manual");
-    ASSERT_GE(project.rules().size(), 2u);
-    ASSERT_TRUE(project.Save().ok());
-  }
+  // The race needs two distinct rules.
+  AddSecondRule(dir);
 
   DaemonRunner runner(socket_path);
 
@@ -1157,6 +1170,7 @@ TEST(ProjectHostTest, WarmDatasetFollowsInPlaceRewrites) {
   const std::string rewritten = FreshDetectJson(csv, rules);
   ASSERT_NE(rewritten, original);
   EXPECT_EQ(detect()->result.Dump(), rewritten);
+  EXPECT_EQ(detect()->result.Dump(), rewritten);
 
   // A new header of the same size: the schema-change error still fires.
   std::string header = clean;
@@ -1175,6 +1189,65 @@ TEST(ProjectHostTest, WarmDatasetFollowsInPlaceRewrites) {
   EXPECT_EQ(detect()->result.Dump(), FreshDetectJson(csv, rules));
   RewriteInPlace(csv, "");
   EXPECT_FALSE(detect().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ProjectHostTest, RuleEditsBetweenDetectsDetectTheNewRuleSet) {
+  // The warm relation never changes, so only the rules decide whether a
+  // detect is answered from the last one's kept state: after every
+  // confirm or reject the detect equals an in-process DetectErrors under
+  // the new confirmed set.
+  const std::string dir = FreshDir("rule-edits");
+  const std::string csv = WriteZipCsv("rule-edits");
+  SeedProject(dir, csv);
+  AddSecondRule(dir);
+  std::vector<uint64_t> ids;
+  {
+    const Project project = Project::Open(dir).value();
+    for (const RuleRecord& rule : project.rules().records()) {
+      ids.push_back(rule.id);
+    }
+  }
+  ASSERT_GE(ids.size(), 2u);
+  const Relation data = ReadCsvFile(csv).value();
+  ProjectHost host(Project::Open(dir).value(), ProjectHost::Options());
+  const auto edit = [&host](const std::string& verb, uint64_t id) {
+    JsonValue params = JsonValue::Object();
+    JsonValue list = JsonValue::Array();
+    list.push_back(JsonValue::Int(static_cast<int64_t>(id)));
+    params.Set("ids", std::move(list));
+    ASSERT_TRUE(host.Dispatch(verb, params).ok()) << verb << " " << id;
+  };
+  // Detects twice and returns the expected bytes.
+  const auto check = [&](const std::string& step) -> std::string {
+    Project::OpenOptions read_only;
+    read_only.read_only = true;
+    const std::vector<Pfd> rules =
+        Project::Open(dir, read_only)->ConfirmedPfds();
+    EXPECT_FALSE(rules.empty()) << step;
+    const std::string expected =
+        DetectionToJson(data, rules, DetectErrors(data, rules).value())
+            .Dump();
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Result<VerbResult> reply = host.Dispatch("detect", JsonValue::Object());
+      EXPECT_EQ(reply.ok() ? reply->result.Dump() : reply.status().ToString(),
+                expected)
+          << step;
+    }
+    return expected;
+  };
+
+  edit("rules.confirm", ids[0]);
+  const std::string one = check("first rule confirmed");
+  for (size_t i = 1; i < ids.size(); ++i) edit("rules.confirm", ids[i]);
+  const std::string all = check("every rule confirmed");
+  EXPECT_NE(one, all);
+  edit("rules.reject", ids[0]);
+  check("first rule rejected");
+  edit("rules.confirm", ids[0]);
+  EXPECT_EQ(check("first rule confirmed again"), all);
+  for (size_t i = 1; i < ids.size(); ++i) edit("rules.reject", ids[i]);
+  EXPECT_EQ(check("the others rejected"), one);
   std::filesystem::remove_all(dir);
 }
 
